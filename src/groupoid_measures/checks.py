@@ -21,6 +21,7 @@ from .smooth import (
     ArrowFunction,
     FiberObstructionError,
     FoliatedGrid,
+    ModelError,
     OneForm,
     SaturationError,
     SubmersionGroupoidModel,
@@ -111,7 +112,10 @@ class ScenarioContext:
 
     def model(self):
         if "model" not in self._cache:
-            self._cache["model"] = build_model(self.model_doc)
+            try:
+                self._cache["model"] = build_model(self.model_doc)
+            except ModelError as exc:
+                raise ScenarioError(str(exc)) from exc
         return self._cache["model"]
 
     def sigma(self) -> TransverseDensityData:
@@ -222,8 +226,11 @@ def _betti_zero(ctx, params, tol):
 @register("homology_betti", "finite", 0.0, "kmax, expected: list of Betti numbers")
 def _homology(ctx, params, tol):
     kmax = int(params.get("kmax", 2))
-    rep = finite.homology(ctx.groupoid(), kmax)
     expected = params.get("expected")
+    if expected is not None and len(expected) < kmax + 1:
+        raise ScenarioError(f"expected lists {len(expected)} Betti numbers, "
+                            f"kmax {kmax} needs {kmax + 1}")
+    rep = finite.homology(ctx.groupoid(), kmax)
     if expected is None:
         expected = [len(finite.orbits(ctx.groupoid()))] + [0] * kmax
     return [_row(ctx, "homology_betti", d.betti, expected[d.degree], tol,
@@ -529,7 +536,8 @@ def _stokes_order(ctx, params, tol):
                               dict(doc, n_leaf=resolution + 1), ctx.seed)
         fol, weights, omega = _foliation_data(sub, params)
         defects.append(stokes_defect(fol, weights, omega))
-    order = float(np.log2(defects[0] / defects[1]))
+    # a zero fine defect means the scheme is exact for this omega
+    order = float(np.log2(defects[0] / defects[1])) if defects[1] else np.inf
     shortfall = _witness_shortfall(order, float(params.get("min_order", 1.8)))
     return [_row(ctx, "stokes_order", shortfall, 0.0, tol)]
 

@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 from .checks import REGISTRY, ScenarioContext, ScenarioError, catalog
+from .expressions import ExpressionError
 from .reports import CheckRow, Report
 
 
@@ -74,8 +75,12 @@ def run_scenario(doc: dict, tol_overrides: dict[str, float] | None = None,
         tol = entry.get("tolerance", scenario_tols.get(name, check.default_tol))
         tol = tol_overrides.get(name, tol)
         try:
-            rows.extend(check.runner(ctx, entry.get("params", {}), float(tol)))
-        except ScenarioError as exc:
+            tol = float(tol)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"check {name!r}: tolerance {tol!r} is not a number") from exc
+        try:
+            rows.extend(check.runner(ctx, entry.get("params", {}), tol))
+        except (ScenarioError, ExpressionError) as exc:
             raise InputError(f"check {name!r}: {exc}") from exc
     return rows
 
@@ -103,7 +108,11 @@ def cmd_run(args) -> int:
     paths = [_resolve_path(p) for p in args.scenarios]
     seed_override = None
     if "GM_SEED" in os.environ:
-        seed_override = int(os.environ["GM_SEED"])
+        try:
+            seed_override = int(os.environ["GM_SEED"])
+        except ValueError as exc:
+            raise InputError(f"GM_SEED must be an integer, "
+                             f"got {os.environ['GM_SEED']!r}") from exc
 
     docs = [load_scenario(p) for p in paths]
     if args.parallel and len(docs) > 1:

@@ -15,7 +15,6 @@ cone of invariant functionals realizes measures on the orbit space.
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Rational
 
 from . import linalg_q
 from .groupoid import FiniteGroupoid, orbit_index, orbits
@@ -214,8 +213,3 @@ def average_function(g: FiniteGroupoid, haar: HaarWeight, f) -> Weights:
                        Fraction(0)))
     return out
 
-
-def as_rational(value) -> Fraction:
-    if not isinstance(value, Rational):
-        raise TypeError(f"expected a rational value, got {type(value).__name__}")
-    return Fraction(value)

@@ -43,9 +43,6 @@ class FiniteGroupoid:
     def arrows_from(self, x: int) -> list[int]:
         return [g for g in self.arrows() if self.src[g] == x]
 
-    def arrows_to(self, y: int) -> list[int]:
-        return [g for g in self.arrows() if self.tgt[g] == y]
-
     def to_json(self) -> str:
         doc = {
             "objects": self.n_objects,

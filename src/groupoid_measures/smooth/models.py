@@ -33,8 +33,9 @@ class ActionGroupoidModel:
     """Base class: finite quadrature presentation of a group action on a grid.
 
     Subclasses fix the group structure on quadrature indices (``mul``,
-    ``inv``), the node action (``pull``), the analytic action on
-    coordinates (``act_points``) and the base-direction Jacobian.
+    ``inv``), the node action (``pull`` on samples, ``node_image`` on
+    single nodes), the analytic action on coordinates (``act_points``) and
+    the base-direction Jacobian.
     """
 
     name = "action"
@@ -76,9 +77,13 @@ class ActionGroupoidModel:
     def adjoint_factor(self, j: int) -> float:
         return 1.0
 
-    def jacobian_values(self, j: int) -> np.ndarray:
-        return np.asarray(self.jacobian_points(j, self.grid.meshgrid()), dtype=float) \
-            + np.zeros(self.grid.shape)
+    def node_image(self, j: int, flat: int) -> int:
+        """Flat index of a(g_j, x) for the node x with flat index ``flat``."""
+        raise NotImplementedError
+
+    def volume_coefficient(self, *coords):
+        """Chart coefficient of the Lebesgue density; 1 unless overridden."""
+        return np.ones_like(coords[0])
 
     # orbit space
     def project_to_base(self, values: np.ndarray):
@@ -124,26 +129,28 @@ class ActionGroupoidModel:
         return worst
 
 
-class RotationPlaneModel(ActionGroupoidModel):
-    """Circle rotations of a planar region in polar coordinates.
+class CyclicAxisModel(ActionGroupoidModel):
+    """The circle rotating one periodic angle axis [0, 2 pi) of the grid.
 
-    The grid is (radius, angle) with a periodic angle axis; group
-    quadrature nodes coincide with the angle nodes, so the action is an
-    exact roll.  The chart coefficient of the Lebesgue density is the
-    radius; rotations have unit Jacobian.
+    Group quadrature nodes coincide with the nodes of that axis, so g_j acts
+    by rolling the axis j places.  Rotations have unit Jacobian; in a polar
+    chart (radius, angle) the Lebesgue coefficient is the radius.
     """
 
-    name = "rotation2d"
+    name = "cyclic_axis"
 
-    def __init__(self, n_r: int, n_phi: int, r_lo: float, r_hi: float):
-        if r_lo < 0:
-            raise ModelError("radius axis cannot be negative")
-        grid = Grid([Axis(n_r, r_lo, r_hi),
-                     Axis(n_phi, 0.0, 2 * np.pi, periodic=True)])
-        super().__init__(grid, n_phi)
-        self.group = GroupModel("circle", n=n_phi)
+    def __init__(self, grid: Grid, axis: int, name: str = "cyclic_axis",
+                 polar: bool = False):
+        ax = grid.axes[axis]
+        if not (ax.periodic and ax.lo == 0.0 and ax.hi == 2 * np.pi):
+            raise ModelError("a cyclic axis must be the periodic angle [0, 2 pi)")
+        super().__init__(grid, ax.n)
+        self.axis = axis
+        self.name = name
+        self.polar = polar
+        self.group = GroupModel("circle", n=ax.n)
 
-    def haar_masses(self) -> np.ndarray:
+    def haar_masses(self):
         return self.group.haar_weights()
 
     def mul(self, j, k):
@@ -155,29 +162,31 @@ class RotationPlaneModel(ActionGroupoidModel):
     def identity_index(self):
         return 0
 
-    def angle(self, j: int) -> float:
-        return 2 * np.pi * j / self.group_size
-
     def pull(self, j, values):
-        return np.roll(values, -j, axis=1)
+        return np.roll(values, -j, axis=self.axis)
+
+    def node_image(self, j, flat):
+        idx = list(np.unravel_index(flat, self.grid.shape))
+        idx[self.axis] = (idx[self.axis] + j) % self.group_size
+        return int(np.ravel_multi_index(idx, self.grid.shape))
 
     def act_points(self, j, pts):
-        r, phi = pts
-        return (r, np.mod(phi + self.angle(j), 2 * np.pi))
+        pts = list(pts)
+        pts[self.axis] = np.mod(pts[self.axis] + 2 * np.pi * j / self.group_size,
+                                2 * np.pi)
+        return tuple(pts)
 
     def jacobian_points(self, j, pts):
         return 1.0
 
-    def jacobian_values(self, j):
-        return np.ones(self.grid.shape)
+    def volume_coefficient(self, *coords):
+        return coords[0] if self.polar else super().volume_coefficient(*coords)
 
     def project_to_base(self, values):
-        """Radial profile (value at angle node 0); base is the radius grid."""
-        return values[:, 0].copy(), self.grid.subgrid([0])
-
-    def lebesgue_coefficient(self) -> np.ndarray:
-        r = self.grid.meshgrid()[0]
-        return r.copy()
+        """Values at angle node 0; the base keeps the other axes (or is a point)."""
+        rest = [i for i in range(self.grid.ndim) if i != self.axis]
+        return (np.atleast_1d(np.take(values, 0, axis=self.axis)),
+                self.grid.subgrid(rest) if rest else "point")
 
 
 class FiniteActionModel(ActionGroupoidModel):
@@ -213,6 +222,9 @@ class FiniteActionModel(ActionGroupoidModel):
     def pull(self, j, values):
         return values.ravel()[self.node_maps[j]].reshape(self.grid.shape)
 
+    def node_image(self, j, flat):
+        return int(self.node_maps[j][flat])
+
     def act_points(self, j, pts):
         return self.point_maps[j](*pts)
 
@@ -220,11 +232,6 @@ class FiniteActionModel(ActionGroupoidModel):
         if self.jacobians is None:
             return 1.0
         return self.jacobians[j](*pts)
-
-    def jacobian_values(self, j):
-        if self.jacobians is None:
-            return np.ones(self.grid.shape)
-        return super().jacobian_values(j)
 
     def orbit_representatives(self) -> np.ndarray:
         """Smallest flat node index of each node orbit."""
@@ -242,39 +249,6 @@ class FiniteActionModel(ActionGroupoidModel):
     def project_to_base(self, values):
         reps = self.orbit_representatives()
         return values.ravel()[reps].copy(), reps
-
-
-class TrivialActionModel(ActionGroupoidModel):
-    """Trivial group: source and target coincide, orbits are points."""
-
-    name = "trivial"
-
-    def __init__(self, grid: Grid):
-        super().__init__(grid, 1)
-
-    def haar_masses(self):
-        return np.array([1.0])
-
-    def mul(self, j, k):
-        return 0
-
-    def inv(self, j):
-        return 0
-
-    def identity_index(self):
-        return 0
-
-    def pull(self, j, values):
-        return values
-
-    def act_points(self, j, pts):
-        return pts
-
-    def jacobian_points(self, j, pts):
-        return 1.0
-
-    def project_to_base(self, values):
-        return values.copy(), self.grid
 
 
 class ScalingLineModel(ActionGroupoidModel):
@@ -355,6 +329,32 @@ class SubmersionGroupoidModel:
 # ---------------------------------------------------------------------------
 # model construction helpers and JSON descriptors
 
+def RotationPlaneModel(n_r: int, n_phi: int, r_lo: float, r_hi: float
+                       ) -> CyclicAxisModel:
+    """Circle rotations of a planar region in the polar chart (radius, angle)."""
+    if r_lo < 0:
+        raise ModelError("radius axis cannot be negative")
+    grid = Grid([Axis(n_r, r_lo, r_hi),
+                 Axis(n_phi, 0.0, 2 * np.pi, periodic=True)])
+    return CyclicAxisModel(grid, axis=1, name="rotation2d", polar=True)
+
+
+def circle_self_model(n: int) -> CyclicAxisModel:
+    """The circle acting on itself by rotation; one orbit, trivial isotropy."""
+    grid = Grid([Axis(n, 0.0, 2 * np.pi, periodic=True)])
+    return CyclicAxisModel(grid, axis=0, name="circle_self")
+
+
+CircleSelfModel = circle_self_model
+
+
+def TrivialActionModel(grid: Grid) -> FiniteActionModel:
+    """Trivial group: source and target coincide, orbits are points."""
+    return FiniteActionModel(grid, table=[[0]],
+                             node_maps=[np.arange(int(np.prod(grid.shape)))],
+                             point_maps=[lambda *c: c], name="trivial")
+
+
 def antipodal_circle_model(n: int) -> FiniteActionModel:
     """Z/2 acting on the circle by the half-turn; n must be even."""
     if n % 2:
@@ -383,46 +383,6 @@ def mirror_interval_model(n: int, half_width: float) -> FiniteActionModel:
     )
 
 
-def circle_self_model(n: int) -> "CircleSelfModel":
-    return CircleSelfModel(n)
-
-
-class CircleSelfModel(ActionGroupoidModel):
-    """The circle acting on itself by rotation; one orbit, trivial isotropy."""
-
-    name = "circle_self"
-
-    def __init__(self, n: int):
-        grid = Grid([Axis(n, 0.0, 2 * np.pi, periodic=True)])
-        super().__init__(grid, n)
-        self.group = GroupModel("circle", n=n)
-
-    def haar_masses(self):
-        return self.group.haar_weights()
-
-    def mul(self, j, k):
-        return (j + k) % self.group_size
-
-    def inv(self, j):
-        return (-j) % self.group_size
-
-    def identity_index(self):
-        return 0
-
-    def pull(self, j, values):
-        return np.roll(values, -j, axis=0)
-
-    def act_points(self, j, pts):
-        (t,) = pts
-        return (np.mod(t + 2 * np.pi * j / self.group_size, 2 * np.pi),)
-
-    def jacobian_points(self, j, pts):
-        return 1.0
-
-    def project_to_base(self, values):
-        return np.asarray([values.ravel()[0]]), "point"
-
-
 def build_model(descriptor: dict):
     """Instantiate a model from its JSON descriptor (External Interfaces)."""
     kind = descriptor.get("kind")
@@ -431,19 +391,15 @@ def build_model(descriptor: dict):
         return RotationPlaneModel(
             n_r=int(params.get("n_r", 64)), n_phi=int(params.get("n_phi", 64)),
             r_lo=float(params.get("r_lo", 1.0)), r_hi=float(params.get("r_hi", 2.0)))
+    if kind == "finite_action":
+        kind = params.get("preset")
+        if kind not in ("antipodal_circle", "mirror_interval"):
+            raise ModelError(f"unknown finite action preset {kind!r}")
     if kind == "antipodal_circle":
         return antipodal_circle_model(int(params.get("n", 256)))
     if kind == "mirror_interval":
         return mirror_interval_model(int(params.get("n", 257)),
                                      float(params.get("half_width", 1.0)))
-    if kind == "finite_action":
-        preset = params.get("preset")
-        if preset == "antipodal_circle":
-            return antipodal_circle_model(int(params.get("n", 256)))
-        if preset == "mirror_interval":
-            return mirror_interval_model(int(params.get("n", 257)),
-                                         float(params.get("half_width", 1.0)))
-        raise ModelError(f"unknown finite action preset {preset!r}")
     if kind == "circle_self":
         return circle_self_model(int(params.get("n", 256)))
     if kind == "trivial":
@@ -480,8 +436,5 @@ class TransverseDensityData:
     @staticmethod
     def lebesgue(model) -> "TransverseDensityData":
         """Unit weight with the model's natural volume coefficient."""
-        if isinstance(model, RotationPlaneModel):
-            return TransverseDensityData(model, lambda r, p: np.ones_like(r),
-                                         lambda r, p: r)
         return TransverseDensityData(model, lambda *c: np.ones_like(c[0]),
-                                     lambda *c: np.ones_like(c[0]))
+                                     model.volume_coefficient)

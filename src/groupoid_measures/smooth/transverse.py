@@ -301,18 +301,9 @@ def orbit_density(model, rho_values: np.ndarray, node: tuple) -> DiscreteMeasure
     masses: dict[int, float] = {}
     rho_flat = rho_values.ravel()
     for j in range(model.group_size):
-        target = int(_node_image(model, j, flat))
+        target = model.node_image(j, flat)
         masses[target] = masses.get(target, 0.0) + float(haar[j]) * float(rho_flat[target])
     return DiscreteMeasure(model.grid.shape, masses)
-
-
-def _node_image(model, j: int, flat_index: int):
-    """Flat index of a(g_j, node); node actions are exact index maps."""
-    n = int(np.prod(model.grid.shape))
-    probe = np.zeros(n)
-    probe[flat_index] = 1.0
-    moved = model.pull(model.inv(j), probe.reshape(model.grid.shape))
-    return int(np.argmax(moved.ravel()))
 
 
 def modular_cocycle(model, sigma: TransverseDensityData, j: int, point) -> float:

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from ..density.grids import Axis, DensityField, Grid, integrate
+from ..expressions import ExpressionError, compile_field
 
 
 class SymplecticModelError(ValueError):
@@ -91,28 +92,17 @@ class LeafFamilyModel:
         return self.base.axes[0].weights()
 
 
-_SAFE_EVAL_NAMES = {
-    "pi": math.pi, "e": math.e, "sin": np.sin, "cos": np.cos, "exp": np.exp,
-    "sqrt": np.sqrt, "log": np.log, "abs": np.abs,
-}
-
-
-def _expression_fn(expr: str):
-    code = compile(expr, "<leaf-family-area>", "eval")
-    for name in code.co_names:
-        if name not in _SAFE_EVAL_NAMES and name != "t":
-            raise SymplecticModelError(f"name {name!r} not allowed in area expression")
-    return lambda t: eval(code, {"__builtins__": {}}, dict(_SAFE_EVAL_NAMES, t=t))
-
-
 def leaf_family_from_json(text: str) -> LeafFamilyModel:
     """Build a leaf family from {B:{lo,hi,n}, area, area_derivative, iota, leaf}."""
     doc = json.loads(text)
     b = doc["B"]
     base = Grid([Axis(int(b["n"]), float(b["lo"]), float(b["hi"]))])
     if isinstance(doc["area"], str):
-        area_fn = _expression_fn(doc["area"])
-        slope_fn = _expression_fn(doc["area_derivative"])
+        try:
+            area_fn = compile_field(doc["area"], 1)
+            slope_fn = compile_field(doc["area_derivative"], 1)
+        except ExpressionError as exc:
+            raise SymplecticModelError(str(exc)) from exc
     else:
         samples = np.asarray(doc["area"], dtype=float)
         slopes = np.asarray(doc["area_derivative"], dtype=float)

@@ -148,3 +148,66 @@ def test_bad_tol_flag_is_input_error(capsys):
     code, _, err = run_cli(capsys, "run", "z2_group", "--tol", "oops")
     assert code == 2
     assert "KEY=VALUE" in err
+
+
+def assert_input_error(code, err):
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in err
+
+
+def run_doc(capsys, tmp_path, doc):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    return run_cli(capsys, "run", str(path))
+
+
+def test_non_integer_gm_seed_is_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("GM_SEED", "abc")
+    code, _, err = run_cli(capsys, "run", "z2_swap")
+    assert_input_error(code, err)
+    assert "GM_SEED" in err
+
+
+def test_unknown_model_kind_is_input_error(capsys, tmp_path):
+    doc = {"name": "x", "engine": "smooth", "model": {"kind": "no_such_model"},
+           "checks": [{"name": "model_axioms"}]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert "no_such_model" in err
+
+
+def test_disallowed_expression_name_is_input_error(capsys, tmp_path):
+    doc = {"name": "x", "engine": "smooth",
+           "model": {"kind": "circle_self", "params": {"n": 16}},
+           "checks": [{"name": "weyl", "params": {"f": "__import__('os')"}}]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert "not allowed" in err
+
+
+def test_short_expected_betti_list_is_input_error(capsys, tmp_path):
+    doc = {"name": "x", "engine": "finite", "model": {"kind": "pair", "n": 2},
+           "checks": [{"name": "homology_betti",
+                       "params": {"kmax": 2, "expected": [1]}}]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert "kmax 2" in err
+
+
+def test_non_numeric_check_tolerance_is_input_error(capsys, tmp_path):
+    doc = {"name": "x", "engine": "finite", "model": {"kind": "unit", "n": 2},
+           "checks": [{"name": "axioms_valid", "tolerance": "tight"}]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert "tolerance" in err
+
+
+def test_stokes_order_for_exactly_integrated_omega_passes(capsys, tmp_path):
+    doc = {"name": "x", "engine": "smooth", "model": {"kind": "foliation"},
+           "checks": [{"name": "stokes_order", "params": {"omega": "0*x"}}]}
+    code, out, _ = run_doc(capsys, tmp_path, doc)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["check"], float(r["lhs"])) for r in rows] == [("stokes_order", 0.0)]

@@ -347,3 +347,33 @@ def test_action_axioms_robust_at_angle_wraparound():
     two_step = model.act_points(1, model.act_points(255, (1.5, phi)))
     combined = model.act_points(0, (1.5, phi))
     assert model._point_distance(two_step, combined) <= 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RotationPlaneModel(n_r=3, n_phi=8, r_lo=1.0, r_hi=2.0),
+    lambda: circle_self_model(8),
+    lambda: antipodal_circle_model(8),
+    lambda: mirror_interval_model(7, 1.0),
+    lambda: TrivialActionModel(Grid([Axis(4, 0.0, 1.0), Axis(3, 0.0, 2.0)])),
+], ids=["rotation2d", "circle_self", "antipodal", "mirror", "trivial"])
+def test_node_image_matches_pulled_unit_probe(make):
+    # reference: a(g_j, x) is where the unit probe at x lands when pulled
+    # back along g_j^-1
+    model = make()
+    n = int(np.prod(model.grid.shape))
+    for j in range(model.group_size):
+        for flat in range(n):
+            probe = np.zeros(n)
+            probe[flat] = 1.0
+            moved = model.pull(model.inv(j), probe.reshape(model.grid.shape))
+            assert model.node_image(j, flat) == int(np.argmax(moved.ravel()))
+
+
+def test_both_antipodal_spellings_build_the_same_node_maps():
+    from groupoid_measures.smooth import build_model
+    direct = build_model({"kind": "antipodal_circle", "params": {"n": 16}})
+    preset = build_model({"kind": "finite_action",
+                          "params": {"preset": "antipodal_circle", "n": 16}})
+    assert len(direct.node_maps) == len(preset.node_maps) == 2
+    for a, b in zip(direct.node_maps, preset.node_maps):
+        assert np.array_equal(a, b)
