@@ -135,11 +135,14 @@ class ScenarioContext:
         rho_fn = compile_field(doc.get("rho", "1.0 + 0*c0"), ndim)
         return TransverseDensityData(model, rho_fn, tau_fn)
 
-    def foliation(self) -> FoliatedGrid:
+    def foliation(self, min_leaf: int = 3, min_transverse: int = 2) -> FoliatedGrid:
+        """The unit-square foliation; a derivative stencil needs 3 nodes, a rule 2."""
+        n_leaf = int(self.model_doc.get("n_leaf", 257))
+        n_tr = int(self.model_doc.get("n_transverse", 33))
+        if n_leaf < min_leaf or n_tr < min_transverse:
+            raise ScenarioError(f"needs n_leaf >= {min_leaf} and n_transverse >= "
+                                f"{min_transverse}, got {n_leaf} and {n_tr}")
         if "foliation" not in self._cache:
-            doc = self.model_doc
-            n_leaf = int(doc.get("n_leaf", 257))
-            n_tr = int(doc.get("n_transverse", 33))
             grid = Grid([Axis(n_leaf, 0.0, 1.0), Axis(n_tr, 0.0, 1.0)])
             self._cache["foliation"] = FoliatedGrid(grid, leaf_axis=0)
         return self._cache["foliation"]
@@ -184,6 +187,13 @@ def register(name: str, engine: str, default_tol: float, params_doc: str = ""):
         REGISTRY[name] = CheckDef(name, engine, fn, default_tol, params_doc)
         return fn
     return wrap
+
+
+def _required(params: dict, key: str):
+    """A parameter the check cannot default; a missing one is an input error."""
+    if key not in params:
+        raise ScenarioError(f"missing required parameter {key!r}")
+    return params[key]
 
 
 def _row(ctx, check, lhs, rhs, tol, exact=False, label=None):
@@ -354,7 +364,7 @@ def _witness_shortfall(defect: float, floor: float) -> float:
 def _inv_witness(ctx, params, tol):
     model = ctx.model()
     sigma = ctx.sigma_from({"rho": params.get("rho", "1.0 + 0*c0"),
-                            "tau": params["tau"]})
+                            "tau": _required(params, "tau")})
     tests = default_test_set(model, ctx.rng(4))
     floor = float(params.get("min_defect", 1e-3))
     shortfall = _witness_shortfall(invariance_defect(model, sigma, tests), floor)
@@ -365,7 +375,7 @@ def _inv_witness(ctx, params, tol):
 def _invsn_witness(ctx, params, tol):
     model = ctx.model()
     sigma = ctx.sigma_from({"rho": params.get("rho", "1.0 + 0*c0"),
-                            "tau": params["tau"]})
+                            "tau": _required(params, "tau")})
     tests = default_test_set(model, ctx.rng(4))
     floor = float(params.get("min_defect", 1e-3))
     shortfall = _witness_shortfall(inversion_invariance_check(model, sigma, tests), floor)
@@ -408,7 +418,7 @@ def _cutoff_norm(ctx, params, tol):
 def _weyl(ctx, params, tol):
     model, sigma = ctx.model(), ctx.sigma()
     mesh = model.grid.meshgrid()
-    f = compile_field(params["f"], model.grid.ndim)(*mesh)
+    f = compile_field(_required(params, "f"), model.grid.ndim)(*mesh)
     phi = compile_field(params.get("phi", "1.0 + 0*c0"), model.grid.ndim)(*mesh)
     res = weyl_check(model, sigma, f, phi)
     return [_row(ctx, "weyl", res.lhs, res.rhs, tol)]
@@ -419,9 +429,11 @@ def _weyl_seeds(ctx, params, tol):
     model, sigma = ctx.model(), ctx.sigma()
     mesh = model.grid.meshgrid()
     ndim = model.grid.ndim
-    f = compile_field(params["f"], ndim)(*mesh)
-    rhs1 = weyl_check(model, sigma, f, compile_field(params["phi1"], ndim)(*mesh)).rhs
-    rhs2 = weyl_check(model, sigma, f, compile_field(params["phi2"], ndim)(*mesh)).rhs
+    f = compile_field(_required(params, "f"), ndim)(*mesh)
+    phi1, phi2 = (compile_field(_required(params, key), ndim)(*mesh)
+                  for key in ("phi1", "phi2"))
+    rhs1 = weyl_check(model, sigma, f, phi1).rhs
+    rhs2 = weyl_check(model, sigma, f, phi2).rhs
     return [_row(ctx, "weyl_seed_independence", rhs1, rhs2, tol)]
 
 
@@ -439,7 +451,7 @@ def _weinstein_expected(ctx, params, tol):
     model, sigma = ctx.model(), ctx.sigma()
     res = weinstein_volume(model, sigma)
     return [_row(ctx, "weinstein_expected", res.lhs,
-                 evaluate_scalar(params["expected"]), tol)]
+                 evaluate_scalar(_required(params, "expected")), tol)]
 
 
 @register("orbit_density_mass", "smooth", 1e-9, "node: multi-index, expected")
@@ -488,16 +500,17 @@ def _cocycle_zero(ctx, params, tol):
 @register("cocycle_expected", "smooth", 1e-9, "element, point, expected")
 def _cocycle_expected(ctx, params, tol):
     model, sigma = ctx.model(), ctx.sigma()
-    j = int(params["element"])
+    j = int(_required(params, "element"))
     x = tuple(float(v) for v in params.get("point", (1.0,)))
     return [_row(ctx, "cocycle_expected", modular_cocycle(model, sigma, j, x),
-                 evaluate_scalar(params["expected"]), tol)]
+                 evaluate_scalar(_required(params, "expected")), tol)]
 
 
 @register("cutoff_saturation_error", "smooth", 0.0, "phi: off-orbit seed expression")
 def _cutoff_saturation(ctx, params, tol):
     model, sigma = ctx.model(), ctx.sigma()
-    phi = compile_field(params["phi"], model.grid.ndim)(*model.grid.meshgrid())
+    phi = compile_field(_required(params, "phi"),
+                        model.grid.ndim)(*model.grid.meshgrid())
     try:
         cutoff_construct(model, sigma.rho_values, phi)
         raised = 0
@@ -528,6 +541,7 @@ def _stokes(ctx, params, tol):
 
 @register("stokes_order", "smooth", 0.0, "omega, transverse, min_order")
 def _stokes_order(ctx, params, tol):
+    ctx.foliation(min_leaf=5)  # the half-resolution level keeps 3 leaf nodes
     doc = dict(ctx.model_doc)
     n = int(doc.get("n_leaf", 257)) - 1
     defects = []
@@ -544,7 +558,7 @@ def _stokes_order(ctx, params, tol):
 
 @register("ruelle_sullivan_closed", "smooth", 1e-4, "beta, transverse")
 def _rs_closed(ctx, params, tol):
-    fol = ctx.foliation()
+    fol = ctx.foliation(min_transverse=3)
     mesh = fol.grid.meshgrid()
     beta = compile_field(params.get("beta", "x*(1-x)**2 * exp(-3*y)"), 2)(*mesh)
     weights = _transverse_profile(fol, params.get("transverse",
@@ -604,7 +618,7 @@ def _obstruction(ctx, params, tol):
 def _liouville(ctx, params, tol):
     total = integrate(liouville_density(ctx.surface()))
     return [_row(ctx, "liouville_total", total,
-                 evaluate_scalar(params["expected"]), tol)]
+                 evaluate_scalar(_required(params, "expected")), tol)]
 
 
 @register("dh_two_ways", "symplectic", 1e-5)
@@ -616,8 +630,8 @@ def _dh_two(ctx, params, tol):
 @register("dh_expected", "symplectic", 1e-5, "expected: scalar expression")
 def _dh_expected(ctx, params, tol):
     res = dh_total_mass_two_ways(ctx.surface())
-    return [_row(ctx, "dh_expected", res.lhs, evaluate_scalar(params["expected"]),
-                 tol)]
+    return [_row(ctx, "dh_expected", res.lhs,
+                 evaluate_scalar(_required(params, "expected")), tol)]
 
 
 @register("affine_total", "symplectic", 1e-6, "expected: scalar expression")
@@ -625,7 +639,7 @@ def _affine_total(ctx, params, tol):
     family = ctx.leaf_family()
     mu = affine_measure(family)
     return [_row(ctx, "affine_total", mu.total_mass(),
-                 evaluate_scalar(params["expected"]), tol)]
+                 evaluate_scalar(_required(params, "expected")), tol)]
 
 
 @register("dh_weyl", "symplectic", 1e-6, "f: leaf expression in t")

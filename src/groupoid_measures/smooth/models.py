@@ -3,9 +3,9 @@
 An action model couples a compact group quadrature to a base grid so that
 every group quadrature node acts by an exact node permutation (rotations
 act by rolling the periodic axis, finite groups by index maps).  Fiber
-integrals over source fibers then become weighted sums of rolled arrays,
-and change-of-variables identities hold at machine precision, which is
-what lets invariance defects act as sharp diagnostics.
+integrals are weighted sums of pulled arrays (``pull_sum``), and
+change-of-variables identities hold at machine precision, which is what
+lets invariance defects act as sharp diagnostics.
 
 Conventions for the density action (fixing the splitting of arrow-space
 densities into an algebroid factor and a base factor): an arrow from x to
@@ -66,6 +66,18 @@ class ActionGroupoidModel:
     def pull(self, j: int, values: np.ndarray) -> np.ndarray:
         """Values of x -> f(a(g_j, x)) for grid samples f."""
         raise NotImplementedError
+
+    def pull_sum(self, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Sum over group nodes of weights[j] * pull(j, values)."""
+        acc = np.zeros(self.grid.shape)
+        for j in np.flatnonzero(weights):
+            acc += weights[j] * self.pull(int(j), values)
+        return acc
+
+    def orbit_spread(self, values: np.ndarray) -> float:
+        """Largest change of the values along an arrow: max |pull(j, v) - v|."""
+        return max(float(np.max(np.abs(self.pull(j, values) - values)))
+                   for j in range(self.group_size))
 
     def act_points(self, j: int, pts):
         raise NotImplementedError
@@ -164,6 +176,19 @@ class CyclicAxisModel(ActionGroupoidModel):
 
     def pull(self, j, values):
         return np.roll(values, -j, axis=self.axis)
+
+    def pull_sum(self, weights, values):
+        """Circular correlation along the axis: FFT, or one sum for equal weights."""
+        if np.all(weights == weights[0]):
+            return np.repeat(weights[0] * values.sum(self.axis, keepdims=True),
+                             self.group_size, axis=self.axis)
+        v_hat = np.fft.rfft(np.moveaxis(values, self.axis, -1))
+        out = np.fft.irfft(np.conj(np.fft.rfft(weights)) * v_hat, n=self.group_size)
+        return np.moveaxis(out, -1, self.axis)
+
+    def orbit_spread(self, values):
+        # orbits are rows along the axis; rounding is monotone, so max - min wins
+        return float(np.max(np.ptp(values, axis=self.axis)))
 
     def node_image(self, j, flat):
         idx = list(np.unravel_index(flat, self.grid.shape))

@@ -5,6 +5,11 @@ u(g, x) is integrated over source fibers against the fiber measure whose
 mass at the arrow (g, x) is haar(g) * rho(a(g, x)), and a transverse
 density (rho, tau) pairs the result with tau on the base.  Target-fiber
 integration is source-fiber integration after composing with inversion.
+
+Arrow functions are sums of terms a(g) b(g^e x), e in {0, 1}, so a fiber
+integral is one model ``pull_sum`` per term: an FFT correlation along the
+axis (one reduction when the weights are equal) on cyclic models, one
+gather per group element on finite models.
 """
 
 from __future__ import annotations
@@ -24,50 +29,50 @@ class SaturationError(ValueError):
 
 
 class ArrowFunction:
-    """Test function on the arrow space, sliced per group quadrature node.
+    """Test function on the arrow space: terms (a, b, e) summing a[j] b(g_j^e x).
 
-    ``slice(j)`` returns the array x -> u(g_j, x) on the model grid; slices
-    are produced lazily so large models never materialize the full array.
+    b is read at the source x (e = 0) or the target a(g_j, x) (e = 1).  An
+    opaque ``slice_fn`` (j -> x -> u(g_j, x)) becomes one term per group
+    node with a unit coefficient vector.
     """
 
-    def __init__(self, model: ActionGroupoidModel, slice_fn):
+    def __init__(self, model: ActionGroupoidModel, slice_fn=None, terms=None):
         self.model = model
-        self._slice_fn = slice_fn
+        if terms is None:
+            terms = [(a, np.asarray(slice_fn(j), dtype=float), 0)
+                     for j, a in enumerate(np.eye(model.group_size))]
+        self.terms = terms
 
     def slice(self, j: int) -> np.ndarray:
-        return self._slice_fn(j)
+        """The array x -> u(g_j, x) on the model grid."""
+        acc = np.zeros(self.model.grid.shape)
+        for a, b, e in self.terms:
+            acc += a[j] * (self.model.pull(j, b) if e else b)
+        return acc
 
     def inverted(self) -> "ArrowFunction":
         """The composition with groupoid inversion: (g, x) -> u(g^-1, a(g, x))."""
-        model = self.model
-        return ArrowFunction(
-            model, lambda j: model.pull(j, self.slice(model.inv(j))))
+        inv = [self.model.inv(j) for j in range(self.model.group_size)]
+        return ArrowFunction(self.model,
+                             terms=[(a[inv], b, 1 - e) for a, b, e in self.terms])
 
     @staticmethod
     def separable(model, coefficients: np.ndarray, fields) -> "ArrowFunction":
         """Sum of products a_k(g) b_k(x) given per-slice coefficients."""
         coefficients = np.asarray(coefficients, dtype=float)
-        fields = [np.asarray(f, dtype=float) for f in fields]
-
-        def slice_fn(j):
-            acc = np.zeros(model.grid.shape)
-            for a_k, b_k in zip(coefficients[:, j], fields):
-                acc += a_k * b_k
-            return acc
-
-        return ArrowFunction(model, slice_fn)
+        return ArrowFunction(model, terms=[
+            (a, np.asarray(b, dtype=float), 0) for a, b in zip(coefficients, fields)])
 
     @staticmethod
     def from_base_function(model, values: np.ndarray) -> "ArrowFunction":
         """Pullback along the source: (g, x) -> f(x)."""
-        values = np.asarray(values, dtype=float)
-        return ArrowFunction(model, lambda j: values)
+        return ArrowFunction.separable(model, np.ones((1, model.group_size)), [values])
 
     @staticmethod
     def from_target_function(model, values: np.ndarray) -> "ArrowFunction":
         """Pullback along the target: (g, x) -> f(a(g, x))."""
-        values = np.asarray(values, dtype=float)
-        return ArrowFunction(model, lambda j: model.pull(j, values))
+        return ArrowFunction(model, terms=[
+            (np.ones(model.group_size), np.asarray(values, dtype=float), 1)])
 
     @staticmethod
     def random(model, rng: np.random.Generator, rank: int = 3) -> "ArrowFunction":
@@ -90,8 +95,9 @@ def s_fiber_integrate(model, rho_values: np.ndarray, u: ArrowFunction) -> np.nda
     """Source-fiber integral: sum of haar(g) u(g, x) rho(a(g, x)) over the group."""
     haar = model.haar_masses()
     acc = np.zeros(model.grid.shape)
-    for j in range(model.group_size):
-        acc += haar[j] * u.slice(j) * model.pull(j, rho_values)
+    for a, b, e in u.terms:
+        acc += (model.pull_sum(haar * a, b * rho_values) if e
+                else b * model.pull_sum(haar * a, rho_values))
     return acc
 
 
@@ -185,10 +191,7 @@ def averaging(model, rho_values: np.ndarray, section_values: np.ndarray,
     # constancy is judged against the size of the integrand, not of the
     # average itself, so that averages that are legitimately zero pass
     scale = float(np.max(np.abs(section_values * rho_values))) or 1.0
-    defect = max(
-        float(np.max(np.abs(model.pull(j, av) - av)))
-        for j in range(model.group_size)
-    ) / scale
+    defect = model.orbit_spread(av) / scale
     if defect > tol:
         raise ModelError(f"averaged section is not orbit constant ({defect:.3e})")
     base_values, base = model.project_to_base(av)

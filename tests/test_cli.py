@@ -211,3 +211,37 @@ def test_stokes_order_for_exactly_integrated_omega_passes(capsys, tmp_path):
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [(r["check"], float(r["lhs"])) for r in rows] == [("stokes_order", 0.0)]
+
+
+def test_weyl_without_f_is_input_error(capsys, tmp_path):
+    doc = {"name": "x", "engine": "smooth",
+           "model": {"kind": "circle_self", "params": {"n": 16}},
+           "checks": [{"name": "weyl"}]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert "'weyl'" in err and "'f'" in err
+
+
+def test_cocycle_expected_without_element_is_input_error(capsys, tmp_path):
+    doc = {"name": "x", "engine": "smooth", "model": {"kind": "scaling_line"},
+           "checks": [{"name": "cocycle_expected", "params": {"expected": "log(2)"}}]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert "'cocycle_expected'" in err and "'element'" in err
+
+
+def test_stokes_order_below_five_leaf_nodes_is_input_error(capsys, tmp_path):
+    doc = {"name": "x", "engine": "smooth", "model": {"kind": "foliation", "n_leaf": 3},
+           "checks": [{"name": "stokes_order"}]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert "n_leaf >= 5" in err
+
+
+def test_stokes_order_at_five_leaf_nodes_runs(capsys, tmp_path):
+    doc = {"name": "x", "engine": "smooth", "model": {"kind": "foliation", "n_leaf": 5},
+           "checks": [{"name": "stokes_order"}]}
+    code, out, err = run_doc(capsys, tmp_path, doc)
+    assert code in (0, 1) and "Traceback" not in err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["check"] for r in rows] == ["stokes_order"]

@@ -6,6 +6,8 @@ critical ones at the full resolutions.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoid_measures.smooth import (
     ArrowFunction,
@@ -377,3 +379,111 @@ def test_both_antipodal_spellings_build_the_same_node_maps():
     assert len(direct.node_maps) == len(preset.node_maps) == 2
     for a, b in zip(direct.node_maps, preset.node_maps):
         assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# structured kernels against the per-group-node loop, kept as the reference
+
+PROPER_MODELS = [
+    lambda: RotationPlaneModel(n_r=5, n_phi=12, r_lo=1.0, r_hi=2.0),
+    lambda: circle_self_model(15),
+    lambda: antipodal_circle_model(8),
+    lambda: mirror_interval_model(7, 1.0),
+    lambda: TrivialActionModel(Grid([Axis(4, 0.0, 1.0), Axis(3, 0.0, 2.0)])),
+]
+PROPER_IDS = ["rotation2d", "circle_self", "antipodal", "mirror", "trivial"]
+
+
+def loop_s_integral(model, rho, slice_of):
+    """Reference: sum over group nodes of haar[j] * u(g_j, .) * pull(j, rho)."""
+    haar = model.haar_masses()
+    acc = np.zeros(model.grid.shape)
+    for j in range(model.group_size):
+        acc += haar[j] * slice_of(j) * model.pull(j, rho)
+    return acc
+
+
+def loop_inverted_slice(model, u):
+    """Reference inversion: (g_j, x) -> u(g_j^-1, a(g_j, x)), slice by slice."""
+    return lambda j: model.pull(j, u.slice(model.inv(j)))
+
+
+def arrow_forms(model, rng):
+    """Every way of building an arrow function, with its slices as a reference."""
+    shape = model.grid.shape
+    field = 1.0 + rng.uniform(size=shape)
+    opaque = rng.standard_normal((model.group_size,) + shape)
+    coeffs = rng.standard_normal((3, model.group_size))
+    fields = rng.standard_normal((3,) + shape)
+    forms = {
+        "separable": ArrowFunction.separable(model, coeffs, fields),
+        "base": ArrowFunction.from_base_function(model, field),
+        "target": ArrowFunction.from_target_function(model, field),
+        "opaque": ArrowFunction(model, lambda j: opaque[j]),
+    }
+    refs = {"separable": lambda j: sum(c[j] * f for c, f in zip(coeffs, fields))}
+    refs["base"] = lambda j: field
+    refs["target"] = lambda j: model.pull(j, field)
+    refs["opaque"] = lambda j: opaque[j]
+    for name in list(forms):
+        u, ref = forms[name], refs[name]
+        forms[f"{name}.inverted"] = u.inverted()
+        refs[f"{name}.inverted"] = loop_inverted_slice(model, u)
+        forms[f"{name}.inverted.inverted"] = u.inverted().inverted()
+        refs[f"{name}.inverted.inverted"] = ref
+    return forms, refs
+
+
+def assert_close(out, ref, scale):
+    assert np.max(np.abs(out - ref)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("make", PROPER_MODELS, ids=PROPER_IDS)
+def test_fiber_integrals_match_the_group_node_loop(make):
+    model = make()
+    rng = np.random.default_rng(12)
+    rho = 0.5 + rng.uniform(size=model.grid.shape)
+    forms, refs = arrow_forms(model, rng)
+    for name, u in forms.items():
+        ref = refs[name]
+        scale = max(float(np.max(np.abs(ref(j)))) for j in range(model.group_size)) \
+            * float(np.max(rho))
+        for j in range(model.group_size):
+            assert_close(u.slice(j), ref(j), scale)
+        assert_close(s_fiber_integrate(model, rho, u),
+                     loop_s_integral(model, rho, ref), scale)
+        assert_close(t_fiber_integrate(model, rho, u),
+                     loop_s_integral(model, rho, loop_inverted_slice(model, u)), scale)
+
+
+@pytest.mark.parametrize("make", PROPER_MODELS, ids=PROPER_IDS)
+def test_orbit_spread_equals_the_loop_maximum(make):
+    model = make()
+    values = np.random.default_rng(13).standard_normal(model.grid.shape)
+    loop = max(float(np.max(np.abs(model.pull(j, values) - values)))
+               for j in range(model.group_size))
+    assert model.orbit_spread(values) == loop
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 33), n_r=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_cyclic_pull_sum_is_the_weighted_roll_sum(n, n_r, seed):
+    # odd and even axis lengths, and weights that are not all equal, so the
+    # FFT correlation runs and not only the equal-weight reduction
+    rng = np.random.default_rng(seed)
+    model = (circle_self_model(n) if n_r == 1
+             else RotationPlaneModel(n_r=n_r, n_phi=n, r_lo=1.0, r_hi=2.0))
+    weights = rng.uniform(-1.0, 1.0, size=n)
+    values = rng.standard_normal(model.grid.shape)
+    loop = sum(weights[j] * model.pull(j, values) for j in range(n))
+    scale = float(np.sum(np.abs(weights)) * np.max(np.abs(values)))
+    assert_close(model.pull_sum(weights, values), loop, scale)
+
+    rho = 0.5 + rng.uniform(size=model.grid.shape)
+    u = ArrowFunction.random(model, rng)
+    scale = max(float(np.max(np.abs(u.slice(j)))) for j in range(n)) \
+        * float(np.max(rho))
+    assert_close(s_fiber_integrate(model, rho, u), loop_s_integral(model, rho, u.slice),
+                 scale)
+    assert_close(t_fiber_integrate(model, rho, u),
+                 loop_s_integral(model, rho, loop_inverted_slice(model, u)), scale)
