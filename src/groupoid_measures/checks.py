@@ -8,6 +8,7 @@ quadrature checks carry the module default tolerances (1e-6 quadrature,
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from .smooth import (
     SaturationError,
     SubmersionGroupoidModel,
     TransverseDensityData,
+    as_int,
     averaging,
     build_model,
     cocycle_additivity_defect,
@@ -34,8 +36,7 @@ from .smooth import (
     default_test_set,
     exactness_probe,
     exterior_derivative,
-    invariance_defect,
-    inversion_invariance_check,
+    invariance_defects,
     modular_cocycle,
     orbit_density,
     ruelle_sullivan_evaluate,
@@ -60,20 +61,33 @@ class ScenarioError(ValueError):
     """Scenario input is malformed (unknown kinds, bad parameters)."""
 
 
+def _required(params: dict, key: str):
+    """A parameter the check cannot default; a missing one is an input error."""
+    if key not in params:
+        raise ScenarioError(f"missing required parameter {key!r}")
+    return params[key]
+
+
+def _int(params: dict, key: str, default: int | None = None) -> int:
+    """An integer parameter; without a default it is required."""
+    value = _required(params, key) if default is None else params.get(key, default)
+    return as_int(value, f"parameter {key!r}", ScenarioError)
+
+
 # ---------------------------------------------------------------------------
 # model construction from scenario descriptors
 
 def build_finite_groupoid(doc: dict) -> finite.FiniteGroupoid:
     kind = doc.get("kind")
     if kind == "unit":
-        return finite.unit_groupoid(int(doc["n"]))
+        return finite.unit_groupoid(_int(doc, "n"))
     if kind == "pair":
-        return finite.pair_groupoid(int(doc["n"]))
+        return finite.pair_groupoid(_int(doc, "n"))
     if kind == "cyclic":
-        return finite.group_groupoid(finite.cyclic_group_table(int(doc["n"])),
+        return finite.group_groupoid(finite.cyclic_group_table(_int(doc, "n")),
                                      name=f"Z{doc['n']}")
     if kind == "z2_action":
-        points = int(doc["points"])
+        points = _int(doc, "points")
         perm = list(range(points))
         for a, b in doc.get("swaps", []):
             perm[a], perm[b] = perm[b], perm[a]
@@ -110,6 +124,19 @@ class ScenarioContext:
             self._cache["groupoid"] = build_finite_groupoid(self.model_doc)
         return self._cache["groupoid"]
 
+    def homology(self, kmax: int) -> finite.HomologyReport:
+        """Nerve homology of the groupoid up to degree kmax, computed once.
+
+        Degrees up to k of a report need only the ranks of d_1..d_{k+1}, so
+        the report for the largest kmax asked so far answers every smaller one.
+        """
+        if kmax < 0:
+            raise ScenarioError(f"kmax must be nonnegative, got {kmax}")
+        rep = self._cache.get("homology")
+        if rep is None or len(rep.degrees) <= kmax:
+            rep = self._cache["homology"] = finite.homology(self.groupoid(), kmax)
+        return finite.HomologyReport(rep.degrees[:kmax + 1])
+
     def model(self):
         if "model" not in self._cache:
             try:
@@ -135,10 +162,25 @@ class ScenarioContext:
         rho_fn = compile_field(doc.get("rho", "1.0 + 0*c0"), ndim)
         return TransverseDensityData(model, rho_fn, tau_fn)
 
+    def defects(self, sigma_doc: dict | None, count: int) -> tuple[float, float]:
+        """(invariance, inversion) defect of a transverse density over the
+        ``count`` test functions drawn from rng(4), computed once per
+        (density document, count).
+
+        ``sigma_doc`` None means the scenario's own density.
+        """
+        key = ("defects", json.dumps(sigma_doc, sort_keys=True), count)
+        if key not in self._cache:
+            model = self.model()
+            sigma = self.sigma() if sigma_doc is None else self.sigma_from(sigma_doc)
+            tests = default_test_set(model, self.rng(4), count=count)
+            self._cache[key] = invariance_defects(model, sigma, tests)
+        return self._cache[key]
+
     def foliation(self, min_leaf: int = 3, min_transverse: int = 2) -> FoliatedGrid:
         """The unit-square foliation; a derivative stencil needs 3 nodes, a rule 2."""
-        n_leaf = int(self.model_doc.get("n_leaf", 257))
-        n_tr = int(self.model_doc.get("n_transverse", 33))
+        n_leaf = _int(self.model_doc, "n_leaf", 257)
+        n_tr = _int(self.model_doc, "n_transverse", 33)
         if n_leaf < min_leaf or n_tr < min_transverse:
             raise ScenarioError(f"needs n_leaf >= {min_leaf} and n_transverse >= "
                                 f"{min_transverse}, got {n_leaf} and {n_tr}")
@@ -162,11 +204,11 @@ class ScenarioContext:
     def leaf_family(self, iota: int | None = None) -> LeafFamilyModel:
         doc = self.model_doc
         b = doc.get("B", {"lo": 1.0, "hi": 2.0, "n": 65})
-        base = Grid([Axis(int(b["n"]), float(b["lo"]), float(b["hi"]))])
+        base = Grid([Axis(_int(b, "n"), float(b["lo"]), float(b["hi"]))])
         area = compile_field(doc.get("area", "4*pi*t"), 1)
         slope = compile_field(doc.get("area_derivative", "4*pi + 0*t"), 1)
         return LeafFamilyModel(base, area, slope,
-                               iota=int(doc.get("iota", 1)) if iota is None else iota,
+                               iota=_int(doc, "iota", 1) if iota is None else iota,
                                leaf=doc.get("leaf", "sphere"))
 
 
@@ -187,13 +229,6 @@ def register(name: str, engine: str, default_tol: float, params_doc: str = ""):
         REGISTRY[name] = CheckDef(name, engine, fn, default_tol, params_doc)
         return fn
     return wrap
-
-
-def _required(params: dict, key: str):
-    """A parameter the check cannot default; a missing one is an input error."""
-    if key not in params:
-        raise ScenarioError(f"missing required parameter {key!r}")
-    return params[key]
 
 
 def _row(ctx, check, lhs, rhs, tol, exact=False, label=None):
@@ -228,19 +263,19 @@ def _cone_dim(ctx, params, tol):
 @register("betti_zero", "finite", 0.0)
 def _betti_zero(ctx, params, tol):
     g = ctx.groupoid()
-    rep = finite.homology(g, 0)
+    rep = ctx.homology(0)
     return [_row(ctx, "betti_zero", rep.degrees[0].betti, len(finite.orbits(g)),
                  tol, exact=True)]
 
 
 @register("homology_betti", "finite", 0.0, "kmax, expected: list of Betti numbers")
 def _homology(ctx, params, tol):
-    kmax = int(params.get("kmax", 2))
+    kmax = _int(params, "kmax", 2)
     expected = params.get("expected")
     if expected is not None and len(expected) < kmax + 1:
         raise ScenarioError(f"expected lists {len(expected)} Betti numbers, "
                             f"kmax {kmax} needs {kmax + 1}")
-    rep = finite.homology(ctx.groupoid(), kmax)
+    rep = ctx.homology(kmax)
     if expected is None:
         expected = [len(finite.orbits(ctx.groupoid()))] + [0] * kmax
     return [_row(ctx, "homology_betti", d.betti, expected[d.degree], tol,
@@ -251,7 +286,7 @@ def _homology(ctx, params, tol):
 @register("boundary_squares", "finite", 0.0, "kmax")
 def _boundary_squares(ctx, params, tol):
     g = ctx.groupoid()
-    kmax = int(params.get("kmax", 3))
+    kmax = _int(params, "kmax", 3)
     rows = []
     for k in range(2, kmax + 1):
         prod = finite.linalg_q.matmul(finite.boundary_matrix(g, k - 1),
@@ -272,7 +307,7 @@ def _trace_equiv(ctx, params, tol):
         for x in orb:
             vec[x] = Fraction(2)
         weights.append(vec)
-    for _ in range(int(params.get("samples", 6))):
+    for _ in range(_int(params, "samples", 6)):
         weights.append([Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
                         for _ in range(g.n_objects)])
     disagreements = sum(
@@ -284,12 +319,13 @@ def _trace_equiv(ctx, params, tol):
 @register("morita_restriction", "finite", 0.0, "subset: object list, kmax")
 def _morita(ctx, params, tol):
     g = ctx.groupoid()
-    kmax = int(params.get("kmax", 2))
+    kmax = _int(params, "kmax", 2)
     subset = params.get("subset")
     if subset is None:
         subset = [orb[0] for orb in finite.orbits(g)]
-    sub = finite.restrict_full_subgroupoid(g, [int(x) for x in subset])
-    full = finite.homology(g, kmax).betti()
+    sub = finite.restrict_full_subgroupoid(
+        g, [as_int(x, "subset entry", ScenarioError) for x in subset])
+    full = ctx.homology(kmax).betti()
     restricted = finite.homology(sub, kmax).betti()
     return [_row(ctx, "morita_restriction", restricted[k], full[k], tol,
                  exact=True, label=f"morita_restriction[{k}]")
@@ -322,7 +358,7 @@ def _avg_const(ctx, params, tol):
     haar = finite.counting_haar(g)
     rng = ctx.rng(2)
     violations = 0
-    for _ in range(int(params.get("samples", 5))):
+    for _ in range(_int(params, "samples", 5)):
         f = [Fraction(int(rng.integers(-5, 6)), 2) for _ in range(g.n_objects)]
         av = finite.average_function(g, haar, f)
         violations += sum(av[g.src[a]] != av[g.tgt[a]] for a in g.arrows())
@@ -340,46 +376,39 @@ def _model_axioms(ctx, params, tol):
 
 @register("invariance_defect", "smooth", 1e-6, "count")
 def _inv_defect(ctx, params, tol):
-    model, sigma = ctx.model(), ctx.sigma()
-    tests = default_test_set(model, ctx.rng(4),
-                             count=int(params.get("count", 8)))
-    return [_row(ctx, "invariance_defect",
-                 invariance_defect(model, sigma, tests), 0.0, tol)]
+    invariance, _ = ctx.defects(None, _int(params, "count", 8))
+    return [_row(ctx, "invariance_defect", invariance, 0.0, tol)]
 
 
 @register("inversion_defect", "smooth", 1e-6, "count")
 def _invsn_defect(ctx, params, tol):
-    model, sigma = ctx.model(), ctx.sigma()
-    tests = default_test_set(model, ctx.rng(4),
-                             count=int(params.get("count", 8)))
-    return [_row(ctx, "inversion_defect",
-                 inversion_invariance_check(model, sigma, tests), 0.0, tol)]
+    _, inversion = ctx.defects(None, _int(params, "count", 8))
+    return [_row(ctx, "inversion_defect", inversion, 0.0, tol)]
 
 
 def _witness_shortfall(defect: float, floor: float) -> float:
     return max(0.0, floor - defect)
 
 
+def _witness_defects(ctx, params) -> tuple[float, float]:
+    return ctx.defects({"rho": params.get("rho", "1.0 + 0*c0"),
+                        "tau": _required(params, "tau")}, 8)
+
+
 @register("invariance_witness", "smooth", 0.0, "tau: expression, min_defect")
 def _inv_witness(ctx, params, tol):
-    model = ctx.model()
-    sigma = ctx.sigma_from({"rho": params.get("rho", "1.0 + 0*c0"),
-                            "tau": _required(params, "tau")})
-    tests = default_test_set(model, ctx.rng(4))
+    invariance, _ = _witness_defects(ctx, params)
     floor = float(params.get("min_defect", 1e-3))
-    shortfall = _witness_shortfall(invariance_defect(model, sigma, tests), floor)
-    return [_row(ctx, "invariance_witness", shortfall, 0.0, tol)]
+    return [_row(ctx, "invariance_witness", _witness_shortfall(invariance, floor),
+                 0.0, tol)]
 
 
 @register("inversion_witness", "smooth", 0.0, "tau: expression, min_defect")
 def _invsn_witness(ctx, params, tol):
-    model = ctx.model()
-    sigma = ctx.sigma_from({"rho": params.get("rho", "1.0 + 0*c0"),
-                            "tau": _required(params, "tau")})
-    tests = default_test_set(model, ctx.rng(4))
+    _, inversion = _witness_defects(ctx, params)
     floor = float(params.get("min_defect", 1e-3))
-    shortfall = _witness_shortfall(inversion_invariance_check(model, sigma, tests), floor)
-    return [_row(ctx, "inversion_witness", shortfall, 0.0, tol)]
+    return [_row(ctx, "inversion_witness", _witness_shortfall(inversion, floor),
+                 0.0, tol)]
 
 
 @register("averaging_annihilates", "smooth", 1e-6, "count")
@@ -387,7 +416,7 @@ def _avg_annihilates(ctx, params, tol):
     model, sigma = ctx.model(), ctx.sigma()
     rng = ctx.rng(5)
     worst = 0.0
-    for _ in range(int(params.get("count", 20))):
+    for _ in range(_int(params, "count", 20)):
         u = ArrowFunction.random(model, rng)
         diff = s_fiber_integrate(model, sigma.rho_values, u) \
             - t_fiber_integrate(model, sigma.rho_values, u)
@@ -454,10 +483,15 @@ def _weinstein_expected(ctx, params, tol):
                  evaluate_scalar(_required(params, "expected")), tol)]
 
 
+def _node(params, model) -> tuple[int, ...]:
+    return tuple(as_int(i, "node entry", ScenarioError)
+                 for i in params.get("node", (0,) * model.grid.ndim))
+
+
 @register("orbit_density_mass", "smooth", 1e-9, "node: multi-index, expected")
 def _orbit_mass(ctx, params, tol):
     model, sigma = ctx.model(), ctx.sigma()
-    node = tuple(int(i) for i in params.get("node", (0,) * model.grid.ndim))
+    node = _node(params, model)
     measure = orbit_density(model, sigma.rho_values, node)
     return [_row(ctx, "orbit_density_mass", measure.total(),
                  float(params.get("expected", 1.0)), tol)]
@@ -466,7 +500,7 @@ def _orbit_mass(ctx, params, tol):
 @register("orbit_density_basepoint", "smooth", 1e-9, "node")
 def _orbit_basepoint(ctx, params, tol):
     model, sigma = ctx.model(), ctx.sigma()
-    node = tuple(int(i) for i in params.get("node", (0,) * model.grid.ndim))
+    node = _node(params, model)
     first = orbit_density(model, sigma.rho_values, node)
     other_flat = max(first.masses)
     other = np.unravel_index(other_flat, model.grid.shape)
@@ -478,7 +512,7 @@ def _orbit_basepoint(ctx, params, tol):
 def _cocycle_add(ctx, params, tol):
     model, sigma = ctx.model(), ctx.sigma()
     defect = cocycle_additivity_defect(model, sigma, ctx.rng(7),
-                                       samples=int(params.get("samples", 100)))
+                                       samples=_int(params, "samples", 100))
     return [_row(ctx, "cocycle_additivity", defect, 0.0, tol)]
 
 
@@ -489,7 +523,7 @@ def _cocycle_zero(ctx, params, tol):
     mesh = model.grid.meshgrid()
     flat = [m.ravel() for m in mesh]
     worst = 0.0
-    for _ in range(int(params.get("samples", 50))):
+    for _ in range(_int(params, "samples", 50)):
         j = int(rng.integers(model.group_size))
         p = int(rng.integers(len(flat[0])))
         x = tuple(c[p] for c in flat)
@@ -500,7 +534,7 @@ def _cocycle_zero(ctx, params, tol):
 @register("cocycle_expected", "smooth", 1e-9, "element, point, expected")
 def _cocycle_expected(ctx, params, tol):
     model, sigma = ctx.model(), ctx.sigma()
-    j = int(_required(params, "element"))
+    j = _int(params, "element")
     x = tuple(float(v) for v in params.get("point", (1.0,)))
     return [_row(ctx, "cocycle_expected", modular_cocycle(model, sigma, j, x),
                  evaluate_scalar(_required(params, "expected")), tol)]
@@ -543,7 +577,7 @@ def _stokes(ctx, params, tol):
 def _stokes_order(ctx, params, tol):
     ctx.foliation(min_leaf=5)  # the half-resolution level keeps 3 leaf nodes
     doc = dict(ctx.model_doc)
-    n = int(doc.get("n_leaf", 257)) - 1
+    n = _int(doc, "n_leaf", 257) - 1
     defects = []
     for resolution in (n // 2, n):
         sub = ScenarioContext(ctx.name, ctx.engine,
@@ -582,8 +616,8 @@ def _rs_pairing(ctx, params, tol):
 
 def _submersion(ctx) -> SubmersionGroupoidModel:
     doc = ctx.model_doc
-    grid = Grid([Axis(int(doc.get("n_base", 9)), -2.0, 2.0),
-                 Axis(int(doc.get("n_fiber", 8193)), -4.0, 4.0)])
+    grid = Grid([Axis(_int(doc, "n_base", 9), -2.0, 2.0),
+                 Axis(_int(doc, "n_fiber", 8193), -4.0, 4.0)])
     return SubmersionGroupoidModel(grid, fiber_axes=[1])
 
 
@@ -662,7 +696,7 @@ def _affine_vol(ctx, params, tol):
 def _iota_scaling(ctx, params, tol):
     base = affine_volume(ctx.leaf_family()).lhs
     doubled = affine_volume(ctx.leaf_family(
-        iota=2 * int(ctx.model_doc.get("iota", 1)))).lhs
+        iota=2 * _int(ctx.model_doc, "iota", 1))).lhs
     return [_row(ctx, "iota_scaling", doubled / base, 0.5, tol)]
 
 

@@ -90,12 +90,17 @@ class Grid:
     def meshgrid(self) -> list[np.ndarray]:
         return list(np.meshgrid(*[ax.nodes() for ax in self.axes], indexing="ij"))
 
-    def axis_weight(self, axis: int, ndim: int | None = None) -> np.ndarray:
-        """Axis weights broadcast against ``ndim``-dimensional node arrays."""
+    def along(self, axis: int, profile: np.ndarray, ndim: int | None = None) -> np.ndarray:
+        """A profile on the nodes of one axis, shaped to broadcast against
+        ``ndim``-dimensional node arrays."""
         ndim = self.ndim if ndim is None else ndim
         shape = [1] * ndim
         shape[axis] = self.axes[axis].n
-        return self.axes[axis].weights().reshape(shape)
+        return profile.reshape(shape)
+
+    def axis_weight(self, axis: int, ndim: int | None = None) -> np.ndarray:
+        """Axis weights broadcast against ``ndim``-dimensional node arrays."""
+        return self.along(axis, self.axes[axis].weights(), ndim)
 
     def subgrid(self, keep: list[int]) -> "Grid":
         return Grid([self.axes[i] for i in keep])

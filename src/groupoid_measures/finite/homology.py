@@ -52,8 +52,12 @@ def boundary_matrix(g: FiniteGroupoid, k: int) -> linalg_q.Matrix:
     """
     if k < 1:
         raise ValueError("boundary matrices start at degree 1")
-    domain = nerve(g, k)
-    codomain = {s: i for i, s in enumerate(nerve(g, k - 1))}
+    return _boundary(g, k, nerve(g, k), nerve(g, k - 1))
+
+
+def _boundary(g: FiniteGroupoid, k: int, domain: list, codomain: list) -> linalg_q.Matrix:
+    """The degree-k differential from the enumerated nerves of degrees k and k-1."""
+    codomain = {s: i for i, s in enumerate(codomain)}
     mat = linalg_q.zeros(len(codomain), len(domain))
     for col, s in enumerate(domain):
         sign = Fraction(1)
@@ -83,10 +87,11 @@ def homology(g: FiniteGroupoid, kmax: int) -> HomologyReport:
     """Betti numbers for degrees 0..kmax: dim C_k - rank d_k - rank d_{k+1}."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    sizes = [len(nerve(g, k)) for k in range(kmax + 1)]
+    nerves = [nerve(g, k) for k in range(kmax + 2)]
     ranks = [0]  # rank of the (zero) differential out of degree 0
     for k in range(1, kmax + 2):
-        ranks.append(linalg_q.rank(boundary_matrix(g, k)))
+        ranks.append(linalg_q.rank(_boundary(g, k, nerves[k], nerves[k - 1])))
+    sizes = [len(strings) for strings in nerves]
     degrees = [
         DegreeReport(k, sizes[k], ranks[k], sizes[k] - ranks[k] - ranks[k + 1])
         for k in range(kmax + 1)

@@ -3,9 +3,11 @@
 An action model couples a compact group quadrature to a base grid so that
 every group quadrature node acts by an exact node permutation (rotations
 act by rolling the periodic axis, finite groups by index maps).  Fiber
-integrals are weighted sums of pulled arrays (``pull_sum``), and
-change-of-variables identities hold at machine precision, which is what
-lets invariance defects act as sharp diagnostics.
+integrals are weighted sums of pulled arrays (``pull_sum``, and
+``fiber_sum`` for a whole list of arrow-function terms: on the cyclic axis
+the source terms share one transform of the values and the target terms
+one inverse transform), and change-of-variables identities hold at machine
+precision, which is what lets invariance defects act as sharp diagnostics.
 
 Conventions for the density action (fixing the splitting of arrow-space
 densities into an algebroid factor and a base factor): an arrow from x to
@@ -27,6 +29,17 @@ from ..density.groups import GroupModel
 
 class ModelError(ValueError):
     pass
+
+
+def as_int(value, name: str, error: type[Exception] = ModelError) -> int:
+    """An integer input value; anything else (text, a fractional number) is an input error."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or (out != value and not isinstance(value, str)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return out
 
 
 class ActionGroupoidModel:
@@ -72,6 +85,15 @@ class ActionGroupoidModel:
         acc = np.zeros(self.grid.shape)
         for j in np.flatnonzero(weights):
             acc += weights[j] * self.pull(int(j), values)
+        return acc
+
+    def fiber_sum(self, terms, values: np.ndarray) -> np.ndarray:
+        """Source-fiber sum of haar[j] a[j] b(g_j^e x) values(g_j x) over terms (a, b, e)."""
+        haar = self.haar_masses()
+        acc = np.zeros(self.grid.shape)
+        for a, b, e in terms:
+            acc += (self.pull_sum(haar * a, b * values) if e
+                    else b * self.pull_sum(haar * a, values))
         return acc
 
     def orbit_spread(self, values: np.ndarray) -> float:
@@ -182,9 +204,34 @@ class CyclicAxisModel(ActionGroupoidModel):
         if np.all(weights == weights[0]):
             return np.repeat(weights[0] * values.sum(self.axis, keepdims=True),
                              self.group_size, axis=self.axis)
-        v_hat = np.fft.rfft(np.moveaxis(values, self.axis, -1))
-        out = np.fft.irfft(np.conj(np.fft.rfft(weights)) * v_hat, n=self.group_size)
-        return np.moveaxis(out, -1, self.axis)
+        return self._irfft(np.conj(np.fft.rfft(weights)) * self._rfft(values))
+
+    def fiber_sum(self, terms, values):
+        """Grouped correlations: source terms share one spectrum of the values,
+        target terms add their spectra before one inverse transform."""
+        haar = self.haar_masses()
+        acc = np.zeros(self.grid.shape)
+        v_hat = spectrum = None
+        for a, b, e in terms:
+            w = haar * a
+            if np.all(w == w[0]):
+                acc += self.pull_sum(w, b * values) if e else b * self.pull_sum(w, values)
+            elif e:
+                part = np.conj(np.fft.rfft(w)) * self._rfft(b * values)
+                spectrum = part if spectrum is None else np.add(spectrum, part, out=spectrum)
+            else:
+                if v_hat is None:
+                    v_hat = self._rfft(values)
+                acc += b * self._irfft(np.conj(np.fft.rfft(w)) * v_hat)
+        if spectrum is not None:
+            acc += self._irfft(spectrum)
+        return acc
+
+    def _rfft(self, values):
+        return np.fft.rfft(np.moveaxis(values, self.axis, -1))
+
+    def _irfft(self, spectrum):
+        return np.moveaxis(np.fft.irfft(spectrum, n=self.group_size), -1, self.axis)
 
     def orbit_spread(self, values):
         # orbits are rows along the axis; rounding is monotone, so max - min wins
@@ -412,28 +459,33 @@ def build_model(descriptor: dict):
     """Instantiate a model from its JSON descriptor (External Interfaces)."""
     kind = descriptor.get("kind")
     params = descriptor.get("params", {})
+
+    def int_param(key: str, default: int) -> int:
+        return as_int(params.get(key, default), f"parameter {key!r}")
+
     if kind == "rotation2d":
         return RotationPlaneModel(
-            n_r=int(params.get("n_r", 64)), n_phi=int(params.get("n_phi", 64)),
+            n_r=int_param("n_r", 64), n_phi=int_param("n_phi", 64),
             r_lo=float(params.get("r_lo", 1.0)), r_hi=float(params.get("r_hi", 2.0)))
     if kind == "finite_action":
         kind = params.get("preset")
         if kind not in ("antipodal_circle", "mirror_interval"):
             raise ModelError(f"unknown finite action preset {kind!r}")
     if kind == "antipodal_circle":
-        return antipodal_circle_model(int(params.get("n", 256)))
+        return antipodal_circle_model(int_param("n", 256))
     if kind == "mirror_interval":
-        return mirror_interval_model(int(params.get("n", 257)),
+        return mirror_interval_model(int_param("n", 257),
                                      float(params.get("half_width", 1.0)))
     if kind == "circle_self":
-        return circle_self_model(int(params.get("n", 256)))
+        return circle_self_model(int_param("n", 256))
     if kind == "trivial":
         return TrivialActionModel(Grid.from_json(json.dumps(descriptor["grid"])))
     if kind == "scaling_line":
-        return ScalingLineModel(max_power=int(params.get("max_power", 2)))
+        return ScalingLineModel(max_power=int_param("max_power", 2))
     if kind == "submersion":
         grid = Grid.from_json(json.dumps(descriptor["grid"]))
-        return SubmersionGroupoidModel(grid, [int(a) for a in params["fiber_axes"]])
+        return SubmersionGroupoidModel(
+            grid, [as_int(a, "fiber axis") for a in params["fiber_axes"]])
     raise ModelError(f"unknown model kind {kind!r}")
 
 

@@ -7,9 +7,12 @@ density (rho, tau) pairs the result with tau on the base.  Target-fiber
 integration is source-fiber integration after composing with inversion.
 
 Arrow functions are sums of terms a(g) b(g^e x), e in {0, 1}, so a fiber
-integral is one model ``pull_sum`` per term: an FFT correlation along the
-axis (one reduction when the weights are equal) on cyclic models, one
-gather per group element on finite models.
+integral is one model ``fiber_sum`` over the terms: grouped FFT
+correlations along the axis on cyclic models, one gather per group element
+and term on finite models.  Random test functions have separable fields
+(products of per-axis profiles, evaluated on the axis nodes only), and the
+invariance and inversion defects share one s- and one t-integral per test
+function (``invariance_defects``).
 """
 
 from __future__ import annotations
@@ -76,29 +79,27 @@ class ArrowFunction:
 
     @staticmethod
     def random(model, rng: np.random.Generator, rank: int = 3) -> "ArrowFunction":
-        """Seeded random smooth-ish test function (trigonometric profiles)."""
+        """Seeded random smooth-ish test function (trigonometric profiles).
+
+        Each field is a product of 1-D per-axis profiles, so cosines are
+        evaluated on the axis nodes only; each axis adds its dimension, so
+        the product is a full grid array.
+        """
         coeffs = rng.standard_normal((rank, model.group_size))
-        mesh = model.grid.meshgrid()
         fields = []
         for _ in range(rank):
-            acc = np.ones(model.grid.shape)
-            for axis, coord in enumerate(mesh):
-                ax = model.grid.axes[axis]
-                scaled = 2 * np.pi * (coord - ax.lo) / ax.length
-                acc = acc * (1.0 + 0.5 * np.cos(scaled * int(rng.integers(1, 3))
-                                                + float(rng.uniform(0, 2 * np.pi))))
+            acc = 1.0
+            for axis, ax in enumerate(model.grid.axes):
+                scaled = 2 * np.pi * (ax.nodes() - ax.lo) / ax.length
+                acc = acc * model.grid.along(axis, 1.0 + 0.5 * np.cos(
+                    scaled * int(rng.integers(1, 3)) + float(rng.uniform(0, 2 * np.pi))))
             fields.append(acc)
         return ArrowFunction.separable(model, coeffs, fields)
 
 
 def s_fiber_integrate(model, rho_values: np.ndarray, u: ArrowFunction) -> np.ndarray:
     """Source-fiber integral: sum of haar(g) u(g, x) rho(a(g, x)) over the group."""
-    haar = model.haar_masses()
-    acc = np.zeros(model.grid.shape)
-    for a, b, e in u.terms:
-        acc += (model.pull_sum(haar * a, b * rho_values) if e
-                else b * model.pull_sum(haar * a, rho_values))
-    return acc
+    return model.fiber_sum(u.terms, rho_values)
 
 
 def t_fiber_integrate(model, rho_values: np.ndarray, u: ArrowFunction) -> np.ndarray:
@@ -125,29 +126,44 @@ def default_test_set(model, rng: np.random.Generator,
     random functions happening to overlap it.
     """
     tests = [ArrowFunction.random(model, rng) for _ in range(count - 1)]
-    mesh = model.grid.meshgrid()
-    probe = np.ones(model.grid.shape)
-    for axis, coord in enumerate(mesh):
-        ax = model.grid.axes[axis]
+    probe = 1.0
+    for axis, ax in enumerate(model.grid.axes):
+        coord = ax.nodes()
         if ax.periodic:
-            probe = probe * np.cos(coord)
+            profile = np.cos(coord)
         else:
             mid, width = (ax.lo + ax.hi) / 2, ax.length
-            probe = probe * np.exp(-8.0 * ((coord - mid) / width) ** 2)
+            profile = np.exp(-8.0 * ((coord - mid) / width) ** 2)
+        probe = probe * model.grid.along(axis, profile)
     tests.append(ArrowFunction.from_base_function(model, probe))
     return tests
+
+
+def invariance_defects(model, sigma: TransverseDensityData,
+                       test_set: list[ArrowFunction]) -> tuple[float, float]:
+    """Both invariance defects from one s- and one t-integral per test function.
+
+    The first is the largest |mu_sigma(s-integral - t-integral)|; the second
+    the largest |mu_sigma(s-integral) - mu_sigma(t-integral)|, the violation
+    of arrow-space measure symmetry under inversion (the t-integral of u is
+    the s-integral of u composed with inversion).
+    """
+    invariance = inversion = 0.0
+    for u in test_set:
+        s_part = s_fiber_integrate(model, sigma.rho_values, u)
+        t_part = t_fiber_integrate(model, sigma.rho_values, u)
+        invariance = max(invariance, abs(pair_with_base_density(
+            model, sigma.tau_values, s_part - t_part)))
+        inversion = max(inversion, abs(
+            pair_with_base_density(model, sigma.tau_values, s_part)
+            - pair_with_base_density(model, sigma.tau_values, t_part)))
+    return invariance, inversion
 
 
 def invariance_defect(model, sigma: TransverseDensityData,
                       test_set: list[ArrowFunction]) -> float:
     """Largest violation of mu_sigma(s-integral) = mu_sigma(t-integral)."""
-    worst = 0.0
-    for u in test_set:
-        s_part = s_fiber_integrate(model, sigma.rho_values, u)
-        t_part = t_fiber_integrate(model, sigma.rho_values, u)
-        worst = max(worst, abs(pair_with_base_density(
-            model, sigma.tau_values, s_part - t_part)))
-    return worst
+    return invariance_defects(model, sigma, test_set)[0]
 
 
 def inversion_invariance_check(model, sigma: TransverseDensityData,
@@ -158,15 +174,7 @@ def inversion_invariance_check(model, sigma: TransverseDensityData,
     base against tau; sigma is invariant exactly when this measure is
     inversion symmetric.
     """
-    worst = 0.0
-    for u in test_set:
-        direct = pair_with_base_density(
-            model, sigma.tau_values, s_fiber_integrate(model, sigma.rho_values, u))
-        flipped = pair_with_base_density(
-            model, sigma.tau_values,
-            s_fiber_integrate(model, sigma.rho_values, u.inverted()))
-        worst = max(worst, abs(direct - flipped))
-    return worst
+    return invariance_defects(model, sigma, test_set)[1]
 
 
 @dataclass

@@ -245,3 +245,80 @@ def test_stokes_order_at_five_leaf_nodes_runs(capsys, tmp_path):
     assert code in (0, 1) and "Traceback" not in err
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [r["check"] for r in rows] == ["stokes_order"]
+
+
+def test_non_integer_element_is_input_error(capsys, tmp_path):
+    doc = {"name": "x", "engine": "smooth", "model": {"kind": "scaling_line"},
+           "checks": [{"name": "cocycle_expected",
+                       "params": {"element": "two", "expected": "log(2)"}}]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert "'element'" in err and "'two'" in err
+
+
+def test_non_integer_n_leaf_is_input_error(capsys, tmp_path):
+    doc = {"name": "x", "engine": "smooth", "model": {"kind": "foliation", "n_leaf": "many"},
+           "checks": [{"name": "stokes_closed"}]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert "'n_leaf'" in err and "'many'" in err
+
+
+def test_non_integer_model_param_is_input_error(capsys, tmp_path):
+    doc = {"name": "x", "engine": "smooth",
+           "model": {"kind": "rotation2d", "params": {"n_r": "big", "n_phi": 8}},
+           "checks": [{"name": "model_axioms"}]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert "n_r" in err and "'big'" in err
+
+
+def test_non_integer_kmax_is_input_error(capsys, tmp_path):
+    doc = {"name": "x", "engine": "finite", "model": {"kind": "pair", "n": 2},
+           "checks": [{"name": "homology_betti", "params": {"kmax": "x"}}]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert "'kmax'" in err and "'x'" in err
+
+
+def test_both_defect_checks_share_one_pass_of_fiber_integrals(capsys, tmp_path,
+                                                              monkeypatch):
+    # 8 test functions: one s- and one t-integral each, and a t-integral is
+    # an s-integral of the inverted function, so 16 s-calls and 8 t-calls
+    # (24 in all); two separate passes made 32 and 8 (40 in all)
+    from groupoid_measures.smooth import transverse
+    calls = {"s": 0, "t": 0}
+    for key, attr in (("s", "s_fiber_integrate"), ("t", "t_fiber_integrate")):
+        def counted(*args, _fn=getattr(transverse, attr), _key=key):
+            calls[_key] += 1
+            return _fn(*args)
+        monkeypatch.setattr(transverse, attr, counted)
+    doc = {"name": "x", "engine": "smooth",
+           "model": {"kind": "rotation2d", "params": {"n_r": 6, "n_phi": 16}},
+           "checks": [{"name": "invariance_defect"}, {"name": "inversion_defect"}]}
+    code, out, _ = run_doc(capsys, tmp_path, doc)
+    assert code == 0
+    assert [r["check"] for r in csv.DictReader(io.StringIO(out))] == \
+        ["invariance_defect", "inversion_defect"]
+    assert calls == {"s": 16, "t": 8}
+
+
+def test_finite_checks_share_one_homology_of_the_groupoid(capsys, tmp_path,
+                                                          monkeypatch):
+    from groupoid_measures import finite
+    kmaxes = []
+
+    def counted(g, kmax, _fn=finite.homology):
+        kmaxes.append((g.n_objects, kmax))
+        return _fn(g, kmax)
+
+    monkeypatch.setattr(finite, "homology", counted)
+    doc = {"name": "x", "engine": "finite", "model": {"kind": "pair", "n": 3},
+           "checks": [{"name": "homology_betti", "params": {"kmax": 2}},
+                      {"name": "betti_zero"},
+                      {"name": "morita_restriction", "params": {"subset": [0], "kmax": 1}}]}
+    code, out, _ = run_doc(capsys, tmp_path, doc)
+    assert code == 0
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 3 + 1 + 2
+    # the full groupoid once; the restriction to one object is a new groupoid
+    assert kmaxes == [(3, 2), (1, 1)]

@@ -98,3 +98,26 @@ def test_morita_restriction_preserves_homology():
     two_orbit = z2_swap_plus_fixed()
     sub2 = restrict_full_subgroupoid(two_orbit, [0, 2])
     assert homology(two_orbit, 2).betti() == homology(sub2, 2).betti()
+
+
+def test_homology_enumerates_each_nerve_once(monkeypatch):
+    import importlib
+    module = importlib.import_module("groupoid_measures.finite.homology")
+    degrees = []
+    enumerate_nerve = module.nerve
+
+    def counted(g, k):
+        degrees.append(k)
+        return enumerate_nerve(g, k)
+
+    monkeypatch.setattr(module, "nerve", counted)
+    module.homology(pair_groupoid(3), 2)
+    assert sorted(degrees) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("g", [pair_groupoid(3), z2_swap_plus_fixed(),
+                               group_groupoid(cyclic_group_table(3))])
+def test_a_larger_kmax_report_holds_every_smaller_one(g):
+    full = homology(g, 3)
+    for k in range(4):
+        assert homology(g, k).degrees == full.degrees[:k + 1]

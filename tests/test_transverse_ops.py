@@ -25,6 +25,7 @@ from groupoid_measures.smooth import (
     default_test_set,
     fiber_volumes,
     invariance_defect,
+    invariance_defects,
     inversion_invariance_check,
     mirror_interval_model,
     modular_cocycle,
@@ -487,3 +488,144 @@ def test_cyclic_pull_sum_is_the_weighted_roll_sum(n, n_r, seed):
                  scale)
     assert_close(t_fiber_integrate(model, rho, u),
                  loop_s_integral(model, rho, loop_inverted_slice(model, u)), scale)
+
+
+# ---------------------------------------------------------------------------
+# separable test fields, grouped cyclic terms and the shared defect pair,
+# each against the construction it replaced
+
+def meshgrid_random(model, rng, rank=3):
+    """Reference: the random arrow function built on the full meshgrid."""
+    coeffs = rng.standard_normal((rank, model.group_size))
+    mesh = model.grid.meshgrid()
+    fields = []
+    for _ in range(rank):
+        acc = np.ones(model.grid.shape)
+        for axis, coord in enumerate(mesh):
+            ax = model.grid.axes[axis]
+            scaled = 2 * np.pi * (coord - ax.lo) / ax.length
+            acc = acc * (1.0 + 0.5 * np.cos(scaled * int(rng.integers(1, 3))
+                                            + float(rng.uniform(0, 2 * np.pi))))
+        fields.append(acc)
+    return coeffs, fields
+
+
+def meshgrid_probe(model):
+    """Reference: the angular-harmonic probe built on the full meshgrid."""
+    probe = np.ones(model.grid.shape)
+    for axis, coord in enumerate(model.grid.meshgrid()):
+        ax = model.grid.axes[axis]
+        if ax.periodic:
+            probe = probe * np.cos(coord)
+        else:
+            mid, width = (ax.lo + ax.hi) / 2, ax.length
+            probe = probe * np.exp(-8.0 * ((coord - mid) / width) ** 2)
+    return probe
+
+
+FIELD_MODELS = [
+    lambda: RotationPlaneModel(n_r=48, n_phi=64, r_lo=1.0, r_hi=2.0),
+    lambda: circle_self_model(63),
+    lambda: TrivialActionModel(Grid([Axis(21, 0.0, 1.0), Axis(13, -1.0, 2.0)])),
+]
+FIELD_IDS = ["rotation2d", "circle_self", "trivial2d"]
+
+
+@pytest.mark.parametrize("make", FIELD_MODELS, ids=FIELD_IDS)
+def test_random_fields_equal_the_meshgrid_construction(make):
+    model = make()
+    rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+    for _ in range(4):
+        u = ArrowFunction.random(model, rng)
+        coeffs, fields = meshgrid_random(model, ref_rng)
+        assert len(u.terms) == len(fields)
+        for (a, b, e), c, f in zip(u.terms, coeffs, fields):
+            assert e == 0 and b.shape == model.grid.shape
+            assert np.array_equal(a, c) and np.array_equal(b, f)
+    # the same draws in the same order: both generators are in one state
+    assert rng.uniform() == ref_rng.uniform()
+
+
+@pytest.mark.parametrize("make", FIELD_MODELS, ids=FIELD_IDS)
+def test_default_probe_equals_the_meshgrid_construction(make):
+    model = make()
+    (a, b, e), = default_test_set(model, np.random.default_rng(22))[-1].terms
+    assert e == 0 and np.array_equal(a, np.ones(model.group_size))
+    assert np.array_equal(b, meshgrid_probe(model))
+
+
+def mixed_arrow_function(model, rng):
+    """Source and target terms, with equal and unequal weights, interleaved."""
+    shape, size = model.grid.shape, model.group_size
+    terms = [
+        (rng.standard_normal(size), rng.standard_normal(shape), 0),
+        (np.full(size, 1.5), rng.standard_normal(shape), 1),
+        (rng.standard_normal(size), rng.standard_normal(shape), 1),
+        (np.ones(size), rng.standard_normal(shape), 0),
+        (rng.standard_normal(size), rng.standard_normal(shape), 1),
+        (rng.standard_normal(size), rng.standard_normal(shape), 0),
+    ]
+
+    def ref(j):
+        return sum(a[j] * (model.pull(j, b) if e else b) for a, b, e in terms)
+
+    return ArrowFunction(model, terms=terms), ref
+
+
+def assert_mixed_integrals_match_the_loop(model, rng):
+    rho = 0.5 + rng.uniform(size=model.grid.shape)
+    u, ref = mixed_arrow_function(model, rng)
+    scale = sum(float(np.max(np.abs(a)) * np.max(np.abs(b))) for a, b, _ in u.terms) \
+        * float(np.max(rho))
+    assert_close(s_fiber_integrate(model, rho, u), loop_s_integral(model, rho, ref), scale)
+    assert_close(t_fiber_integrate(model, rho, u),
+                 loop_s_integral(model, rho, loop_inverted_slice(model, u)), scale)
+
+
+@pytest.mark.parametrize("make", PROPER_MODELS, ids=PROPER_IDS)
+def test_mixed_source_and_target_terms_match_the_group_node_loop(make):
+    assert_mixed_integrals_match_the_loop(make(), np.random.default_rng(23))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 33), n_r=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_cyclic_mixed_terms_are_the_weighted_roll_sum(n, n_r, seed):
+    model = (circle_self_model(n) if n_r == 1
+             else RotationPlaneModel(n_r=n_r, n_phi=n, r_lo=1.0, r_hi=2.0))
+    assert_mixed_integrals_match_the_loop(model, np.random.default_rng(seed))
+
+
+def separate_defect_loops(model, sigma, tests):
+    """Reference: the invariance and the inversion defect, each by its own loop."""
+    invariance = inversion = 0.0
+    for u in tests:
+        s_part = s_fiber_integrate(model, sigma.rho_values, u)
+        t_part = t_fiber_integrate(model, sigma.rho_values, u)
+        invariance = max(invariance, abs(model.integrate(
+            (s_part - t_part) * sigma.tau_values)))
+    for u in tests:
+        direct = model.integrate(
+            s_fiber_integrate(model, sigma.rho_values, u) * sigma.tau_values)
+        flipped = model.integrate(
+            s_fiber_integrate(model, sigma.rho_values, u.inverted()) * sigma.tau_values)
+        inversion = max(inversion, abs(direct - flipped))
+    return invariance, inversion
+
+
+@pytest.mark.parametrize("make,tau", [
+    (lambda: RotationPlaneModel(n_r=24, n_phi=32, r_lo=1.0, r_hi=2.0), None),
+    (lambda: RotationPlaneModel(n_r=24, n_phi=32, r_lo=1.0, r_hi=2.0),
+     lambda r, phi: r * (1.0 + 0.3 * np.cos(phi))),
+    (lambda: circle_self_model(31), lambda t: 1.0 + 0.5 * np.sin(t)),
+    (lambda: antipodal_circle_model(16), lambda t: 1.0 + 0.5 * np.sin(t)),
+    (lambda: mirror_interval_model(9, 1.0), lambda x: 1.0 + x),
+], ids=["rotation-lebesgue", "rotation-angular", "circle_self", "antipodal", "mirror"])
+def test_shared_defect_pair_equals_the_separate_loops(make, tau):
+    model = make()
+    sigma = (TransverseDensityData.lebesgue(model) if tau is None else
+             TransverseDensityData(model, lambda *c: 1.0 + 0.0 * c[0], tau))
+    tests = default_test_set(model, np.random.default_rng(24))
+    pair = invariance_defects(model, sigma, tests)
+    assert pair == separate_defect_loops(model, sigma, tests)
+    assert invariance_defect(model, sigma, tests) == pair[0]
+    assert inversion_invariance_check(model, sigma, tests) == pair[1]
