@@ -19,6 +19,7 @@ from .density import Axis, DensityField, Grid, integrate
 from .expressions import compile_field, evaluate_scalar
 from .reports import CheckRow
 from .smooth import (
+    DEFAULT_TEST_COUNT,
     ArrowFunction,
     FiberObstructionError,
     FoliatedGrid,
@@ -162,7 +163,8 @@ class ScenarioContext:
         rho_fn = compile_field(doc.get("rho", "1.0 + 0*c0"), ndim)
         return TransverseDensityData(model, rho_fn, tau_fn)
 
-    def defects(self, sigma_doc: dict | None, count: int) -> tuple[float, float]:
+    def defects(self, sigma_doc: dict | None,
+                count: int = DEFAULT_TEST_COUNT) -> tuple[float, float]:
         """(invariance, inversion) defect of a transverse density over the
         ``count`` test functions drawn from rng(4), computed once per
         (density document, count).
@@ -376,13 +378,13 @@ def _model_axioms(ctx, params, tol):
 
 @register("invariance_defect", "smooth", 1e-6, "count")
 def _inv_defect(ctx, params, tol):
-    invariance, _ = ctx.defects(None, _int(params, "count", 8))
+    invariance, _ = ctx.defects(None, _int(params, "count", DEFAULT_TEST_COUNT))
     return [_row(ctx, "invariance_defect", invariance, 0.0, tol)]
 
 
 @register("inversion_defect", "smooth", 1e-6, "count")
 def _invsn_defect(ctx, params, tol):
-    _, inversion = ctx.defects(None, _int(params, "count", 8))
+    _, inversion = ctx.defects(None, _int(params, "count", DEFAULT_TEST_COUNT))
     return [_row(ctx, "inversion_defect", inversion, 0.0, tol)]
 
 
@@ -392,7 +394,7 @@ def _witness_shortfall(defect: float, floor: float) -> float:
 
 def _witness_defects(ctx, params) -> tuple[float, float]:
     return ctx.defects({"rho": params.get("rho", "1.0 + 0*c0"),
-                        "tau": _required(params, "tau")}, 8)
+                        "tau": _required(params, "tau")})
 
 
 @register("invariance_witness", "smooth", 0.0, "tau: expression, min_defect")

@@ -3,11 +3,9 @@
 An action model couples a compact group quadrature to a base grid so that
 every group quadrature node acts by an exact node permutation (rotations
 act by rolling the periodic axis, finite groups by index maps).  Fiber
-integrals are weighted sums of pulled arrays (``pull_sum``, and
-``fiber_sum`` for a whole list of arrow-function terms: on the cyclic axis
-the source terms share one transform of the values and the target terms
-one inverse transform), and change-of-variables identities hold at machine
-precision, which is what lets invariance defects act as sharp diagnostics.
+integrals are weighted sums of pulled arrays (``pull_sum``), and
+change-of-variables identities hold at machine precision, which is what
+lets invariance defects act as sharp diagnostics.
 
 Conventions for the density action (fixing the splitting of arrow-space
 densities into an algebroid factor and a base factor): an arrow from x to
@@ -85,15 +83,6 @@ class ActionGroupoidModel:
         acc = np.zeros(self.grid.shape)
         for j in np.flatnonzero(weights):
             acc += weights[j] * self.pull(int(j), values)
-        return acc
-
-    def fiber_sum(self, terms, values: np.ndarray) -> np.ndarray:
-        """Source-fiber sum of haar[j] a[j] b(g_j^e x) values(g_j x) over terms (a, b, e)."""
-        haar = self.haar_masses()
-        acc = np.zeros(self.grid.shape)
-        for a, b, e in terms:
-            acc += (self.pull_sum(haar * a, b * values) if e
-                    else b * self.pull_sum(haar * a, values))
         return acc
 
     def orbit_spread(self, values: np.ndarray) -> float:
@@ -204,34 +193,9 @@ class CyclicAxisModel(ActionGroupoidModel):
         if np.all(weights == weights[0]):
             return np.repeat(weights[0] * values.sum(self.axis, keepdims=True),
                              self.group_size, axis=self.axis)
-        return self._irfft(np.conj(np.fft.rfft(weights)) * self._rfft(values))
-
-    def fiber_sum(self, terms, values):
-        """Grouped correlations: source terms share one spectrum of the values,
-        target terms add their spectra before one inverse transform."""
-        haar = self.haar_masses()
-        acc = np.zeros(self.grid.shape)
-        v_hat = spectrum = None
-        for a, b, e in terms:
-            w = haar * a
-            if np.all(w == w[0]):
-                acc += self.pull_sum(w, b * values) if e else b * self.pull_sum(w, values)
-            elif e:
-                part = np.conj(np.fft.rfft(w)) * self._rfft(b * values)
-                spectrum = part if spectrum is None else np.add(spectrum, part, out=spectrum)
-            else:
-                if v_hat is None:
-                    v_hat = self._rfft(values)
-                acc += b * self._irfft(np.conj(np.fft.rfft(w)) * v_hat)
-        if spectrum is not None:
-            acc += self._irfft(spectrum)
-        return acc
-
-    def _rfft(self, values):
-        return np.fft.rfft(np.moveaxis(values, self.axis, -1))
-
-    def _irfft(self, spectrum):
-        return np.moveaxis(np.fft.irfft(spectrum, n=self.group_size), -1, self.axis)
+        v_hat = np.fft.rfft(np.moveaxis(values, self.axis, -1))
+        out = np.fft.irfft(np.conj(np.fft.rfft(weights)) * v_hat, n=self.group_size)
+        return np.moveaxis(out, -1, self.axis)
 
     def orbit_spread(self, values):
         # orbits are rows along the axis; rounding is monotone, so max - min wins

@@ -7,12 +7,12 @@ density (rho, tau) pairs the result with tau on the base.  Target-fiber
 integration is source-fiber integration after composing with inversion.
 
 Arrow functions are sums of terms a(g) b(g^e x), e in {0, 1}, so a fiber
-integral is one model ``fiber_sum`` over the terms: grouped FFT
-correlations along the axis on cyclic models, one gather per group element
-and term on finite models.  Random test functions have separable fields
-(products of per-axis profiles, evaluated on the axis nodes only), and the
-invariance and inversion defects share one s- and one t-integral per test
-function (``invariance_defects``).
+integral is one model ``pull_sum`` per term: an FFT correlation along the
+axis (one reduction when the weights are equal) on cyclic models, one
+gather per group element on finite models.  Random test functions have
+separable fields (products of per-axis profiles, evaluated on the axis
+nodes only), and the invariance and inversion defects share one s- and one
+t-integral per test function (``invariance_defects``).
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .models import ActionGroupoidModel, ModelError, TransverseDensityData
 
 QUADRATURE_TOL = 1e-6
 ANALYTIC_TOL = 1e-9
+# size of the default test set of the invariance and inversion defects
+DEFAULT_TEST_COUNT = 8
 
 
 class SaturationError(ValueError):
@@ -99,7 +101,12 @@ class ArrowFunction:
 
 def s_fiber_integrate(model, rho_values: np.ndarray, u: ArrowFunction) -> np.ndarray:
     """Source-fiber integral: sum of haar(g) u(g, x) rho(a(g, x)) over the group."""
-    return model.fiber_sum(u.terms, rho_values)
+    haar = model.haar_masses()
+    acc = np.zeros(model.grid.shape)
+    for a, b, e in u.terms:
+        acc += (model.pull_sum(haar * a, b * rho_values) if e
+                else b * model.pull_sum(haar * a, rho_values))
+    return acc
 
 
 def t_fiber_integrate(model, rho_values: np.ndarray, u: ArrowFunction) -> np.ndarray:
@@ -118,7 +125,7 @@ def pair_with_base_density(model, tau_values: np.ndarray, f: np.ndarray) -> floa
 
 
 def default_test_set(model, rng: np.random.Generator,
-                     count: int = 8) -> list[ArrowFunction]:
+                     count: int = DEFAULT_TEST_COUNT) -> list[ArrowFunction]:
     """Random arrow functions plus a deliberate angular-harmonic probe.
 
     The harmonic probe is the classical witness that separates invariant

@@ -491,7 +491,7 @@ def test_cyclic_pull_sum_is_the_weighted_roll_sum(n, n_r, seed):
 
 
 # ---------------------------------------------------------------------------
-# separable test fields, grouped cyclic terms and the shared defect pair,
+# separable test fields, mixed source/target terms and the shared defect pair,
 # each against the construction it replaced
 
 def meshgrid_random(model, rng, rank=3):
