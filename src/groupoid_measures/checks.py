@@ -274,9 +274,14 @@ def _betti_zero(ctx, params, tol):
 def _homology(ctx, params, tol):
     kmax = _int(params, "kmax", 2)
     expected = params.get("expected")
-    if expected is not None and len(expected) < kmax + 1:
-        raise ScenarioError(f"expected lists {len(expected)} Betti numbers, "
-                            f"kmax {kmax} needs {kmax + 1}")
+    if expected is not None:
+        if not isinstance(expected, list):
+            raise ScenarioError(f"expected must be a list of Betti numbers, "
+                                f"got {expected!r}")
+        expected = [as_int(b, "expected Betti number", ScenarioError) for b in expected]
+        if len(expected) < kmax + 1:
+            raise ScenarioError(f"expected lists {len(expected)} Betti numbers, "
+                                f"kmax {kmax} needs {kmax + 1}")
     rep = ctx.homology(kmax)
     if expected is None:
         expected = [len(finite.orbits(ctx.groupoid()))] + [0] * kmax
@@ -325,8 +330,11 @@ def _morita(ctx, params, tol):
     subset = params.get("subset")
     if subset is None:
         subset = [orb[0] for orb in finite.orbits(g)]
-    sub = finite.restrict_full_subgroupoid(
-        g, [as_int(x, "subset entry", ScenarioError) for x in subset])
+    subset = [as_int(x, "subset entry", ScenarioError) for x in subset]
+    try:
+        sub = finite.restrict_full_subgroupoid(g, subset)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
     full = ctx.homology(kmax).betti()
     restricted = finite.homology(sub, kmax).betti()
     return [_row(ctx, "morita_restriction", restricted[k], full[k], tol,
@@ -337,19 +345,16 @@ def _morita(ctx, params, tol):
 @register("convolution_associative", "finite", 0.0)
 def _assoc(ctx, params, tol):
     g = ctx.groupoid()
-
-    def delta(a):
-        d = [Fraction(0)] * g.n_arrows
-        d[a] = Fraction(1)
-        return d
-
+    zero, one = Fraction(0), Fraction(1)
+    deltas = [[one if b == a else zero for b in g.arrows()] for a in g.arrows()]
+    # each product of two indicators once; both bracketings of every triple
+    # still go through convolve
+    pairs = [[finite.convolve(g, da, db) for db in deltas] for da in deltas]
     violations = 0
-    for a in g.arrows():
+    for a, da in enumerate(deltas):
         for b in g.arrows():
-            ab = finite.convolve(g, delta(a), delta(b))
-            for c in g.arrows():
-                if finite.convolve(g, ab, delta(c)) != \
-                        finite.convolve(g, delta(a), finite.convolve(g, delta(b), delta(c))):
+            for c, dc in enumerate(deltas):
+                if finite.convolve(g, pairs[a][b], dc) != finite.convolve(g, da, pairs[b][c]):
                     violations += 1
     return [_row(ctx, "convolution_associative", violations, 0, tol, exact=True)]
 
@@ -435,11 +440,22 @@ def _avg_orbit_const(ctx, params, tol):
     return [_row(ctx, "averaging_orbit_constant", res.constancy_defect, 0.0, tol)]
 
 
+def _seed(params: dict, key: str, model, mesh, default: str | None = None) -> np.ndarray:
+    """A cut-off seed on the model grid; cut-offs need it nonnegative.
+
+    Without a default the seed is required.
+    """
+    expr = _required(params, key) if default is None else params.get(key, default)
+    phi = compile_field(expr, model.grid.ndim)(*mesh)
+    if np.any(phi < 0):
+        raise ScenarioError(f"cut-off seed {key!r} must be nonnegative, got {expr!r}")
+    return phi
+
+
 @register("cutoff_normalization", "smooth", 1e-9, "phi: seed expression")
 def _cutoff_norm(ctx, params, tol):
     model, sigma = ctx.model(), ctx.sigma()
-    phi = compile_field(params.get("phi", "1.0 + 0*c0"),
-                        model.grid.ndim)(*model.grid.meshgrid())
+    phi = _seed(params, "phi", model, model.grid.meshgrid(), "1.0 + 0*c0")
     c = cutoff_construct(model, sigma.rho_values, phi)
     return [_row(ctx, "cutoff_normalization",
                  cutoff_normalization_defect(model, sigma.rho_values, c), 0.0, tol)]
@@ -450,7 +466,7 @@ def _weyl(ctx, params, tol):
     model, sigma = ctx.model(), ctx.sigma()
     mesh = model.grid.meshgrid()
     f = compile_field(_required(params, "f"), model.grid.ndim)(*mesh)
-    phi = compile_field(params.get("phi", "1.0 + 0*c0"), model.grid.ndim)(*mesh)
+    phi = _seed(params, "phi", model, mesh, "1.0 + 0*c0")
     res = weyl_check(model, sigma, f, phi)
     return [_row(ctx, "weyl", res.lhs, res.rhs, tol)]
 
@@ -461,8 +477,7 @@ def _weyl_seeds(ctx, params, tol):
     mesh = model.grid.meshgrid()
     ndim = model.grid.ndim
     f = compile_field(_required(params, "f"), ndim)(*mesh)
-    phi1, phi2 = (compile_field(_required(params, key), ndim)(*mesh)
-                  for key in ("phi1", "phi2"))
+    phi1, phi2 = (_seed(params, key, model, mesh) for key in ("phi1", "phi2"))
     rhs1 = weyl_check(model, sigma, f, phi1).rhs
     rhs2 = weyl_check(model, sigma, f, phi2).rhs
     return [_row(ctx, "weyl_seed_independence", rhs1, rhs2, tol)]
@@ -471,8 +486,7 @@ def _weyl_seeds(ctx, params, tol):
 @register("weinstein_two_ways", "smooth", 1e-6, "phi: seed expression")
 def _weinstein(ctx, params, tol):
     model, sigma = ctx.model(), ctx.sigma()
-    phi = compile_field(params.get("phi", "1.0 + 0*c0"),
-                        model.grid.ndim)(*model.grid.meshgrid())
+    phi = _seed(params, "phi", model, model.grid.meshgrid(), "1.0 + 0*c0")
     res = weinstein_volume(model, sigma, phi)
     return [_row(ctx, "weinstein_two_ways", res.lhs, res.rhs, tol)]
 
@@ -545,8 +559,7 @@ def _cocycle_expected(ctx, params, tol):
 @register("cutoff_saturation_error", "smooth", 0.0, "phi: off-orbit seed expression")
 def _cutoff_saturation(ctx, params, tol):
     model, sigma = ctx.model(), ctx.sigma()
-    phi = compile_field(_required(params, "phi"),
-                        model.grid.ndim)(*model.grid.meshgrid())
+    phi = _seed(params, "phi", model, model.grid.meshgrid())
     try:
         cutoff_construct(model, sigma.rho_values, phi)
         raised = 0

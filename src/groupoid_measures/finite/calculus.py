@@ -21,9 +21,11 @@ from .groupoid import FiniteGroupoid, orbit_index, orbits
 
 Weights = list[Fraction]
 
+_ZERO = Fraction(0)
+
 
 def _as_fractions(values, length: int, what: str) -> Weights:
-    out = [Fraction(v) for v in values]
+    out = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
     if len(out) != length:
         raise ValueError(f"{what} must have length {length}, got {len(out)}")
     return out
@@ -78,10 +80,11 @@ def transverse_measure_cone(g: FiniteGroupoid) -> list[tuple[Weights, bool]]:
 
     The invariance condition on an object functional v reduces, on arrow
     indicators, to v(src(a)) = v(tgt(a)) for every arrow a.  The solution
-    space is computed as an exact kernel and then recombined to the orbit
-    indicator basis; each indicator spans a ray of the positive cone, so
-    every flag is True.  Positive functionals are exactly the nonnegative
-    combinations of the returned basis.
+    space is an exact kernel (its dimension is n_objects minus the rank of
+    those constraints) and is recombined to the orbit indicator basis; each
+    indicator spans a ray of the positive cone, so every flag is True.
+    Positive functionals are exactly the nonnegative combinations of the
+    returned basis.
     """
     constraints = []
     for a in g.arrows():
@@ -90,10 +93,7 @@ def transverse_measure_cone(g: FiniteGroupoid) -> list[tuple[Weights, bool]]:
             row[g.src[a]] += 1
             row[g.tgt[a]] -= 1
             constraints.append(row)
-    if constraints:
-        kernel_dim = len(linalg_q.nullspace(constraints))
-    else:
-        kernel_dim = g.n_objects
+    kernel_dim = g.n_objects - linalg_q.rank(constraints)
     basis = []
     for orb in orbits(g):
         vec = [Fraction(0)] * g.n_objects
@@ -114,10 +114,12 @@ def convolve(g: FiniteGroupoid, u, v) -> Weights:
     """Convolution product: (u * v)(c) sums u(a) v(b) over factorizations c = ab."""
     u = _as_fractions(u, g.n_arrows, "arrow weights")
     v = _as_fractions(v, g.n_arrows, "arrow weights")
-    out = [Fraction(0)] * g.n_arrows
-    for (a, b), c in g.compose_table.items():
-        if u[a] and v[b]:
-            out[c] += u[a] * v[b]
+    out = [_ZERO] * g.n_arrows
+    for a, ua in enumerate(u):
+        if ua:
+            for b, c in g.by_left[a]:
+                if v[b]:
+                    out[c] += ua * v[b]
     return out
 
 
@@ -140,9 +142,9 @@ def is_trace(g: FiniteGroupoid, w) -> tuple[bool, tuple[int, int] | None]:
 
     def tr_product(a: int, b: int) -> Fraction:
         if not g.composable(a, b):
-            return Fraction(0)
+            return _ZERO
         x = units.get(g.compose_table[(a, b)])
-        return w[x] if x is not None else Fraction(0)
+        return w[x] if x is not None else _ZERO
 
     for a in g.arrows():
         for b in g.arrows():

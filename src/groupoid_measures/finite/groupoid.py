@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,22 @@ class FiniteGroupoid:
 
     def arrows_from(self, x: int) -> list[int]:
         return [g for g in self.arrows() if self.src[g] == x]
+
+    @cached_property
+    def arrows_into(self) -> list[list[int]]:
+        """arrows_into[x]: the arrows with target x, in index order."""
+        into: list[list[int]] = [[] for _ in self.objects()]
+        for a, y in enumerate(self.tgt):
+            into[y].append(a)
+        return into
+
+    @cached_property
+    def by_left(self) -> list[list[tuple[int, int]]]:
+        """by_left[a]: the pairs (b, a∘b) over the arrows b composable after a."""
+        out: list[list[tuple[int, int]]] = [[] for _ in self.arrows()]
+        for (a, b), c in self.compose_table.items():
+            out[a].append((b, c))
+        return out
 
     def to_json(self) -> str:
         doc = {
@@ -181,6 +198,9 @@ def restrict_full_subgroupoid(g: FiniteGroupoid, objects: list[int]) -> FiniteGr
     invariants computed on the restriction agree with those of g.
     """
     selected = sorted(set(objects))
+    outside = [x for x in selected if not 0 <= x < g.n_objects]
+    if outside:
+        raise ValueError(f"objects {outside} are not in range({g.n_objects})")
     sel_set = set(selected)
     for orb in orbits(g):
         if not sel_set & set(orb):

@@ -23,9 +23,9 @@ def nerve(g: FiniteGroupoid, k: int) -> list[tuple[int, ...]]:
     if k == 0:
         return [(x,) for x in g.objects()]
     strings: list[tuple[int, ...]] = [(a,) for a in g.arrows()]
+    into, src = g.arrows_into, g.src
     for _ in range(k - 1):
-        strings = [s + (b,) for s in strings
-                   for b in g.arrows() if g.src[s[-1]] == g.tgt[b]]
+        strings = [s + (b,) for s in strings for b in into[src[s[-1]]]]
     return strings
 
 

@@ -322,3 +322,46 @@ def test_finite_checks_share_one_homology_of_the_groupoid(capsys, tmp_path,
     assert len(list(csv.DictReader(io.StringIO(out)))) == 3 + 1 + 2
     # the full groupoid once; the restriction to one object is a new groupoid
     assert kmaxes == [(3, 2), (1, 1)]
+
+
+@pytest.mark.parametrize("expected, message", [
+    ("ab", "list of Betti numbers"),
+    ([1, "x"], "'x'"),
+])
+def test_non_integer_expected_betti_is_input_error(capsys, tmp_path, expected, message):
+    doc = {"name": "x", "engine": "finite", "model": {"kind": "pair", "n": 2},
+           "checks": [{"name": "homology_betti",
+                       "params": {"kmax": 1, "expected": expected}}]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert message in err
+
+
+@pytest.mark.parametrize("subset, message", [
+    ([7], "not in range(2)"),
+    ([0, 7], "not in range(2)"),
+    ([], "misses the orbit"),
+])
+def test_bad_morita_subset_is_input_error(capsys, tmp_path, subset, message):
+    doc = {"name": "x", "engine": "finite", "model": {"kind": "pair", "n": 2},
+           "checks": [{"name": "morita_restriction", "params": {"subset": subset}}]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert "'morita_restriction'" in err and message in err
+
+
+@pytest.mark.parametrize("check, params", [
+    ("weyl", {"f": "1 + 0*r", "phi": "-1 + 0*r"}),
+    ("cutoff_normalization", {"phi": "-1 + 0*r"}),
+    ("weyl_seed_independence", {"f": "1 + 0*r", "phi1": "1 + 0*r", "phi2": "r - 2"}),
+    ("weinstein_two_ways", {"phi": "-1 + 0*r"}),
+    ("cutoff_saturation_error", {"phi": "-1 + 0*r"}),
+])
+def test_negative_cutoff_seed_is_input_error(capsys, tmp_path, check, params):
+    doc = {"name": "x", "engine": "smooth",
+           "model": {"kind": "rotation2d", "params": {"n_r": 6, "n_phi": 16}},
+           "checks": [{"name": check, "params": params}]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert f"'{check}'" in err and "nonnegative" in err
+

@@ -1,0 +1,194 @@
+"""The exact engine's fast kernels against slow reference paths.
+
+The references are the dense implementations the kernels replaced: a dense
+row echelon form for rank and kernel, a convolution that walks the whole
+composition table, and a nerve that scans every arrow for every extension.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from groupoid_measures.finite import (
+    action_groupoid,
+    boundary_matrix,
+    convolve,
+    cyclic_group_table,
+    disjoint_union,
+    homology,
+    nerve,
+    orbits,
+)
+from groupoid_measures.finite import linalg_q
+from test_finite_groupoid import SUITE
+
+
+# ---------------------------------------------------------------------------
+# slow references
+
+def dense_echelon(a):
+    """Row-reduce a copy of ``a``; returns (RREF, pivot column list)."""
+    m = [[Fraction(v) for v in row] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [vi - f * vr for vi, vr in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def dense_rank(a):
+    if not a or not a[0]:
+        return 0
+    return len(dense_echelon(a)[1])
+
+
+def table_convolve(g, u, v):
+    """(u * v)(c) summed over the whole composition table."""
+    out = [Fraction(0)] * g.n_arrows
+    for (a, b), c in g.compose_table.items():
+        if u[a] and v[b]:
+            out[c] += Fraction(u[a]) * Fraction(v[b])
+    return out
+
+
+def scanned_nerve(g, k):
+    """Composable k-strings, extending each string by a scan over all arrows."""
+    if k == 0:
+        return [(x,) for x in g.objects()]
+    strings = [(a,) for a in g.arrows()]
+    for _ in range(k - 1):
+        strings = [s + (b,) for s in strings
+                   for b in g.arrows() if g.src[s[-1]] == g.tgt[b]]
+    return strings
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+entries = st.one_of(
+    st.just(0), st.just(0), st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+
+
+@st.composite
+def matrices(draw):
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    return [[Fraction(draw(entries)) for _ in range(cols)] for _ in range(rows)]
+
+
+def _order(perm):
+    power, k = perm, 1
+    while power != list(range(len(perm))):
+        power = [perm[i] for i in power]
+        k += 1
+    return k
+
+
+@st.composite
+def permutation_actions(draw, max_points=3):
+    """Action groupoid of Z_m on points by the powers of one permutation of order m."""
+    n = draw(st.integers(1, max_points))
+    perm = draw(st.permutations(list(range(n))))
+    m = _order(perm)
+    action = [list(range(n))]
+    for _ in range(m - 1):
+        action.append([perm[x] for x in action[-1]])
+    return action_groupoid(cyclic_group_table(m), action, n, name=f"Z{m}:{perm}")
+
+
+groupoids = st.one_of(
+    permutation_actions(),
+    st.builds(disjoint_union, permutation_actions(2), permutation_actions(3)))
+
+
+@st.composite
+def sparse_weights(draw, n):
+    w = [Fraction(0)] * n
+    for a in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        w[a] = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+    return w
+
+
+# ---------------------------------------------------------------------------
+# rank and kernel
+
+def assert_rank_and_kernel(a):
+    r = linalg_q.rank(a)
+    assert r == dense_rank(a)
+    basis = linalg_q.nullspace(a)
+    if not a:
+        assert basis == []
+        return
+    cols = len(a[0])
+    assert len(basis) == cols - r
+    for v in basis:
+        assert len(v) == cols
+        support = [j for j in range(cols) if v[j]]
+        assert all(sum((row[j] * v[j] for j in support), Fraction(0)) == 0
+                   for row in a)
+    assert dense_rank(basis) == len(basis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_sparse_rank_and_kernel_match_the_dense_reference(a):
+    assert_rank_and_kernel(a)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (1, 0), (3, 0), (1, 1), (2, 5), (5, 2)])
+def test_all_zero_matrices_have_rank_zero_and_a_full_kernel(rows, cols):
+    a = linalg_q.zeros(rows, cols)
+    assert_rank_and_kernel(a)
+    assert linalg_q.rank(a) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(groupoids, st.integers(1, 3))
+def test_boundary_rank_and_kernel_match_the_dense_reference(g, k):
+    assert_rank_and_kernel(boundary_matrix(g, k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(groupoids)
+def test_betti_zero_is_the_orbit_count_on_random_actions(g):
+    assert homology(g, 1).betti()[0] == len(orbits(g))
+
+
+# ---------------------------------------------------------------------------
+# convolution and nerve
+
+@settings(max_examples=100, deadline=None)
+@given(groupoids, st.data())
+def test_convolve_matches_the_table_walk(g, data):
+    u = data.draw(sparse_weights(g.n_arrows))
+    v = data.draw(sparse_weights(g.n_arrows))
+    assert convolve(g, u, v) == table_convolve(g, u, v)
+
+
+@pytest.mark.parametrize("g", SUITE, ids=lambda g: g.name)
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_nerve_matches_the_arrow_scan(g, k):
+    assert nerve(g, k) == scanned_nerve(g, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(groupoids, st.integers(0, 3))
+def test_nerve_matches_the_arrow_scan_on_random_actions(g, k):
+    assert nerve(g, k) == scanned_nerve(g, k)

@@ -98,6 +98,13 @@ def test_restriction_missing_an_orbit_is_an_error():
         restrict_full_subgroupoid(g, [2])
 
 
+@pytest.mark.parametrize("subset", [[0, 7], [-1, 0, 2], [3]])
+def test_restriction_to_objects_outside_the_groupoid_is_an_error(subset):
+    g = z2_swap_plus_fixed()
+    with pytest.raises(ValueError, match=r"not in range\(3\)"):
+        restrict_full_subgroupoid(g, subset)
+
+
 def test_restriction_of_transitive_action_gives_isotropy_group():
     g = action_groupoid(cyclic_group_table(2), [[0, 1], [1, 0]], 2, "free-z2")
     sub = restrict_full_subgroupoid(g, [0])
