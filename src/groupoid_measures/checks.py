@@ -49,11 +49,13 @@ from .smooth import (
 )
 from .symplectic import (
     LeafFamilyModel,
+    SymplecticModelError,
     SymplecticPairModel,
     affine_measure,
     affine_volume,
     dh_total_mass_two_ways,
     dh_weyl_check,
+    leaf_family_from_doc,
     liouville_density,
 )
 
@@ -191,12 +193,31 @@ class ScenarioContext:
             self._cache["foliation"] = FoliatedGrid(grid, leaf_axis=0)
         return self._cache["foliation"]
 
+    def cutoff(self, expr: str, key: str) -> np.ndarray:
+        """Cut-off of the scenario's density from a seed expression, built
+        once per expression; a seed that misses an orbit raises SaturationError.
+        """
+        model = self.model()
+        seed = compile_field(expr, model.grid.ndim)  # a non-string seed fails here, not as a key
+        memo = ("cutoff", expr)
+        if memo not in self._cache:
+            phi = seed(*model.grid.meshgrid())
+            if np.any(phi < 0):
+                raise ScenarioError(f"cut-off seed {key!r} must be nonnegative, "
+                                    f"got {expr!r}")
+            self._cache[memo] = cutoff_construct(model, self.sigma().rho_values, phi)
+        return self._cache[memo]
+
     def surface(self) -> SymplecticPairModel:
         if "surface" not in self._cache:
             kind = self.model_doc.get("kind", "sphere")
             if kind == "sphere":
-                self._cache["surface"] = SymplecticPairModel.sphere(
-                    area=float(self.model_doc.get("area", 4 * np.pi)))
+                area = self.model_doc.get("area", 4 * np.pi)
+                try:  # float() and a nonpositive area raise ValueError
+                    self._cache["surface"] = SymplecticPairModel.sphere(area=float(area))
+                except (TypeError, ValueError) as exc:
+                    raise ScenarioError(f"sphere area must be a positive number, "
+                                        f"got {area!r}") from exc
             elif kind == "torus_cell":
                 self._cache["surface"] = SymplecticPairModel.torus_cell()
             else:
@@ -204,14 +225,16 @@ class ScenarioContext:
         return self._cache["surface"]
 
     def leaf_family(self, iota: int | None = None) -> LeafFamilyModel:
-        doc = self.model_doc
-        b = doc.get("B", {"lo": 1.0, "hi": 2.0, "n": 65})
-        base = Grid([Axis(_int(b, "n"), float(b["lo"]), float(b["hi"]))])
-        area = compile_field(doc.get("area", "4*pi*t"), 1)
-        slope = compile_field(doc.get("area_derivative", "4*pi + 0*t"), 1)
-        return LeafFamilyModel(base, area, slope,
-                               iota=_int(doc, "iota", 1) if iota is None else iota,
-                               leaf=doc.get("leaf", "sphere"))
+        """The scenario's leaf family, built once; another iota gives a twin
+        that shares its leaves."""
+        key = ("leaf_family", iota)
+        if key not in self._cache:
+            try:
+                self._cache[key] = (leaf_family_from_doc(self.model_doc) if iota is None
+                                    else self.leaf_family().with_iota(iota))
+            except SymplecticModelError as exc:
+                raise ScenarioError(str(exc)) from exc
+        return self._cache[key]
 
 
 @dataclass(frozen=True)
@@ -440,23 +463,22 @@ def _avg_orbit_const(ctx, params, tol):
     return [_row(ctx, "averaging_orbit_constant", res.constancy_defect, 0.0, tol)]
 
 
-def _seed(params: dict, key: str, model, mesh, default: str | None = None) -> np.ndarray:
-    """A cut-off seed on the model grid; cut-offs need it nonnegative.
+_CONSTANT_SEED = "1.0 + 0*c0"
 
-    Without a default the seed is required.
-    """
-    expr = _required(params, key) if default is None else params.get(key, default)
-    phi = compile_field(expr, model.grid.ndim)(*mesh)
-    if np.any(phi < 0):
-        raise ScenarioError(f"cut-off seed {key!r} must be nonnegative, got {expr!r}")
-    return phi
+
+def _cutoff(ctx, expr: str, key: str) -> np.ndarray:
+    """The cut-off of the seed parameter ``key``; a seed that misses an orbit
+    is an input error."""
+    try:
+        return ctx.cutoff(expr, key)
+    except SaturationError as exc:
+        raise ScenarioError(f"cut-off seed {key!r}: {exc}") from exc
 
 
 @register("cutoff_normalization", "smooth", 1e-9, "phi: seed expression")
 def _cutoff_norm(ctx, params, tol):
     model, sigma = ctx.model(), ctx.sigma()
-    phi = _seed(params, "phi", model, model.grid.meshgrid(), "1.0 + 0*c0")
-    c = cutoff_construct(model, sigma.rho_values, phi)
+    c = _cutoff(ctx, params.get("phi", _CONSTANT_SEED), "phi")
     return [_row(ctx, "cutoff_normalization",
                  cutoff_normalization_defect(model, sigma.rho_values, c), 0.0, tol)]
 
@@ -466,8 +488,8 @@ def _weyl(ctx, params, tol):
     model, sigma = ctx.model(), ctx.sigma()
     mesh = model.grid.meshgrid()
     f = compile_field(_required(params, "f"), model.grid.ndim)(*mesh)
-    phi = _seed(params, "phi", model, mesh, "1.0 + 0*c0")
-    res = weyl_check(model, sigma, f, phi)
+    res = weyl_check(model, sigma, f,
+                     cutoff=_cutoff(ctx, params.get("phi", _CONSTANT_SEED), "phi"))
     return [_row(ctx, "weyl", res.lhs, res.rhs, tol)]
 
 
@@ -477,24 +499,24 @@ def _weyl_seeds(ctx, params, tol):
     mesh = model.grid.meshgrid()
     ndim = model.grid.ndim
     f = compile_field(_required(params, "f"), ndim)(*mesh)
-    phi1, phi2 = (_seed(params, key, model, mesh) for key in ("phi1", "phi2"))
-    rhs1 = weyl_check(model, sigma, f, phi1).rhs
-    rhs2 = weyl_check(model, sigma, f, phi2).rhs
+    c1, c2 = (_cutoff(ctx, _required(params, key), key) for key in ("phi1", "phi2"))
+    rhs1 = weyl_check(model, sigma, f, cutoff=c1).rhs
+    rhs2 = weyl_check(model, sigma, f, cutoff=c2).rhs
     return [_row(ctx, "weyl_seed_independence", rhs1, rhs2, tol)]
 
 
 @register("weinstein_two_ways", "smooth", 1e-6, "phi: seed expression")
 def _weinstein(ctx, params, tol):
     model, sigma = ctx.model(), ctx.sigma()
-    phi = _seed(params, "phi", model, model.grid.meshgrid(), "1.0 + 0*c0")
-    res = weinstein_volume(model, sigma, phi)
+    res = weinstein_volume(model, sigma,
+                           cutoff=_cutoff(ctx, params.get("phi", _CONSTANT_SEED), "phi"))
     return [_row(ctx, "weinstein_two_ways", res.lhs, res.rhs, tol)]
 
 
 @register("weinstein_expected", "smooth", 1e-9, "expected: scalar expression")
 def _weinstein_expected(ctx, params, tol):
     model, sigma = ctx.model(), ctx.sigma()
-    res = weinstein_volume(model, sigma)
+    res = weinstein_volume(model, sigma, cutoff=_cutoff(ctx, _CONSTANT_SEED, "phi"))
     return [_row(ctx, "weinstein_expected", res.lhs,
                  evaluate_scalar(_required(params, "expected")), tol)]
 
@@ -558,10 +580,8 @@ def _cocycle_expected(ctx, params, tol):
 
 @register("cutoff_saturation_error", "smooth", 0.0, "phi: off-orbit seed expression")
 def _cutoff_saturation(ctx, params, tol):
-    model, sigma = ctx.model(), ctx.sigma()
-    phi = _seed(params, "phi", model, model.grid.meshgrid())
     try:
-        cutoff_construct(model, sigma.rho_values, phi)
+        ctx.cutoff(_required(params, "phi"), "phi")
         raised = 0
     except SaturationError:
         raised = 1
@@ -685,8 +705,10 @@ def _dh_expected(ctx, params, tol):
 
 @register("affine_total", "symplectic", 1e-6, "expected: scalar expression")
 def _affine_total(ctx, params, tol):
-    family = ctx.leaf_family()
-    mu = affine_measure(family)
+    try:
+        mu = affine_measure(ctx.leaf_family())
+    except SymplecticModelError as exc:
+        raise ScenarioError(str(exc)) from exc
     return [_row(ctx, "affine_total", mu.total_mass(),
                  evaluate_scalar(_required(params, "expected")), tol)]
 

@@ -17,8 +17,14 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True)
@@ -39,17 +45,29 @@ class Axis:
         return self.hi - self.lo
 
     def nodes(self) -> np.ndarray:
-        if self.periodic:
-            return self.lo + self.length * np.arange(self.n) / self.n
-        return np.linspace(self.lo, self.hi, self.n)
+        """Node coordinates; one read-only array per axis."""
+        return self._nodes
 
     def weights(self) -> np.ndarray:
+        """Quadrature weights; one read-only array per axis."""
+        return self._weights
+
+    @cached_property
+    def _nodes(self) -> np.ndarray:
         if self.periodic:
-            return np.full(self.n, self.length / self.n)
+            nodes = self.lo + self.length * np.arange(self.n) / self.n
+        else:
+            nodes = np.linspace(self.lo, self.hi, self.n)
+        return _read_only(nodes)
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        if self.periodic:
+            return _read_only(np.full(self.n, self.length / self.n))
         h = self.length / (self.n - 1)
         w = np.full(self.n, h)
         w[0] = w[-1] = h / 2
-        return w
+        return _read_only(w)
 
     @property
     def spacing(self) -> float:

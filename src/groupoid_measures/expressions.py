@@ -26,6 +26,8 @@ class ExpressionError(ValueError):
 
 def compile_field(expr: str, ndim: int):
     """Compile an expression to a function of ndim coordinate arrays."""
+    if not isinstance(expr, str):
+        raise ExpressionError(f"an expression must be a string, got {expr!r}")
     try:
         code = compile(expr, "<field-expression>", "eval")
     except SyntaxError as exc:

@@ -255,18 +255,22 @@ class TwoSidedCheck:
         return self.abs_err / scale if scale else 0.0
 
 
+def _constant_cutoff(model, sigma: TransverseDensityData) -> np.ndarray:
+    return cutoff_construct(model, sigma.rho_values, np.ones(model.grid.shape))
+
+
 def weyl_check(model, sigma: TransverseDensityData, f_values: np.ndarray,
-               phi_seed: np.ndarray | None = None) -> TwoSidedCheck:
+               *, cutoff: np.ndarray | None = None) -> TwoSidedCheck:
     """Disintegration of the base measure into orbit integrals.
 
     lhs integrates f against tau on the base; rhs integrates the orbit
     integrals of f (against the induced orbit densities) with the measure
     that the transverse density induces on the orbit space, realized by a
-    cut-off function.  The rhs does not depend on the seed.
+    cut-off function of sigma (default: from the constant seed).  The rhs
+    does not depend on the seed of the cut-off.
     """
-    if phi_seed is None:
-        phi_seed = np.ones(model.grid.shape)
-    cutoff = cutoff_construct(model, sigma.rho_values, phi_seed)
+    if cutoff is None:
+        cutoff = _constant_cutoff(model, sigma)
     lhs = pair_with_base_density(model, sigma.tau_values, f_values)
     orbit_integrals = s_fiber_integrate(
         model, sigma.rho_values, ArrowFunction.from_target_function(model, f_values))
@@ -275,15 +279,17 @@ def weyl_check(model, sigma: TransverseDensityData, f_values: np.ndarray,
 
 
 def weinstein_volume(model, sigma: TransverseDensityData,
-                     phi_seed: np.ndarray | None = None,
+                     *, cutoff: np.ndarray | None = None,
                      volume_threshold: float = 1e-12) -> TwoSidedCheck:
-    """Orbit-space volume two ways: cut-off measure of 1 vs reciprocal orbit volumes."""
+    """Orbit-space volume two ways: cut-off measure of 1 vs reciprocal orbit volumes.
+
+    ``cutoff`` is a cut-off function of sigma (default: from the constant seed).
+    """
     volumes = fiber_volumes(model, sigma.rho_values)
     if float(np.min(volumes)) <= volume_threshold:
         raise ModelError("an orbit volume is below threshold; model is not compact")
-    if phi_seed is None:
-        phi_seed = np.ones(model.grid.shape)
-    cutoff = cutoff_construct(model, sigma.rho_values, phi_seed)
+    if cutoff is None:
+        cutoff = _constant_cutoff(model, sigma)
     direct = model.integrate(cutoff * sigma.tau_values)
     reciprocal = model.integrate(sigma.tau_values / volumes)
     return TwoSidedCheck(direct, reciprocal)

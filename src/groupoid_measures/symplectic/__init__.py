@@ -4,6 +4,7 @@ from .models import (
     LeafFamilyModel,
     SymplecticModelError,
     SymplecticPairModel,
+    leaf_family_from_doc,
     leaf_family_from_json,
 )
 from .checks import (
@@ -18,7 +19,7 @@ from .checks import (
 
 __all__ = [
     "LeafFamilyModel", "SymplecticModelError", "SymplecticPairModel",
-    "leaf_family_from_json",
+    "leaf_family_from_doc", "leaf_family_from_json",
     "affine_measure", "affine_volume", "canonical_base_density", "dh_density",
     "dh_total_mass_two_ways", "dh_weyl_check", "liouville_density",
 ]

@@ -71,8 +71,7 @@ def canonical_base_density(model: LeafFamilyModel) -> np.ndarray:
     point of the leaf at t is iota * A(t), so the lattice density is
     divided by iota.
     """
-    leaf_totals = np.array([integrate(model.leaf_liouville(i))
-                            for i in range(model.base.shape[0])])
+    leaf_totals = model.leaf_totals
     fiber_volumes = model.iota * leaf_totals
     return model.lattice_density() * leaf_totals / fiber_volumes
 
@@ -111,7 +110,7 @@ def affine_volume(model: LeafFamilyModel) -> TwoSidedCheck:
     that pairs leafwise Liouville with the lattice density.
     """
     n = model.base.shape[0]
-    leaf_totals = np.array([integrate(model.leaf_liouville(i)) for i in range(n)])
+    leaf_totals = model.leaf_totals
     direct = base_measure_of_leaf_function(model, np.ones(n),
                                            canonical_base_density(model))
     reciprocal = float((leaf_totals / (model.iota * leaf_totals)

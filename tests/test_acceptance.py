@@ -164,8 +164,10 @@ def test_criterion_05_weyl_formula(rotation, lebesgue):
     f = np.exp(-30 * (r - 1.5) ** 2) * (1 + 0.3 * np.cos(phi))
     seed1 = np.exp(-4 * (r - 1.5) ** 2) * (1.3 + np.cos(phi))
     seed2 = 0.5 + 0.1 * np.sin(phi) + (r - 1.5) ** 2
-    res1 = weyl_check(rotation, lebesgue, f, seed1)
-    res2 = weyl_check(rotation, lebesgue, f, seed2)
+    res1 = weyl_check(rotation, lebesgue, f,
+                      cutoff=cutoff_construct(rotation, lebesgue.rho_values, seed1))
+    res2 = weyl_check(rotation, lebesgue, f,
+                      cutoff=cutoff_construct(rotation, lebesgue.rho_values, seed2))
     elapsed = time.perf_counter() - start
     seed_gap = abs(res1.rhs - res2.rhs) / abs(res1.rhs)
     ok = res1.rel_err <= 1e-6 and seed_gap <= 2e-6 and elapsed < 10.0
@@ -302,8 +304,9 @@ def test_criterion_13_weinstein_volumes(rotation, lebesgue):
     antipodal = antipodal_circle_model(256)
     sigma2 = TransverseDensityData(antipodal, lambda t: 2.0 * np.ones_like(t),
                                    lambda t: np.ones_like(t))
+    seed = 1.0 + 0.5 * np.cos(2 * antipodal.grid.nodes(0))
     res = weinstein_volume(antipodal, sigma2,
-                           phi_seed=1.0 + 0.5 * np.cos(2 * antipodal.grid.nodes(0)))
+                           cutoff=cutoff_construct(antipodal, sigma2.rho_values, seed))
     pi_ok = abs(res.lhs - np.pi) <= 1e-9
 
     scenarios = [(antipodal, sigma2)]
@@ -318,7 +321,8 @@ def test_criterion_13_weinstein_volumes(rotation, lebesgue):
     for model, sigma in scenarios:
         mesh0 = model.grid.meshgrid()[0]
         seed = 1.0 + 0.25 * np.cos(mesh0)
-        check = weinstein_volume(model, sigma, phi_seed=seed)
+        check = weinstein_volume(
+            model, sigma, cutoff=cutoff_construct(model, sigma.rho_values, seed))
         two_path_ok = two_path_ok and check.rel_err <= 1e-6
     ok = pi_ok and two_path_ok
     assert verdict(13, "orbit-space volumes: closed form and two paths", ok,

@@ -364,4 +364,130 @@ def test_negative_cutoff_seed_is_input_error(capsys, tmp_path, check, params):
     code, _, err = run_doc(capsys, tmp_path, doc)
     assert_input_error(code, err)
     assert f"'{check}'" in err and "nonnegative" in err
+    assert "seed 'phi" in err
 
+
+
+LEAF_FAMILY = {"B": {"lo": 1.0, "hi": 2.0, "n": 9}, "area": "4*pi*t",
+               "area_derivative": "4*pi + 0*t"}
+LEAF_CHECKS = [{"name": "affine_total", "params": {"expected": "4*pi"}},
+               {"name": "dh_weyl", "params": {"f": "exp(-4*(t-1.5)**2)"}},
+               {"name": "affine_volume_two_ways"},
+               {"name": "iota_scaling"}]
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"iota": 0}, "component count"),
+    ({"leaf": "cube"}, "unknown leaf template 'cube'"),
+    ({"area": "-t"}, "leaf areas must be positive"),
+    ({"B": {"n": 1, "lo": 1, "hi": 2}}, "too few nodes"),
+    ({"B": {"lo": 2, "hi": 1, "n": 9}}, "hi > lo"),
+    ({"B": {"hi": 2, "n": 9}}, "missing 'lo'"),
+    ({"B": {"lo": "a", "hi": 2, "n": 9}}, "'a'"),
+    ({"leaf_nodes": 1}, "leaf_nodes"),
+])
+def test_malformed_leaf_family_is_input_error(capsys, tmp_path, change, message):
+    doc = {"name": "x", "engine": "symplectic", "model": dict(LEAF_FAMILY, **change),
+           "checks": [{"name": "affine_volume_two_ways"}]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert "'affine_volume_two_ways'" in err and message in err
+
+
+def test_sampled_leaf_family_runs(capsys, tmp_path):
+    doc = {"name": "x", "engine": "symplectic",
+           "model": {"B": {"lo": 1, "hi": 2, "n": 3}, "area": [1, 2, 3],
+                     "area_derivative": [2, 2, 2], "leaf": "torus", "leaf_nodes": 8},
+           "checks": [{"name": "affine_total", "params": {"expected": "2"}},
+                      {"name": "affine_volume_two_ways"}, {"name": "iota_scaling"}]}
+    code, out, _ = run_doc(capsys, tmp_path, doc)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["check"] for r in rows] == ["affine_total", "affine_volume_two_ways",
+                                          "iota_scaling"]
+    assert float(rows[0]["lhs"]) == 2.0
+
+
+def test_degenerate_affine_structure_is_input_error(capsys, tmp_path):
+    doc = {"name": "x", "engine": "symplectic",
+           "model": dict(LEAF_FAMILY, area_derivative="0*t"),
+           "checks": [{"name": "affine_total", "params": {"expected": "1"}}]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert "'affine_total'" in err and "degenerate" in err
+
+
+@pytest.mark.parametrize("area, message", [("x", "'x'"), (-1, "positive")])
+def test_bad_sphere_area_is_input_error(capsys, tmp_path, area, message):
+    doc = {"name": "x", "engine": "symplectic", "model": {"kind": "sphere", "area": area},
+           "checks": [{"name": "liouville_total", "params": {"expected": "1"}}]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert "'liouville_total'" in err and message in err
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"f": "1 + 0*r", "phi": "where(r < 1.5, 0, 1)"}, "misses an orbit"),
+    ({"f": "1 + 0*r", "phi": 1}, "must be a string"),
+])
+def test_unusable_weyl_seed_is_input_error(capsys, tmp_path, params, message):
+    doc = {"name": "x", "engine": "smooth",
+           "model": {"kind": "rotation2d", "params": {"n_r": 6, "n_phi": 16}},
+           "checks": [{"name": "weyl", "params": params}]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert "'weyl'" in err and message in err
+
+
+def test_leaf_checks_integrate_each_leaf_once(capsys, tmp_path, monkeypatch):
+    # the template once, then one total per base node, shared by the
+    # doubled-iota family of iota_scaling; dh_weyl reads each leaf once more
+    from groupoid_measures.symplectic import models
+    calls = {"integrate": 0, "leaf_liouville": 0}
+
+    def counted_integrate(rho, _fn=models.integrate):
+        calls["integrate"] += 1
+        return _fn(rho)
+
+    def counted_liouville(self, i, _fn=models.LeafFamilyModel.leaf_liouville):
+        calls["leaf_liouville"] += 1
+        return _fn(self, i)
+
+    monkeypatch.setattr(models, "integrate", counted_integrate)
+    monkeypatch.setattr(models.LeafFamilyModel, "leaf_liouville", counted_liouville)
+    doc = {"name": "x", "engine": "symplectic", "model": dict(LEAF_FAMILY, iota=2),
+           "checks": LEAF_CHECKS}
+    code, out, _ = run_doc(capsys, tmp_path, doc)
+    assert code == 0
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 4
+    assert calls == {"integrate": 1 + 9, "leaf_liouville": 9 + 9}
+
+
+def test_cutoff_checks_share_one_cutoff_per_seed(capsys, tmp_path, monkeypatch):
+    from groupoid_measures import checks
+    from groupoid_measures.smooth import transverse
+    seeds = []
+
+    def counted(model, rho, phi, _fn=transverse.cutoff_construct):
+        seeds.append(float(phi.flat[0]))
+        return _fn(model, rho, phi)
+
+    for module in (checks, transverse):
+        monkeypatch.setattr(module, "cutoff_construct", counted)
+    doc = {"name": "x", "engine": "smooth",
+           "model": {"kind": "rotation2d", "params": {"n_r": 6, "n_phi": 16}},
+           "checks": [{"name": "cutoff_normalization"},
+                      {"name": "weyl", "params": {"f": "1 + 0*r"}},
+                      {"name": "weyl_seed_independence",
+                       "params": {"f": "1 + 0*r", "phi1": "1.0 + 0*c0", "phi2": "2 + 0*r"}},
+                      {"name": "weinstein_two_ways"},
+                      {"name": "weinstein_expected", "params": {"expected": "3*pi"}},
+                      {"name": "cutoff_normalization", "params": {"phi": "2 + 0*r"}},
+                      {"name": "cutoff_saturation_error",
+                       "params": {"phi": "where(r < 1.5, 0, 1)"}}]}
+    code, out, _ = run_doc(capsys, tmp_path, doc)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["check"] for r in rows][-1] == "cutoff_saturation_error"
+    # the constant seed, the seed 2, and the saturating seed (which fails)
+    assert seeds == [1.0, 2.0, 0.0]

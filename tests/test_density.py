@@ -190,3 +190,36 @@ def test_pushforward_nearest_cell_assignment():
     f = coarse.nodes(0) ** 2
     direct = mu((np.round(fine.nodes(0) * 10) / 10) ** 2)
     assert abs(pushed(f) - direct) <= 1e-12
+
+
+def _reference_nodes(ax):
+    if ax.periodic:
+        return ax.lo + ax.length * np.arange(ax.n) / ax.n
+    return np.linspace(ax.lo, ax.hi, ax.n)
+
+
+def _reference_weights(ax):
+    if ax.periodic:
+        return np.full(ax.n, ax.length / ax.n)
+    h = ax.length / (ax.n - 1)
+    w = np.full(ax.n, h)
+    w[0] = w[-1] = h / 2
+    return w
+
+
+@pytest.mark.parametrize("ax", [
+    Axis(2, 0.0, 1.0), Axis(9, -1.0, 3.0), Axis(65, 1.0, 2.0),
+    Axis(1, 0.0, 2 * np.pi, periodic=True), Axis(16, -1.0, 3.0, periodic=True),
+    Axis(33, 0.0, 2 * np.pi, periodic=True),
+])
+def test_axis_arrays_are_the_rule_formulas_computed_once_and_read_only(ax):
+    assert np.array_equal(ax.nodes(), _reference_nodes(ax))
+    assert np.array_equal(ax.weights(), _reference_weights(ax))
+    assert ax.nodes() is ax.nodes() and ax.weights() is ax.weights()
+    for values in (ax.nodes(), ax.weights()):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            values *= 2.0
+    # the cached arrays leave the frozen dataclass's equality alone
+    assert ax == Axis(ax.n, ax.lo, ax.hi, ax.periodic)

@@ -1,17 +1,21 @@
 """Liouville totals, DH mass, affine measures and their volume identities."""
 
+import json
+
 import numpy as np
 import pytest
 
-from groupoid_measures.density import Axis, Grid, integrate
+from groupoid_measures.density import Axis, DensityField, Grid, integrate
 from groupoid_measures.symplectic import (
     LeafFamilyModel,
     SymplecticModelError,
     SymplecticPairModel,
     affine_measure,
     affine_volume,
+    canonical_base_density,
     dh_total_mass_two_ways,
     dh_weyl_check,
+    leaf_family_from_doc,
     leaf_family_from_json,
     liouville_density,
 )
@@ -138,3 +142,83 @@ def test_leaf_family_json_loader():
     assert abs(affine_measure(family).total_mass() - 4 * np.pi) <= 1e-9
     with pytest.raises(SymplecticModelError, match="not allowed"):
         leaf_family_from_json(doc.replace("4*pi*t", "__import__('os')"))
+
+
+def reference_leaf_totals(family):
+    """Per-node totals the way every check computed them before caching:
+    the template integrated again for each node."""
+    leaf = family.leaf
+    return np.array([
+        integrate(DensityField(leaf.grid, leaf.area_density.values
+                               * (family.areas[i] / integrate(leaf.area_density))))
+        for i in range(family.base.shape[0])])
+
+
+@pytest.mark.parametrize("leaf", ["sphere", "torus"])
+@pytest.mark.parametrize("n", [9, 17, 33])
+@pytest.mark.parametrize("iota", [1, 2, 3])
+def test_cached_leaf_totals_equal_the_per_node_integrals_bit_for_bit(leaf, n, iota):
+    family = leaf_family_from_doc({"B": {"lo": 0.7, "hi": 1.9, "n": n},
+                                   "area": "3.5*t + sin(t)", "area_derivative": "3.5 + cos(t)",
+                                   "iota": iota, "leaf": leaf, "leaf_nodes": 16})
+    totals = family.leaf_totals
+    assert np.array_equal(totals, reference_leaf_totals(family))
+    assert np.array_equal(totals, [integrate(family.leaf_liouville(i)) for i in range(n)])
+    with pytest.raises(ValueError, match="read-only"):
+        totals[0] = 1.0
+
+
+def test_iota_twin_shares_the_leaves_and_matches_a_fresh_family():
+    family = sphere_family(iota=1, n=17)
+    twin = family.with_iota(2)
+    fresh = sphere_family(iota=2, n=17)
+    assert family.iota == 1 and twin.iota == 2
+    assert twin.leaf is family.leaf and twin.leaf_totals is family.leaf_totals
+    assert affine_volume(twin) == affine_volume(fresh)
+    assert np.array_equal(canonical_base_density(twin), canonical_base_density(fresh))
+    ones = lambda fam: (lambda i: np.ones(fam.leaf.grid.shape))
+    assert dh_weyl_check(twin, ones(twin)) == dh_weyl_check(fresh, ones(fresh))
+    assert affine_measure(twin).total_mass() == affine_measure(fresh).total_mass()
+    with pytest.raises(SymplecticModelError, match="component count"):
+        family.with_iota(0)
+
+
+def test_leaf_family_parser_takes_samples_leaf_nodes_and_defaults():
+    t = np.linspace(1.0, 2.0, 5)
+    family = leaf_family_from_json(json.dumps(
+        {"B": {"lo": 1, "hi": 2, "n": 5}, "area": list(2 * t),
+         "area_derivative": [2] * 5, "leaf": "torus", "leaf_nodes": 8}))
+    assert family.leaf.grid.shape == (8, 8)
+    assert np.array_equal(family.areas, 2 * t)
+    assert abs(affine_measure(family).total_mass() - 2.0) <= 1e-12
+    default = leaf_family_from_doc({})
+    assert default.base.shape == (65,) and default.iota == 1
+    assert default.leaf.grid.shape == (64, 33)
+    assert np.array_equal(default.areas, 4 * np.pi * default.base.nodes(0))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"iota": 0}, "component count"),
+    ({"iota": 1.5}, "iota"),
+    ({"leaf": "cube"}, "unknown leaf template"),
+    ({"area": "-t"}, "positive"),
+    ({"area": "1/(t-1)"}, "finite"),
+    ({"area_derivative": "log(t-1)"}, "finite"),
+    ({"area": "os.getcwd()"}, "not allowed"),
+    ({"area": [1, 2, 3]}, "one sample per base node"),
+    ({"area": ["a"] * 9}, "list of numbers"),
+    ({"area": 7}, "one sample per base node"),
+    ({"B": {"lo": 1, "hi": 2, "n": 1}}, "too few nodes"),
+    ({"B": {"lo": 2, "hi": 1, "n": 9}}, "hi > lo"),
+    ({"B": {"hi": 2, "n": 9}}, "missing 'lo'"),
+    ({"B": {"lo": "a", "hi": 2, "n": 9}}, "numbers lo and hi"),
+    ({"B": {"lo": 1, "hi": 2, "n": "x"}}, "must be an integer"),
+    ({"B": [1, 2, 9]}, "must be an object"),
+    ({"leaf_nodes": 1}, "at least 2"),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_leaf_family_parser_rejects_malformed_fields(change, message):
+    doc = dict({"B": {"lo": 1.0, "hi": 2.0, "n": 9}, "area": "4*pi*t",
+                "area_derivative": "4*pi + 0*t"}, **change)
+    with pytest.raises(SymplecticModelError, match=message):
+        leaf_family_from_doc(doc)

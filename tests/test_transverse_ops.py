@@ -186,8 +186,10 @@ def test_weyl_formula_and_seed_independence(rotation, lebesgue):
     f = np.exp(-30 * (r - 1.5) ** 2) * (1 + 0.3 * np.cos(phi))
     seed1 = np.exp(-4 * (r - 1.5) ** 2) * (1.3 + np.cos(phi))
     seed2 = 0.5 + 0.1 * np.sin(phi) + (r - 1.5) ** 2
-    res1 = weyl_check(rotation, lebesgue, f, seed1)
-    res2 = weyl_check(rotation, lebesgue, f, seed2)
+    res1 = weyl_check(rotation, lebesgue, f,
+                      cutoff=cutoff_construct(rotation, lebesgue.rho_values, seed1))
+    res2 = weyl_check(rotation, lebesgue, f,
+                      cutoff=cutoff_construct(rotation, lebesgue.rho_values, seed2))
     assert res1.rel_err <= 1e-6
     assert abs(res1.rhs - res2.rhs) <= 2e-6 * abs(res1.rhs)
 
@@ -213,8 +215,9 @@ def test_weinstein_volume_antipodal_circle():
     model = antipodal_circle_model(256)
     sigma = TransverseDensityData(model, lambda t: 2.0 * np.ones_like(t),
                                   lambda t: np.ones_like(t))
+    seed = 1.0 + 0.5 * np.cos(2 * model.grid.nodes(0))
     res = weinstein_volume(model, sigma,
-                           phi_seed=1.0 + 0.5 * np.cos(2 * model.grid.nodes(0)))
+                           cutoff=cutoff_construct(model, sigma.rho_values, seed))
     assert abs(res.lhs - np.pi) <= 1e-9
     assert res.rel_err <= 1e-6
 
