@@ -20,6 +20,7 @@ from .expressions import compile_field, evaluate_scalar
 from .reports import CheckRow
 from .smooth import (
     DEFAULT_TEST_COUNT,
+    ActionGroupoidModel,
     ArrowFunction,
     FiberObstructionError,
     FoliatedGrid,
@@ -148,6 +149,15 @@ class ScenarioContext:
                 raise ScenarioError(str(exc)) from exc
         return self._cache["model"]
 
+    def proper_model(self) -> ActionGroupoidModel:
+        """The scenario's model, for a check that integrates over its
+        invariant group quadrature; a model without one is an input error."""
+        model = self.model()
+        if not (isinstance(model, ActionGroupoidModel) and model.proper):
+            raise ScenarioError(f"model {model.name!r} is not a proper action "
+                                "model: it has no invariant group quadrature")
+        return model
+
     def sigma(self) -> TransverseDensityData:
         if "sigma" not in self._cache:
             doc = self.model_doc.get("sigma", {})
@@ -175,7 +185,7 @@ class ScenarioContext:
         """
         key = ("defects", json.dumps(sigma_doc, sort_keys=True), count)
         if key not in self._cache:
-            model = self.model()
+            model = self.proper_model()
             sigma = self.sigma() if sigma_doc is None else self.sigma_from(sigma_doc)
             tests = default_test_set(model, self.rng(4), count=count)
             self._cache[key] = invariance_defects(model, sigma, tests)
@@ -197,7 +207,7 @@ class ScenarioContext:
         """Cut-off of the scenario's density from a seed expression, built
         once per expression; a seed that misses an orbit raises SaturationError.
         """
-        model = self.model()
+        model = self.proper_model()
         seed = compile_field(expr, model.grid.ndim)  # a non-string seed fails here, not as a key
         memo = ("cutoff", expr)
         if memo not in self._cache:
@@ -443,7 +453,7 @@ def _invsn_witness(ctx, params, tol):
 
 @register("averaging_annihilates", "smooth", 1e-6, "count")
 def _avg_annihilates(ctx, params, tol):
-    model, sigma = ctx.model(), ctx.sigma()
+    model, sigma = ctx.proper_model(), ctx.sigma()
     rng = ctx.rng(5)
     worst = 0.0
     for _ in range(_int(params, "count", 20)):
@@ -457,7 +467,7 @@ def _avg_annihilates(ctx, params, tol):
 
 @register("averaging_orbit_constant", "smooth", 1e-6)
 def _avg_orbit_const(ctx, params, tol):
-    model, sigma = ctx.model(), ctx.sigma()
+    model, sigma = ctx.proper_model(), ctx.sigma()
     section = ArrowFunction.random(model, ctx.rng(6)).slice(0)
     res = averaging(model, sigma.rho_values, section, tol=tol)
     return [_row(ctx, "averaging_orbit_constant", res.constancy_defect, 0.0, tol)]
@@ -477,7 +487,7 @@ def _cutoff(ctx, expr: str, key: str) -> np.ndarray:
 
 @register("cutoff_normalization", "smooth", 1e-9, "phi: seed expression")
 def _cutoff_norm(ctx, params, tol):
-    model, sigma = ctx.model(), ctx.sigma()
+    model, sigma = ctx.proper_model(), ctx.sigma()
     c = _cutoff(ctx, params.get("phi", _CONSTANT_SEED), "phi")
     return [_row(ctx, "cutoff_normalization",
                  cutoff_normalization_defect(model, sigma.rho_values, c), 0.0, tol)]
@@ -485,7 +495,7 @@ def _cutoff_norm(ctx, params, tol):
 
 @register("weyl", "smooth", 1e-6, "f: expression, phi: seed expression")
 def _weyl(ctx, params, tol):
-    model, sigma = ctx.model(), ctx.sigma()
+    model, sigma = ctx.proper_model(), ctx.sigma()
     mesh = model.grid.meshgrid()
     f = compile_field(_required(params, "f"), model.grid.ndim)(*mesh)
     res = weyl_check(model, sigma, f,
@@ -495,7 +505,7 @@ def _weyl(ctx, params, tol):
 
 @register("weyl_seed_independence", "smooth", 2e-6, "f, phi1, phi2")
 def _weyl_seeds(ctx, params, tol):
-    model, sigma = ctx.model(), ctx.sigma()
+    model, sigma = ctx.proper_model(), ctx.sigma()
     mesh = model.grid.meshgrid()
     ndim = model.grid.ndim
     f = compile_field(_required(params, "f"), ndim)(*mesh)
@@ -507,7 +517,7 @@ def _weyl_seeds(ctx, params, tol):
 
 @register("weinstein_two_ways", "smooth", 1e-6, "phi: seed expression")
 def _weinstein(ctx, params, tol):
-    model, sigma = ctx.model(), ctx.sigma()
+    model, sigma = ctx.proper_model(), ctx.sigma()
     res = weinstein_volume(model, sigma,
                            cutoff=_cutoff(ctx, params.get("phi", _CONSTANT_SEED), "phi"))
     return [_row(ctx, "weinstein_two_ways", res.lhs, res.rhs, tol)]
@@ -515,7 +525,7 @@ def _weinstein(ctx, params, tol):
 
 @register("weinstein_expected", "smooth", 1e-9, "expected: scalar expression")
 def _weinstein_expected(ctx, params, tol):
-    model, sigma = ctx.model(), ctx.sigma()
+    model, sigma = ctx.proper_model(), ctx.sigma()
     res = weinstein_volume(model, sigma, cutoff=_cutoff(ctx, _CONSTANT_SEED, "phi"))
     return [_row(ctx, "weinstein_expected", res.lhs,
                  evaluate_scalar(_required(params, "expected")), tol)]
@@ -528,7 +538,7 @@ def _node(params, model) -> tuple[int, ...]:
 
 @register("orbit_density_mass", "smooth", 1e-9, "node: multi-index, expected")
 def _orbit_mass(ctx, params, tol):
-    model, sigma = ctx.model(), ctx.sigma()
+    model, sigma = ctx.proper_model(), ctx.sigma()
     node = _node(params, model)
     measure = orbit_density(model, sigma.rho_values, node)
     return [_row(ctx, "orbit_density_mass", measure.total(),
@@ -537,7 +547,7 @@ def _orbit_mass(ctx, params, tol):
 
 @register("orbit_density_basepoint", "smooth", 1e-9, "node")
 def _orbit_basepoint(ctx, params, tol):
-    model, sigma = ctx.model(), ctx.sigma()
+    model, sigma = ctx.proper_model(), ctx.sigma()
     node = _node(params, model)
     first = orbit_density(model, sigma.rho_values, node)
     other_flat = max(first.masses)

@@ -45,8 +45,11 @@ def compile_field(expr: str, ndim: int):
             names = _ALIASES[axis] if axis < len(_ALIASES) else (f"c{axis}",)
             for nm in names:
                 scope[nm] = coord
-        result = eval(code, {"__builtins__": {}}, scope)
-        return result + np.zeros_like(np.asarray(coords[0], dtype=float))
+        try:
+            result = eval(code, {"__builtins__": {}}, scope)
+            return result + np.zeros_like(np.asarray(coords[0], dtype=float))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ExpressionError(f"cannot evaluate {expr!r}: {exc}") from exc
 
     return fn
 

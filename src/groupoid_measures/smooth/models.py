@@ -189,10 +189,20 @@ class CyclicAxisModel(ActionGroupoidModel):
         return np.roll(values, -j, axis=self.axis)
 
     def pull_sum(self, weights, values):
-        """Circular correlation along the axis: FFT, or one sum for equal weights."""
+        """Circular correlation along the axis, on one of three exact paths.
+
+        Equal weights give one sum along the axis.  Otherwise values that
+        are constant along the axis (``ptp`` 0) give ``sum(weights) *
+        values`` with no FFT; a 1-D profile along the axis (every other
+        axis of length 1) correlates by an FFT of the axis length; any other
+        operand by the FFT along the axis of the full array.  Values need
+        only broadcast against the grid; the result has their shape.
+        """
         if np.all(weights == weights[0]):
             return np.repeat(weights[0] * values.sum(self.axis, keepdims=True),
                              self.group_size, axis=self.axis)
+        if not np.ptp(values, axis=self.axis).any():
+            return weights.sum() * values
         v_hat = np.fft.rfft(np.moveaxis(values, self.axis, -1))
         out = np.fft.irfft(np.conj(np.fft.rfft(weights)) * v_hat, n=self.group_size)
         return np.moveaxis(out, -1, self.axis)

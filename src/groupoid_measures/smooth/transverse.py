@@ -7,21 +7,33 @@ density (rho, tau) pairs the result with tau on the base.  Target-fiber
 integration is source-fiber integration after composing with inversion.
 
 Arrow functions are sums of terms a(g) b(g^e x), e in {0, 1}, so a fiber
-integral is one model ``pull_sum`` per term: an FFT correlation along the
-axis (one reduction when the weights are equal) on cyclic models, one
-gather per group element on finite models.  Random test functions have
-separable fields (products of per-axis profiles, evaluated on the axis
-nodes only), and the invariance and inversion defects share one s- and one
-t-integral per test function (``invariance_defects``).
+integral is one model ``pull_sum`` per term: one gather per group element
+on finite models, and on cyclic models a circular correlation along the
+axis that takes one of three exact paths:
+
+- values constant along the axis (``ptp`` 0, such as a density that
+  depends on the radius only): ``sum(weights) * values``, no FFT;
+- a 1-D profile along the axis: an FFT of the axis length;
+- any other operand: the FFT along the axis of the full array.
+
+Equal weights reduce to one sum on every path.  Random test functions keep
+their fields factored (``SeparableField``, per-axis profiles evaluated on
+the axis nodes only).  When rho is constant along the cyclic axis, a
+target term of a factored field correlates only the field's profile along
+the axis and multiplies by the other profiles and rho.  The invariance
+and inversion defects share one s- and one t-integral per test function
+(``invariance_defects``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .models import ActionGroupoidModel, ModelError, TransverseDensityData
+from .models import (ActionGroupoidModel, CyclicAxisModel, ModelError,
+                     TransverseDensityData)
 
 QUADRATURE_TOL = 1e-6
 ANALYTIC_TOL = 1e-9
@@ -33,12 +45,46 @@ class SaturationError(ValueError):
     """Some source fiber carries no mass: the seed misses an orbit."""
 
 
+class SeparableField:
+    """A grid field kept as the product of one profile per axis.
+
+    ``values`` multiplies the profiles out once, in axis order, as a
+    read-only array; ``split(axis)`` gives the profile along one axis and
+    the product of the others.  Both broadcast against the grid.
+    """
+
+    def __init__(self, grid, profiles):
+        self.profiles = [grid.along(axis, np.asarray(p, dtype=float))
+                         for axis, p in enumerate(profiles)]
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        acc = 1.0
+        for p in self.profiles:
+            acc = acc * p
+        acc.setflags(write=False)
+        return acc
+
+    def split(self, axis: int):
+        rest = 1.0
+        for i, p in enumerate(self.profiles):
+            if i != axis:
+                rest = rest * p
+        return self.profiles[axis], rest
+
+
+def field_values(b) -> np.ndarray:
+    """The grid array of a term field (an array or a ``SeparableField``)."""
+    return b.values if isinstance(b, SeparableField) else b
+
+
 class ArrowFunction:
     """Test function on the arrow space: terms (a, b, e) summing a[j] b(g_j^e x).
 
-    b is read at the source x (e = 0) or the target a(g_j, x) (e = 1).  An
-    opaque ``slice_fn`` (j -> x -> u(g_j, x)) becomes one term per group
-    node with a unit coefficient vector.
+    b is read at the source x (e = 0) or the target a(g_j, x) (e = 1); it is
+    a grid array or a ``SeparableField``.  An opaque ``slice_fn``
+    (j -> x -> u(g_j, x)) becomes one term per group node with a unit
+    coefficient vector.
     """
 
     def __init__(self, model: ActionGroupoidModel, slice_fn=None, terms=None):
@@ -52,6 +98,7 @@ class ArrowFunction:
         """The array x -> u(g_j, x) on the model grid."""
         acc = np.zeros(self.model.grid.shape)
         for a, b, e in self.terms:
+            b = field_values(b)
             acc += a[j] * (self.model.pull(j, b) if e else b)
         return acc
 
@@ -83,29 +130,39 @@ class ArrowFunction:
     def random(model, rng: np.random.Generator, rank: int = 3) -> "ArrowFunction":
         """Seeded random smooth-ish test function (trigonometric profiles).
 
-        Each field is a product of 1-D per-axis profiles, so cosines are
-        evaluated on the axis nodes only; each axis adds its dimension, so
-        the product is a full grid array.
+        Each field is a ``SeparableField`` of 1-D per-axis profiles, so
+        cosines are evaluated on the axis nodes only.
         """
         coeffs = rng.standard_normal((rank, model.group_size))
         fields = []
         for _ in range(rank):
-            acc = 1.0
-            for axis, ax in enumerate(model.grid.axes):
+            profiles = []
+            for ax in model.grid.axes:
                 scaled = 2 * np.pi * (ax.nodes() - ax.lo) / ax.length
-                acc = acc * model.grid.along(axis, 1.0 + 0.5 * np.cos(
+                profiles.append(1.0 + 0.5 * np.cos(
                     scaled * int(rng.integers(1, 3)) + float(rng.uniform(0, 2 * np.pi))))
-            fields.append(acc)
-        return ArrowFunction.separable(model, coeffs, fields)
+            fields.append(SeparableField(model.grid, profiles))
+        return ArrowFunction(model, terms=[(a, b, 0) for a, b in zip(coeffs, fields)])
 
 
 def s_fiber_integrate(model, rho_values: np.ndarray, u: ArrowFunction) -> np.ndarray:
-    """Source-fiber integral: sum of haar(g) u(g, x) rho(a(g, x)) over the group."""
+    """Source-fiber integral: sum of haar(g) u(g, x) rho(a(g, x)) over the group.
+
+    On a cyclic model whose rho is constant along the axis, a target term
+    of a ``SeparableField`` correlates only the profile along the axis: the
+    other profiles and rho are constant on every orbit.
+    """
     haar = model.haar_masses()
     acc = np.zeros(model.grid.shape)
     for a, b, e in u.terms:
-        acc += (model.pull_sum(haar * a, b * rho_values) if e
-                else b * model.pull_sum(haar * a, rho_values))
+        if not e:
+            acc += field_values(b) * model.pull_sum(haar * a, rho_values)
+        elif (isinstance(b, SeparableField) and isinstance(model, CyclicAxisModel)
+              and model.orbit_spread(rho_values) == 0.0):
+            along, rest = b.split(model.axis)
+            acc += model.pull_sum(haar * a, along) * (rest * rho_values)
+        else:
+            acc += model.pull_sum(haar * a, field_values(b) * rho_values)
     return acc
 
 
@@ -133,16 +190,16 @@ def default_test_set(model, rng: np.random.Generator,
     random functions happening to overlap it.
     """
     tests = [ArrowFunction.random(model, rng) for _ in range(count - 1)]
-    probe = 1.0
-    for axis, ax in enumerate(model.grid.axes):
+    profiles = []
+    for ax in model.grid.axes:
         coord = ax.nodes()
         if ax.periodic:
-            profile = np.cos(coord)
+            profiles.append(np.cos(coord))
         else:
             mid, width = (ax.lo + ax.hi) / 2, ax.length
-            profile = np.exp(-8.0 * ((coord - mid) / width) ** 2)
-        probe = probe * model.grid.along(axis, profile)
-    tests.append(ArrowFunction.from_base_function(model, probe))
+            profiles.append(np.exp(-8.0 * ((coord - mid) / width) ** 2))
+    probe = SeparableField(model.grid, profiles)
+    tests.append(ArrowFunction(model, terms=[(np.ones(model.group_size), probe, 0)]))
     return tests
 
 

@@ -491,3 +491,53 @@ def test_cutoff_checks_share_one_cutoff_per_seed(capsys, tmp_path, monkeypatch):
     assert [r["check"] for r in rows][-1] == "cutoff_saturation_error"
     # the constant seed, the seed 2, and the saturating seed (which fails)
     assert seeds == [1.0, 2.0, 0.0]
+
+
+@pytest.mark.parametrize("engine, model, check, message", [
+    ("smooth", {"kind": "circle_self", "params": {"n": 16}},
+     {"name": "weyl", "params": {"f": "r(1)"}}, "not callable"),
+    ("smooth", {"kind": "circle_self", "params": {"n": 16}},
+     {"name": "weyl", "params": {"f": "sin"}}, "unsupported operand"),
+    ("smooth", {"kind": "circle_self", "params": {"n": 16}},
+     {"name": "weinstein_expected", "params": {"expected": "1/0"}}, "division by zero"),
+    ("symplectic", dict(LEAF_FAMILY, area="sin(t, t, t, t)"),
+     {"name": "affine_volume_two_ways"}, "positional argument"),
+])
+def test_expression_evaluation_error_is_input_error(capsys, tmp_path, engine, model,
+                                                    check, message):
+    doc = {"name": "x", "engine": engine, "model": model, "checks": [check]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert f"'{check['name']}'" in err and "cannot evaluate" in err and message in err
+
+
+@pytest.mark.parametrize("check", [
+    {"name": "weyl", "params": {"f": "1 + 0*x"}},
+    {"name": "weinstein_expected", "params": {"expected": "1"}},
+    {"name": "weinstein_two_ways"},
+    {"name": "cutoff_normalization"},
+    {"name": "invariance_defect"},
+    {"name": "inversion_witness", "params": {"tau": "1 + x"}},
+    {"name": "averaging_annihilates"},
+    {"name": "averaging_orbit_constant"},
+    {"name": "orbit_density_mass"},
+])
+def test_group_quadrature_check_on_a_non_proper_model_is_input_error(capsys, tmp_path,
+                                                                      check):
+    doc = {"name": "x", "engine": "smooth", "model": {"kind": "scaling_line"},
+           "checks": [check]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert f"'{check['name']}'" in err and "'scaling_line' is not a proper" in err
+
+
+def test_averaging_that_is_not_orbit_constant_stays_a_failure(capsys, tmp_path,
+                                                              monkeypatch):
+    # a broken model, not bad input: the ModelError is not mapped to exit 2
+    from groupoid_measures.smooth import CyclicAxisModel, ModelError
+    monkeypatch.setattr(CyclicAxisModel, "orbit_spread", lambda self, values: 1.0)
+    doc = {"name": "x", "engine": "smooth",
+           "model": {"kind": "rotation2d", "params": {"n_r": 6, "n_phi": 16}},
+           "checks": [{"name": "averaging_orbit_constant"}]}
+    with pytest.raises(ModelError, match="not orbit constant"):
+        run_doc(capsys, tmp_path, doc)

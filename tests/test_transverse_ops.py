@@ -15,6 +15,7 @@ from groupoid_measures.smooth import (
     RotationPlaneModel,
     SaturationError,
     ScalingLineModel,
+    SeparableField,
     TransverseDensityData,
     antipodal_circle_model,
     averaging,
@@ -398,6 +399,22 @@ PROPER_MODELS = [
 PROPER_IDS = ["rotation2d", "circle_self", "antipodal", "mirror", "trivial"]
 
 
+def cyclic_model(n_r, n):
+    return (circle_self_model(n) if n_r == 1
+            else RotationPlaneModel(n_r=n_r, n_phi=n, r_lo=1.0, r_hi=2.0))
+
+
+def cyclic_rho(model, kind, rng):
+    """A positive rho that is constant, varies off the axis only, or varies along it."""
+    shape = model.grid.shape
+    if kind == "constant":
+        return np.full(shape, 1.5)
+    if kind == "off_axis":
+        profile = 0.5 + rng.uniform(size=shape[:model.axis] + (1,) + shape[model.axis + 1:])
+        return np.broadcast_to(profile, shape).copy()
+    return 0.5 + rng.uniform(size=shape)
+
+
 def loop_s_integral(model, rho, slice_of):
     """Reference: sum over group nodes of haar[j] * u(g_j, .) * pull(j, rho)."""
     haar = model.haar_masses()
@@ -473,15 +490,20 @@ def test_orbit_spread_equals_the_loop_maximum(make):
 @given(n=st.integers(1, 33), n_r=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
 def test_cyclic_pull_sum_is_the_weighted_roll_sum(n, n_r, seed):
     # odd and even axis lengths, and weights that are not all equal, so the
-    # FFT correlation runs and not only the equal-weight reduction
+    # FFT correlation runs and not only the equal-weight reduction; each
+    # path: a full array, a 1-D profile along the axis, values constant along it
     rng = np.random.default_rng(seed)
-    model = (circle_self_model(n) if n_r == 1
-             else RotationPlaneModel(n_r=n_r, n_phi=n, r_lo=1.0, r_hi=2.0))
+    model = cyclic_model(n_r, n)
     weights = rng.uniform(-1.0, 1.0, size=n)
-    values = rng.standard_normal(model.grid.shape)
-    loop = sum(weights[j] * model.pull(j, values) for j in range(n))
-    scale = float(np.sum(np.abs(weights)) * np.max(np.abs(values)))
-    assert_close(model.pull_sum(weights, values), loop, scale)
+    on_axis = [1] * model.grid.ndim
+    on_axis[model.axis] = n
+    for values in (rng.standard_normal(model.grid.shape), rng.standard_normal(on_axis),
+                   cyclic_rho(model, "off_axis", rng)):
+        loop = sum(weights[j] * model.pull(j, values) for j in range(n))
+        scale = float(np.sum(np.abs(weights)) * np.max(np.abs(values)))
+        out = model.pull_sum(weights, values)
+        assert out.shape == values.shape
+        assert_close(out, loop, scale)
 
     rho = 0.5 + rng.uniform(size=model.grid.shape)
     u = ArrowFunction.random(model, rng)
@@ -543,8 +565,8 @@ def test_random_fields_equal_the_meshgrid_construction(make):
         coeffs, fields = meshgrid_random(model, ref_rng)
         assert len(u.terms) == len(fields)
         for (a, b, e), c, f in zip(u.terms, coeffs, fields):
-            assert e == 0 and b.shape == model.grid.shape
-            assert np.array_equal(a, c) and np.array_equal(b, f)
+            assert e == 0 and b.values.shape == model.grid.shape
+            assert np.array_equal(a, c) and np.array_equal(b.values, f)
     # the same draws in the same order: both generators are in one state
     assert rng.uniform() == ref_rng.uniform()
 
@@ -554,7 +576,7 @@ def test_default_probe_equals_the_meshgrid_construction(make):
     model = make()
     (a, b, e), = default_test_set(model, np.random.default_rng(22))[-1].terms
     assert e == 0 and np.array_equal(a, np.ones(model.group_size))
-    assert np.array_equal(b, meshgrid_probe(model))
+    assert np.array_equal(b.values, meshgrid_probe(model))
 
 
 def mixed_arrow_function(model, rng):
@@ -593,8 +615,7 @@ def test_mixed_source_and_target_terms_match_the_group_node_loop(make):
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 33), n_r=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
 def test_cyclic_mixed_terms_are_the_weighted_roll_sum(n, n_r, seed):
-    model = (circle_self_model(n) if n_r == 1
-             else RotationPlaneModel(n_r=n_r, n_phi=n, r_lo=1.0, r_hi=2.0))
+    model = cyclic_model(n_r, n)
     assert_mixed_integrals_match_the_loop(model, np.random.default_rng(seed))
 
 
@@ -632,3 +653,98 @@ def test_shared_defect_pair_equals_the_separate_loops(make, tau):
     assert pair == separate_defect_loops(model, sigma, tests)
     assert invariance_defect(model, sigma, tests) == pair[0]
     assert inversion_invariance_check(model, sigma, tests) == pair[1]
+
+
+# ---------------------------------------------------------------------------
+# factored fields through the cyclic kernel: the constant-along-the-axis and
+# 1-D profile paths of pull_sum and the split target terms of the fiber
+# integral, against the materialized-array FFT path and the group-node loop
+
+@pytest.fixture
+def rfft_calls(monkeypatch):
+    """Counts np.fft.rfft calls by the number of operand axes longer than one."""
+    counts = {}
+    fft = np.fft.rfft
+
+    def counted(a, *args, **kwargs):
+        key = sum(d > 1 for d in np.shape(a))
+        counts[key] = counts.get(key, 0) + 1
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    return counts
+
+
+def materialized(u):
+    """The same arrow function with every factored field multiplied out."""
+    return ArrowFunction(u.model, terms=[
+        (a, b.values if isinstance(b, SeparableField) else b, e) for a, b, e in u.terms])
+
+
+def assert_factored_integrals_match(model, rho, tests):
+    """s- and t-integrals: factored == materialized == loop, to 1e-12 relative."""
+    for u in tests:
+        scale = max(float(np.max(np.abs(u.slice(j)))) for j in range(model.group_size)) \
+            * float(np.max(rho))
+        flat = materialized(u)
+        for integral, ref in (
+                (s_fiber_integrate, loop_s_integral(model, rho, u.slice)),
+                (t_fiber_integrate,
+                 loop_s_integral(model, rho, loop_inverted_slice(model, u)))):
+            out = integral(model, rho, u)
+            assert np.max(np.abs(out - integral(model, rho, flat))) <= 1e-12 * scale
+            assert np.max(np.abs(out - ref)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n_r, n", [(5, 63), (4, 64), (1, 63), (1, 64)],
+                         ids=["rotation-odd", "rotation-even", "circle-odd", "circle-even"])
+@pytest.mark.parametrize("kind", ["constant", "off_axis", "along_axis"])
+def test_factored_fiber_integrals_match_the_materialized_fft_and_the_loop(
+        n_r, n, kind, rfft_calls):
+    model = cyclic_model(n_r, n)
+    rng = np.random.default_rng(31)
+    rho = cyclic_rho(model, kind, rng)
+    tests = default_test_set(model, rng, count=4)
+    for u in tests:
+        s_fiber_integrate(model, rho, u)
+        t_fiber_integrate(model, rho, u)
+    if n_r > 1:  # only a rho that varies along the angle takes the full-grid FFT
+        assert (rfft_calls.get(2, 0) > 0) == (kind == "along_axis")
+    assert_factored_integrals_match(model, rho, tests)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 33), n_r=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["constant", "off_axis", "along_axis"]))
+def test_factored_fiber_integrals_match_on_random_grids(n, n_r, seed, kind):
+    model = cyclic_model(n_r, n)
+    rng = np.random.default_rng(seed)
+    rho = cyclic_rho(model, kind, rng)
+    assert_factored_integrals_match(model, rho, default_test_set(model, rng, count=3))
+
+
+@pytest.mark.parametrize("make", PROPER_MODELS[2:], ids=PROPER_IDS[2:])
+def test_finite_models_integrate_factored_fields_as_arrays(make):
+    model = make()
+    rng = np.random.default_rng(32)
+    rho = 0.5 + rng.uniform(size=model.grid.shape)
+    for u in default_test_set(model, rng, count=3):
+        for integral in (s_fiber_integrate, t_fiber_integrate):
+            assert np.array_equal(integral(model, rho, u),
+                                  integral(model, rho, materialized(u)))
+
+
+def test_lebesgue_rotation_checks_make_no_full_grid_fft(rfft_calls):
+    # the random fields stay factored and the Lebesgue rho is constant along
+    # the angle, so every correlation is a 1-D FFT of the angle axis
+    from groupoid_measures.cli import run_scenario
+    doc = {"name": "x", "engine": "smooth",
+           "model": {"kind": "rotation2d", "params": {"n_r": 8, "n_phi": 16}},
+           "checks": [{"name": "invariance_defect"}, {"name": "inversion_defect"},
+                      {"name": "averaging_annihilates"}]}
+    rows = run_scenario(doc)
+    assert [r.check for r in rows] == ["invariance_defect", "inversion_defect",
+                                      "averaging_annihilates"]
+    assert all(r.passed for r in rows)
+    assert rfft_calls.get(2, 0) == 0
+    assert rfft_calls.get(1, 0) > 0
