@@ -1,9 +1,10 @@
 """Named check catalog: every operation exposed as a scenario-runnable check.
 
-A check receives a scenario context, parameter dict and tolerance and
-returns report rows.  Exact-engine checks compare with zero tolerance;
-quadrature checks carry the module default tolerances (1e-6 quadrature,
-1e-9 analytic, 1e-4 for discretized-derivative identities).
+Each check declares its parameters once, as ``key=(kind, default)``.  A runner
+gets the scenario context, the tolerance and the values read through those
+declarations, and returns ``(lhs, rhs)`` or ``{label: (lhs, rhs)}``.  Exact-engine
+checks compare with zero tolerance; quadrature checks carry the module default
+tolerances (1e-6 quadrature, 1e-9 analytic, 1e-4 for derivative identities).
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from . import finite
-from .density import Axis, DensityField, Grid, integrate
+from .density import Axis, Grid, integrate
 from .expressions import compile_field, evaluate_scalar
 from .reports import CheckRow
 from .smooth import (
@@ -65,17 +67,59 @@ class ScenarioError(ValueError):
     """Scenario input is malformed (unknown kinds, bad parameters)."""
 
 
-def _required(params: dict, key: str):
-    """A parameter the check cannot default; a missing one is an input error."""
-    if key not in params:
-        raise ScenarioError(f"missing required parameter {key!r}")
-    return params[key]
+# ---------------------------------------------------------------------------
+# parameter kinds
+
+REQUIRED = object()  # the default of a parameter a scenario must give
 
 
-def _int(params: dict, key: str, default: int | None = None) -> int:
-    """An integer parameter; without a default it is required."""
-    value = _required(params, key) if default is None else params.get(key, default)
-    return as_int(value, f"parameter {key!r}", ScenarioError)
+@dataclass(frozen=True)
+class Kind:
+    """How a value is read (``convert`` raises ScenarioError); ``label`` names it."""
+    label: str
+    convert: Callable
+
+    def read(self, doc: dict, key: str, default=REQUIRED):
+        if key not in doc:
+            if default is REQUIRED:
+                raise ScenarioError(f"missing required parameter {key!r}")
+            return default
+        return self.convert(doc[key], f"parameter {key!r}")
+
+
+def integer(minimum: int | None = None) -> Kind:
+    def convert(value, name):
+        out = as_int(value, name, ScenarioError)
+        if minimum is not None and out < minimum:
+            raise ScenarioError(f"{name} must be >= {minimum}, got {out}")
+        return out
+    return Kind("int" if minimum is None else f"int >= {minimum}", convert)
+
+
+def _number(value, name) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{name} must be a number, got {value!r}") from exc
+
+
+def _string(value, name) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{name} must be a string expression, got {value!r}")
+    return value
+
+
+def listed(item: Kind, what: str) -> Kind:
+    def convert(value, name):
+        if not isinstance(value, list):
+            raise ScenarioError(f"{name} must be a list of {what}, got {value!r}")
+        return tuple(item.convert(v, f"an entry of {name}") for v in value)
+    return Kind(f"list of {what}", convert)
+
+
+INT, COUNT, NUMBER = integer(), integer(1), Kind("number", _number)
+FIELD = Kind("field expression", _string)
+SCALAR = Kind("scalar expression", lambda value, name: evaluate_scalar(_string(value, name)))
 
 
 # ---------------------------------------------------------------------------
@@ -84,14 +128,14 @@ def _int(params: dict, key: str, default: int | None = None) -> int:
 def build_finite_groupoid(doc: dict) -> finite.FiniteGroupoid:
     kind = doc.get("kind")
     if kind == "unit":
-        return finite.unit_groupoid(_int(doc, "n"))
+        return finite.unit_groupoid(INT.read(doc, "n"))
     if kind == "pair":
-        return finite.pair_groupoid(_int(doc, "n"))
+        return finite.pair_groupoid(INT.read(doc, "n"))
     if kind == "cyclic":
-        return finite.group_groupoid(finite.cyclic_group_table(_int(doc, "n")),
+        return finite.group_groupoid(finite.cyclic_group_table(INT.read(doc, "n")),
                                      name=f"Z{doc['n']}")
     if kind == "z2_action":
-        points = _int(doc, "points")
+        points = INT.read(doc, "points")
         perm = list(range(points))
         for a, b in doc.get("swaps", []):
             perm[a], perm[b] = perm[b], perm[a]
@@ -105,8 +149,7 @@ def build_finite_groupoid(doc: dict) -> finite.FiniteGroupoid:
             out = finite.disjoint_union(out, p)
         return out
     if kind == "json":
-        import json as _json
-        return finite.from_json(_json.dumps(doc["doc"]))
+        return finite.from_json(json.dumps(doc["doc"]))
     raise ScenarioError(f"unknown finite groupoid kind {kind!r}")
 
 
@@ -134,8 +177,6 @@ class ScenarioContext:
         Degrees up to k of a report need only the ranks of d_1..d_{k+1}, so
         the report for the largest kmax asked so far answers every smaller one.
         """
-        if kmax < 0:
-            raise ScenarioError(f"kmax must be nonnegative, got {kmax}")
         rep = self._cache.get("homology")
         if rep is None or len(rep.degrees) <= kmax:
             rep = self._cache["homology"] = finite.homology(self.groupoid(), kmax)
@@ -160,8 +201,7 @@ class ScenarioContext:
 
     def sigma(self) -> TransverseDensityData:
         if "sigma" not in self._cache:
-            doc = self.model_doc.get("sigma", {})
-            self._cache["sigma"] = self.sigma_from(doc)
+            self._cache["sigma"] = self.sigma_from(self.model_doc.get("sigma", {}))
         return self._cache["sigma"]
 
     def sigma_from(self, doc: dict) -> TransverseDensityData:
@@ -193,8 +233,8 @@ class ScenarioContext:
 
     def foliation(self, min_leaf: int = 3, min_transverse: int = 2) -> FoliatedGrid:
         """The unit-square foliation; a derivative stencil needs 3 nodes, a rule 2."""
-        n_leaf = _int(self.model_doc, "n_leaf", 257)
-        n_tr = _int(self.model_doc, "n_transverse", 33)
+        n_leaf = INT.read(self.model_doc, "n_leaf", 257)
+        n_tr = INT.read(self.model_doc, "n_transverse", 33)
         if n_leaf < min_leaf or n_tr < min_transverse:
             raise ScenarioError(f"needs n_leaf >= {min_leaf} and n_transverse >= "
                                 f"{min_transverse}, got {n_leaf} and {n_tr}")
@@ -208,10 +248,9 @@ class ScenarioContext:
         once per expression; a seed that misses an orbit raises SaturationError.
         """
         model = self.proper_model()
-        seed = compile_field(expr, model.grid.ndim)  # a non-string seed fails here, not as a key
         memo = ("cutoff", expr)
         if memo not in self._cache:
-            phi = seed(*model.grid.meshgrid())
+            phi = compile_field(expr, model.grid.ndim)(*model.grid.meshgrid())
             if np.any(phi < 0):
                 raise ScenarioError(f"cut-off seed {key!r} must be nonnegative, "
                                     f"got {expr!r}")
@@ -247,98 +286,100 @@ class ScenarioContext:
         return self._cache[key]
 
 
+# ---------------------------------------------------------------------------
+# the catalog
+
 @dataclass(frozen=True)
 class CheckDef:
+    """A catalog entry; ``params`` maps each key to ``(kind, default)``."""
     name: str
     engine: str
-    runner: object
+    runner: Callable
     default_tol: float
-    params_doc: str
+    exact: bool
+    params: dict
+
+    def read_params(self, params) -> dict:
+        """The values of every declared parameter, read from a scenario entry."""
+        if not isinstance(params, dict):
+            raise ScenarioError(f"params must be an object, got {params!r}")
+        for key in params:
+            if key not in self.params:
+                raise ScenarioError(f"unknown parameter {key!r}; declared: "
+                                    f"{', '.join(self.params) or 'none'}")
+        return {key: kind.read(params, key, default)
+                for key, (kind, default) in self.params.items()}
+
+    def rows(self, scenario: str, result, tol: float) -> list[CheckRow]:
+        labelled = result if isinstance(result, dict) else {self.name: result}
+        return [CheckRow(scenario, label, float(lhs), float(rhs), tol, self.exact)
+                for label, (lhs, rhs) in labelled.items()]
 
 
 REGISTRY: dict[str, CheckDef] = {}
 
 
-def register(name: str, engine: str, default_tol: float, params_doc: str = ""):
+def register(name: str, engine: str, default_tol: float, exact: bool | None = None,
+             **params):
     def wrap(fn):
-        REGISTRY[name] = CheckDef(name, engine, fn, default_tol, params_doc)
+        REGISTRY[name] = CheckDef(name, engine, fn, default_tol,
+                                  engine == "finite" if exact is None else exact, params)
         return fn
     return wrap
-
-
-def _row(ctx, check, lhs, rhs, tol, exact=False, label=None):
-    return CheckRow(ctx.name, label or check, float(lhs), float(rhs), tol, exact)
 
 
 # ---------------------------------------------------------------------------
 # finite engine checks (all exact: tolerance 0)
 
 @register("axioms_valid", "finite", 0.0)
-def _axioms_valid(ctx, params, tol):
-    problems = finite.validate(ctx.groupoid())
-    return [_row(ctx, "axioms_valid", len(problems), 0, tol, exact=True)]
+def _axioms_valid(ctx, tol):
+    return len(finite.validate(ctx.groupoid())), 0
 
 
 @register("coinvariants_dimension", "finite", 0.0)
-def _coinv_dim(ctx, params, tol):
+def _coinv_dim(ctx, tol):
     g = ctx.groupoid()
-    dim, _ = finite.coinvariants(g)
-    return [_row(ctx, "coinvariants_dimension", dim, len(finite.orbits(g)), tol,
-                 exact=True)]
+    return finite.coinvariants(g)[0], len(finite.orbits(g))
 
 
 @register("cone_dimension", "finite", 0.0)
-def _cone_dim(ctx, params, tol):
+def _cone_dim(ctx, tol):
     g = ctx.groupoid()
-    basis = finite.transverse_measure_cone(g)
-    return [_row(ctx, "cone_dimension", len(basis), len(finite.orbits(g)), tol,
-                 exact=True)]
+    return len(finite.transverse_measure_cone(g)), len(finite.orbits(g))
 
 
 @register("betti_zero", "finite", 0.0)
-def _betti_zero(ctx, params, tol):
-    g = ctx.groupoid()
-    rep = ctx.homology(0)
-    return [_row(ctx, "betti_zero", rep.degrees[0].betti, len(finite.orbits(g)),
-                 tol, exact=True)]
+def _betti_zero(ctx, tol):
+    return ctx.homology(0).degrees[0].betti, len(finite.orbits(ctx.groupoid()))
 
 
-@register("homology_betti", "finite", 0.0, "kmax, expected: list of Betti numbers")
-def _homology(ctx, params, tol):
-    kmax = _int(params, "kmax", 2)
-    expected = params.get("expected")
-    if expected is not None:
-        if not isinstance(expected, list):
-            raise ScenarioError(f"expected must be a list of Betti numbers, "
-                                f"got {expected!r}")
-        expected = [as_int(b, "expected Betti number", ScenarioError) for b in expected]
-        if len(expected) < kmax + 1:
-            raise ScenarioError(f"expected lists {len(expected)} Betti numbers, "
-                                f"kmax {kmax} needs {kmax + 1}")
+@register("homology_betti", "finite", 0.0, kmax=(integer(0), 2),
+          expected=(listed(INT, "Betti numbers"), None))
+def _homology(ctx, tol, kmax, expected):
+    if expected is not None and len(expected) < kmax + 1:
+        raise ScenarioError(f"expected lists {len(expected)} Betti numbers, "
+                            f"kmax {kmax} needs {kmax + 1}")
     rep = ctx.homology(kmax)
     if expected is None:
         expected = [len(finite.orbits(ctx.groupoid()))] + [0] * kmax
-    return [_row(ctx, "homology_betti", d.betti, expected[d.degree], tol,
-                 exact=True, label=f"homology_betti[{d.degree}]")
-            for d in rep.degrees]
+    return {f"homology_betti[{d.degree}]": (d.betti, expected[d.degree])
+            for d in rep.degrees}
 
 
-@register("boundary_squares", "finite", 0.0, "kmax")
-def _boundary_squares(ctx, params, tol):
+@register("boundary_squares", "finite", 0.0, kmax=(integer(2), 3))
+def _boundary_squares(ctx, tol, kmax):
     g = ctx.groupoid()
-    kmax = _int(params, "kmax", 3)
-    rows = []
+    rows = {}
     for k in range(2, kmax + 1):
         prod = finite.linalg_q.matmul(finite.boundary_matrix(g, k - 1),
                                       finite.boundary_matrix(g, k))
         worst = max((abs(v) for row in prod for v in row), default=Fraction(0))
-        rows.append(_row(ctx, "boundary_squares", worst, 0, tol, exact=True,
-                         label=f"boundary_squares[{k}]"))
+        rows[f"boundary_squares[{k}]"] = (worst, 0)
     return rows
 
 
-@register("trace_matches_orbit_constancy", "finite", 0.0, "samples")
-def _trace_equiv(ctx, params, tol):
+@register("trace_matches_orbit_constancy", "finite", 0.0, samples=(COUNT, 6))
+def _trace_equiv(ctx, tol, samples):
     g = ctx.groupoid()
     rng = ctx.rng(1)
     weights = [[Fraction(1)] * g.n_objects]
@@ -347,36 +388,30 @@ def _trace_equiv(ctx, params, tol):
         for x in orb:
             vec[x] = Fraction(2)
         weights.append(vec)
-    for _ in range(_int(params, "samples", 6)):
+    for _ in range(samples):
         weights.append([Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
                         for _ in range(g.n_objects)])
-    disagreements = sum(
-        finite.is_trace(g, w)[0] != finite.is_orbit_constant(g, w) for w in weights)
-    return [_row(ctx, "trace_matches_orbit_constancy", disagreements, 0, tol,
-                 exact=True)]
+    return sum(finite.is_trace(g, w)[0] != finite.is_orbit_constant(g, w)
+               for w in weights), 0
 
 
-@register("morita_restriction", "finite", 0.0, "subset: object list, kmax")
-def _morita(ctx, params, tol):
+@register("morita_restriction", "finite", 0.0,
+          subset=(listed(INT, "objects"), None), kmax=(integer(0), 2))
+def _morita(ctx, tol, subset, kmax):
     g = ctx.groupoid()
-    kmax = _int(params, "kmax", 2)
-    subset = params.get("subset")
     if subset is None:
         subset = [orb[0] for orb in finite.orbits(g)]
-    subset = [as_int(x, "subset entry", ScenarioError) for x in subset]
     try:
-        sub = finite.restrict_full_subgroupoid(g, subset)
+        sub = finite.restrict_full_subgroupoid(g, list(subset))
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     full = ctx.homology(kmax).betti()
     restricted = finite.homology(sub, kmax).betti()
-    return [_row(ctx, "morita_restriction", restricted[k], full[k], tol,
-                 exact=True, label=f"morita_restriction[{k}]")
-            for k in range(kmax + 1)]
+    return {f"morita_restriction[{k}]": (restricted[k], full[k]) for k in range(kmax + 1)}
 
 
 @register("convolution_associative", "finite", 0.0)
-def _assoc(ctx, params, tol):
+def _assoc(ctx, tol):
     g = ctx.groupoid()
     zero, one = Fraction(0), Fraction(1)
     deltas = [[one if b == a else zero for b in g.arrows()] for a in g.arrows()]
@@ -389,91 +424,76 @@ def _assoc(ctx, params, tol):
             for c, dc in enumerate(deltas):
                 if finite.convolve(g, pairs[a][b], dc) != finite.convolve(g, da, pairs[b][c]):
                     violations += 1
-    return [_row(ctx, "convolution_associative", violations, 0, tol, exact=True)]
+    return violations, 0
 
 
-@register("average_orbit_constant", "finite", 0.0, "samples")
-def _avg_const(ctx, params, tol):
+@register("average_orbit_constant", "finite", 0.0, samples=(COUNT, 5))
+def _avg_const(ctx, tol, samples):
     g = ctx.groupoid()
     haar = finite.counting_haar(g)
     rng = ctx.rng(2)
     violations = 0
-    for _ in range(_int(params, "samples", 5)):
+    for _ in range(samples):
         f = [Fraction(int(rng.integers(-5, 6)), 2) for _ in range(g.n_objects)]
         av = finite.average_function(g, haar, f)
         violations += sum(av[g.src[a]] != av[g.tgt[a]] for a in g.arrows())
-    return [_row(ctx, "average_orbit_constant", violations, 0, tol, exact=True)]
+    return violations, 0
 
 
 # ---------------------------------------------------------------------------
 # smooth engine checks
 
 @register("model_axioms", "smooth", 1e-9)
-def _model_axioms(ctx, params, tol):
-    defect = ctx.model().check_axioms(ctx.rng(3), tol=max(tol, 1e-30))
-    return [_row(ctx, "model_axioms", defect, 0.0, tol)]
+def _model_axioms(ctx, tol):
+    return ctx.model().check_axioms(ctx.rng(3), tol=max(tol, 1e-30)), 0.0
 
 
-@register("invariance_defect", "smooth", 1e-6, "count")
-def _inv_defect(ctx, params, tol):
-    invariance, _ = ctx.defects(None, _int(params, "count", DEFAULT_TEST_COUNT))
-    return [_row(ctx, "invariance_defect", invariance, 0.0, tol)]
+@register("invariance_defect", "smooth", 1e-6, count=(COUNT, DEFAULT_TEST_COUNT))
+def _inv_defect(ctx, tol, count):
+    return ctx.defects(None, count)[0], 0.0
 
 
-@register("inversion_defect", "smooth", 1e-6, "count")
-def _invsn_defect(ctx, params, tol):
-    _, inversion = ctx.defects(None, _int(params, "count", DEFAULT_TEST_COUNT))
-    return [_row(ctx, "inversion_defect", inversion, 0.0, tol)]
+@register("inversion_defect", "smooth", 1e-6, count=(COUNT, DEFAULT_TEST_COUNT))
+def _invsn_defect(ctx, tol, count):
+    return ctx.defects(None, count)[1], 0.0
 
 
-def _witness_shortfall(defect: float, floor: float) -> float:
-    return max(0.0, floor - defect)
+_CONSTANT_SEED = "1.0 + 0*c0"
+_WITNESS = {"tau": (FIELD, REQUIRED), "rho": (FIELD, _CONSTANT_SEED),
+            "min_defect": (NUMBER, 1e-3)}
 
 
-def _witness_defects(ctx, params) -> tuple[float, float]:
-    return ctx.defects({"rho": params.get("rho", "1.0 + 0*c0"),
-                        "tau": _required(params, "tau")})
+@register("invariance_witness", "smooth", 0.0, **_WITNESS)
+def _inv_witness(ctx, tol, tau, rho, min_defect):
+    invariance, _ = ctx.defects({"rho": rho, "tau": tau})
+    return max(0.0, min_defect - invariance), 0.0
 
 
-@register("invariance_witness", "smooth", 0.0, "tau: expression, min_defect")
-def _inv_witness(ctx, params, tol):
-    invariance, _ = _witness_defects(ctx, params)
-    floor = float(params.get("min_defect", 1e-3))
-    return [_row(ctx, "invariance_witness", _witness_shortfall(invariance, floor),
-                 0.0, tol)]
+@register("inversion_witness", "smooth", 0.0, **_WITNESS)
+def _invsn_witness(ctx, tol, tau, rho, min_defect):
+    _, inversion = ctx.defects({"rho": rho, "tau": tau})
+    return max(0.0, min_defect - inversion), 0.0
 
 
-@register("inversion_witness", "smooth", 0.0, "tau: expression, min_defect")
-def _invsn_witness(ctx, params, tol):
-    _, inversion = _witness_defects(ctx, params)
-    floor = float(params.get("min_defect", 1e-3))
-    return [_row(ctx, "inversion_witness", _witness_shortfall(inversion, floor),
-                 0.0, tol)]
-
-
-@register("averaging_annihilates", "smooth", 1e-6, "count")
-def _avg_annihilates(ctx, params, tol):
+@register("averaging_annihilates", "smooth", 1e-6, count=(COUNT, 20))
+def _avg_annihilates(ctx, tol, count):
     model, sigma = ctx.proper_model(), ctx.sigma()
     rng = ctx.rng(5)
     worst = 0.0
-    for _ in range(_int(params, "count", 20)):
+    for _ in range(count):
         u = ArrowFunction.random(model, rng)
         diff = s_fiber_integrate(model, sigma.rho_values, u) \
             - t_fiber_integrate(model, sigma.rho_values, u)
         res = averaging(model, sigma.rho_values, diff)
         worst = max(worst, float(np.max(np.abs(res.values))))
-    return [_row(ctx, "averaging_annihilates", worst, 0.0, tol)]
+    return worst, 0.0
 
 
 @register("averaging_orbit_constant", "smooth", 1e-6)
-def _avg_orbit_const(ctx, params, tol):
+def _avg_orbit_const(ctx, tol):
     model, sigma = ctx.proper_model(), ctx.sigma()
     section = ArrowFunction.random(model, ctx.rng(6)).slice(0)
-    res = averaging(model, sigma.rho_values, section, tol=tol)
-    return [_row(ctx, "averaging_orbit_constant", res.constancy_defect, 0.0, tol)]
-
-
-_CONSTANT_SEED = "1.0 + 0*c0"
+    return averaging(model, sigma.rho_values, section, tol=tol).constancy_defect, 0.0
 
 
 def _cutoff(ctx, expr: str, key: str) -> np.ndarray:
@@ -485,117 +505,99 @@ def _cutoff(ctx, expr: str, key: str) -> np.ndarray:
         raise ScenarioError(f"cut-off seed {key!r}: {exc}") from exc
 
 
-@register("cutoff_normalization", "smooth", 1e-9, "phi: seed expression")
-def _cutoff_norm(ctx, params, tol):
+@register("cutoff_normalization", "smooth", 1e-9, phi=(FIELD, _CONSTANT_SEED))
+def _cutoff_norm(ctx, tol, phi):
     model, sigma = ctx.proper_model(), ctx.sigma()
-    c = _cutoff(ctx, params.get("phi", _CONSTANT_SEED), "phi")
-    return [_row(ctx, "cutoff_normalization",
-                 cutoff_normalization_defect(model, sigma.rho_values, c), 0.0, tol)]
+    return cutoff_normalization_defect(model, sigma.rho_values,
+                                       _cutoff(ctx, phi, "phi")), 0.0
 
 
-@register("weyl", "smooth", 1e-6, "f: expression, phi: seed expression")
-def _weyl(ctx, params, tol):
+@register("weyl", "smooth", 1e-6, f=(FIELD, REQUIRED), phi=(FIELD, _CONSTANT_SEED))
+def _weyl(ctx, tol, f, phi):
     model, sigma = ctx.proper_model(), ctx.sigma()
-    mesh = model.grid.meshgrid()
-    f = compile_field(_required(params, "f"), model.grid.ndim)(*mesh)
-    res = weyl_check(model, sigma, f,
-                     cutoff=_cutoff(ctx, params.get("phi", _CONSTANT_SEED), "phi"))
-    return [_row(ctx, "weyl", res.lhs, res.rhs, tol)]
+    values = compile_field(f, model.grid.ndim)(*model.grid.meshgrid())
+    res = weyl_check(model, sigma, values, cutoff=_cutoff(ctx, phi, "phi"))
+    return res.lhs, res.rhs
 
 
-@register("weyl_seed_independence", "smooth", 2e-6, "f, phi1, phi2")
-def _weyl_seeds(ctx, params, tol):
+@register("weyl_seed_independence", "smooth", 2e-6, f=(FIELD, REQUIRED),
+          phi1=(FIELD, REQUIRED), phi2=(FIELD, REQUIRED))
+def _weyl_seeds(ctx, tol, f, phi1, phi2):
     model, sigma = ctx.proper_model(), ctx.sigma()
-    mesh = model.grid.meshgrid()
-    ndim = model.grid.ndim
-    f = compile_field(_required(params, "f"), ndim)(*mesh)
-    c1, c2 = (_cutoff(ctx, _required(params, key), key) for key in ("phi1", "phi2"))
-    rhs1 = weyl_check(model, sigma, f, cutoff=c1).rhs
-    rhs2 = weyl_check(model, sigma, f, cutoff=c2).rhs
-    return [_row(ctx, "weyl_seed_independence", rhs1, rhs2, tol)]
+    values = compile_field(f, model.grid.ndim)(*model.grid.meshgrid())
+    c1, c2 = _cutoff(ctx, phi1, "phi1"), _cutoff(ctx, phi2, "phi2")
+    return (weyl_check(model, sigma, values, cutoff=c1).rhs,
+            weyl_check(model, sigma, values, cutoff=c2).rhs)
 
 
-@register("weinstein_two_ways", "smooth", 1e-6, "phi: seed expression")
-def _weinstein(ctx, params, tol):
+@register("weinstein_two_ways", "smooth", 1e-6, phi=(FIELD, _CONSTANT_SEED))
+def _weinstein(ctx, tol, phi):
+    res = weinstein_volume(ctx.proper_model(), ctx.sigma(),
+                           cutoff=_cutoff(ctx, phi, "phi"))
+    return res.lhs, res.rhs
+
+
+@register("weinstein_expected", "smooth", 1e-9, expected=(SCALAR, REQUIRED))
+def _weinstein_expected(ctx, tol, expected):
+    res = weinstein_volume(ctx.proper_model(), ctx.sigma(),
+                           cutoff=_cutoff(ctx, _CONSTANT_SEED, "phi"))
+    return res.lhs, expected
+
+
+_NODE = (listed(INT, "grid indices"), None)
+@register("orbit_density_mass", "smooth", 1e-9, node=_NODE, expected=(NUMBER, 1.0))
+def _orbit_mass(ctx, tol, node, expected):
     model, sigma = ctx.proper_model(), ctx.sigma()
-    res = weinstein_volume(model, sigma,
-                           cutoff=_cutoff(ctx, params.get("phi", _CONSTANT_SEED), "phi"))
-    return [_row(ctx, "weinstein_two_ways", res.lhs, res.rhs, tol)]
+    measure = orbit_density(model, sigma.rho_values, node or (0,) * model.grid.ndim)
+    return measure.total(), expected
 
 
-@register("weinstein_expected", "smooth", 1e-9, "expected: scalar expression")
-def _weinstein_expected(ctx, params, tol):
+@register("orbit_density_basepoint", "smooth", 1e-9, node=_NODE)
+def _orbit_basepoint(ctx, tol, node):
     model, sigma = ctx.proper_model(), ctx.sigma()
-    res = weinstein_volume(model, sigma, cutoff=_cutoff(ctx, _CONSTANT_SEED, "phi"))
-    return [_row(ctx, "weinstein_expected", res.lhs,
-                 evaluate_scalar(_required(params, "expected")), tol)]
-
-
-def _node(params, model) -> tuple[int, ...]:
-    return tuple(as_int(i, "node entry", ScenarioError)
-                 for i in params.get("node", (0,) * model.grid.ndim))
-
-
-@register("orbit_density_mass", "smooth", 1e-9, "node: multi-index, expected")
-def _orbit_mass(ctx, params, tol):
-    model, sigma = ctx.proper_model(), ctx.sigma()
-    node = _node(params, model)
-    measure = orbit_density(model, sigma.rho_values, node)
-    return [_row(ctx, "orbit_density_mass", measure.total(),
-                 float(params.get("expected", 1.0)), tol)]
-
-
-@register("orbit_density_basepoint", "smooth", 1e-9, "node")
-def _orbit_basepoint(ctx, params, tol):
-    model, sigma = ctx.proper_model(), ctx.sigma()
-    node = _node(params, model)
-    first = orbit_density(model, sigma.rho_values, node)
-    other_flat = max(first.masses)
-    other = np.unravel_index(other_flat, model.grid.shape)
+    first = orbit_density(model, sigma.rho_values, node or (0,) * model.grid.ndim)
+    other = np.unravel_index(max(first.masses), model.grid.shape)
     second = orbit_density(model, sigma.rho_values, tuple(int(i) for i in other))
-    return [_row(ctx, "orbit_density_basepoint", first.distance(second), 0.0, tol)]
+    return first.distance(second), 0.0
 
 
-@register("cocycle_additivity", "smooth", 1e-9, "samples")
-def _cocycle_add(ctx, params, tol):
-    model, sigma = ctx.model(), ctx.sigma()
-    defect = cocycle_additivity_defect(model, sigma, ctx.rng(7),
-                                       samples=_int(params, "samples", 100))
-    return [_row(ctx, "cocycle_additivity", defect, 0.0, tol)]
+@register("cocycle_additivity", "smooth", 1e-9, samples=(COUNT, 100))
+def _cocycle_add(ctx, tol, samples):
+    return cocycle_additivity_defect(ctx.model(), ctx.sigma(), ctx.rng(7),
+                                     samples=samples), 0.0
 
 
-@register("cocycle_vanishes", "smooth", 1e-12, "samples")
-def _cocycle_zero(ctx, params, tol):
+@register("cocycle_vanishes", "smooth", 1e-12, samples=(COUNT, 50))
+def _cocycle_zero(ctx, tol, samples):
     model, sigma = ctx.model(), ctx.sigma()
     rng = ctx.rng(8)
-    mesh = model.grid.meshgrid()
-    flat = [m.ravel() for m in mesh]
+    flat = [m.ravel() for m in model.grid.meshgrid()]
     worst = 0.0
-    for _ in range(_int(params, "samples", 50)):
+    for _ in range(samples):
         j = int(rng.integers(model.group_size))
         p = int(rng.integers(len(flat[0])))
         x = tuple(c[p] for c in flat)
         worst = max(worst, abs(modular_cocycle(model, sigma, j, x)))
-    return [_row(ctx, "cocycle_vanishes", worst, 0.0, tol)]
+    return worst, 0.0
 
 
-@register("cocycle_expected", "smooth", 1e-9, "element, point, expected")
-def _cocycle_expected(ctx, params, tol):
-    model, sigma = ctx.model(), ctx.sigma()
-    j = _int(params, "element")
-    x = tuple(float(v) for v in params.get("point", (1.0,)))
-    return [_row(ctx, "cocycle_expected", modular_cocycle(model, sigma, j, x),
-                 evaluate_scalar(_required(params, "expected")), tol)]
+@register("cocycle_expected", "smooth", 1e-9, element=(INT, REQUIRED),
+          point=(listed(NUMBER, "coordinates"), (1.0,)), expected=(SCALAR, REQUIRED))
+def _cocycle_expected(ctx, tol, element, point, expected):
+    return modular_cocycle(ctx.model(), ctx.sigma(), element, point), expected
 
 
-@register("cutoff_saturation_error", "smooth", 0.0, "phi: off-orbit seed expression")
-def _cutoff_saturation(ctx, params, tol):
+@register("cutoff_saturation_error", "smooth", 0.0, exact=True, phi=(FIELD, REQUIRED))
+def _cutoff_saturation(ctx, tol, phi):
     try:
-        ctx.cutoff(_required(params, "phi"), "phi")
-        raised = 0
+        ctx.cutoff(phi, "phi")
     except SaturationError:
-        raised = 1
-    return [_row(ctx, "cutoff_saturation_error", raised, 1, tol, exact=True)]
+        return 1, 1
+    return 0, 1
+
+
+_TRANSVERSE = (FIELD, "1.0 + 0.5*sin(2*pi*y)")
+_LEAF_FORM = (FIELD, "x*(1-x)**2 * exp(-3*y)")
 
 
 def _transverse_profile(fol, expr: str):
@@ -603,148 +605,130 @@ def _transverse_profile(fol, expr: str):
     return compile_field(expr, 2)(np.zeros_like(nodes), nodes)
 
 
-def _foliation_data(ctx, params):
+def _foliation_data(ctx, omega: str, transverse: str):
     fol = ctx.foliation()
-    mesh = fol.grid.meshgrid()
-    omega = compile_field(params.get("omega", "x*(1-x)**2 * exp(-3*y)"), 2)(*mesh)
-    weights = _transverse_profile(fol, params.get("transverse",
-                                                  "1.0 + 0.5*sin(2*pi*y)"))
-    return fol, weights, omega
+    omega_values = compile_field(omega, 2)(*fol.grid.meshgrid())
+    return fol, _transverse_profile(fol, transverse), omega_values
 
 
-@register("stokes_closed", "smooth", 1e-4, "omega, transverse")
-def _stokes(ctx, params, tol):
-    fol, weights, omega = _foliation_data(ctx, params)
-    return [_row(ctx, "stokes_closed", stokes_defect(fol, weights, omega), 0.0, tol)]
+@register("stokes_closed", "smooth", 1e-4, omega=_LEAF_FORM, transverse=_TRANSVERSE)
+def _stokes(ctx, tol, omega, transverse):
+    return stokes_defect(*_foliation_data(ctx, omega, transverse)), 0.0
 
 
-@register("stokes_order", "smooth", 0.0, "omega, transverse, min_order")
-def _stokes_order(ctx, params, tol):
-    ctx.foliation(min_leaf=5)  # the half-resolution level keeps 3 leaf nodes
-    doc = dict(ctx.model_doc)
-    n = _int(doc, "n_leaf", 257) - 1
+@register("stokes_order", "smooth", 0.0, omega=_LEAF_FORM, transverse=_TRANSVERSE,
+          min_order=(NUMBER, 1.8))
+def _stokes_order(ctx, tol, omega, transverse, min_order):
+    # the half-resolution level keeps 3 leaf nodes
+    n = ctx.foliation(min_leaf=5).grid.shape[0] - 1
     defects = []
     for resolution in (n // 2, n):
         sub = ScenarioContext(ctx.name, ctx.engine,
-                              dict(doc, n_leaf=resolution + 1), ctx.seed)
-        fol, weights, omega = _foliation_data(sub, params)
-        defects.append(stokes_defect(fol, weights, omega))
+                              dict(ctx.model_doc, n_leaf=resolution + 1), ctx.seed)
+        defects.append(stokes_defect(*_foliation_data(sub, omega, transverse)))
     # a zero fine defect means the scheme is exact for this omega
     order = float(np.log2(defects[0] / defects[1])) if defects[1] else np.inf
-    shortfall = _witness_shortfall(order, float(params.get("min_order", 1.8)))
-    return [_row(ctx, "stokes_order", shortfall, 0.0, tol)]
+    return max(0.0, min_order - order), 0.0
 
 
-@register("ruelle_sullivan_closed", "smooth", 1e-4, "beta, transverse")
-def _rs_closed(ctx, params, tol):
+@register("ruelle_sullivan_closed", "smooth", 1e-4, beta=_LEAF_FORM,
+          transverse=_TRANSVERSE)
+def _rs_closed(ctx, tol, beta, transverse):
     fol = ctx.foliation(min_transverse=3)
-    mesh = fol.grid.meshgrid()
-    beta = compile_field(params.get("beta", "x*(1-x)**2 * exp(-3*y)"), 2)(*mesh)
-    weights = _transverse_profile(fol, params.get("transverse",
-                                                  "1.0 + 0.5*sin(2*pi*y)"))
-    value = ruelle_sullivan_evaluate(fol, weights, exterior_derivative(fol, beta))
-    return [_row(ctx, "ruelle_sullivan_closed", abs(value), 0.0, tol)]
+    beta_values = compile_field(beta, 2)(*fol.grid.meshgrid())
+    value = ruelle_sullivan_evaluate(fol, _transverse_profile(fol, transverse),
+                                     exterior_derivative(fol, beta_values))
+    return abs(value), 0.0
 
 
-@register("ruelle_sullivan_pairing", "smooth", 1e-6, "transverse")
-def _rs_pairing(ctx, params, tol):
+@register("ruelle_sullivan_pairing", "smooth", 1e-6, transverse=_TRANSVERSE)
+def _rs_pairing(ctx, tol, transverse):
     fol = ctx.foliation()
-    weights = _transverse_profile(fol, params.get("transverse",
-                                                  "1.0 + 0.5*sin(2*pi*y)"))
+    weights = _transverse_profile(fol, transverse)
     shape = fol.grid.shape
-    alpha = OneForm(np.ones(shape), np.zeros(shape))
-    value = ruelle_sullivan_evaluate(fol, weights, alpha)
+    value = ruelle_sullivan_evaluate(fol, weights,
+                                     OneForm(np.ones(shape), np.zeros(shape)))
     leaf_len = fol.grid.axes[0].length
-    expected = leaf_len * float((weights * fol.grid.axes[1].weights()).sum())
-    return [_row(ctx, "ruelle_sullivan_pairing", value, expected, tol)]
+    return value, leaf_len * float((weights * fol.grid.axes[1].weights()).sum())
 
 
 def _submersion(ctx) -> SubmersionGroupoidModel:
-    doc = ctx.model_doc
-    grid = Grid([Axis(_int(doc, "n_base", 9), -2.0, 2.0),
-                 Axis(_int(doc, "n_fiber", 8193), -4.0, 4.0)])
+    grid = Grid([Axis(INT.read(ctx.model_doc, "n_base", 9), -2.0, 2.0),
+                 Axis(INT.read(ctx.model_doc, "n_fiber", 8193), -4.0, 4.0)])
     return SubmersionGroupoidModel(grid, fiber_axes=[1])
 
 
 @register("exactness_reconstruction", "smooth", 1e-6)
-def _exactness(ctx, params, tol):
+def _exactness(ctx, tol):
     model = _submersion(ctx)
     X, Y = model.total.meshgrid()
     bump = np.exp(-(X ** 2 + Y ** 2))
     report = exactness_probe(model, -2.0 * Y * bump)
     err = float(np.max(np.abs(report.antiderivative - bump)))
-    return [_row(ctx, "exactness_reconstruction", err, 0.0, tol),
-            _row(ctx, "exactness_reconstruction", report.tail_magnitude, 0.0, tol,
-                 label="exactness_tail")]
+    return {"exactness_reconstruction": (err, 0.0),
+            "exactness_tail": (report.tail_magnitude, 0.0)}
 
 
-@register("exactness_obstruction", "smooth", 0.0)
-def _obstruction(ctx, params, tol):
+@register("exactness_obstruction", "smooth", 0.0, exact=True)
+def _obstruction(ctx, tol):
     model = _submersion(ctx)
     X, Y = model.total.meshgrid()
     try:
         exactness_probe(model, np.exp(-(X ** 2 + Y ** 2)))
-        raised = 0
     except FiberObstructionError:
-        raised = 1
-    return [_row(ctx, "exactness_obstruction", raised, 1, tol, exact=True)]
+        return 1, 1
+    return 0, 1
 
 
 # ---------------------------------------------------------------------------
 # symplectic checks
 
-@register("liouville_total", "symplectic", 1e-6, "expected: scalar expression")
-def _liouville(ctx, params, tol):
-    total = integrate(liouville_density(ctx.surface()))
-    return [_row(ctx, "liouville_total", total,
-                 evaluate_scalar(_required(params, "expected")), tol)]
+@register("liouville_total", "symplectic", 1e-6, expected=(SCALAR, REQUIRED))
+def _liouville(ctx, tol, expected):
+    return integrate(liouville_density(ctx.surface())), expected
 
 
 @register("dh_two_ways", "symplectic", 1e-5)
-def _dh_two(ctx, params, tol):
+def _dh_two(ctx, tol):
     res = dh_total_mass_two_ways(ctx.surface())
-    return [_row(ctx, "dh_two_ways", res.lhs, res.rhs, tol)]
+    return res.lhs, res.rhs
 
 
-@register("dh_expected", "symplectic", 1e-5, "expected: scalar expression")
-def _dh_expected(ctx, params, tol):
-    res = dh_total_mass_two_ways(ctx.surface())
-    return [_row(ctx, "dh_expected", res.lhs,
-                 evaluate_scalar(_required(params, "expected")), tol)]
+@register("dh_expected", "symplectic", 1e-5, expected=(SCALAR, REQUIRED))
+def _dh_expected(ctx, tol, expected):
+    return dh_total_mass_two_ways(ctx.surface()).lhs, expected
 
 
-@register("affine_total", "symplectic", 1e-6, "expected: scalar expression")
-def _affine_total(ctx, params, tol):
+@register("affine_total", "symplectic", 1e-6, expected=(SCALAR, REQUIRED))
+def _affine_total(ctx, tol, expected):
     try:
         mu = affine_measure(ctx.leaf_family())
     except SymplecticModelError as exc:
         raise ScenarioError(str(exc)) from exc
-    return [_row(ctx, "affine_total", mu.total_mass(),
-                 evaluate_scalar(_required(params, "expected")), tol)]
+    return mu.total_mass(), expected
 
 
-@register("dh_weyl", "symplectic", 1e-6, "f: leaf expression in t")
-def _dh_weyl(ctx, params, tol):
+@register("dh_weyl", "symplectic", 1e-6, f=(FIELD, "1.0 + 0*t"))
+def _dh_weyl(ctx, tol, f):
     family = ctx.leaf_family()
-    profile = compile_field(params.get("f", "1.0 + 0*t"), 1)(family.base.nodes(0))
-
+    profile = compile_field(f, 1)(family.base.nodes(0))
     res = dh_weyl_check(family,
                         lambda i: np.full(family.leaf.grid.shape, profile[i]))
-    return [_row(ctx, "dh_weyl", res.lhs, res.rhs, tol)]
+    return res.lhs, res.rhs
 
 
 @register("affine_volume_two_ways", "symplectic", 1e-6)
-def _affine_vol(ctx, params, tol):
+def _affine_vol(ctx, tol):
     res = affine_volume(ctx.leaf_family())
-    return [_row(ctx, "affine_volume_two_ways", res.lhs, res.rhs, tol)]
+    return res.lhs, res.rhs
 
 
 @register("iota_scaling", "symplectic", 1e-9)
-def _iota_scaling(ctx, params, tol):
-    base = affine_volume(ctx.leaf_family()).lhs
-    doubled = affine_volume(ctx.leaf_family(
-        iota=2 * _int(ctx.model_doc, "iota", 1))).lhs
-    return [_row(ctx, "iota_scaling", doubled / base, 0.5, tol)]
+def _iota_scaling(ctx, tol):
+    family = ctx.leaf_family()
+    base = affine_volume(family).lhs
+    doubled = affine_volume(ctx.leaf_family(iota=2 * family.iota)).lhs
+    return doubled / base, 0.5
 
 
 def catalog() -> list[CheckDef]:

@@ -1,7 +1,7 @@
 """Command-line front end: run scenario files, list the check catalog.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 input error
-(malformed JSON, unknown checks, missing files).
+(malformed JSON, unknown checks, bad check parameters, missing files).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
-from .checks import REGISTRY, ScenarioContext, ScenarioError, catalog
+from .checks import REGISTRY, REQUIRED, ScenarioContext, ScenarioError, catalog
 from .expressions import ExpressionError
 from .reports import CheckRow, Report
 
@@ -54,15 +54,14 @@ def _parse_tol_overrides(pairs: list[str]) -> dict[str, float]:
 
 def run_scenario(doc: dict, tol_overrides: dict[str, float] | None = None,
                  seed_override: int | None = None) -> list[CheckRow]:
+    """Every check entry is read before the first check runs."""
     tol_overrides = tol_overrides or {}
     engine = doc["engine"]
     if engine not in {"finite", "smooth", "symplectic"}:
         raise InputError(f"unknown engine {engine!r}")
     seed = int(doc.get("seed", 0)) if seed_override is None else seed_override
-    ctx = ScenarioContext(doc["name"], engine, doc["model"], seed)
     scenario_tols = doc.get("tolerances", {})
-
-    rows: list[CheckRow] = []
+    plan = []
     for entry in doc["checks"]:
         name = entry.get("name")
         if name not in REGISTRY:
@@ -79,9 +78,17 @@ def run_scenario(doc: dict, tol_overrides: dict[str, float] | None = None,
         except (TypeError, ValueError) as exc:
             raise InputError(f"check {name!r}: tolerance {tol!r} is not a number") from exc
         try:
-            rows.extend(check.runner(ctx, entry.get("params", {}), tol))
+            plan.append((check, tol, check.read_params(entry.get("params", {}))))
         except (ScenarioError, ExpressionError) as exc:
             raise InputError(f"check {name!r}: {exc}") from exc
+
+    ctx = ScenarioContext(doc["name"], engine, doc["model"], seed)
+    rows: list[CheckRow] = []
+    for check, tol, values in plan:
+        try:
+            rows.extend(check.rows(ctx.name, check.runner(ctx, tol, **values), tol))
+        except (ScenarioError, ExpressionError) as exc:
+            raise InputError(f"check {check.name!r}: {exc}") from exc
     return rows
 
 
@@ -135,13 +142,21 @@ def cmd_run(args) -> int:
     return 0 if report.passed() else 1
 
 
+def _param_table(check) -> str:
+    """``name: kind = default`` for each declared parameter of a check."""
+    return ", ".join(
+        f"{key}: {kind.label} = "
+        + ("required" if default is REQUIRED else "auto" if default is None
+           else json.dumps(default))
+        for key, (kind, default) in check.params.items()) or "-"
+
+
 def cmd_list_checks(args) -> int:
     for check in catalog():
         if args.engine and check.engine != args.engine:
             continue
-        params = check.params_doc or "-"
         print(f"{check.name:32s} {check.engine:10s} tol={check.default_tol:<8g} "
-              f"params: {params}")
+              f"params: {_param_table(check)}")
     return 0
 
 
