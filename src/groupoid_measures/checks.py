@@ -117,7 +117,8 @@ def listed(item: Kind, what: str) -> Kind:
     return Kind(f"list of {what}", convert)
 
 
-INT, COUNT, NUMBER = integer(), integer(1), Kind("number", _number)
+INT, NATURAL, COUNT = integer(), integer(0), integer(1)
+NUMBER = Kind("number", _number)
 FIELD = Kind("field expression", _string)
 SCALAR = Kind("scalar expression", lambda value, name: evaluate_scalar(_string(value, name)))
 
@@ -125,31 +126,46 @@ SCALAR = Kind("scalar expression", lambda value, name: evaluate_scalar(_string(v
 # ---------------------------------------------------------------------------
 # model construction from scenario descriptors
 
+_SWAPS = listed(listed(INT, "points"), "point pairs")
+
+
 def build_finite_groupoid(doc: dict) -> finite.FiniteGroupoid:
+    """A groupoid descriptor; an empty groupoid would make every check vacuous."""
     kind = doc.get("kind")
     if kind == "unit":
-        return finite.unit_groupoid(INT.read(doc, "n"))
+        return finite.unit_groupoid(COUNT.read(doc, "n"))
     if kind == "pair":
-        return finite.pair_groupoid(INT.read(doc, "n"))
+        return finite.pair_groupoid(COUNT.read(doc, "n"))
     if kind == "cyclic":
-        return finite.group_groupoid(finite.cyclic_group_table(INT.read(doc, "n")),
-                                     name=f"Z{doc['n']}")
+        n = COUNT.read(doc, "n")
+        return finite.group_groupoid(finite.cyclic_group_table(n), name=f"Z{n}")
     if kind == "z2_action":
-        points = INT.read(doc, "points")
+        points = COUNT.read(doc, "points")
         perm = list(range(points))
-        for a, b in doc.get("swaps", []):
+        for pair in _SWAPS.read(doc, "swaps", ()):
+            if len(pair) != 2 or not all(0 <= p < points for p in pair):
+                raise ScenarioError(f"swap {list(pair)} is not a pair of points "
+                                    f"in range({points})")
+            a, b = pair
             perm[a], perm[b] = perm[b], perm[a]
         action = [list(range(points)), perm]
         return finite.action_groupoid(finite.cyclic_group_table(2), action,
                                       points, name="z2_action")
     if kind == "disjoint_union":
-        parts = [build_finite_groupoid(p) for p in doc["parts"]]
-        out = parts[0]
+        parts = doc.get("parts")
+        if not (isinstance(parts, list) and parts
+                and all(isinstance(p, dict) for p in parts)):
+            raise ScenarioError(f"'parts' must be a nonempty list of groupoid "
+                                f"descriptors, got {parts!r}")
+        out = build_finite_groupoid(parts[0])
         for p in parts[1:]:
-            out = finite.disjoint_union(out, p)
+            out = finite.disjoint_union(out, build_finite_groupoid(p))
         return out
     if kind == "json":
-        return finite.from_json(json.dumps(doc["doc"]))
+        try:
+            return finite.from_json(json.dumps(doc.get("doc")))
+        except finite.GroupoidFormatError as exc:
+            raise ScenarioError(str(exc)) from exc
     raise ScenarioError(f"unknown finite groupoid kind {kind!r}")
 
 
@@ -182,26 +198,34 @@ class ScenarioContext:
             rep = self._cache["homology"] = finite.homology(self.groupoid(), kmax)
         return finite.HomologyReport(rep.degrees[:kmax + 1])
 
-    def model(self):
+    def model(self) -> ActionGroupoidModel:
+        """The scenario's group action model; the checks that read it act on
+        points, so another model (a submersion) is an input error."""
         if "model" not in self._cache:
             try:
                 self._cache["model"] = build_model(self.model_doc)
-            except ModelError as exc:
+            except ValueError as exc:  # a ModelError, or a grid axis out of bounds
                 raise ScenarioError(str(exc)) from exc
-        return self._cache["model"]
+        model = self._cache["model"]
+        if not isinstance(model, ActionGroupoidModel):
+            raise ScenarioError(f"model {model.name!r} is not a group action model")
+        return model
 
     def proper_model(self) -> ActionGroupoidModel:
         """The scenario's model, for a check that integrates over its
         invariant group quadrature; a model without one is an input error."""
         model = self.model()
-        if not (isinstance(model, ActionGroupoidModel) and model.proper):
+        if not model.proper:
             raise ScenarioError(f"model {model.name!r} is not a proper action "
                                 "model: it has no invariant group quadrature")
         return model
 
     def sigma(self) -> TransverseDensityData:
         if "sigma" not in self._cache:
-            self._cache["sigma"] = self.sigma_from(self.model_doc.get("sigma", {}))
+            doc = self.model_doc.get("sigma", {})
+            if not isinstance(doc, dict):
+                raise ScenarioError(f"sigma must be an object, got {doc!r}")
+            self._cache["sigma"] = self.sigma_from(doc)
         return self._cache["sigma"]
 
     def sigma_from(self, doc: dict) -> TransverseDensityData:
@@ -213,7 +237,10 @@ class ScenarioContext:
         if "rho" not in doc and tau == "lebesgue":
             return TransverseDensityData.lebesgue(model)
         rho_fn = compile_field(doc.get("rho", "1.0 + 0*c0"), ndim)
-        return TransverseDensityData(model, rho_fn, tau_fn)
+        try:
+            return TransverseDensityData(model, rho_fn, tau_fn)
+        except ModelError as exc:  # a weight or density of the wrong sign
+            raise ScenarioError(str(exc)) from exc
 
     def defects(self, sigma_doc: dict | None,
                 count: int = DEFAULT_TEST_COUNT) -> tuple[float, float]:
@@ -231,10 +258,18 @@ class ScenarioContext:
             self._cache[key] = invariance_defects(model, sigma, tests)
         return self._cache[key]
 
+    def model_of_kind(self, kind: str) -> dict:
+        """The model document of a check that builds its own model of ``kind``."""
+        if self.model_doc.get("kind") != kind:
+            raise ScenarioError(f"needs a {kind!r} model, got kind "
+                                f"{self.model_doc.get('kind')!r}")
+        return self.model_doc
+
     def foliation(self, min_leaf: int = 3, min_transverse: int = 2) -> FoliatedGrid:
         """The unit-square foliation; a derivative stencil needs 3 nodes, a rule 2."""
-        n_leaf = INT.read(self.model_doc, "n_leaf", 257)
-        n_tr = INT.read(self.model_doc, "n_transverse", 33)
+        doc = self.model_of_kind("foliation")
+        n_leaf = INT.read(doc, "n_leaf", 257)
+        n_tr = INT.read(doc, "n_transverse", 33)
         if n_leaf < min_leaf or n_tr < min_transverse:
             raise ScenarioError(f"needs n_leaf >= {min_leaf} and n_transverse >= "
                                 f"{min_transverse}, got {n_leaf} and {n_tr}")
@@ -353,7 +388,7 @@ def _betti_zero(ctx, tol):
     return ctx.homology(0).degrees[0].betti, len(finite.orbits(ctx.groupoid()))
 
 
-@register("homology_betti", "finite", 0.0, kmax=(integer(0), 2),
+@register("homology_betti", "finite", 0.0, kmax=(NATURAL, 2),
           expected=(listed(INT, "Betti numbers"), None))
 def _homology(ctx, tol, kmax, expected):
     if expected is not None and len(expected) < kmax + 1:
@@ -396,7 +431,7 @@ def _trace_equiv(ctx, tol, samples):
 
 
 @register("morita_restriction", "finite", 0.0,
-          subset=(listed(INT, "objects"), None), kmax=(integer(0), 2))
+          subset=(listed(INT, "objects"), None), kmax=(NATURAL, 2))
 def _morita(ctx, tol, subset, kmax):
     g = ctx.groupoid()
     if subset is None:
@@ -445,7 +480,8 @@ def _avg_const(ctx, tol, samples):
 
 @register("model_axioms", "smooth", 1e-9)
 def _model_axioms(ctx, tol):
-    return ctx.model().check_axioms(ctx.rng(3), tol=max(tol, 1e-30)), 0.0
+    # the row compares the defect with tol; check_axioms itself never raises here
+    return ctx.model().check_axioms(ctx.rng(3), tol=np.inf), 0.0
 
 
 @register("invariance_defect", "smooth", 1e-6, count=(COUNT, DEFAULT_TEST_COUNT))
@@ -544,18 +580,30 @@ def _weinstein_expected(ctx, tol, expected):
     return res.lhs, expected
 
 
+def _grid_node(model, node) -> tuple[int, ...]:
+    """``node`` as a multi-index of the model grid; None is the first node."""
+    shape = model.grid.shape
+    if node is None:
+        return (0,) * len(shape)
+    if len(node) != len(shape) or not all(0 <= i < n for i, n in zip(node, shape)):
+        raise ScenarioError(f"node {list(node)} is not a node of the {shape} grid")
+    return node
+
+
 _NODE = (listed(INT, "grid indices"), None)
+
+
 @register("orbit_density_mass", "smooth", 1e-9, node=_NODE, expected=(NUMBER, 1.0))
 def _orbit_mass(ctx, tol, node, expected):
     model, sigma = ctx.proper_model(), ctx.sigma()
-    measure = orbit_density(model, sigma.rho_values, node or (0,) * model.grid.ndim)
+    measure = orbit_density(model, sigma.rho_values, _grid_node(model, node))
     return measure.total(), expected
 
 
 @register("orbit_density_basepoint", "smooth", 1e-9, node=_NODE)
 def _orbit_basepoint(ctx, tol, node):
     model, sigma = ctx.proper_model(), ctx.sigma()
-    first = orbit_density(model, sigma.rho_values, node or (0,) * model.grid.ndim)
+    first = orbit_density(model, sigma.rho_values, _grid_node(model, node))
     other = np.unravel_index(max(first.masses), model.grid.shape)
     second = orbit_density(model, sigma.rho_values, tuple(int(i) for i in other))
     return first.distance(second), 0.0
@@ -584,7 +632,11 @@ def _cocycle_zero(ctx, tol, samples):
 @register("cocycle_expected", "smooth", 1e-9, element=(INT, REQUIRED),
           point=(listed(NUMBER, "coordinates"), (1.0,)), expected=(SCALAR, REQUIRED))
 def _cocycle_expected(ctx, tol, element, point, expected):
-    return modular_cocycle(ctx.model(), ctx.sigma(), element, point), expected
+    model = ctx.model()
+    if not 0 <= element < model.group_size or len(point) != model.grid.ndim:
+        raise ScenarioError(f"needs an element in range({model.group_size}) and a "
+                            f"point with {model.grid.ndim} coordinates")
+    return modular_cocycle(model, ctx.sigma(), element, point), expected
 
 
 @register("cutoff_saturation_error", "smooth", 0.0, exact=True, phi=(FIELD, REQUIRED))
@@ -649,12 +701,14 @@ def _rs_pairing(ctx, tol, transverse):
     value = ruelle_sullivan_evaluate(fol, weights,
                                      OneForm(np.ones(shape), np.zeros(shape)))
     leaf_len = fol.grid.axes[0].length
-    return value, leaf_len * float((weights * fol.grid.axes[1].weights()).sum())
+    return value, leaf_len * (weights * fol.grid.axes[1].weights()).sum()
 
 
 def _submersion(ctx) -> SubmersionGroupoidModel:
-    grid = Grid([Axis(INT.read(ctx.model_doc, "n_base", 9), -2.0, 2.0),
-                 Axis(INT.read(ctx.model_doc, "n_fiber", 8193), -4.0, 4.0)])
+    doc = ctx.model_of_kind("submersion_probe")
+    nodes = integer(2)  # the fewest an interval rule takes
+    grid = Grid([Axis(nodes.read(doc, "n_base", 9), -2.0, 2.0),
+                 Axis(nodes.read(doc, "n_fiber", 8193), -4.0, 4.0)])
     return SubmersionGroupoidModel(grid, fiber_axes=[1])
 
 

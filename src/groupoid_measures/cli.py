@@ -1,7 +1,8 @@
 """Command-line front end: run scenario files, list the check catalog.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 input error
-(malformed JSON, unknown checks, bad check parameters, missing files).
+(malformed JSON, a document of the wrong shape, unknown checks, bad check
+parameters, missing files).
 """
 
 from __future__ import annotations
@@ -13,13 +14,16 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
-from .checks import REGISTRY, REQUIRED, ScenarioContext, ScenarioError, catalog
+from .checks import REGISTRY, REQUIRED, ScenarioContext, ScenarioError, catalog, integer
 from .expressions import ExpressionError
 from .reports import CheckRow, Report
 
 
 class InputError(Exception):
     pass
+
+
+SEED = integer(0)  # numpy seeds are nonnegative
 
 
 def load_scenario(path: str) -> dict:
@@ -33,6 +37,8 @@ def load_scenario(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: malformed JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: a scenario must be a JSON object, got {doc!r}")
     for key in ("name", "engine", "model", "checks"):
         if key not in doc:
             raise InputError(f"{path}: scenario is missing the {key!r} field")
@@ -52,19 +58,34 @@ def _parse_tol_overrides(pairs: list[str]) -> dict[str, float]:
     return overrides
 
 
+def _shaped(doc: dict, key: str, shape: type, default=None):
+    """A scenario field that must be a JSON object (dict) or list."""
+    value = doc.get(key, default)
+    if not isinstance(value, shape):
+        raise InputError(f"scenario field {key!r} must be a JSON "
+                         f"{'object' if shape is dict else 'list'}, got {value!r}")
+    return value
+
+
 def run_scenario(doc: dict, tol_overrides: dict[str, float] | None = None,
                  seed_override: int | None = None) -> list[CheckRow]:
     """Every check entry is read before the first check runs."""
     tol_overrides = tol_overrides or {}
     engine = doc["engine"]
-    if engine not in {"finite", "smooth", "symplectic"}:
+    if engine not in ("finite", "smooth", "symplectic"):
         raise InputError(f"unknown engine {engine!r}")
-    seed = int(doc.get("seed", 0)) if seed_override is None else seed_override
-    scenario_tols = doc.get("tolerances", {})
+    try:
+        seed = SEED.read(doc, "seed", 0) if seed_override is None else seed_override
+    except ScenarioError as exc:
+        raise InputError(f"scenario {exc}") from exc
+    model = _shaped(doc, "model", dict)
+    scenario_tols = _shaped(doc, "tolerances", dict, {})
     plan = []
-    for entry in doc["checks"]:
+    for entry in _shaped(doc, "checks", list):
+        if not isinstance(entry, dict):
+            raise InputError(f"a check entry must be a JSON object, got {entry!r}")
         name = entry.get("name")
-        if name not in REGISTRY:
+        if not isinstance(name, str) or name not in REGISTRY:
             valid = ", ".join(sorted(REGISTRY))
             raise InputError(f"unknown check {name!r}; valid names: {valid}")
         check = REGISTRY[name]
@@ -75,14 +96,14 @@ def run_scenario(doc: dict, tol_overrides: dict[str, float] | None = None,
         tol = tol_overrides.get(name, tol)
         try:
             tol = float(tol)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"check {name!r}: tolerance {tol!r} is not a number") from exc
         try:
             plan.append((check, tol, check.read_params(entry.get("params", {}))))
         except (ScenarioError, ExpressionError) as exc:
             raise InputError(f"check {name!r}: {exc}") from exc
 
-    ctx = ScenarioContext(doc["name"], engine, doc["model"], seed)
+    ctx = ScenarioContext(doc["name"], engine, model, seed)
     rows: list[CheckRow] = []
     for check, tol, values in plan:
         try:
@@ -116,10 +137,9 @@ def cmd_run(args) -> int:
     seed_override = None
     if "GM_SEED" in os.environ:
         try:
-            seed_override = int(os.environ["GM_SEED"])
-        except ValueError as exc:
-            raise InputError(f"GM_SEED must be an integer, "
-                             f"got {os.environ['GM_SEED']!r}") from exc
+            seed_override = SEED.convert(os.environ["GM_SEED"], "GM_SEED")
+        except ScenarioError as exc:
+            raise InputError(str(exc)) from exc
 
     docs = [load_scenario(p) for p in paths]
     if args.parallel and len(docs) > 1:

@@ -47,9 +47,12 @@ def compile_field(expr: str, ndim: int):
                 scope[nm] = coord
         try:
             result = eval(code, {"__builtins__": {}}, scope)
-            return result + np.zeros_like(np.asarray(coords[0], dtype=float))
+            out = result + np.zeros_like(np.asarray(coords[0], dtype=float))
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ExpressionError(f"cannot evaluate {expr!r}: {exc}") from exc
+        if out.dtype.kind != "f" or out.shape != np.broadcast_shapes(*map(np.shape, coords)):
+            raise ExpressionError(f"{expr!r} is not a real value at each point")
+        return out
 
     return fn
 

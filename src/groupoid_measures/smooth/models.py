@@ -126,15 +126,18 @@ class ActionGroupoidModel:
         for _ in range(samples):
             p = int(rng.integers(len(flat[0])))
             pt = [c[p] for c in flat]
-            j = int(rng.integers(self.group_size))
-            k = int(rng.integers(self.group_size))
+            jk = None
+            while jk is None:  # redraw pairs a partial composition leaves undefined
+                j = int(rng.integers(self.group_size))
+                k = int(rng.integers(self.group_size))
+                jk = self.mul(j, k)
             worst = max(worst, self._point_distance(self.act_points(e, pt), pt))
             two_step = self.act_points(j, self.act_points(k, pt))
-            combined = self.act_points(self.mul(j, k), pt)
+            combined = self.act_points(jk, pt)
             worst = max(worst, self._point_distance(two_step, combined))
             jj = self.jacobian_points(j, self.act_points(k, pt)) \
                 * self.jacobian_points(k, pt)
-            worst = max(worst, abs(jj - self.jacobian_points(self.mul(j, k), pt)))
+            worst = max(worst, abs(jj - self.jacobian_points(jk, pt)))
         if worst > tol:
             raise ModelError(f"action axioms fail on samples (defect {worst:.3e})")
         return worst
@@ -433,14 +436,30 @@ def build_model(descriptor: dict):
     """Instantiate a model from its JSON descriptor (External Interfaces)."""
     kind = descriptor.get("kind")
     params = descriptor.get("params", {})
+    if not isinstance(params, dict):
+        raise ModelError(f"model params must be an object, got {params!r}")
 
     def int_param(key: str, default: int) -> int:
         return as_int(params.get(key, default), f"parameter {key!r}")
 
+    def float_param(key: str, default: float) -> float:
+        value = params.get(key, default)
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ModelError(f"parameter {key!r} must be a number, got {value!r}") from exc
+
+    def grid() -> Grid:
+        try:
+            return Grid.from_json(json.dumps(descriptor["grid"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelError(f"model {kind!r} needs a grid {{\"axes\": [{{n, lo, hi}}]}}: "
+                             f"{exc!r}") from exc
+
     if kind == "rotation2d":
         return RotationPlaneModel(
             n_r=int_param("n_r", 64), n_phi=int_param("n_phi", 64),
-            r_lo=float(params.get("r_lo", 1.0)), r_hi=float(params.get("r_hi", 2.0)))
+            r_lo=float_param("r_lo", 1.0), r_hi=float_param("r_hi", 2.0))
     if kind == "finite_action":
         kind = params.get("preset")
         if kind not in ("antipodal_circle", "mirror_interval"):
@@ -448,18 +467,18 @@ def build_model(descriptor: dict):
     if kind == "antipodal_circle":
         return antipodal_circle_model(int_param("n", 256))
     if kind == "mirror_interval":
-        return mirror_interval_model(int_param("n", 257),
-                                     float(params.get("half_width", 1.0)))
+        return mirror_interval_model(int_param("n", 257), float_param("half_width", 1.0))
     if kind == "circle_self":
         return circle_self_model(int_param("n", 256))
     if kind == "trivial":
-        return TrivialActionModel(Grid.from_json(json.dumps(descriptor["grid"])))
+        return TrivialActionModel(grid())
     if kind == "scaling_line":
         return ScalingLineModel(max_power=int_param("max_power", 2))
     if kind == "submersion":
-        grid = Grid.from_json(json.dumps(descriptor["grid"]))
-        return SubmersionGroupoidModel(
-            grid, [as_int(a, "fiber axis") for a in params["fiber_axes"]])
+        axes = params.get("fiber_axes")
+        if not isinstance(axes, list):
+            raise ModelError(f"a submersion needs a list of 'fiber_axes', got {axes!r}")
+        return SubmersionGroupoidModel(grid(), [as_int(a, "fiber axis") for a in axes])
     raise ModelError(f"unknown model kind {kind!r}")
 
 

@@ -1,0 +1,105 @@
+"""The check catalog as a table: every declared parameter is listed and read
+the same way, so a malformed value is an input error, never a traceback."""
+
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from groupoid_measures.checks import REGISTRY, REQUIRED
+from groupoid_measures.cli import main
+
+# a small model for the checks of each engine ...
+ENGINE_MODELS = {
+    "finite": {"kind": "pair", "n": 2},
+    "smooth": {"kind": "circle_self", "params": {"n": 8}},
+    "symplectic": {"B": {"lo": 1, "hi": 2, "n": 5}, "leaf_nodes": 8},
+}
+# ... and for the checks that build their own model from the document
+FOLIATION = {"kind": "foliation", "n_leaf": 9, "n_transverse": 5}
+SUBMERSION = {"kind": "submersion_probe", "n_base": 5, "n_fiber": 65}
+OWN_MODELS = {
+    "stokes_closed": FOLIATION, "stokes_order": FOLIATION,
+    "ruelle_sullivan_closed": FOLIATION, "ruelle_sullivan_pairing": FOLIATION,
+    "exactness_reconstruction": SUBMERSION, "exactness_obstruction": SUBMERSION,
+    "liouville_total": {"kind": "sphere"}, "dh_two_ways": {"kind": "sphere"},
+    "dh_expected": {"kind": "sphere"},
+}
+# a valid value of each kind a check may require
+REQUIRED_VALUES = {"field expression": "1 + 0*x", "scalar expression": "1", "int": 0}
+
+
+def small_scenario(name: str, params: dict | None = None) -> dict:
+    """A tiny valid scenario running one check, with its required params."""
+    check = REGISTRY[name]
+    required = {key: REQUIRED_VALUES[kind.label]
+                for key, (kind, default) in check.params.items() if default is REQUIRED}
+    return {"name": "t", "engine": check.engine, "seed": 1,
+            "model": OWN_MODELS.get(name, ENGINE_MODELS[check.engine]),
+            "checks": [{"name": name, "params": dict(required, **(params or {}))}]}
+
+
+def run(doc) -> tuple[int, str]:
+    """``gm run`` on a document; an escaping exception fails the caller."""
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", path])
+        return code, err.getvalue()
+    finally:
+        os.unlink(path)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_every_check_runs_on_its_small_scenario(name):
+    code, err = run(small_scenario(name))
+    assert code in (0, 1), err
+
+
+def test_list_checks_names_every_declared_parameter(capsys):
+    assert main(["list-checks"]) == 0
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert set(lines) == set(REGISTRY)
+    for name, check in REGISTRY.items():
+        for key, (kind, default) in check.params.items():
+            assert f"{key}: {kind.label} = " in lines[name]
+        if not check.params:
+            assert lines[name].endswith("params: -")
+
+
+TEXT = st.text(alphabet="xyt +*().", max_size=6)  # no digits: no huge counts
+JSON_VALUES = st.one_of(
+    TEXT,
+    st.floats(-4, 4) | st.sampled_from([math.nan, math.inf]),
+    st.integers(-3, -1),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-1, 3) | TEXT, max_size=3),
+    st.dictionaries(TEXT, st.integers(0, 2), max_size=2),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(REGISTRY)), st.data())
+def test_any_param_value_gives_a_documented_exit(name, data):
+    keys = sorted(REGISTRY[name].params)
+    if keys and data.draw(st.booleans()):
+        params = {data.draw(st.sampled_from(keys)): data.draw(JSON_VALUES)}
+    else:
+        params = {"undeclared": data.draw(JSON_VALUES)}
+    code, err = run(small_scenario(name, params))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+    if "undeclared" in params:
+        assert code == 2 and "unknown parameter 'undeclared'" in err

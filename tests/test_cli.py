@@ -541,3 +541,127 @@ def test_averaging_that_is_not_orbit_constant_stays_a_failure(capsys, tmp_path,
            "checks": [{"name": "averaging_orbit_constant"}]}
     with pytest.raises(ModelError, match="not orbit constant"):
         run_doc(capsys, tmp_path, doc)
+
+
+def test_model_axioms_on_the_scaling_model_redraws_undefined_pairs(capsys, tmp_path):
+    doc = {"name": "x", "engine": "smooth", "model": {"kind": "scaling_line"},
+           "checks": [{"name": "model_axioms"}]}
+    code, out, err = run_doc(capsys, tmp_path, doc)
+    assert code == 0 and "Traceback" not in err
+    assert [r["check"] for r in csv.DictReader(io.StringIO(out))] == ["model_axioms"]
+
+
+@pytest.mark.parametrize("check, kind", [
+    ("stokes_closed", "foliation"), ("stokes_order", "foliation"),
+    ("ruelle_sullivan_closed", "foliation"), ("ruelle_sullivan_pairing", "foliation"),
+    ("exactness_reconstruction", "submersion_probe"),
+    ("exactness_obstruction", "submersion_probe"),
+])
+def test_foliation_and_submersion_checks_need_their_model_kind(capsys, tmp_path,
+                                                               check, kind):
+    doc = {"name": "x", "engine": "smooth", "model": {"kind": "scaling_line"},
+           "checks": [{"name": check}]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert f"'{check}'" in err and f"needs a '{kind}' model" in err
+
+
+SCENARIO = {"name": "x", "engine": "finite", "model": {"kind": "pair", "n": 2},
+            "checks": [{"name": "axioms_valid"}]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (5, "must be a JSON object"),
+    ([SCENARIO], "must be a JSON object"),
+    (dict(SCENARIO, checks=5), "'checks' must be a JSON list"),
+    (dict(SCENARIO, checks=["homology_betti"]), "check entry must be a JSON object"),
+    (dict(SCENARIO, model=5), "'model' must be a JSON object"),
+    (dict(SCENARIO, seed="x"), "'seed' must be an integer"),
+    (dict(SCENARIO, seed=-1), "'seed' must be >= 0"),
+    (dict(SCENARIO, tolerances=5), "'tolerances' must be a JSON object"),
+    (dict(SCENARIO, checks=[{"name": "axioms_valid", "params": 5}]),
+     "params must be an object"),
+    (dict(SCENARIO, checks=[{"name": "axioms_valid", "params": {"kmax": 1}}]),
+     "unknown parameter 'kmax'"),
+])
+def test_document_of_the_wrong_shape_is_input_error(capsys, tmp_path, doc, message):
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert message in err
+
+
+ROTATION8 = {"kind": "rotation2d", "params": {"n_r": 8, "n_phi": 8}}
+
+
+@pytest.mark.parametrize("engine, model, check, message", [
+    ("finite", {"kind": "z2_action", "points": 2, "swaps": [[0, 5]]},
+     {"name": "axioms_valid"}, "not a pair of points in range(2)"),
+    ("finite", {"kind": "disjoint_union"}, {"name": "axioms_valid"}, "'parts'"),
+    ("finite", {"kind": "json", "doc": {"x": 1}}, {"name": "axioms_valid"},
+     "bad groupoid document"),
+    ("finite", {"kind": "cyclic", "n": 0}, {"name": "axioms_valid"}, "'n' must be >= 1"),
+    ("finite", {"kind": "pair", "n": 0}, {"name": "betti_zero"}, "'n' must be >= 1"),
+    ("smooth", {"kind": "rotation2d", "params": {"r_lo": "x"}}, {"name": "model_axioms"},
+     "'r_lo' must be a number"),
+    ("smooth", {"kind": "rotation2d", "params": {"n_r": 1}}, {"name": "model_axioms"},
+     "too few nodes"),
+    ("smooth", {"kind": "trivial"}, {"name": "model_axioms"}, "needs a grid"),
+    ("smooth", dict(ROTATION8, sigma={"rho": "-1 + 0*r"}), {"name": "invariance_defect"},
+     "strictly positive"),
+    ("smooth", ROTATION8, {"name": "orbit_density_mass", "params": {"node": [99, 0]}},
+     "not a node of the (8, 8) grid"),
+    ("smooth", ROTATION8, {"name": "orbit_density_mass", "params": {"node": [1]}},
+     "not a node of the (8, 8) grid"),
+    ("smooth", {"kind": "scaling_line"},
+     {"name": "cocycle_expected", "params": {"element": 1, "point": [1, 2],
+                                             "expected": "0"}}, "1 coordinates"),
+    ("smooth", {"kind": "submersion_probe", "n_base": 1}, {"name": "exactness_obstruction"},
+     "'n_base' must be >= 2"),
+    ("smooth", {"kind": "submersion", "params": {"fiber_axes": [1]},
+                "grid": {"axes": [{"n": 4, "lo": 0, "hi": 1}, {"n": 4, "lo": 0, "hi": 1}]}},
+     {"name": "cocycle_vanishes"}, "'submersion' is not a group action model"),
+])
+def test_bad_descriptor_or_grid_node_is_input_error(capsys, tmp_path, engine, model,
+                                                     check, message):
+    doc = {"name": "x", "engine": engine, "model": model, "checks": [check]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert message in err
+
+
+@pytest.mark.parametrize("engine, check, params, message", [
+    ("smooth", "averaging_annihilates", {"count": 0}, "'count' must be >= 1"),
+    ("smooth", "cocycle_vanishes", {"samples": 0}, "'samples' must be >= 1"),
+    ("finite", "average_orbit_constant", {"samples": -1}, "'samples' must be >= 1"),
+    ("finite", "boundary_squares", {"kmax": 1}, "'kmax' must be >= 2"),
+    ("smooth", "invariance_defect", {"count": 0}, "'count' must be >= 1"),
+    ("smooth", "inversion_defect", {"count": 0}, "'count' must be >= 1"),
+])
+def test_param_that_would_check_nothing_is_input_error(capsys, tmp_path, engine, check,
+                                                       params, message):
+    model = ROTATION8 if engine == "smooth" else {"kind": "pair", "n": 2}
+    doc = {"name": "x", "engine": engine, "model": model,
+           "checks": [{"name": check, "params": params}]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert f"'{check}'" in err and message in err
+
+
+def test_every_entry_is_read_before_the_first_check_runs(capsys, tmp_path, monkeypatch):
+    from groupoid_measures import finite
+    calls = []
+    monkeypatch.setattr(finite, "validate", lambda g: calls.append(g) or [])
+    doc = dict(SCENARIO, checks=[{"name": "axioms_valid"},
+                                 {"name": "homology_betti", "params": {"kmax": "x"}}])
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert calls == []
+
+
+def test_model_axioms_below_its_defect_is_a_failing_row(capsys, tmp_path):
+    doc = {"name": "x", "engine": "smooth", "model": ROTATION8,
+           "checks": [{"name": "model_axioms", "tolerance": 1e-300}]}
+    code, out, err = run_doc(capsys, tmp_path, doc)
+    assert code == 1 and "Traceback" not in err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["check"], r["pass"]) for r in rows] == [("model_axioms", "false")]
