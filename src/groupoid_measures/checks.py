@@ -293,8 +293,9 @@ class ScenarioContext:
         return self._cache[memo]
 
     def surface(self) -> SymplecticPairModel:
+        """The scenario's symplectic surface: ``kind`` "sphere" or "torus_cell"."""
         if "surface" not in self._cache:
-            kind = self.model_doc.get("kind", "sphere")
+            kind = self.model_doc.get("kind")
             if kind == "sphere":
                 area = self.model_doc.get("area", 4 * np.pi)
                 try:  # float() and a nonpositive area raise ValueError
@@ -305,13 +306,17 @@ class ScenarioContext:
             elif kind == "torus_cell":
                 self._cache["surface"] = SymplecticPairModel.torus_cell()
             else:
-                raise ScenarioError(f"unknown surface kind {kind!r}")
+                raise ScenarioError(f"needs a 'sphere' or 'torus_cell' model, "
+                                    f"got kind {kind!r}")
         return self._cache["surface"]
 
     def leaf_family(self, iota: int | None = None) -> LeafFamilyModel:
         """The scenario's leaf family, built once; another iota gives a twin
-        that shares its leaves."""
+        that shares its leaves.  A leaf-family document carries no ``kind``."""
         key = ("leaf_family", iota)
+        if "kind" in self.model_doc:
+            raise ScenarioError(f"needs a leaf-family model, which has no kind, "
+                                f"got kind {self.model_doc['kind']!r}")
         if key not in self._cache:
             try:
                 self._cache[key] = (leaf_family_from_doc(self.model_doc) if iota is None

@@ -18,11 +18,16 @@ axis that takes one of three exact paths:
 
 Equal weights reduce to one sum on every path.  Random test functions keep
 their fields factored (``SeparableField``, per-axis profiles evaluated on
-the axis nodes only).  When rho is constant along the cyclic axis, a
-target term of a factored field correlates only the field's profile along
-the axis and multiplies by the other profiles and rho.  The invariance
-and inversion defects share one s- and one t-integral per test function
-(``invariance_defects``).
+the axis nodes only).  When rho is constant along the cyclic axis, each
+factored term integrates to a profile along the axis (the field's own
+times the total weight for a source term, its 1-D correlation for a target
+term) times the field's profile of the other axes.  The fiber integral
+stacks these into a K x n and an M x K matrix, sums the K terms with one
+matrix product and multiplies by rho once, so no factored field is ever
+multiplied out to the grid.  Every other term (plain arrays, a rho that
+varies along the axis, finite models) adds its own ``pull_sum``.  The
+invariance and inversion defects share one s- and one t-integral per test
+function (``invariance_defects``).
 """
 
 from __future__ import annotations
@@ -148,22 +153,47 @@ class ArrowFunction:
 def s_fiber_integrate(model, rho_values: np.ndarray, u: ArrowFunction) -> np.ndarray:
     """Source-fiber integral: sum of haar(g) u(g, x) rho(a(g, x)) over the group.
 
-    On a cyclic model whose rho is constant along the axis, a target term
-    of a ``SeparableField`` correlates only the profile along the axis: the
-    other profiles and rho are constant on every orbit.
+    On a cyclic model whose rho is constant along the axis, the
+    ``SeparableField`` terms are summed by ``_factored_sum`` and multiplied
+    by rho once; every other term adds its own ``pull_sum``.
     """
     haar = model.haar_masses()
-    acc = np.zeros(model.grid.shape)
-    for a, b, e in u.terms:
-        if not e:
-            acc += field_values(b) * model.pull_sum(haar * a, rho_values)
-        elif (isinstance(b, SeparableField) and isinstance(model, CyclicAxisModel)
-              and model.orbit_spread(rho_values) == 0.0):
-            along, rest = b.split(model.axis)
-            acc += model.pull_sum(haar * a, along) * (rest * rho_values)
-        else:
-            acc += model.pull_sum(haar * a, field_values(b) * rho_values)
+    terms = u.terms
+    factored = [t for t in terms if isinstance(t[1], SeparableField)]
+    if (factored and isinstance(model, CyclicAxisModel)
+            and model.orbit_spread(rho_values) == 0.0):
+        acc = _factored_sum(model, haar, factored)
+        acc *= rho_values
+        terms = [t for t in terms if not isinstance(t[1], SeparableField)]
+    else:
+        acc = np.zeros(model.grid.shape)
+    for a, b, e in terms:
+        b = field_values(b)
+        acc += (model.pull_sum(haar * a, b * rho_values) if e
+                else b * model.pull_sum(haar * a, rho_values))
     return acc
+
+
+def _factored_sum(model, haar: np.ndarray, terms) -> np.ndarray:
+    """Fiber integral over rho = 1 of ``SeparableField`` terms on a cyclic model.
+
+    Each term integrates to a profile along the axis (the field's own,
+    times the total weight for e = 0, correlated along the axis for e = 1)
+    times the field's profile of the other axes.  The K axis profiles are
+    the rows of a K x n matrix, the other profiles, raveled over the M
+    nodes off the axis (a scalar when M = 1), the columns of an M x K one,
+    and one product sums the terms.
+    """
+    shape, axis = model.grid.shape, model.axis
+    rows, cols = [], []
+    for a, b, e in terms:
+        along, rest = b.split(axis)
+        w = haar * a
+        rows.append((model.pull_sum(w, along) if e else w.sum() * along).ravel())
+        cols.append(np.ravel(rest))
+    out = np.array(cols).T @ np.array(rows)
+    return np.moveaxis(out.reshape(shape[:axis] + shape[axis + 1:] + (shape[axis],)),
+                       -1, axis)
 
 
 def t_fiber_integrate(model, rho_values: np.ndarray, u: ArrowFunction) -> np.ndarray:

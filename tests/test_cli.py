@@ -665,3 +665,21 @@ def test_model_axioms_below_its_defect_is_a_failing_row(capsys, tmp_path):
     assert code == 1 and "Traceback" not in err
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [(r["check"], r["pass"]) for r in rows] == [("model_axioms", "false")]
+
+
+@pytest.mark.parametrize("model, check, message", [
+    ({"kind": "sphere"}, {"name": "affine_total", "params": {"expected": "4*pi"}},
+     "needs a leaf-family model, which has no kind, got kind 'sphere'"),
+    ({"kind": "sphere"}, {"name": "iota_scaling"}, "got kind 'sphere'"),
+    ({"kind": "torus_cell"}, {"name": "affine_volume_two_ways"}, "got kind 'torus_cell'"),
+    (LEAF_FAMILY, {"name": "liouville_total", "params": {"expected": "4*pi"}},
+     "needs a 'sphere' or 'torus_cell' model, got kind None"),
+    (LEAF_FAMILY, {"name": "dh_two_ways"}, "got kind None"),
+    ({"area": 2.0}, {"name": "dh_expected", "params": {"expected": "4"}}, "got kind None"),
+    ({"kind": "foliation"}, {"name": "dh_two_ways"}, "got kind 'foliation'"),
+])
+def test_symplectic_checks_need_their_model_kind(capsys, tmp_path, model, check, message):
+    doc = {"name": "x", "engine": "symplectic", "model": model, "checks": [check]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert f"'{check['name']}'" in err and message in err

@@ -17,6 +17,7 @@ from groupoid_measures.finite import (
     convolve,
     cyclic_group_table,
     disjoint_union,
+    from_json,
     homology,
     nerve,
     orbits,
@@ -192,3 +193,19 @@ def test_nerve_matches_the_arrow_scan(g, k):
 @given(groupoids, st.integers(0, 3))
 def test_nerve_matches_the_arrow_scan_on_random_actions(g, k):
     assert nerve(g, k) == scanned_nerve(g, k)
+
+
+# ---------------------------------------------------------------------------
+# serialization
+
+@settings(max_examples=40, deadline=None)
+@given(groupoids)
+def test_json_round_trip_keeps_the_groupoid(g):
+    text = g.to_json()
+    back = from_json(text)
+    assert back.n_objects == g.n_objects
+    assert (back.src, back.tgt) == (g.src, g.tgt)
+    assert back.compose_table == g.compose_table
+    assert (back.unit, back.inverse) == (g.unit, g.inverse)
+    assert homology(back, 0).betti()[0] == homology(g, 0).betti()[0] == len(orbits(g))
+    assert back.to_json() == text

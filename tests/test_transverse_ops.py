@@ -748,3 +748,75 @@ def test_lebesgue_rotation_checks_make_no_full_grid_fft(rfft_calls):
     assert all(r.passed for r in rows)
     assert rfft_calls.get(2, 0) == 0
     assert rfft_calls.get(1, 0) > 0
+
+
+# ---------------------------------------------------------------------------
+# the factored terms of a cyclic fiber integral summed in one matrix product,
+# against the group-node loop; the other terms keep their own pull_sum
+
+def batched_arrow_function(model, rng):
+    """Factored source and target terms, equal and unequal weights, and plain arrays."""
+    size, shape = model.group_size, model.grid.shape
+
+    def field():
+        return SeparableField(model.grid, [1.0 + rng.uniform(size=ax.n)
+                                           for ax in model.grid.axes])
+
+    return ArrowFunction(model, terms=[
+        (rng.standard_normal(size), field(), 0),
+        (np.ones(size), field(), 1),
+        (rng.standard_normal(size), field(), 1),
+        (rng.standard_normal(size), rng.standard_normal(shape), 1),
+        (np.full(size, 0.5), field(), 0),
+        (rng.standard_normal(size), rng.standard_normal(shape), 0),
+        (rng.standard_normal(size), field(), 1),
+    ])
+
+
+def separable_fields(u):
+    return [b for _, b, _ in u.terms if isinstance(b, SeparableField)]
+
+
+BATCH_GRIDS = pytest.mark.parametrize(
+    "n_r, n", [(5, 63), (4, 64), (1, 63), (1, 64)],
+    ids=["rotation-odd", "rotation-even", "circle-odd", "circle-even"])
+
+
+@BATCH_GRIDS
+@pytest.mark.parametrize("kind", ["constant", "off_axis"])
+def test_batched_factored_terms_match_the_group_node_loop(n_r, n, kind):
+    model = cyclic_model(n_r, n)
+    rng = np.random.default_rng(41)
+    rho = cyclic_rho(model, kind, rng)
+    u = batched_arrow_function(model, rng)
+    s_part, t_part = s_fiber_integrate(model, rho, u), t_fiber_integrate(model, rho, u)
+    assert s_part.shape == t_part.shape == model.grid.shape
+    scale = max(float(np.max(np.abs(u.slice(j)))) for j in range(n)) * float(np.max(rho))
+    assert np.max(np.abs(s_part - loop_s_integral(model, rho, u.slice))) <= 1e-12 * scale
+    assert np.max(np.abs(t_part - loop_s_integral(
+        model, rho, loop_inverted_slice(model, u)))) <= 1e-12 * scale
+
+
+@BATCH_GRIDS
+def test_batched_path_never_multiplies_a_factored_field_out(n_r, n):
+    model = cyclic_model(n_r, n)
+    rng = np.random.default_rng(42)
+    rho = cyclic_rho(model, "off_axis", rng)
+    tests = [batched_arrow_function(model, rng)] + default_test_set(model, rng, count=3)
+    for u in tests:
+        s_fiber_integrate(model, rho, u)
+        t_fiber_integrate(model, rho, u)
+    assert model.orbit_spread(rho) == 0.0
+    assert all("values" not in b.__dict__ for u in tests for b in separable_fields(u))
+
+
+@BATCH_GRIDS
+def test_rho_varying_along_the_axis_keeps_the_per_term_path(n_r, n):
+    model = cyclic_model(n_r, n)
+    rng = np.random.default_rng(43)
+    rho = cyclic_rho(model, "along_axis", rng)
+    u = batched_arrow_function(model, rng)
+    for integral in (s_fiber_integrate, t_fiber_integrate):
+        out = integral(model, rho, u)
+        assert all("values" in b.__dict__ for b in separable_fields(u))
+        assert np.array_equal(out, integral(model, rho, materialized(u)))
