@@ -35,6 +35,7 @@ from .smooth import (
     averaging,
     build_model,
     cocycle_additivity_defect,
+    cocycle_vanishing_defect,
     cutoff_construct,
     cutoff_normalization_defect,
     default_test_set,
@@ -409,11 +410,13 @@ def _homology(ctx, tol, kmax, expected):
 @register("boundary_squares", "finite", 0.0, kmax=(integer(2), 3))
 def _boundary_squares(ctx, tol, kmax):
     g = ctx.groupoid()
+    nerves = [finite.nerve(g, k) for k in range(kmax + 1)]
+    d = [None] + [finite.boundary_columns(g, k, nerves[k], nerves[k - 1])
+                  for k in range(1, kmax + 1)]
     rows = {}
     for k in range(2, kmax + 1):
-        prod = finite.linalg_q.matmul(finite.boundary_matrix(g, k - 1),
-                                      finite.boundary_matrix(g, k))
-        worst = max((abs(v) for row in prod for v in row), default=Fraction(0))
+        prod = finite.linalg_q.compose(d[k - 1], d[k])
+        worst = max((abs(v) for col in prod for v in col.values()), default=0)
         rows[f"boundary_squares[{k}]"] = (worst, 0)
     return rows
 
@@ -453,8 +456,7 @@ def _morita(ctx, tol, subset, kmax):
 @register("convolution_associative", "finite", 0.0)
 def _assoc(ctx, tol):
     g = ctx.groupoid()
-    zero, one = Fraction(0), Fraction(1)
-    deltas = [[one if b == a else zero for b in g.arrows()] for a in g.arrows()]
+    deltas = [{a: 1} for a in g.arrows()]
     # each product of two indicators once; both bracketings of every triple
     # still go through convolve
     pairs = [[finite.convolve(g, da, db) for db in deltas] for da in deltas]
@@ -614,24 +616,25 @@ def _orbit_basepoint(ctx, tol, node):
     return first.distance(second), 0.0
 
 
+def _cocycle_input(cocycle, *args):
+    """A cocycle value or defect; a sigma that is not positive and finite at
+    the ends of an arrow (which may leave the model grid) is an input error."""
+    try:
+        return cocycle(*args)
+    except ModelError as exc:
+        raise ScenarioError(str(exc)) from exc
+
+
 @register("cocycle_additivity", "smooth", 1e-9, samples=(COUNT, 100))
 def _cocycle_add(ctx, tol, samples):
-    return cocycle_additivity_defect(ctx.model(), ctx.sigma(), ctx.rng(7),
-                                     samples=samples), 0.0
+    return _cocycle_input(cocycle_additivity_defect, ctx.model(), ctx.sigma(),
+                         ctx.rng(7), samples), 0.0
 
 
 @register("cocycle_vanishes", "smooth", 1e-12, samples=(COUNT, 50))
 def _cocycle_zero(ctx, tol, samples):
-    model, sigma = ctx.model(), ctx.sigma()
-    rng = ctx.rng(8)
-    flat = [m.ravel() for m in model.grid.meshgrid()]
-    worst = 0.0
-    for _ in range(samples):
-        j = int(rng.integers(model.group_size))
-        p = int(rng.integers(len(flat[0])))
-        x = tuple(c[p] for c in flat)
-        worst = max(worst, abs(modular_cocycle(model, sigma, j, x)))
-    return worst, 0.0
+    return _cocycle_input(cocycle_vanishing_defect, ctx.model(), ctx.sigma(),
+                         ctx.rng(8), samples), 0.0
 
 
 @register("cocycle_expected", "smooth", 1e-9, element=(INT, REQUIRED),
@@ -641,7 +644,7 @@ def _cocycle_expected(ctx, tol, element, point, expected):
     if not 0 <= element < model.group_size or len(point) != model.grid.ndim:
         raise ScenarioError(f"needs an element in range({model.group_size}) and a "
                             f"point with {model.grid.ndim} coordinates")
-    return modular_cocycle(model, ctx.sigma(), element, point), expected
+    return _cocycle_input(modular_cocycle, model, ctx.sigma(), element, point), expected
 
 
 @register("cutoff_saturation_error", "smooth", 0.0, exact=True, phi=(FIELD, REQUIRED))

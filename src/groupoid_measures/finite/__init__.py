@@ -30,7 +30,14 @@ from .calculus import (
     transverse_measure_cone,
     unit_trace,
 )
-from .homology import HomologyReport, boundary_matrix, face, homology, nerve
+from .homology import (
+    HomologyReport,
+    boundary_columns,
+    boundary_matrix,
+    face,
+    homology,
+    nerve,
+)
 
 __all__ = [
     "FiniteGroupoid", "GroupoidFormatError", "action_groupoid",
@@ -41,5 +48,5 @@ __all__ = [
     "counting_haar", "difference_matrix", "is_invariant_functional",
     "is_orbit_constant", "is_trace", "s_shriek", "t_shriek",
     "transverse_measure_cone", "unit_trace",
-    "HomologyReport", "boundary_matrix", "face", "homology", "nerve",
+    "HomologyReport", "boundary_columns", "boundary_matrix", "face", "homology", "nerve",
 ]

@@ -3,7 +3,10 @@
 Arrow weights play the role of compactly supported densities on the arrow
 space, object weights the role of densities on the objects (all density
 bundles are canonically trivial in the finite case, so weights are plain
-rational vectors).  The two fiber-summation maps send an arrow weight u to
+rational values).  Object weights are lists with one value per object.  Arrow
+weights are sparse: a dict arrow -> nonzero ``int`` or ``Fraction``, and a
+full-length sequence is read as well.  The two fiber-summation maps send an
+arrow weight u to
 
     s_down(u)(x) = sum of u over arrows with source x,
     t_down(u)(y) = sum of u over arrows with target y,
@@ -20,6 +23,7 @@ from . import linalg_q
 from .groupoid import FiniteGroupoid, orbit_index, orbits
 
 Weights = list[Fraction]
+ArrowWeights = dict[int, int | Fraction]
 
 _ZERO = Fraction(0)
 
@@ -31,19 +35,42 @@ def _as_fractions(values, length: int, what: str) -> Weights:
     return out
 
 
+def _arrow_weights(g: FiniteGroupoid, u) -> ArrowWeights:
+    """Sparse arrow weights: a dict arrow -> exact nonzero value.
+
+    ``u`` is such a dict (zeros allowed) or a sequence with one value per
+    arrow.  Zeros are left out, and ``int`` values stay ``int``.
+    """
+    n = len(g.src)
+    if isinstance(u, dict):
+        items = u.items()
+    else:
+        u = list(u)
+        if len(u) != n:
+            raise ValueError(f"arrow weights must have length {n}, got {len(u)}")
+        items = enumerate(u)
+    out = {}
+    for a, v in items:
+        if not 0 <= a < n:
+            raise ValueError(f"arrow weights name arrow {a}, outside range({n})")
+        if type(v) is not int and type(v) is not Fraction:
+            v = Fraction(v)
+        if v:
+            out[a] = v
+    return out
+
+
 def s_shriek(g: FiniteGroupoid, u) -> Weights:
-    u = _as_fractions(u, g.n_arrows, "arrow weights")
     out = [Fraction(0)] * g.n_objects
-    for a in g.arrows():
-        out[g.src[a]] += u[a]
+    for a, w in _arrow_weights(g, u).items():
+        out[g.src[a]] += w
     return out
 
 
 def t_shriek(g: FiniteGroupoid, u) -> Weights:
-    u = _as_fractions(u, g.n_arrows, "arrow weights")
     out = [Fraction(0)] * g.n_objects
-    for a in g.arrows():
-        out[g.tgt[a]] += u[a]
+    for a, w in _arrow_weights(g, u).items():
+        out[g.tgt[a]] += w
     return out
 
 
@@ -110,24 +137,34 @@ def is_invariant_functional(g: FiniteGroupoid, v) -> bool:
     return all(v[g.src[a]] == v[g.tgt[a]] for a in g.arrows())
 
 
-def convolve(g: FiniteGroupoid, u, v) -> Weights:
-    """Convolution product: (u * v)(c) sums u(a) v(b) over factorizations c = ab."""
-    u = _as_fractions(u, g.n_arrows, "arrow weights")
-    v = _as_fractions(v, g.n_arrows, "arrow weights")
-    out = [_ZERO] * g.n_arrows
-    for a, ua in enumerate(u):
-        if ua:
-            for b, c in g.by_left[a]:
-                if v[b]:
-                    out[c] += ua * v[b]
-    return out
+def convolve(g: FiniteGroupoid, u, v) -> ArrowWeights:
+    """Convolution product: (u * v)(c) sums u(a) v(b) over factorizations c = ab.
+
+    Walks the nonzeros of both factors: those of v grouped by target, then
+    each nonzero u(a) meets the v(b) with tgt(b) = src(a).  Returns the
+    nonzero entries as arrow weights.
+    """
+    u, v = _arrow_weights(g, u), _arrow_weights(g, v)
+    if not (u and v):
+        return {}
+    v_into: dict[int, list] = {}
+    tgt = g.tgt
+    for b, vb in v.items():
+        v_into.setdefault(tgt[b], []).append((b, vb))
+    table, src = g.compose_table, g.src
+    out: ArrowWeights = {}
+    for a, ua in u.items():
+        for b, vb in v_into.get(src[a], ()):
+            c = table[(a, b)]
+            out[c] = out.get(c, 0) + ua * vb
+    return {c: w for c, w in out.items() if w}
 
 
 def unit_trace(g: FiniteGroupoid, w, u) -> Fraction:
     """Localization at units: sum of w(x) u(unit(x)) over objects x."""
     w = _as_fractions(w, g.n_objects, "object weights")
-    u = _as_fractions(u, g.n_arrows, "arrow weights")
-    return sum((w[x] * u[g.unit[x]] for x in g.objects()), Fraction(0))
+    u = _arrow_weights(g, u)
+    return sum((w[x] * u.get(g.unit[x], 0) for x in g.objects()), Fraction(0))
 
 
 def is_trace(g: FiniteGroupoid, w) -> tuple[bool, tuple[int, int] | None]:
@@ -139,11 +176,10 @@ def is_trace(g: FiniteGroupoid, w) -> tuple[bool, tuple[int, int] | None]:
     """
     w = _as_fractions(w, g.n_objects, "object weights")
     units = {g.unit[x]: x for x in g.objects()}
+    table = g.compose_table
 
     def tr_product(a: int, b: int) -> Fraction:
-        if not g.composable(a, b):
-            return _ZERO
-        x = units.get(g.compose_table[(a, b)])
+        x = units.get(table.get((a, b)))
         return w[x] if x is not None else _ZERO
 
     for a in g.arrows():

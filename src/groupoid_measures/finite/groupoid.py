@@ -42,7 +42,15 @@ class FiniteGroupoid:
         return self.compose_table[(g, h)]
 
     def arrows_from(self, x: int) -> list[int]:
-        return [g for g in self.arrows() if self.src[g] == x]
+        """The arrows with source x, in index order."""
+        return self._arrows_out[x]
+
+    @cached_property
+    def _arrows_out(self) -> list[list[int]]:
+        out: list[list[int]] = [[] for _ in self.objects()]
+        for a, x in enumerate(self.src):
+            out[x].append(a)
+        return out
 
     @cached_property
     def arrows_into(self) -> list[list[int]]:
@@ -53,12 +61,33 @@ class FiniteGroupoid:
         return into
 
     @cached_property
-    def by_left(self) -> list[list[tuple[int, int]]]:
-        """by_left[a]: the pairs (b, a∘b) over the arrows b composable after a."""
-        out: list[list[tuple[int, int]]] = [[] for _ in self.arrows()]
-        for (a, b), c in self.compose_table.items():
-            out[a].append((b, c))
-        return out
+    def _orbits(self) -> tuple[tuple[int, ...], ...]:
+        """Connected components under arrows, each sorted, ordered by least object."""
+        parent = list(range(self.n_objects))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for x, y in zip(self.src, self.tgt):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[max(rx, ry)] = min(rx, ry)
+
+        groups: dict[int, list[int]] = {}
+        for x in self.objects():
+            groups.setdefault(find(x), []).append(x)
+        return tuple(tuple(groups[r]) for r in sorted(groups))
+
+    @cached_property
+    def _orbit_index(self) -> tuple[int, ...]:
+        idx = [0] * self.n_objects
+        for k, orb in enumerate(self._orbits):
+            for x in orb:
+                idx[x] = k
+        return tuple(idx)
 
     def to_json(self) -> str:
         doc = {
@@ -162,33 +191,16 @@ def validate(g: FiniteGroupoid) -> list[str]:
 
 
 def orbits(g: FiniteGroupoid) -> list[list[int]]:
-    """Partition of the objects into orbits (connected components under arrows)."""
-    parent = list(range(g.n_objects))
+    """Partition of the objects into orbits (connected components under arrows).
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in g.arrows():
-        rx, ry = find(g.src[a]), find(g.tgt[a])
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    groups: dict[int, list[int]] = {}
-    for x in g.objects():
-        groups.setdefault(find(x), []).append(x)
-    return [sorted(groups[r]) for r in sorted(groups)]
+    Computed once per groupoid; each call returns a fresh copy.
+    """
+    return [list(orb) for orb in g._orbits]
 
 
 def orbit_index(g: FiniteGroupoid) -> list[int]:
     """Map object -> index of its orbit in orbits(g)."""
-    idx = [0] * g.n_objects
-    for k, orb in enumerate(orbits(g)):
-        for x in orb:
-            idx[x] = k
-    return idx
+    return list(g._orbit_index)
 
 
 def restrict_full_subgroupoid(g: FiniteGroupoid, objects: list[int]) -> FiniteGroupoid:

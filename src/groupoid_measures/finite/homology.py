@@ -10,7 +10,6 @@ tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg_q
 from .groupoid import FiniteGroupoid, orbits
@@ -44,26 +43,46 @@ def face(g: FiniteGroupoid, string: tuple[int, ...], i: int) -> tuple[int, ...]:
     return string[:i - 1] + (g.compose_table[(string[i - 1], string[i])],) + string[i + 1:]
 
 
-def boundary_matrix(g: FiniteGroupoid, k: int) -> linalg_q.Matrix:
-    """Matrix of the degree-k differential (alternating face summations).
+def boundary_columns(g: FiniteGroupoid, k: int, domain: list | None = None,
+                     codomain: list | None = None) -> list[linalg_q.Column]:
+    """Sparse columns of the degree-k differential (alternating face summations).
 
-    Rows are indexed by the degree k-1 nerve, columns by the degree-k
-    nerve, both in the deterministic enumeration order of nerve().
+    Column j is a dict from row to a nonzero ``int``: the faces of the j-th
+    degree-k string, with signs, indexed by the degree k-1 nerve; faces that
+    coincide add up and may cancel.  Strings come in the enumeration order
+    of nerve(); ``domain`` and ``codomain`` pass nerves already enumerated.
     """
     if k < 1:
         raise ValueError("boundary matrices start at degree 1")
-    return _boundary(g, k, nerve(g, k), nerve(g, k - 1))
-
-
-def _boundary(g: FiniteGroupoid, k: int, domain: list, codomain: list) -> linalg_q.Matrix:
-    """The degree-k differential from the enumerated nerves of degrees k and k-1."""
-    codomain = {s: i for i, s in enumerate(codomain)}
-    mat = linalg_q.zeros(len(codomain), len(domain))
-    for col, s in enumerate(domain):
-        sign = Fraction(1)
+    domain = nerve(g, k) if domain is None else domain
+    codomain = nerve(g, k - 1) if codomain is None else codomain
+    index = {s: i for i, s in enumerate(codomain)}
+    columns = []
+    for s in domain:
+        col: linalg_q.Column = {}
+        sign = 1
         for i in range(k + 1):
-            mat[codomain[face(g, s, i)]][col] += sign
+            r = index[face(g, s, i)]
+            w = col.get(r, 0) + sign
+            if w:
+                col[r] = w
+            else:
+                del col[r]
             sign = -sign
+        columns.append(col)
+    return columns
+
+
+def boundary_matrix(g: FiniteGroupoid, k: int) -> linalg_q.Matrix:
+    """Dense view of the degree-k differential, rows by the degree k-1 nerve."""
+    if k < 1:
+        raise ValueError("boundary matrices start at degree 1")
+    codomain = nerve(g, k - 1)
+    columns = boundary_columns(g, k, codomain=codomain)
+    mat = [[0] * len(columns) for _ in codomain]
+    for j, col in enumerate(columns):
+        for r, v in col.items():
+            mat[r][j] = v
     return mat
 
 
@@ -90,7 +109,7 @@ def homology(g: FiniteGroupoid, kmax: int) -> HomologyReport:
     nerves = [nerve(g, k) for k in range(kmax + 2)]
     ranks = [0]  # rank of the (zero) differential out of degree 0
     for k in range(1, kmax + 2):
-        ranks.append(linalg_q.rank(_boundary(g, k, nerves[k], nerves[k - 1])))
+        ranks.append(linalg_q._reduce(boundary_columns(g, k, nerves[k], nerves[k - 1])))
     sizes = [len(strings) for strings in nerves]
     degrees = [
         DegreeReport(k, sizes[k], ranks[k], sizes[k] - ranks[k] - ranks[k + 1])

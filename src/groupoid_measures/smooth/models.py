@@ -91,10 +91,13 @@ class ActionGroupoidModel:
                    for j in range(self.group_size))
 
     def act_points(self, j: int, pts):
+        """Image a(g_j, x) of chart points; ``j`` may be an integer array
+        with one group index per point."""
         raise NotImplementedError
 
     def jacobian_points(self, j: int, pts):
-        """|det| of the base-direction differential of a(g_j, .) in the chart."""
+        """|det| of the base-direction differential of a(g_j, .) in the chart;
+        ``j`` as in ``act_points``."""
         raise NotImplementedError
 
     def adjoint_factor(self, j: int) -> float:
@@ -274,13 +277,31 @@ class FiniteActionModel(ActionGroupoidModel):
     def node_image(self, j, flat):
         return int(self.node_maps[j][flat])
 
+    def _elements(self, j):
+        """(e, mask of the entries of j equal to e) for each element e in j."""
+        for e in range(self.group_size):
+            at = j == e
+            if at.any():
+                yield e, at
+
     def act_points(self, j, pts):
-        return self.point_maps[j](*pts)
+        if np.ndim(j) == 0:
+            return self.point_maps[j](*pts)
+        out = [np.empty(np.shape(j)) for _ in pts]
+        for e, at in self._elements(j):
+            for o, v in zip(out, self.point_maps[e](*(np.asarray(p)[at] for p in pts))):
+                o[at] = v
+        return tuple(out)
 
     def jacobian_points(self, j, pts):
         if self.jacobians is None:
             return 1.0
-        return self.jacobians[j](*pts)
+        if np.ndim(j) == 0:
+            return self.jacobians[j](*pts)
+        out = np.empty(np.shape(j))
+        for e, at in self._elements(j):
+            out[at] = self.jacobians[e](*(np.asarray(p)[at] for p in pts))
+        return out
 
     def orbit_representatives(self) -> np.ndarray:
         """Smallest flat node index of each node orbit."""
@@ -293,7 +314,8 @@ class FiniteActionModel(ActionGroupoidModel):
             new = rep[rep]
             changed = bool(np.any(new != rep))
             rep = new
-        return np.unique(rep)
+        # every node now points at the fixed point of its orbit
+        return np.flatnonzero(rep == np.arange(n))
 
     def project_to_base(self, values):
         reps = self.orbit_representatives()
@@ -482,6 +504,12 @@ def build_model(descriptor: dict):
     raise ModelError(f"unknown model kind {kind!r}")
 
 
+def positive_finite(values, strict: bool = True) -> bool:
+    """Every value finite and > 0 (>= 0 with ``strict`` False); NaN is neither."""
+    values = np.asarray(values)
+    return bool(np.all(np.isfinite(values) & ((values > 0) if strict else (values >= 0))))
+
+
 class TransverseDensityData:
     """A decomposed transverse density: algebroid weight and base density.
 
@@ -498,10 +526,10 @@ class TransverseDensityData:
         mesh = model.grid.meshgrid()
         self.rho_values = np.asarray(rho_fn(*mesh), dtype=float) + np.zeros(model.grid.shape)
         self.tau_values = np.asarray(tau_fn(*mesh), dtype=float) + np.zeros(model.grid.shape)
-        if np.any(self.rho_values <= 0):
-            raise ModelError("algebroid weight must be strictly positive (full)")
-        if np.any(self.tau_values < 0):
-            raise ModelError("base density must be nonnegative")
+        if not positive_finite(self.rho_values):
+            raise ModelError("algebroid weight must be strictly positive and finite (full)")
+        if not positive_finite(self.tau_values, strict=False):
+            raise ModelError("base density must be nonnegative and finite")
 
     @staticmethod
     def lebesgue(model) -> "TransverseDensityData":

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .models import (ActionGroupoidModel, CyclicAxisModel, ModelError,
-                     TransverseDensityData)
+                     TransverseDensityData, positive_finite)
 
 QUADRATURE_TOL = 1e-6
 ANALYTIC_TOL = 1e-9
@@ -417,25 +417,26 @@ def orbit_density(model, rho_values: np.ndarray, node: tuple) -> DiscreteMeasure
     return DiscreteMeasure(model.grid.shape, masses)
 
 
-def modular_cocycle(model, sigma: TransverseDensityData, j: int, point) -> float:
+def modular_cocycle(model, sigma: TransverseDensityData, j, point):
     """Log failure of sigma to be invariant along the arrow (g_j, point).
 
     Computed from the transport conventions in the models module: the base
     density contributes log(tau(y) |J| / tau(x)), the algebroid weight the
-    negative of log(rho(y) adj / rho(x)).
+    negative of log(rho(y) adj / rho(x)).  ``j`` is one group index with a
+    point, or an integer array of them with one coordinate array per axis;
+    the result is a float or an array of one value per arrow.
     """
     x = tuple(np.asarray(c, dtype=float) for c in point)
     y = model.act_points(j, x)
-    tau_x = float(sigma.tau_fn(*x))
-    tau_y = float(sigma.tau_fn(*y))
-    rho_x = float(sigma.rho_fn(*x))
-    rho_y = float(sigma.rho_fn(*y))
-    if tau_x <= 0 or tau_y <= 0 or rho_x <= 0 or rho_y <= 0:
-        raise ValueError("sigma must be strictly positive at both endpoints")
-    jac = abs(float(model.jacobian_points(j, x)))
-    adj = abs(float(model.adjoint_factor(j)))
-    return (np.log(tau_y) + np.log(jac) - np.log(tau_x)) \
+    tau_x, tau_y = sigma.tau_fn(*x), sigma.tau_fn(*y)
+    rho_x, rho_y = sigma.rho_fn(*x), sigma.rho_fn(*y)
+    if not all(positive_finite(v) for v in (tau_x, tau_y, rho_x, rho_y)):
+        raise ModelError("sigma must be strictly positive and finite at both endpoints")
+    jac = np.abs(model.jacobian_points(j, x))
+    adj = np.abs(model.adjoint_factor(j))
+    out = (np.log(tau_y) + np.log(jac) - np.log(tau_x)) \
         - (np.log(rho_y) + np.log(adj) - np.log(rho_x))
+    return float(out) if np.ndim(j) == 0 else out
 
 
 @dataclass
@@ -458,23 +459,37 @@ def cocycle_additivity_defect(model, sigma: TransverseDensityData,
     """Additivity of the cocycle on seeded random composable pairs.
 
     Pairs are drawn uniformly over group x group x grid nodes, redrawing
-    when the model's partial composition is undefined.
+    when the model's partial composition is undefined; the cocycle is then
+    evaluated once on all 3 * samples arrows.
     """
-    mesh = model.grid.meshgrid()
-    flat = [m.ravel() for m in mesh]
-    worst = 0.0
-    drawn = 0
-    while drawn < samples:
+    flat = [m.ravel() for m in model.grid.meshgrid()]
+    draws = []
+    while len(draws) < samples:
         j = int(rng.integers(model.group_size))
         k = int(rng.integers(model.group_size))
         jk = model.mul(j, k)
         if jk is None:
             continue
-        drawn += 1
-        p = int(rng.integers(len(flat[0])))
-        x = tuple(c[p] for c in flat)
-        c_k = modular_cocycle(model, sigma, k, x)
-        c_j = modular_cocycle(model, sigma, j, model.act_points(k, x))
-        c_jk = modular_cocycle(model, sigma, jk, x)
-        worst = max(worst, abs(c_j + c_k - c_jk))
-    return worst
+        draws.append((j, k, jk, int(rng.integers(len(flat[0])))))
+    j, k, jk, p = (np.array(column, dtype=np.intp) for column in zip(*draws))
+    x = [c[p] for c in flat]
+    kx = model.act_points(k, x)
+    c_k, c_j, c_jk = np.split(modular_cocycle(
+        model, sigma, np.concatenate([k, j, jk]),
+        [np.concatenate(parts) for parts in zip(x, kx, x)]), 3)
+    return _max_abs(c_j + c_k - c_jk)
+
+
+def cocycle_vanishing_defect(model, sigma: TransverseDensityData,
+                             rng: np.random.Generator, samples: int = 50) -> float:
+    """Largest |cocycle| over arrows drawn uniformly from group x grid nodes."""
+    flat = [m.ravel() for m in model.grid.meshgrid()]
+    draws = [(int(rng.integers(model.group_size)), int(rng.integers(len(flat[0]))))
+             for _ in range(samples)]
+    j, p = (np.array(column, dtype=np.intp) for column in zip(*draws))
+    return _max_abs(modular_cocycle(model, sigma, j, [c[p] for c in flat]))
+
+
+def _max_abs(values: np.ndarray) -> float:
+    """Largest absolute value, 0 for no values; a NaN anywhere gives NaN."""
+    return float(np.max(np.abs(values), initial=0.0))

@@ -5,6 +5,7 @@ import io
 import json
 import os
 
+import numpy as np
 import pytest
 
 from groupoid_measures.cli import bundled_scenarios, main
@@ -683,3 +684,37 @@ def test_symplectic_checks_need_their_model_kind(capsys, tmp_path, model, check,
     code, _, err = run_doc(capsys, tmp_path, doc)
     assert_input_error(code, err)
     assert f"'{check['name']}'" in err and message in err
+
+
+@pytest.mark.parametrize("check", ["invariance_defect", "inversion_defect",
+                                   "averaging_annihilates", "cocycle_additivity",
+                                   "cocycle_vanishes"])
+@pytest.mark.parametrize("sigma, message", [
+    ({"rho": "1 + sqrt(x - 0.5)"}, "algebroid weight must be strictly positive and finite"),
+    ({"tau": "log(x + 0.5)"}, "base density must be nonnegative and finite"),
+])
+def test_nan_density_is_input_error(capsys, tmp_path, check, sigma, message):
+    # NaN compares false both ways: it used to slip past the sign tests and
+    # give passing rows with lhs 0.  numpy's own warning about the sqrt or
+    # log is silenced here, so that stderr holds only the error line.
+    doc = {"name": "x", "engine": "smooth",
+           "model": {"kind": "mirror_interval", "params": {"n": 33}, "sigma": sigma},
+           "checks": [{"name": check}]}
+    with np.errstate(invalid="ignore", divide="ignore"):
+        code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert f"'{check}'" in err and message in err
+
+
+@pytest.mark.parametrize("check", [
+    {"name": "cocycle_expected", "params": {"element": 3, "point": [-1.0], "expected": "0"}},
+    {"name": "cocycle_additivity"},
+])
+def test_sigma_not_positive_at_a_cocycle_endpoint_is_input_error(capsys, tmp_path, check):
+    # positive on the grid [0.5, 3], negative at x < 0 and above 5
+    doc = {"name": "x", "engine": "smooth",
+           "model": {"kind": "scaling_line", "sigma": {"rho": "5 - x", "tau": "x"}},
+           "checks": [check]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert "strictly positive and finite at both endpoints" in err

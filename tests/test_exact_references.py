@@ -8,15 +8,17 @@ composition table, and a nerve that scans every arrow for every extension.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from groupoid_measures.finite import (
     action_groupoid,
+    boundary_columns,
     boundary_matrix,
     convolve,
     cyclic_group_table,
     disjoint_union,
+    face,
     from_json,
     homology,
     nerve,
@@ -61,12 +63,32 @@ def dense_rank(a):
 
 
 def table_convolve(g, u, v):
-    """(u * v)(c) summed over the whole composition table."""
+    """(u * v)(c) summed over the whole composition table; the nonzero entries."""
     out = [Fraction(0)] * g.n_arrows
     for (a, b), c in g.compose_table.items():
         if u[a] and v[b]:
             out[c] += Fraction(u[a]) * Fraction(v[b])
-    return out
+    return {c: w for c, w in enumerate(out) if w}
+
+
+def dense_boundary(g, k):
+    """The degree-k differential as a dense Fraction matrix, face by face."""
+    rows = {s: i for i, s in enumerate(nerve(g, k - 1))}
+    domain = nerve(g, k)
+    mat = [[Fraction(0)] * len(domain) for _ in rows]
+    for col, s in enumerate(domain):
+        for i in range(k + 1):
+            mat[rows[face(g, s, i)]][col] += (-1) ** i
+    return mat
+
+
+def dense(columns, n_rows):
+    """Sparse columns as a dense list of rows."""
+    mat = [[0] * len(columns) for _ in range(n_rows)]
+    for j, col in enumerate(columns):
+        for r, v in col.items():
+            mat[r][j] = v
+    return mat
 
 
 def scanned_nerve(g, k):
@@ -167,6 +189,64 @@ def test_boundary_rank_and_kernel_match_the_dense_reference(g, k):
 
 
 @settings(max_examples=40, deadline=None)
+@given(groupoids, st.integers(1, 3))
+def test_sparse_int_boundary_rank_matches_the_dense_echelon(g, k):
+    columns = boundary_columns(g, k)
+    reference = dense_boundary(g, k)
+    assert dense(columns, len(reference)) == reference
+    assert all(type(v) is int and v for col in columns for v in col.values())
+    assert linalg_q._reduce(columns) == dense_rank(reference)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices whose entries are mostly not units, so pivots need not divide."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.sampled_from([2, -2, 3, -3, 4, 5, -6, 1]))
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_int_reduction_matches_the_dense_echelon_with_non_unit_pivots():
+    quotients = []  # one entry per Fraction quotient the reduction takes
+
+    def counting_fraction(*args):
+        quotients.append(args)
+        return Fraction(*args)
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_matrices())
+    def check(a):
+        columns = linalg_q._columns(a)
+        linalg_q.Fraction = counting_fraction
+        try:
+            r = linalg_q._reduce(columns)
+        finally:
+            linalg_q.Fraction = Fraction
+        assert r == dense_rank(a)
+
+    check()
+    assert quotients, "no pivot failed to divide: the Fraction branch never ran"
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.integers(0, 5), st.data())
+def test_sparse_compose_matches_dense_matmul(a, width, data):
+    assume(a and a[0])
+    b = [[Fraction(data.draw(entries)) for _ in range(width)] for _ in a[0]]
+    product = linalg_q.compose(linalg_q._columns(a), linalg_q._columns(b))
+    assert dense(product, len(a)) == linalg_q.matmul(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(groupoids, st.integers(2, 3))
+def test_sparse_boundary_composite_matches_dense_matmul(g, k):
+    product = linalg_q.compose(boundary_columns(g, k - 1), boundary_columns(g, k))
+    lower = dense_boundary(g, k - 1)
+    assert dense(product, len(lower)) == linalg_q.matmul(lower, dense_boundary(g, k))
+    assert all(not col for col in product)
+
+
+@settings(max_examples=40, deadline=None)
 @given(groupoids)
 def test_betti_zero_is_the_orbit_count_on_random_actions(g):
     assert homology(g, 1).betti()[0] == len(orbits(g))
@@ -209,3 +289,30 @@ def test_json_round_trip_keeps_the_groupoid(g):
     assert (back.unit, back.inverse) == (g.unit, g.inverse)
     assert homology(back, 0).betti()[0] == homology(g, 0).betti()[0] == len(orbits(g))
     assert back.to_json() == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(groupoids, st.data())
+def test_convolve_reads_dicts_and_sequences_alike(g, data):
+    u = data.draw(sparse_weights(g.n_arrows))
+    v = data.draw(sparse_weights(g.n_arrows))
+    as_dict = {a: w for a, w in enumerate(u) if w or a % 2}  # zeros may be present
+    product = convolve(g, as_dict, dict(enumerate(v)))
+    assert product == convolve(g, u, v)
+    assert all(product.values())
+    ints = convolve(g, [int(2 * w) for w in u], [int(3 * w) for w in v])
+    assert all(type(w) is int for w in ints.values())
+
+
+@pytest.mark.parametrize("model", [{"kind": "pair", "n": 3},
+                                   {"kind": "z2_action", "points": 3, "swaps": [[0, 1]]}])
+def test_finite_checks_return_exact_values(model):
+    from groupoid_measures.checks import REGISTRY, ScenarioContext
+    ctx = ScenarioContext("exact", "finite", model, 7)
+    for check in REGISTRY.values():
+        if check.engine != "finite":
+            continue
+        result = check.runner(ctx, 0.0, **check.read_params({}))
+        pairs = result.values() if isinstance(result, dict) else [result]
+        for lhs, rhs in pairs:
+            assert type(lhs) in (int, Fraction) and type(rhs) in (int, Fraction), check.name

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from groupoid_measures.smooth import (
     ArrowFunction,
+    FiniteActionModel,
     ModelError,
     RotationPlaneModel,
     SaturationError,
@@ -21,6 +22,7 @@ from groupoid_measures.smooth import (
     averaging,
     circle_self_model,
     cocycle_additivity_defect,
+    cocycle_vanishing_defect,
     cutoff_construct,
     cutoff_normalization_defect,
     default_test_set,
@@ -820,3 +822,123 @@ def test_rho_varying_along_the_axis_keeps_the_per_term_path(n_r, n):
         out = integral(model, rho, u)
         assert all("values" in b.__dict__ for b in separable_fields(u))
         assert np.array_equal(out, integral(model, rho, materialized(u)))
+
+
+# ---------------------------------------------------------------------------
+# the batched cocycle against a per-arrow scalar reference
+
+def scalar_additivity_defect(model, sigma, rng, samples):
+    """The per-arrow loop the batched additivity defect replaced."""
+    flat = [m.ravel() for m in model.grid.meshgrid()]
+    worst = 0.0
+    drawn = 0
+    while drawn < samples:
+        j = int(rng.integers(model.group_size))
+        k = int(rng.integers(model.group_size))
+        jk = model.mul(j, k)
+        if jk is None:
+            continue
+        drawn += 1
+        p = int(rng.integers(len(flat[0])))
+        x = tuple(c[p] for c in flat)
+        c_k = modular_cocycle(model, sigma, k, x)
+        c_j = modular_cocycle(model, sigma, j, model.act_points(k, x))
+        c_jk = modular_cocycle(model, sigma, jk, x)
+        worst = max(worst, abs(c_j + c_k - c_jk))
+    return worst
+
+
+def scalar_vanishing_defect(model, sigma, rng, samples):
+    flat = [m.ravel() for m in model.grid.meshgrid()]
+    worst = 0.0
+    for _ in range(samples):
+        j = int(rng.integers(model.group_size))
+        p = int(rng.integers(len(flat[0])))
+        worst = max(worst, abs(modular_cocycle(model, sigma, j, tuple(c[p] for c in flat))))
+    return worst
+
+
+def _cocycle_cases():
+    rot = RotationPlaneModel(n_r=6, n_phi=16, r_lo=1.0, r_hi=2.0)
+    circle = circle_self_model(24)
+    antipodal = antipodal_circle_model(24)
+    mirror = mirror_interval_model(17, 1.0)
+    # the reflection with explicit Jacobian maps; the second is not the true
+    # one, so that the batch must pick each element's own map
+    reflection = FiniteActionModel(
+        mirror.grid, table=[[0, 1], [1, 0]], node_maps=mirror.node_maps,
+        point_maps=mirror.point_maps,
+        jacobians=[lambda x: np.ones_like(x), lambda x: -(2.0 + x)])
+    scaling = ScalingLineModel(max_power=2)
+    return {
+        "rotation": TransverseDensityData(rot, lambda r, t: 3.0 + np.cos(t) * r,
+                                          lambda r, t: r * (1.5 + np.sin(2 * t))),
+        "circle_self": TransverseDensityData(circle, lambda t: 2.0 + np.sin(t),
+                                             lambda t: 1.0 + 0.5 * np.cos(3 * t)),
+        "antipodal": TransverseDensityData(antipodal, lambda t: 2.0 + np.sin(t),
+                                           lambda t: np.exp(np.cos(t))),
+        "mirror": TransverseDensityData(mirror, lambda x: 1.5 + x,
+                                        lambda x: 1.0 + x * x),
+        "reflection": TransverseDensityData(reflection, lambda x: 1.5 + x,
+                                            lambda x: 2.0 + np.sin(3 * x)),
+        "scaling": TransverseDensityData(scaling, lambda x: 1.0 + x * x,
+                                         lambda x: 2.0 + np.sin(x)),
+    }
+
+
+COCYCLE_CASES = _cocycle_cases()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(COCYCLE_CASES)), st.integers(0, 2**32 - 1),
+       st.integers(1, 60))
+def test_batched_cocycle_defects_equal_the_scalar_loops(case, seed, samples):
+    sigma = COCYCLE_CASES[case]
+    model = sigma.model
+    assert cocycle_additivity_defect(model, sigma, np.random.default_rng(seed), samples) \
+        == scalar_additivity_defect(model, sigma, np.random.default_rng(seed), samples)
+    assert cocycle_vanishing_defect(model, sigma, np.random.default_rng(seed), samples) \
+        == scalar_vanishing_defect(model, sigma, np.random.default_rng(seed), samples)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(COCYCLE_CASES)), st.data())
+def test_batched_cocycle_equals_the_per_arrow_values(case, data):
+    sigma = COCYCLE_CASES[case]
+    model = sigma.model
+    flat = [m.ravel() for m in model.grid.meshgrid()]
+    n = data.draw(st.integers(1, 30))
+    j = np.array(data.draw(st.lists(st.integers(0, model.group_size - 1),
+                                    min_size=n, max_size=n)))
+    p = np.array(data.draw(st.lists(st.integers(0, len(flat[0]) - 1),
+                                    min_size=n, max_size=n)))
+    batched = modular_cocycle(model, sigma, j, [c[p] for c in flat])
+    scalar = [modular_cocycle(model, sigma, int(jj), tuple(c[pp] for c in flat))
+              for jj, pp in zip(j, p)]
+    assert batched.tolist() == scalar
+    images = model.act_points(j, [c[p] for c in flat])
+    for i, (jj, pp) in enumerate(zip(j, p)):
+        one = model.act_points(int(jj), tuple(c[pp] for c in flat))
+        assert [float(v[i]) for v in images] == [float(v) for v in one]
+
+
+def test_nan_density_is_rejected():
+    model = mirror_interval_model(17, 1.0)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ModelError, match="strictly positive and finite"):
+            TransverseDensityData(model, lambda x: 1 + np.sqrt(x - 0.5),
+                                  lambda x: np.ones_like(x))
+        with pytest.raises(ModelError, match="nonnegative and finite"):
+            TransverseDensityData(model, lambda x: np.ones_like(x),
+                                  lambda x: np.log(x + 0.5))
+    with pytest.raises(ModelError, match="nonnegative and finite"):
+        TransverseDensityData(model, lambda x: np.ones_like(x),
+                              lambda x: np.full_like(x, np.inf))
+
+
+def test_orbit_representatives_are_the_least_node_of_each_orbit():
+    for model in (antipodal_circle_model(24), mirror_interval_model(17, 1.0),
+                  TrivialActionModel(Grid([Axis(3, 0.0, 1.0), Axis(4, 0.0, 1.0)]))):
+        n = int(np.prod(model.grid.shape))
+        orbits = {frozenset(int(m.ravel()[x]) for m in model.node_maps) for x in range(n)}
+        assert model.orbit_representatives().tolist() == sorted(min(o) for o in orbits)
