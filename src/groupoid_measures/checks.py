@@ -525,8 +525,8 @@ def _avg_annihilates(ctx, tol, count):
     worst = 0.0
     for _ in range(count):
         u = ArrowFunction.random(model, rng)
-        diff = s_fiber_integrate(model, sigma.rho_values, u) \
-            - t_fiber_integrate(model, sigma.rho_values, u)
+        diff = s_fiber_integrate(model, sigma.rho_values, u)
+        diff -= t_fiber_integrate(model, sigma.rho_values, u)
         res = averaging(model, sigma.rho_values, diff)
         worst = max(worst, float(np.max(np.abs(res.values))))
     return worst, 0.0

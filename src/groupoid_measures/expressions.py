@@ -46,8 +46,10 @@ def compile_field(expr: str, ndim: int):
             for nm in names:
                 scope[nm] = coord
         try:
-            result = eval(code, {"__builtins__": {}}, scope)
-            out = result + np.zeros_like(np.asarray(coords[0], dtype=float))
+            # a NaN or inf is the caller's to reject, with its own message
+            with np.errstate(all="ignore"):
+                result = eval(code, {"__builtins__": {}}, scope)
+                out = result + np.zeros_like(np.asarray(coords[0], dtype=float))
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ExpressionError(f"cannot evaluate {expr!r}: {exc}") from exc
         if out.dtype.kind != "f" or out.shape != np.broadcast_shapes(*map(np.shape, coords)):

@@ -18,6 +18,7 @@ log-ratio of sigma against this transport.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +45,7 @@ class ActionGroupoidModel:
     """Base class: finite quadrature presentation of a group action on a grid.
 
     Subclasses fix the group structure on quadrature indices (``mul``,
-    ``inv``), the node action (``pull`` on samples, ``node_image`` on
+    ``inv``), the node action (``pull`` on samples, ``node_images`` on
     single nodes), the analytic action on coordinates (``act_points``) and
     the base-direction Jacobian.
     """
@@ -69,6 +70,11 @@ class ActionGroupoidModel:
 
     def inv(self, j: int) -> int:
         raise NotImplementedError
+
+    @cached_property
+    def inverse_index(self) -> np.ndarray:
+        """``inv(j)`` for every group index j, computed once per model."""
+        return np.array([self.inv(j) for j in range(self.group_size)], dtype=np.intp)
 
     def identity_index(self) -> int:
         raise NotImplementedError
@@ -103,9 +109,16 @@ class ActionGroupoidModel:
     def adjoint_factor(self, j: int) -> float:
         return 1.0
 
-    def node_image(self, j: int, flat: int) -> int:
-        """Flat index of a(g_j, x) for the node x with flat index ``flat``."""
+    def node_images(self, flat: int) -> np.ndarray:
+        """Flat indices of a(g_j, x), j = 0 .. G-1, for the node x with flat
+        index ``flat``."""
         raise NotImplementedError
+
+    def node_points(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Chart coordinates of the grid nodes with flat indices ``flat``, one
+        array per axis (the meshgrid entries, read from the axis nodes)."""
+        return [ax.nodes()[i] for ax, i in
+                zip(self.grid.axes, np.unravel_index(flat, self.grid.shape))]
 
     def volume_coefficient(self, *coords):
         """Chart coefficient of the Lebesgue density; 1 unless overridden."""
@@ -121,40 +134,45 @@ class ActionGroupoidModel:
 
     def check_axioms(self, rng: np.random.Generator, samples: int = 20,
                      tol: float = 1e-9) -> float:
-        """Sampled unit/compatibility/cocycle checks; returns the worst defect."""
-        mesh = self.grid.meshgrid()
-        flat = [m.ravel() for m in mesh]
-        worst = 0.0
-        e = self.identity_index()
+        """Sampled unit/compatibility/cocycle checks; returns the worst defect.
+
+        The draws are the scalar draws of a per-sample loop, in its order;
+        each axiom is then one array call over all samples, and the worst
+        defect is the running maximum of that loop.
+        """
+        n_nodes = int(np.prod(self.grid.shape))
+        draws = []
         for _ in range(samples):
-            p = int(rng.integers(len(flat[0])))
-            pt = [c[p] for c in flat]
+            p = int(rng.integers(n_nodes))
             jk = None
             while jk is None:  # redraw pairs a partial composition leaves undefined
                 j = int(rng.integers(self.group_size))
                 k = int(rng.integers(self.group_size))
                 jk = self.mul(j, k)
-            worst = max(worst, self._point_distance(self.act_points(e, pt), pt))
-            two_step = self.act_points(j, self.act_points(k, pt))
-            combined = self.act_points(jk, pt)
-            worst = max(worst, self._point_distance(two_step, combined))
-            jj = self.jacobian_points(j, self.act_points(k, pt)) \
-                * self.jacobian_points(k, pt)
-            worst = max(worst, abs(jj - self.jacobian_points(jk, pt)))
+            draws.append((p, j, k, jk))
+        p, j, k, jk = np.array(draws, dtype=np.intp).reshape(-1, 4).T
+        pt = self.node_points(p)
+        kpt = self.act_points(k, pt)
+        unit = self._point_distance(self.act_points(self.identity_index(), pt), pt)
+        compatible = self._point_distance(self.act_points(j, kpt), self.act_points(jk, pt))
+        chain = np.abs(self.jacobian_points(j, kpt) * self.jacobian_points(k, pt)
+                       - self.jacobian_points(jk, pt))
+        per_sample = np.column_stack(np.broadcast_arrays(unit, compatible, chain))
+        worst = max([0.0, *per_sample.ravel().tolist()])
         if worst > tol:
             raise ModelError(f"action axioms fail on samples (defect {worst:.3e})")
         return worst
 
-    def _point_distance(self, p, q) -> float:
-        """Chart distance; periodic coordinates compare modulo their period."""
+    def _point_distance(self, p, q):
+        """Chart distance of each pair of points; periodic coordinates compare
+        modulo their period."""
         worst = 0.0
-        for axis, (a, b) in enumerate(zip(p, q)):
-            d = abs(float(a) - float(b))
-            ax = self.grid.axes[axis]
+        for ax, a, b in zip(self.grid.axes, p, q):
+            d = np.abs(np.subtract(a, b))
             if ax.periodic:
                 d = d % ax.length
-                d = min(d, ax.length - d)
-            worst = max(worst, d)
+                d = np.minimum(d, ax.length - d)
+            worst = np.maximum(worst, d)
         return worst
 
 
@@ -195,32 +213,36 @@ class CyclicAxisModel(ActionGroupoidModel):
         return np.roll(values, -j, axis=self.axis)
 
     def pull_sum(self, weights, values):
-        """Circular correlation along the axis, on one of three exact paths.
+        """Circular correlation along the axis, on one of two exact paths.
 
-        Equal weights give one sum along the axis.  Otherwise values that
-        are constant along the axis (``ptp`` 0) give ``sum(weights) *
-        values`` with no FFT; a 1-D profile along the axis (every other
-        axis of length 1) correlates by an FFT of the axis length; any other
-        operand by the FFT along the axis of the full array.  Values need
+        Equal weights give one sum along the axis, returned as a read-only
+        broadcast of the sums, so no grid-sized array is written.  Other
+        weights correlate by an FFT along the axis: of the axis length for
+        a 1-D profile along it, of the full array otherwise.  Values need
         only broadcast against the grid; the result has their shape.
         """
         if np.all(weights == weights[0]):
-            return np.repeat(weights[0] * values.sum(self.axis, keepdims=True),
-                             self.group_size, axis=self.axis)
-        if not np.ptp(values, axis=self.axis).any():
-            return weights.sum() * values
+            shape = list(np.shape(values))
+            shape[self.axis] = self.group_size
+            return np.broadcast_to(weights[0] * values.sum(self.axis, keepdims=True),
+                                   shape)
         v_hat = np.fft.rfft(np.moveaxis(values, self.axis, -1))
         out = np.fft.irfft(np.conj(np.fft.rfft(weights)) * v_hat, n=self.group_size)
         return np.moveaxis(out, -1, self.axis)
 
     def orbit_spread(self, values):
-        # orbits are rows along the axis; rounding is monotone, so max - min wins
+        # orbits are rows along the axis; rounding is monotone, so max - min
+        # wins.  A row broadcast along the axis (an equal-weight pull_sum) is
+        # read once: its spread is x - x either way.
+        if values.shape[self.axis] > 1 and values.strides[self.axis] == 0:
+            values = values[(slice(None),) * self.axis + (slice(0, 1),)]
         return float(np.max(np.ptp(values, axis=self.axis)))
 
-    def node_image(self, j, flat):
-        idx = list(np.unravel_index(flat, self.grid.shape))
-        idx[self.axis] = (idx[self.axis] + j) % self.group_size
-        return int(np.ravel_multi_index(idx, self.grid.shape))
+    def node_images(self, flat):
+        # rolling by j moves the node's axis index i to i + j mod n
+        stride = int(np.prod(self.grid.shape[self.axis + 1:]))
+        i = flat // stride % self.group_size
+        return flat + ((i + np.arange(self.group_size)) % self.group_size - i) * stride
 
     def act_points(self, j, pts):
         pts = list(pts)
@@ -258,6 +280,8 @@ class FiniteActionModel(ActionGroupoidModel):
         for m in self.node_maps:
             if sorted(m.ravel().tolist()) != list(range(n_nodes)):
                 raise ModelError("node maps must be permutations of the grid")
+        # row j: the flat index of a(g_j, x) for every node x
+        self.node_table = np.stack([m.ravel() for m in self.node_maps])
 
     def haar_masses(self):
         return self.group.haar_weights()
@@ -274,8 +298,8 @@ class FiniteActionModel(ActionGroupoidModel):
     def pull(self, j, values):
         return values.ravel()[self.node_maps[j]].reshape(self.grid.shape)
 
-    def node_image(self, j, flat):
-        return int(self.node_maps[j][flat])
+    def node_images(self, flat):
+        return self.node_table[:, flat]
 
     def _elements(self, j):
         """(e, mask of the entries of j equal to e) for each element e in j."""

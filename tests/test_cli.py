@@ -718,3 +718,21 @@ def test_sigma_not_positive_at_a_cocycle_endpoint_is_input_error(capsys, tmp_pat
     code, _, err = run_doc(capsys, tmp_path, doc)
     assert_input_error(code, err)
     assert "strictly positive and finite at both endpoints" in err
+
+
+@pytest.mark.parametrize("sigma", [{"rho": "1 + sqrt(x - 0.5)"}, {"tau": "log(x + 0.5)"}])
+def test_nan_density_prints_only_the_error_line(tmp_path, sigma):
+    # a fresh interpreter with Python's default warning filters, so a numpy
+    # RuntimeWarning would reach stderr ahead of the error line
+    import subprocess
+    import sys
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({
+        "name": "x", "engine": "smooth",
+        "model": {"kind": "mirror_interval", "params": {"n": 33}, "sigma": sigma},
+        "checks": [{"name": "invariance_defect"}]}))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    proc = subprocess.run([sys.executable, "-m", "groupoid_measures.cli", "run", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert_input_error(proc.returncode, proc.stderr)
