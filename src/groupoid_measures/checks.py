@@ -352,9 +352,15 @@ class CheckDef:
                 for key, (kind, default) in self.params.items()}
 
     def rows(self, scenario: str, result, tol: float) -> list[CheckRow]:
+        """Report rows; exact checks keep ``int`` and ``Fraction`` sides."""
         labelled = result if isinstance(result, dict) else {self.name: result}
-        return [CheckRow(scenario, label, float(lhs), float(rhs), tol, self.exact)
+        side = _exact_side if self.exact else float
+        return [CheckRow(scenario, label, side(lhs), side(rhs), tol, self.exact)
                 for label, (lhs, rhs) in labelled.items()]
+
+
+def _exact_side(value):
+    return value if isinstance(value, (int, Fraction)) else float(value)
 
 
 REGISTRY: dict[str, CheckDef] = {}

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 from .checks import REGISTRY, REQUIRED, ScenarioContext, ScenarioError, catalog, integer
@@ -67,9 +66,10 @@ def _shaped(doc: dict, key: str, shape: type, default=None):
     return value
 
 
-def run_scenario(doc: dict, tol_overrides: dict[str, float] | None = None,
-                 seed_override: int | None = None) -> list[CheckRow]:
-    """Every check entry is read before the first check runs."""
+def read_scenario(doc: dict, tol_overrides: dict[str, float] | None = None,
+                  seed_override: int | None = None) -> tuple[tuple, list]:
+    """The arguments of a scenario's context and its checks, each with its
+    tolerance and parameter values; every check entry is read and no check runs."""
     tol_overrides = tol_overrides or {}
     engine = doc["engine"]
     if engine not in ("finite", "smooth", "symplectic"):
@@ -103,7 +103,14 @@ def run_scenario(doc: dict, tol_overrides: dict[str, float] | None = None,
         except (ScenarioError, ExpressionError) as exc:
             raise InputError(f"check {name!r}: {exc}") from exc
 
-    ctx = ScenarioContext(doc["name"], engine, model, seed)
+    return (doc["name"], engine, model, seed), plan
+
+
+def run_scenario(scenario: tuple[tuple, list]) -> list[CheckRow]:
+    """Runs the checks of a scenario from ``read_scenario``, in order, in a
+    context whose caches go when the scenario is done."""
+    context, plan = scenario
+    ctx = ScenarioContext(*context)
     rows: list[CheckRow] = []
     for check, tol, values in plan:
         try:
@@ -141,15 +148,10 @@ def cmd_run(args) -> int:
         except ScenarioError as exc:
             raise InputError(str(exc)) from exc
 
-    docs = [load_scenario(p) for p in paths]
-    if args.parallel and len(docs) > 1:
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(
-                lambda d: run_scenario(d, overrides, seed_override), docs))
-    else:
-        results = [run_scenario(d, overrides, seed_override) for d in docs]
-
-    report = Report([row for rows in results for row in rows])
+    # every document is read before the first check runs
+    scenarios = [read_scenario(load_scenario(p), overrides, seed_override)
+                 for p in paths]
+    report = Report([row for s in scenarios for row in run_scenario(s)])
     text = report.to_json() if args.format == "json" else report.to_csv()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -191,8 +193,6 @@ def main(argv=None) -> int:
                        help="scenario JSON paths or bundled scenario names")
     p_run.add_argument("--out", help="report output path (default: stdout)")
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_run.add_argument("--parallel", action="store_true",
-                       help="run multiple scenarios concurrently")
     p_run.add_argument("--tol", action="append", metavar="KEY=VAL",
                        help="override the tolerance of a check by name")
     p_run.set_defaults(fn=cmd_run)

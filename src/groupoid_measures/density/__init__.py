@@ -1,23 +1,10 @@
 """Quadrature substrate: grids, density fields, measures, model groups."""
 
-from .grids import (
-    Axis,
-    DensityField,
-    Grid,
-    circle,
-    fiber_integrate,
-    field_from_csv,
-    field_to_csv,
-    integrate,
-    interval,
-)
+from .grids import Axis, DensityField, Grid, circle, fiber_integrate, integrate, interval
 from .groups import GroupModel
-from .measures import GridMap, MeasureFunctional, pushforward
-from .bundles import CircleBundle, InvarianceError, invariant_decompose
+from .measures import MeasureFunctional
 
 __all__ = [
-    "Axis", "DensityField", "Grid", "circle", "fiber_integrate",
-    "field_from_csv", "field_to_csv", "integrate", "interval",
-    "GroupModel", "GridMap", "MeasureFunctional", "pushforward",
-    "CircleBundle", "InvarianceError", "invariant_decompose",
+    "Axis", "DensityField", "Grid", "circle", "fiber_integrate", "integrate",
+    "interval", "GroupModel", "MeasureFunctional",
 ]

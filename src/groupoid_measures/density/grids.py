@@ -13,8 +13,6 @@ integrating everything at once.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -212,33 +210,3 @@ def fiber_integrate(rho: DensityField, fiber_axes: list[int]) -> DensityField:
         acc = _reduce_axis(rho.grid, acc, axis)
     keep = [i for i in range(rho.grid.ndim) if i not in set(fiber)]
     return DensityField(rho.grid.subgrid(keep), acc)
-
-
-def field_to_csv(rho: DensityField) -> str:
-    """CSV serialization: one row per node, coordinates then value."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow([f"axis{i}" for i in range(rho.grid.ndim)] + ["value"])
-    mesh = rho.grid.meshgrid()
-    flat = [m.ravel() for m in mesh] + [rho.values.ravel()]
-    for row in zip(*flat):
-        writer.writerow([repr(float(v)) for v in row])
-    return out.getvalue()
-
-
-def field_from_csv(grid: Grid, text: str) -> DensityField:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != [f"axis{i}" for i in range(grid.ndim)] + ["value"]:
-        raise ValueError(f"unexpected CSV header {header}")
-    rows = [[float(v) for v in row] for row in reader if row]
-    if len(rows) != int(np.prod(grid.shape)):
-        raise ValueError("node count does not match the grid")
-    mesh = grid.meshgrid()
-    values = np.empty(grid.shape)
-    flat_coords = np.stack([m.ravel() for m in mesh], axis=1)
-    for k, row in enumerate(rows):
-        if not np.allclose(flat_coords[k], row[:-1], rtol=0, atol=1e-12):
-            raise ValueError(f"row {k} coordinates do not match the grid nodes")
-        values.ravel()[k] = row[-1]
-    return DensityField(grid, values)

@@ -57,75 +57,3 @@ class MeasureFunctional:
             f = np.abs(rng.standard_normal(self.grid.shape))
             if self(f) < -1e-12 * float(np.max(f) + 1.0):
                 raise AssertionError("functional is negative on a nonnegative input")
-
-
-class GridMap:
-    """Map between grids given by a node-to-node assignment (nearest cell).
-
-    ``index`` is an integer array of shape ``source.shape`` holding flat
-    node indices into ``target``; composition of maps is composition of
-    index lookups, which is exact.
-    """
-
-    def __init__(self, source: Grid, target: Grid, index: np.ndarray):
-        if index.shape != source.shape:
-            raise ValueError("index array must match the source grid")
-        self.source = source
-        self.target = target
-        self.index = index.astype(np.intp)
-
-    def pull(self, f: np.ndarray) -> np.ndarray:
-        """Pull a base-grid sample back to the source grid: f o pi."""
-        return f.ravel()[self.index]
-
-    def compose(self, other: "GridMap") -> "GridMap":
-        """self o other (other maps into self.source)."""
-        return GridMap(other.source, self.target, self.index.ravel()[other.index])
-
-    @staticmethod
-    def identity(grid: Grid) -> "GridMap":
-        return GridMap(grid, grid, np.arange(int(np.prod(grid.shape))).reshape(grid.shape))
-
-    @staticmethod
-    def to_point(grid: Grid, point_grid: Grid) -> "GridMap":
-        return GridMap(grid, point_grid, np.zeros(grid.shape, dtype=np.intp))
-
-    @staticmethod
-    def axis_projection(grid: Grid, keep: list[int]) -> "GridMap":
-        """Project onto the subgrid of the kept axes (node onto node)."""
-        base = grid.subgrid(keep)
-        idx = np.zeros(grid.shape, dtype=np.intp)
-        strides = np.cumprod([1] + [base.axes[i].n for i in range(len(keep) - 1, 0, -1)])[::-1]
-        for pos, axis in enumerate(keep):
-            shape = [1] * grid.ndim
-            shape[axis] = grid.axes[axis].n
-            idx = idx + strides[pos] * np.arange(grid.axes[axis].n).reshape(shape)
-        return GridMap(grid, base, idx)
-
-    @staticmethod
-    def from_coordinates(grid: Grid, target: Grid, fn) -> "GridMap":
-        """Nearest-node assignment of fn(node coordinates) in the target grid."""
-        coords = fn(*grid.meshgrid())
-        if target.ndim == 1:
-            coords = [coords] if not isinstance(coords, (list, tuple)) else list(coords)
-        flat = np.zeros(grid.shape, dtype=np.intp)
-        stride = 1
-        partial = np.zeros(grid.shape, dtype=np.intp)
-        for axis in reversed(range(target.ndim)):
-            nodes = target.nodes(axis)
-            nearest = np.abs(np.asarray(coords[axis])[..., None] - nodes).argmin(axis=-1)
-            partial = partial + stride * nearest
-            stride *= target.axes[axis].n
-        flat[...] = partial
-        return GridMap(grid, target, flat)
-
-
-def pushforward(pi: GridMap, mu: MeasureFunctional) -> MeasureFunctional:
-    """Pushforward measure: evaluates test functions composed with the map."""
-    if mu.grid is not pi.source and mu.grid.shape != pi.source.shape:
-        raise ValueError("measure grid does not match the map source")
-    return MeasureFunctional(
-        pi.target,
-        lambda f: mu(pi.pull(np.asarray(f))),
-        support=f"pushforward of {mu.support}" if mu.support else "pushforward",
-    )

@@ -6,33 +6,42 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 @dataclass(frozen=True)
 class CheckRow:
+    """One comparison.  The sides of an exact row may be ``int`` or
+    ``Fraction``; its errors and verdict are then exact, and only the
+    rendered report rounds them to floats."""
     scenario: str
     check: str
-    lhs: float
-    rhs: float
+    lhs: float | Fraction
+    rhs: float | Fraction
     tolerance: float
     exact: bool = False
 
     @property
-    def abs_err(self) -> float:
+    def abs_err(self) -> float | Fraction:
         return abs(self.lhs - self.rhs)
 
     @property
-    def rel_err(self) -> float:
+    def rel_err(self) -> float | Fraction:
         """Relative error; against unit scale when the reference side is zero."""
-        if self.rhs == 0.0:
+        if self.rhs == 0:
             return self.abs_err
         return self.abs_err / max(abs(self.lhs), abs(self.rhs))
 
     @property
     def passed(self) -> bool:
         if self.exact:
-            return self.abs_err == 0.0
+            return self.abs_err == 0
         return self.rel_err <= self.tolerance
+
+    def rendered(self) -> dict[str, float]:
+        """lhs, rhs, abs_err and rel_err as floats, as the reports write them."""
+        return {"lhs": float(self.lhs), "rhs": float(self.rhs),
+                "abs_err": float(self.abs_err), "rel_err": float(self.rel_err)}
 
 
 @dataclass
@@ -53,16 +62,14 @@ class Report:
                          "tolerance", "pass"])
         for r in self.rows:
             writer.writerow([r.scenario, r.check,
-                             f"{r.lhs:.17g}", f"{r.rhs:.17g}",
-                             f"{r.abs_err:.17g}", f"{r.rel_err:.17g}",
+                             *(f"{v:.17g}" for v in r.rendered().values()),
                              f"{r.tolerance:.17g}", str(r.passed).lower()])
         return out.getvalue()
 
     def to_json(self) -> str:
         return json.dumps({
             "rows": [{
-                "scenario": r.scenario, "check": r.check, "lhs": r.lhs, "rhs": r.rhs,
-                "abs_err": r.abs_err, "rel_err": r.rel_err,
+                "scenario": r.scenario, "check": r.check, **r.rendered(),
                 "tolerance": r.tolerance, "pass": r.passed,
             } for r in self.rows],
             "summary": self.summary(),

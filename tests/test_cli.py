@@ -1,6 +1,7 @@
 """CLI contract: exit codes, report formats, determinism, wire formats."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -120,10 +121,28 @@ def test_gm_seed_environment_override(capsys):
     assert out1 == out2
 
 
-def test_parallel_scenarios_give_same_rows(capsys):
-    _, seq, _ = run_cli(capsys, "run", "pair3_homology", "z2_group")
-    _, par, _ = run_cli(capsys, "run", "pair3_homology", "z2_group", "--parallel")
-    assert seq == par
+def test_scenarios_run_concurrently_give_the_serial_rows():
+    # operations are pure functions of immutable inputs, so threads that
+    # run the bundled scenarios side by side give the serial rows
+    from concurrent.futures import ThreadPoolExecutor
+
+    from groupoid_measures.cli import load_scenario, read_scenario, run_scenario
+
+    def run(path):
+        return run_scenario(read_scenario(load_scenario(path), seed_override=1))
+
+    paths = bundled_scenarios() * 2
+    serial = [run(p) for p in paths]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        assert list(pool.map(run, paths)) == serial
+
+
+def test_retired_parallel_option_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "pair3_homology", "--parallel"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --parallel" in err and "Traceback" not in err
 
 
 def test_embedded_groupoid_document_round_trips(capsys, tmp_path):
@@ -657,6 +676,68 @@ def test_every_entry_is_read_before_the_first_check_runs(capsys, tmp_path, monke
     code, _, err = run_doc(capsys, tmp_path, doc)
     assert_input_error(code, err)
     assert calls == []
+
+
+def test_every_document_is_read_before_the_first_check_runs(capsys, tmp_path,
+                                                            monkeypatch):
+    calls = []
+    for name, check in list(REGISTRY.items()):
+        def spy(ctx, tol, _name=name, **values):
+            calls.append(_name)
+            return 0, 0
+        monkeypatch.setitem(REGISTRY, name, dataclasses.replace(check, runner=spy))
+    good, bad, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "r.csv"
+    good.write_text(json.dumps(dict(SCENARIO, checks=[{"name": "axioms_valid"}])))
+    bad.write_text(json.dumps(dict(SCENARIO, checks=[
+        {"name": "homology_betti", "params": {"kmax": "x"}}])))
+    code, _, err = run_cli(capsys, "run", str(good), str(bad), "--out", str(out))
+    assert_input_error(code, err)
+    assert calls == [] and not out.exists()
+
+
+def test_each_scenario_context_is_released_before_the_next_runs(capsys, tmp_path,
+                                                                monkeypatch):
+    # a context caches models and grids; every document is read first, but
+    # holding a context per document would raise the peak memory of the run
+    import weakref
+    alive, contexts = [], []
+
+    def spy(ctx, tol):
+        alive.append(sum(ref() is not None for ref in contexts))
+        contexts.append(weakref.ref(ctx))
+        return 0, 0
+    monkeypatch.setitem(REGISTRY, "axioms_valid",
+                        dataclasses.replace(REGISTRY["axioms_valid"], runner=spy))
+    paths = []
+    for k in range(3):
+        paths.append(tmp_path / f"s{k}.json")
+        paths[-1].write_text(json.dumps(dict(SCENARIO, checks=[{"name": "axioms_valid"}])))
+    code, _, _ = run_cli(capsys, "run", *map(str, paths))
+    assert code == 0 and alive == [0, 0, 0]
+
+
+def test_exact_rows_compare_exactly(capsys, tmp_path, monkeypatch):
+    from fractions import Fraction
+
+    from groupoid_measures.checks import CheckDef
+    tiny = Fraction(1, 10 ** 400)  # rounds to 0.0 as a float
+    monkeypatch.setitem(REGISTRY, "exact_sides", CheckDef(
+        "exact_sides", "finite", lambda ctx, tol: {
+            "tiny": (tiny, 0), "third": (Fraction(1, 3), Fraction(1, 3)), "count": (3, 3)},
+        0.0, True, {}))
+    path, out = tmp_path / "s.json", tmp_path / "r.json"
+    path.write_text(json.dumps(dict(SCENARIO, checks=[{"name": "exact_sides"}])))
+    code, _, _ = run_cli(capsys, "run", str(path), "--format", "json", "--out", str(out))
+    assert code == 1
+    rows = {r["check"]: r for r in json.loads(out.read_text())["rows"]}
+    assert [rows[k]["pass"] for k in ("tiny", "third", "count")] == [False, True, True]
+    # the text is rounded only when rendered: floats, as for every row
+    assert out.read_text().count('"lhs": 3.0,') == 1
+    assert rows["tiny"]["lhs"] == rows["tiny"]["abs_err"] == 0.0
+    row = REGISTRY["exact_sides"].rows("x", {"tiny": (tiny, 0)}, 0.0)[0]
+    assert row.abs_err == tiny and not row.passed
+    _, csv_text, _ = run_cli(capsys, "run", str(path))
+    assert "x,count,3,3,0,0,0,true" in csv_text.splitlines()
 
 
 def test_model_axioms_below_its_defect_is_a_failing_row(capsys, tmp_path):

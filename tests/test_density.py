@@ -1,25 +1,18 @@
-"""Quadrature grids, density fields, measures, pushforwards, bundles."""
+"""Quadrature grids, density fields and measures."""
 
 import numpy as np
 import pytest
 
 from groupoid_measures.density import (
     Axis,
-    CircleBundle,
     DensityField,
     Grid,
-    GridMap,
     GroupModel,
-    InvarianceError,
     MeasureFunctional,
     circle,
     fiber_integrate,
-    field_from_csv,
-    field_to_csv,
     integrate,
     interval,
-    invariant_decompose,
-    pushforward,
 )
 
 
@@ -102,33 +95,6 @@ def test_fubini_regrouping():
         assert abs(alt - total) <= 1e-12 * max(1.0, abs(total))
 
 
-def test_pushforward_identity_and_point():
-    g = Grid([Axis(9, 0.0, 1.0), Axis(9, 0.0, 1.0)])
-    mu = MeasureFunctional.from_density(DensityField.from_function(
-        g, lambda x, y: 1.0 + x + y))
-    rng = np.random.default_rng(1)
-    f = rng.standard_normal(g.shape)
-    assert pushforward(GridMap.identity(g), mu)(f) == mu(f)
-
-    point = Grid([Axis(1, 0.0, 1.0, periodic=True)])
-    atom = pushforward(GridMap.to_point(g, point), mu)
-    assert atom(np.ones(point.shape)) == mu(np.ones(g.shape))
-
-
-def test_pushforward_functoriality_on_cube():
-    g3 = Grid([Axis(8, 0.0, 1.0), Axis(7, 0.0, 1.0), Axis(6, 0.0, 1.0)])
-    mu = MeasureFunctional.from_density(DensityField.from_function(
-        g3, lambda x, y, z: 1.0 + x * y + z))
-    pi32 = GridMap.axis_projection(g3, [0, 1])
-    pi21 = GridMap.axis_projection(g3.subgrid([0, 1]), [0])
-    pi31 = GridMap.axis_projection(g3, [0])
-    assert np.array_equal(pi21.compose(pi32).index, pi31.index)
-    f = np.random.default_rng(2).standard_normal(g3.subgrid([0]).shape)
-    two_step = pushforward(pi21, pushforward(pi32, mu))(f)
-    one_step = pushforward(pi31, mu)(f)
-    assert abs(two_step - one_step) <= 1e-12 * max(1.0, abs(one_step))
-
-
 def test_measure_functional_checks():
     g = interval(33, 0.0, 1.0)
     mu = MeasureFunctional.from_density(DensityField.constant(g, 2.0))
@@ -139,57 +105,12 @@ def test_measure_functional_checks():
         MeasureFunctional.from_density(DensityField.constant(g, -1.0))
 
 
-def test_invariant_decompose_round_trip():
-    total = Grid([Axis(64, 0.0, 2 * np.pi, periodic=True), Axis(17, 0.0, 1.0)])
-    bundle = CircleBundle(total)
-    base_field = DensityField.from_function(total.subgrid([1]),
-                                            lambda b: 1.0 + b ** 2)
-    rho = bundle.haar_times(base_field)
-    recovered = invariant_decompose(bundle, rho)
-    assert np.max(np.abs(recovered.values - base_field.values)) <= 1e-12
-
-    flat = invariant_decompose(bundle, bundle.haar_times(
-        DensityField.constant(total.subgrid([1]), 1.0)))
-    assert np.max(np.abs(flat.values - 1.0)) <= 1e-12
-
-
-def test_invariant_decompose_rejects_angular_dependence():
-    total = Grid([Axis(64, 0.0, 2 * np.pi, periodic=True), Axis(9, 0.0, 1.0)])
-    bundle = CircleBundle(total)
-    rho = DensityField.from_function(total, lambda t, b: 1.0 + 0.3 * np.cos(t))
-    with pytest.raises(InvarianceError) as err:
-        invariant_decompose(bundle, rho)
-    assert err.value.defect > 1e-3
-
-
-def test_field_csv_round_trip():
-    g = Grid([Axis(5, 0.0, 1.0), Axis(4, 0.0, 2 * np.pi, periodic=True)])
-    rho = DensityField.from_function(g, lambda x, t: x + np.cos(t))
-    text = field_to_csv(rho)
-    assert text.splitlines()[0] == "axis0,axis1,value"
-    back = field_from_csv(g, text)
-    assert np.array_equal(back.values, rho.values)
-
-
 def test_grid_json_round_trip():
     g = Grid([Axis(5, -1.0, 1.0), Axis(8, 0.0, 2 * np.pi, periodic=True)])
     g2 = Grid.from_json(g.to_json())
     assert g2.shape == g.shape
     assert [a.periodic for a in g2.axes] == [False, True]
     assert circle(8).axes[0].periodic
-
-
-def test_pushforward_nearest_cell_assignment():
-    # 1/90 spacing has no midpoint ties against the 1/10 target nodes
-    fine = interval(91, 0.0, 1.0)
-    coarse = interval(11, 0.0, 1.0)
-    pi = GridMap.from_coordinates(fine, coarse, lambda x: x)
-    mu = MeasureFunctional.from_density(DensityField.constant(fine, 1.0))
-    pushed = pushforward(pi, mu)
-    assert abs(pushed.total_mass() - 1.0) <= 1e-12
-    f = coarse.nodes(0) ** 2
-    direct = mu((np.round(fine.nodes(0) * 10) / 10) ** 2)
-    assert abs(pushed(f) - direct) <= 1e-12
 
 
 def _reference_nodes(ax):

@@ -1,18 +1,26 @@
-"""The exact engine's fast kernels against slow reference paths.
+"""The exact engine's fast kernels against slow reference paths, and the exact
+engine as the reference for the quadrature engine's finite models.
 
 The references are the dense implementations the kernels replaced: a dense
 row echelon form for rank and kernel, a convolution that walks the whole
 composition table, and a nerve that scans every arrow for every extension.
+A ``FiniteActionModel`` is a finite group permuting grid nodes, which is an
+action groupoid; its fiber integrals are sums that the exact engine computes
+over the rationals.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from groupoid_measures.density import Axis, Grid
 from groupoid_measures.finite import (
+    HaarWeight,
     action_groupoid,
+    average_function,
     boundary_columns,
     boundary_matrix,
     convolve,
@@ -25,6 +33,13 @@ from groupoid_measures.finite import (
     orbits,
 )
 from groupoid_measures.finite import linalg_q
+from groupoid_measures.smooth import (
+    FiniteActionModel,
+    SaturationError,
+    averaging,
+    cutoff_construct,
+    fiber_volumes,
+)
 from test_finite_groupoid import SUITE
 
 
@@ -316,3 +331,81 @@ def test_finite_checks_return_exact_values(model):
         pairs = result.values() if isinstance(result, dict) else [result]
         for lhs, rhs in pairs:
             assert type(lhs) in (int, Fraction) and type(rhs) in (int, Fraction), check.name
+
+
+# ---------------------------------------------------------------------------
+# the exact engine as reference for finite smooth models
+
+def _power(perm, k):
+    out = np.arange(len(perm))
+    for _ in range(k):
+        out = np.asarray(perm)[out]
+    return out
+
+
+@st.composite
+def finite_smooth_models(draw):
+    """Z_m1 x Z_m2 acting on a grid of at most 3 x 3 nodes by one permutation
+    per axis, conjugated by a permutation of all nodes; the same action as a
+    ``FiniteActionModel`` and as an exact action groupoid."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    perms = [draw(st.permutations(list(range(k)))) for k in shape]
+    m1, m2 = (_order(p) * draw(st.integers(1, 2)) for p in perms)
+    n_nodes = shape[0] * shape[1]
+    shuffle = np.array(draw(st.permutations(list(range(n_nodes)))))
+    rows, cols = np.indices(shape)
+    node_maps = []
+    for a in range(m1):
+        for b in range(m2):
+            image = np.ravel_multi_index(
+                (_power(perms[0], a)[rows], _power(perms[1], b)[cols]), shape)
+            node_maps.append(shuffle[image.ravel()[np.argsort(shuffle)]].reshape(shape))
+    table = [[(a1 + a2) % m1 * m2 + (b1 + b2) % m2
+              for a2 in range(m1) for b2 in range(m2)]
+             for a1 in range(m1) for b1 in range(m2)]
+    grid = Grid([Axis(k, 0.0, 1.0, periodic=True) for k in shape])
+    model = FiniteActionModel(grid, table, node_maps, point_maps=None)
+    return model, action_groupoid(table, [m.ravel().tolist() for m in node_maps], n_nodes)
+
+
+positive = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
+signed = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+seeds = st.one_of(st.just(Fraction(0)), positive, positive, positive)
+
+
+@settings(max_examples=50, deadline=None)
+@given(finite_smooth_models(), st.data())
+def test_exact_engine_is_the_reference_for_finite_smooth_models(case, data):
+    model, g = case
+    n, size = g.n_objects, model.group_size
+    rho, section, phi = (data.draw(st.lists(values, min_size=n, max_size=n))
+                         for values in (positive, signed, seeds))
+
+    def on_grid(values):
+        return np.array([float(v) for v in values]).reshape(model.grid.shape)
+
+    reps = model.orbit_representatives().tolist()
+    assert len(reps) == len(orbits(g))
+    assert reps == sorted(min(orb) for orb in orbits(g))
+
+    # the normalized Haar measure gives each group element the mass 1/|G|
+    haar = HaarWeight(g, rho)
+    assert np.allclose(fiber_volumes(model, on_grid(rho)).ravel(),
+                       [float(haar.fiber_mass(x) / size) for x in g.objects()],
+                       rtol=1e-12, atol=0)
+    averaged = averaging(model, on_grid(rho), on_grid(section)).values
+    assert np.allclose(averaged.ravel(),
+                       [float(v / size) for v in average_function(g, haar, section)],
+                       rtol=1e-12, atol=1e-12)
+
+    # the seed saturates exactly when phi * rho is a Haar weight of the groupoid
+    try:
+        seed = HaarWeight(g, [p * r for p, r in zip(phi, rho)])
+    except ValueError:
+        with pytest.raises(SaturationError):
+            cutoff_construct(model, on_grid(rho), on_grid(phi))
+        return
+    cutoff = cutoff_construct(model, on_grid(rho), on_grid(phi))
+    assert np.allclose(cutoff.ravel(),
+                       [float(p * size / seed.fiber_mass(x)) for x, p in enumerate(phi)],
+                       rtol=1e-12, atol=0)

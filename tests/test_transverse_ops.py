@@ -740,12 +740,12 @@ def test_finite_models_integrate_factored_fields_as_arrays(make):
 def test_lebesgue_rotation_checks_make_no_full_grid_fft(rfft_calls):
     # the random fields stay factored and the Lebesgue rho is constant along
     # the angle, so every correlation is a 1-D FFT of the angle axis
-    from groupoid_measures.cli import run_scenario
+    from groupoid_measures.cli import read_scenario, run_scenario
     doc = {"name": "x", "engine": "smooth",
            "model": {"kind": "rotation2d", "params": {"n_r": 8, "n_phi": 16}},
            "checks": [{"name": "invariance_defect"}, {"name": "inversion_defect"},
                       {"name": "averaging_annihilates"}]}
-    rows = run_scenario(doc)
+    rows = run_scenario(read_scenario(doc))
     assert [r.check for r in rows] == ["invariance_defect", "inversion_defect",
                                       "averaging_annihilates"]
     assert all(r.passed for r in rows)
@@ -925,7 +925,7 @@ def test_batched_cocycle_equals_the_per_arrow_values(case, data):
 
 def test_nan_density_is_rejected():
     model = mirror_interval_model(17, 1.0)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore"):
         with pytest.raises(ModelError, match="strictly positive and finite"):
             TransverseDensityData(model, lambda x: 1 + np.sqrt(x - 0.5),
                                   lambda x: np.ones_like(x))
