@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -133,8 +134,14 @@ def test_scenarios_run_concurrently_give_the_serial_rows():
 
     paths = bundled_scenarios() * 2
     serial = [run(p) for p in paths]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        assert list(pool.map(run, paths)) == serial
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so that they interleave
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            concurrent = list(pool.map(run, paths, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == serial
 
 
 def test_retired_parallel_option_is_a_usage_error(capsys):

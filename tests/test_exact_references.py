@@ -359,6 +359,7 @@ def finite_smooth_models(draw):
         for b in range(m2):
             image = np.ravel_multi_index(
                 (_power(perms[0], a)[rows], _power(perms[1], b)[cols]), shape)
+            # conjugated: x -> shuffle[image[shuffle^-1 x]]
             node_maps.append(shuffle[image.ravel()[np.argsort(shuffle)]].reshape(shape))
     table = [[(a1 + a2) % m1 * m2 + (b1 + b2) % m2
               for a2 in range(m1) for b2 in range(m2)]
@@ -398,7 +399,8 @@ def test_exact_engine_is_the_reference_for_finite_smooth_models(case, data):
                        [float(v / size) for v in average_function(g, haar, section)],
                        rtol=1e-12, atol=1e-12)
 
-    # the seed saturates exactly when phi * rho is a Haar weight of the groupoid
+    # the seed saturates exactly when phi * rho is nonzero on every orbit,
+    # which is when the exact engine accepts it as a Haar weight
     try:
         seed = HaarWeight(g, [p * r for p, r in zip(phi, rho)])
     except ValueError:
