@@ -152,6 +152,31 @@ def test_retired_parallel_option_is_a_usage_error(capsys):
     assert "unrecognized arguments: --parallel" in err and "Traceback" not in err
 
 
+def test_run_help_lists_no_parallel_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert "--out" in out and "--tol" in out and "--parallel" not in out
+
+
+def test_gm_run_reads_and_runs_each_document_once(capsys, monkeypatch):
+    # reading evaluates a document's SCALAR params, so it happens once per
+    # document; the benchmark tracer counts scenarios through run_scenario
+    from groupoid_measures import cli
+    calls = {"load_scenario": [], "read_scenario": [], "run_scenario": []}
+    for name in calls:
+        def spy(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls[_name].append(args[0] if _name == "load_scenario" else None)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+    code, _, _ = run_cli(capsys, "run", "pair3_homology", "z2_group", "pair3_homology")
+    assert code == 0
+    assert [os.path.basename(p) for p in calls["load_scenario"]] == [
+        "pair3_homology.json", "z2_group.json", "pair3_homology.json"]
+    assert len(calls["read_scenario"]) == len(calls["run_scenario"]) == 3
+
+
 def test_embedded_groupoid_document_round_trips(capsys, tmp_path):
     from groupoid_measures.finite import pair_groupoid
     doc = {"name": "wire", "engine": "finite",
@@ -745,6 +770,22 @@ def test_exact_rows_compare_exactly(capsys, tmp_path, monkeypatch):
     assert row.abs_err == tiny and not row.passed
     _, csv_text, _ = run_cli(capsys, "run", str(path))
     assert "x,count,3,3,0,0,0,true" in csv_text.splitlines()
+
+
+def test_exact_row_errors_are_exact_and_rendered_as_floats():
+    from fractions import Fraction
+
+    from groupoid_measures.reports import CheckRow
+    row = CheckRow("x", "c", Fraction(1, 3), Fraction(1, 2), 0.0, exact=True)
+    assert row.abs_err == Fraction(1, 6) and row.rel_err == Fraction(1, 3)
+    assert not row.passed
+    assert row.rendered() == {"lhs": 1 / 3, "rhs": 0.5, "abs_err": 1 / 6,
+                              "rel_err": 1 / 3}
+    assert all(type(v) is float for v in row.rendered().values())
+    # against a zero reference the relative error is the absolute one
+    zero = CheckRow("x", "c", 2, 0, 0.0, exact=True)
+    assert zero.rel_err == zero.abs_err == 2 and type(zero.rel_err) is int
+    assert CheckRow("x", "c", 7, 7, 0.0, exact=True).passed
 
 
 def test_model_axioms_below_its_defect_is_a_failing_row(capsys, tmp_path):
