@@ -10,6 +10,7 @@ tolerances (1e-6 quadrature, 1e-9 analytic, 1e-4 for derivative identities).
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -180,8 +181,8 @@ class ScenarioContext:
         self.seed = seed
         self._cache: dict = {}
 
-    def rng(self, salt: int = 0) -> np.random.Generator:
-        return np.random.default_rng(self.seed + salt)
+    def rng(self, salt: int = 0) -> random.Random:
+        return random.Random(self.seed + salt)
 
     def groupoid(self) -> finite.FiniteGroupoid:
         if "groupoid" not in self._cache:
@@ -438,7 +439,7 @@ def _trace_equiv(ctx, tol, samples):
             vec[x] = Fraction(2)
         weights.append(vec)
     for _ in range(samples):
-        weights.append([Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+        weights.append([Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
                         for _ in range(g.n_objects)])
     return sum(finite.is_trace(g, w)[0] != finite.is_orbit_constant(g, w)
                for w in weights), 0
@@ -482,7 +483,7 @@ def _avg_const(ctx, tol, samples):
     rng = ctx.rng(2)
     violations = 0
     for _ in range(samples):
-        f = [Fraction(int(rng.integers(-5, 6)), 2) for _ in range(g.n_objects)]
+        f = [Fraction(rng.randrange(-5, 6), 2) for _ in range(g.n_objects)]
         av = finite.average_function(g, haar, f)
         violations += sum(av[g.src[a]] != av[g.tgt[a]] for a in g.arrows())
     return violations, 0

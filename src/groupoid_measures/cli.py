@@ -22,7 +22,7 @@ class InputError(Exception):
     pass
 
 
-SEED = integer(0)  # numpy seeds are nonnegative
+SEED = integer(0)  # nonnegative: random.Random(-n) would repeat random.Random(n)
 
 
 def load_scenario(path: str) -> dict:

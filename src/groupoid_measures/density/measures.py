@@ -10,9 +10,8 @@ from .grids import DensityField, Grid, integrate
 class MeasureFunctional:
     """Evaluates test functions sampled on a fixed grid.
 
-    The evaluator must be linear and positive on nonnegative inputs; both
-    properties are spot-checked by ``check_linearity``/``check_positivity``
-    on sampled fields rather than enforced structurally.
+    The evaluator must be linear and positive on nonnegative inputs; neither
+    property is enforced structurally.
     """
 
     def __init__(self, grid: Grid, evaluator, support: str = ""):
@@ -37,23 +36,3 @@ class MeasureFunctional:
 
     def total_mass(self) -> float:
         return self(np.ones(self.grid.shape))
-
-    def check_linearity(self, rng: np.random.Generator, samples: int = 4,
-                        tol: float = 1e-9) -> float:
-        worst = 0.0
-        for _ in range(samples):
-            f = rng.standard_normal(self.grid.shape)
-            g = rng.standard_normal(self.grid.shape)
-            c = float(rng.uniform(-2, 2))
-            lhs = self(c * f + g)
-            rhs = c * self(f) + self(g)
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-        if worst > tol:
-            raise AssertionError(f"functional is not linear (defect {worst:.3e})")
-        return worst
-
-    def check_positivity(self, rng: np.random.Generator, samples: int = 4) -> None:
-        for _ in range(samples):
-            f = np.abs(rng.standard_normal(self.grid.shape))
-            if self(f) < -1e-12 * float(np.max(f) + 1.0):
-                raise AssertionError("functional is negative on a nonnegative input")

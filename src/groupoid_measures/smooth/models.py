@@ -18,6 +18,7 @@ log-ratio of sigma against this transport.
 from __future__ import annotations
 
 import json
+import random
 from functools import cached_property
 
 import numpy as np
@@ -132,7 +133,7 @@ class ActionGroupoidModel:
     def integrate(self, values: np.ndarray) -> float:
         return float((values * self.grid_weights).sum())
 
-    def check_axioms(self, rng: np.random.Generator, samples: int = 20,
+    def check_axioms(self, rng: random.Random, samples: int = 20,
                      tol: float = 1e-9) -> float:
         """Sampled unit/compatibility/cocycle checks; returns the worst defect.
 
@@ -143,11 +144,11 @@ class ActionGroupoidModel:
         n_nodes = int(np.prod(self.grid.shape))
         draws = []
         for _ in range(samples):
-            p = int(rng.integers(n_nodes))
+            p = rng.randrange(n_nodes)
             jk = None
             while jk is None:  # redraw pairs a partial composition leaves undefined
-                j = int(rng.integers(self.group_size))
-                k = int(rng.integers(self.group_size))
+                j = rng.randrange(self.group_size)
+                k = rng.randrange(self.group_size)
                 jk = self.mul(j, k)
             draws.append((p, j, k, jk))
         p, j, k, jk = np.array(draws, dtype=np.intp).reshape(-1, 4).T
@@ -438,9 +439,6 @@ def circle_self_model(n: int) -> CyclicAxisModel:
     """The circle acting on itself by rotation; one orbit, trivial isotropy."""
     grid = Grid([Axis(n, 0.0, 2 * np.pi, periodic=True)])
     return CyclicAxisModel(grid, axis=0, name="circle_self")
-
-
-CircleSelfModel = circle_self_model
 
 
 def TrivialActionModel(grid: Grid) -> FiniteActionModel:

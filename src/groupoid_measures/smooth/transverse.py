@@ -41,6 +41,7 @@ from about 13 900 minor page faults to about 6 400.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -141,20 +142,23 @@ class ArrowFunction:
             (np.ones(model.group_size), np.asarray(values, dtype=float), 1)])
 
     @staticmethod
-    def random(model, rng: np.random.Generator, rank: int = 3) -> "ArrowFunction":
+    def random(model, rng: random.Random, rank: int = 3) -> "ArrowFunction":
         """Seeded random smooth-ish test function (trigonometric profiles).
 
-        Each field is a ``SeparableField`` of 1-D per-axis profiles, so
-        cosines are evaluated on the axis nodes only.
+        The group coefficients are uniform on [-1, 1): the top 53 bits of
+        each little-endian 64-bit word of one ``randbytes`` draw.  Each field
+        is a ``SeparableField`` of 1-D per-axis profiles, so cosines are
+        evaluated on the axis nodes only.
         """
-        coeffs = rng.standard_normal((rank, model.group_size))
+        words = np.frombuffer(rng.randbytes(8 * rank * model.group_size), dtype="<u8")
+        coeffs = ((words >> 11) * 2.0 ** -52 - 1.0).reshape(rank, model.group_size)
         fields = []
         for _ in range(rank):
             profiles = []
             for ax in model.grid.axes:
                 scaled = 2 * np.pi * (ax.nodes() - ax.lo) / ax.length
                 profiles.append(1.0 + 0.5 * np.cos(
-                    scaled * int(rng.integers(1, 3)) + float(rng.uniform(0, 2 * np.pi))))
+                    scaled * rng.randrange(1, 3) + rng.uniform(0, 2 * np.pi)))
             fields.append(SeparableField(model.grid, profiles))
         return ArrowFunction(model, terms=[(a, b, 0) for a, b in zip(coeffs, fields)])
 
@@ -222,7 +226,7 @@ def pair_with_base_density(model, tau_values: np.ndarray, f: np.ndarray) -> floa
     return float((f * tau_values * model.grid_weights).sum())
 
 
-def default_test_set(model, rng: np.random.Generator,
+def default_test_set(model, rng: random.Random,
                      count: int = DEFAULT_TEST_COUNT) -> list[ArrowFunction]:
     """Random arrow functions plus a deliberate angular-harmonic probe.
 
@@ -459,14 +463,14 @@ class ModularCocycleData:
     def __call__(self, j: int, point) -> float:
         return modular_cocycle(self.sigma.model, self.sigma, j, point)
 
-    def additivity_defect(self, rng: np.random.Generator,
+    def additivity_defect(self, rng: random.Random,
                           samples: int = 100) -> float:
         return cocycle_additivity_defect(self.sigma.model, self.sigma, rng,
                                          samples=samples)
 
 
 def cocycle_additivity_defect(model, sigma: TransverseDensityData,
-                              rng: np.random.Generator, samples: int = 100) -> float:
+                              rng: random.Random, samples: int = 100) -> float:
     """Additivity of the cocycle on seeded random composable pairs.
 
     Pairs are drawn uniformly over group x group x grid nodes, redrawing
@@ -476,12 +480,12 @@ def cocycle_additivity_defect(model, sigma: TransverseDensityData,
     n_nodes = int(np.prod(model.grid.shape))
     draws = []
     while len(draws) < samples:
-        j = int(rng.integers(model.group_size))
-        k = int(rng.integers(model.group_size))
+        j = rng.randrange(model.group_size)
+        k = rng.randrange(model.group_size)
         jk = model.mul(j, k)
         if jk is None:
             continue
-        draws.append((j, k, jk, int(rng.integers(n_nodes))))
+        draws.append((j, k, jk, rng.randrange(n_nodes)))
     j, k, jk, p = (np.array(column, dtype=np.intp) for column in zip(*draws))
     x = model.node_points(p)
     kx = model.act_points(k, x)
@@ -492,10 +496,10 @@ def cocycle_additivity_defect(model, sigma: TransverseDensityData,
 
 
 def cocycle_vanishing_defect(model, sigma: TransverseDensityData,
-                             rng: np.random.Generator, samples: int = 50) -> float:
+                             rng: random.Random, samples: int = 50) -> float:
     """Largest |cocycle| over arrows drawn uniformly from group x grid nodes."""
     n_nodes = int(np.prod(model.grid.shape))
-    draws = [(int(rng.integers(model.group_size)), int(rng.integers(n_nodes)))
+    draws = [(rng.randrange(model.group_size), rng.randrange(n_nodes))
              for _ in range(samples)]
     j, p = (np.array(column, dtype=np.intp) for column in zip(*draws))
     return _max_abs(modular_cocycle(model, sigma, j, model.node_points(p)))

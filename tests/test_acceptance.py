@@ -6,6 +6,7 @@ machine-checkable gate and a human-readable checklist.
 """
 
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -176,7 +177,7 @@ def test_criterion_05_weyl_formula(rotation, lebesgue):
 
 
 def test_criterion_06_averaging_annihilates(rotation, lebesgue):
-    rng = np.random.default_rng(6)
+    rng = random.Random(6)
     worst = 0.0
     for _ in range(20):
         u = ArrowFunction.random(rotation, rng)
@@ -200,12 +201,12 @@ def test_criterion_07_cutoff_normalization(rotation, lebesgue):
 
 
 def test_criterion_08_invariance_criteria_covanish(rotation, lebesgue):
-    tests = default_test_set(rotation, np.random.default_rng(8))
+    tests = default_test_set(rotation, random.Random(8))
     inv_good = invariance_defect(rotation, lebesgue, tests)
     isym_good = inversion_invariance_check(rotation, lebesgue, tests)
     witness = TransverseDensityData(rotation, lambda r, p: np.ones_like(r),
                                     lambda r, p: r * (1 + 0.5 * np.cos(p)))
-    wtests = default_test_set(rotation, np.random.default_rng(8))
+    wtests = default_test_set(rotation, random.Random(8))
     inv_bad = invariance_defect(rotation, witness, wtests)
     isym_bad = inversion_invariance_check(rotation, witness, wtests)
     ok = inv_good <= 1e-6 and isym_good <= 1e-6 \
@@ -217,13 +218,13 @@ def test_criterion_08_invariance_criteria_covanish(rotation, lebesgue):
 
 def test_criterion_09_modular_cocycle(rotation, lebesgue):
     additivity = cocycle_additivity_defect(rotation, lebesgue,
-                                           np.random.default_rng(9), samples=100)
+                                           random.Random(9), samples=100)
     scaling = ScalingLineModel(max_power=2)
     sigma = TransverseDensityData(scaling, lambda x: np.ones_like(x),
                                   lambda x: 2.0 + np.sin(x))
     additivity = max(additivity,
                      cocycle_additivity_defect(scaling, sigma,
-                                               np.random.default_rng(9), samples=100))
+                                               random.Random(9), samples=100))
     rng = np.random.default_rng(90)
     worst_c = 0.0
     for _ in range(64):

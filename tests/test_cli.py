@@ -5,11 +5,16 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from groupoid_measures import finite
 from groupoid_measures.cli import bundled_scenarios, main
 from groupoid_measures.checks import REGISTRY
 
@@ -853,8 +858,6 @@ def test_sigma_not_positive_at_a_cocycle_endpoint_is_input_error(capsys, tmp_pat
 def test_nan_density_prints_only_the_error_line(tmp_path, sigma):
     # a fresh interpreter with Python's default warning filters, so a numpy
     # RuntimeWarning would reach stderr ahead of the error line
-    import subprocess
-    import sys
     path = tmp_path / "s.json"
     path.write_text(json.dumps({
         "name": "x", "engine": "smooth",
@@ -865,3 +868,99 @@ def test_nan_density_prints_only_the_error_line(tmp_path, sigma):
     proc = subprocess.run([sys.executable, "-m", "groupoid_measures.cli", "run", str(path)],
                           capture_output=True, text=True, env=env, timeout=60)
     assert_input_error(proc.returncode, proc.stderr)
+
+
+# ---------------------------------------------------------------------------
+# seeded draws: random.Random(seed + salt) in one fresh process, over many
+# seeds, and on random finite groupoids written as json models
+
+FINITE_CHECKS = [name for name, d in REGISTRY.items() if d.engine == "finite"]
+
+
+def finite_json_doc(g, seed):
+    """A finite scenario on ``g`` as a ``json`` model with every finite check."""
+    return {"name": "finite_json", "engine": "finite", "seed": seed,
+            "model": {"kind": "json", "doc": json.loads(g.to_json())},
+            "checks": [{"name": name} for name in FINITE_CHECKS]}
+
+
+# the process imports numpy first: a numpy that loads numpy.random itself
+# (before 2.0) leaves nothing for the run to add
+NO_RANDOM_MODULES = """
+import json, sys
+import numpy
+guarded = ("numpy.random", "secrets", "_hashlib")
+preloaded = [m for m in guarded if m in sys.modules]
+from groupoid_measures import cli
+code = cli.main(["run", *cli.bundled_scenarios(), *sys.argv[1:]])
+print(json.dumps({"exit": code, "preloaded": preloaded,
+                  "loaded": [m for m in guarded if m in sys.modules]}))
+"""
+
+
+def test_gm_run_loads_neither_numpy_random_nor_openssl(tmp_path):
+    # every seeded draw comes from the stdlib random.Random: numpy.random
+    # imports secrets, and secrets OpenSSL's _hashlib
+    path = tmp_path / "finite.json"
+    action = finite.action_groupoid(finite.cyclic_group_table(2),
+                                    [[0, 1, 2], [1, 0, 2]], 3)
+    path.write_text(json.dumps(finite_json_doc(action, 5)))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_RANDOM_MODULES, str(path),
+         "--out", str(tmp_path / "report.csv")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if result["preloaded"]:
+        pytest.skip(f"importing numpy loads {result['preloaded']} itself")
+    assert result == {"exit": 0, "preloaded": [], "loaded": []}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 77, 1000, 123456789, 2**32])
+def test_every_bundled_row_passes_for_the_benchmark_seeds(capsys, tmp_path, monkeypatch,
+                                                         seed):
+    monkeypatch.setenv("GM_SEED", str(seed))
+    out = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "run", *bundled_scenarios(), "--format", "json",
+                         "--out", str(out))
+    rows = json.loads(out.read_text())["rows"]
+    assert code == 0
+    assert len(rows) == 88 and all(r["pass"] for r in rows)
+
+
+@st.composite
+def permutation_actions(draw):
+    """Z_m acting on 1-4 points through the powers of one permutation; m is
+    a multiple of its order, so some points have nontrivial isotropy."""
+    points = draw(st.integers(1, 4))
+    perm = draw(st.permutations(range(points)))
+    powers = [list(range(points))]
+    while len(powers) == 1 or powers[-1] != powers[0]:
+        powers.append([perm[x] for x in powers[-1]])
+    order = len(powers) - 1
+    m = order * draw(st.integers(1, max(1, 6 // order)))
+    action = [powers[a % order] for a in range(m)]
+    return finite.action_groupoid(finite.cyclic_group_table(m), action, points)
+
+
+FINITE_GROUPOIDS = st.one_of(
+    permutation_actions(),
+    st.tuples(permutation_actions(), permutation_actions()).filter(
+        lambda pair: pair[0].n_arrows + pair[1].n_arrows <= 12).map(
+        lambda pair: finite.disjoint_union(*pair)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(FINITE_GROUPOIDS, st.integers(0, 2**40))
+def test_random_finite_groupoids_pass_every_finite_check(g, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.json")
+        out = os.path.join(tmp, "report.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(finite_json_doc(g, seed), fh)
+        code = main(["run", path, "--format", "json", "--out", out])
+        with open(out, encoding="utf-8") as fh:
+            rows = json.load(fh)["rows"]
+    assert code == 0
+    assert {r["check"].split("[")[0] for r in rows} == set(FINITE_CHECKS)
+    assert all(r["pass"] for r in rows)

@@ -95,12 +95,24 @@ def test_fubini_regrouping():
         assert abs(alt - total) <= 1e-12 * max(1.0, abs(total))
 
 
+def assert_linear_and_positive(mu, rng, samples=4, tol=1e-9):
+    """Spot-checks a ``MeasureFunctional`` on random fields of its grid:
+    mu(c f + g) = c mu(f) + mu(g) to ``tol`` relative, and mu(|f|) >= 0."""
+    for _ in range(samples):
+        f = rng.standard_normal(mu.grid.shape)
+        g = rng.standard_normal(mu.grid.shape)
+        c = float(rng.uniform(-2, 2))
+        rhs = c * mu(f) + mu(g)
+        assert abs(mu(c * f + g) - rhs) <= tol * max(1.0, abs(rhs))
+    for _ in range(samples):
+        f = np.abs(rng.standard_normal(mu.grid.shape))
+        assert mu(f) >= -1e-12 * float(np.max(f) + 1.0)
+
+
 def test_measure_functional_checks():
     g = interval(33, 0.0, 1.0)
     mu = MeasureFunctional.from_density(DensityField.constant(g, 2.0))
-    rng = np.random.default_rng(3)
-    mu.check_linearity(rng)
-    mu.check_positivity(rng)
+    assert_linear_and_positive(mu, np.random.default_rng(3))
     with pytest.raises(ValueError, match="negative"):
         MeasureFunctional.from_density(DensityField.constant(g, -1.0))
 

@@ -20,6 +20,8 @@ from groupoid_measures.symplectic import (
     liouville_density,
 )
 
+from test_density import assert_linear_and_positive
+
 
 def sphere_family(iota=1, n=65, area_scale=4 * np.pi):
     base = Grid([Axis(n, 1.0, 2.0)])
@@ -71,9 +73,7 @@ def test_affine_measure_scales_with_area():
 
 def test_affine_measure_is_positive_and_linear():
     mu = affine_measure(sphere_family())
-    rng = np.random.default_rng(0)
-    mu.check_linearity(rng)
-    mu.check_positivity(rng)
+    assert_linear_and_positive(mu, np.random.default_rng(0))
     assert mu(np.zeros(mu.grid.shape)) == 0.0
 
 

@@ -4,6 +4,8 @@ Heavier identities run on moderate grids; the acceptance suite repeats the
 critical ones at the full resolutions.
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,9 +55,9 @@ def lebesgue(rotation):
 
 
 def test_model_axioms_hold_on_samples(rotation):
-    assert rotation.check_axioms(np.random.default_rng(0)) <= 1e-12
-    assert antipodal_circle_model(64).check_axioms(np.random.default_rng(1)) <= 1e-12
-    assert mirror_interval_model(65, 1.0).check_axioms(np.random.default_rng(2)) <= 1e-12
+    assert rotation.check_axioms(random.Random(0)) <= 1e-12
+    assert antipodal_circle_model(64).check_axioms(random.Random(1)) <= 1e-12
+    assert mirror_interval_model(65, 1.0).check_axioms(random.Random(2)) <= 1e-12
 
 
 def test_s_fiber_integral_of_one_with_normalized_weight(rotation):
@@ -93,7 +95,7 @@ def test_two_element_fiber_sums_cross_checked_by_hand():
 
 
 def test_fiber_integrals_are_linear(rotation, lebesgue):
-    rng = np.random.default_rng(4)
+    rng = random.Random(4)
     u = ArrowFunction.random(rotation, rng)
     v = ArrowFunction.random(rotation, rng)
     c = 1.75
@@ -105,7 +107,7 @@ def test_fiber_integrals_are_linear(rotation, lebesgue):
 
 
 def test_invariance_defect_small_for_invariant_sigma(rotation, lebesgue):
-    tests = default_test_set(rotation, np.random.default_rng(5))
+    tests = default_test_set(rotation, random.Random(5))
     assert invariance_defect(rotation, lebesgue, tests) <= 1e-6
     assert inversion_invariance_check(rotation, lebesgue, tests) <= 1e-6
 
@@ -113,7 +115,7 @@ def test_invariance_defect_small_for_invariant_sigma(rotation, lebesgue):
 def test_invariance_defect_detects_angular_weight(rotation):
     bad = TransverseDensityData(rotation, lambda r, p: np.ones_like(r),
                                 lambda r, p: r * (1.0 + 0.5 * np.cos(p)))
-    tests = default_test_set(rotation, np.random.default_rng(5))
+    tests = default_test_set(rotation, random.Random(5))
     assert invariance_defect(rotation, bad, tests) > 1e-2
     assert inversion_invariance_check(rotation, bad, tests) > 1e-2
 
@@ -123,7 +125,7 @@ def test_trivial_action_has_exact_zero_defect():
     model = TrivialActionModel(grid)
     sigma = TransverseDensityData(model, lambda x: np.ones_like(x),
                                   lambda x: 1.0 + x)
-    tests = default_test_set(model, np.random.default_rng(6), count=4)
+    tests = default_test_set(model, random.Random(6), count=4)
     assert invariance_defect(model, sigma, tests) == 0.0
 
 
@@ -137,7 +139,7 @@ def test_averaging_of_radial_section_returns_radial_profile(rotation, lebesgue):
 
 
 def test_averaging_annihilates_shriek_differences(rotation, lebesgue):
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for _ in range(5):
         u = ArrowFunction.random(rotation, rng)
         diff = s_fiber_integrate(rotation, lebesgue.rho_values, u) \
@@ -290,12 +292,12 @@ def test_modular_cocycle_scaling_model_gives_log_two():
 
 def test_cocycle_additivity_on_seeded_pairs(rotation, lebesgue):
     assert cocycle_additivity_defect(rotation, lebesgue,
-                                     np.random.default_rng(9)) <= 1e-9
+                                     random.Random(9)) <= 1e-9
     model = ScalingLineModel(max_power=2)
     sigma = TransverseDensityData(model, lambda x: np.ones_like(x),
                                   lambda x: 2.0 + np.sin(x))
     assert cocycle_additivity_defect(model, sigma,
-                                     np.random.default_rng(10)) <= 1e-9
+                                     random.Random(10)) <= 1e-9
 
 
 def test_cocycle_requires_positive_sigma():
@@ -320,7 +322,7 @@ def test_modular_cocycle_data_wrapper():
                                   lambda x: np.ones_like(x))
     cocycle = ModularCocycleData(sigma)
     assert abs(cocycle(model.max_power + 1, (1.0,)) - np.log(2.0)) <= 1e-12
-    assert cocycle.additivity_defect(np.random.default_rng(11)) <= 1e-9
+    assert cocycle.additivity_defect(random.Random(11)) <= 1e-9
 
 
 def test_weinstein_threshold_error():
@@ -509,7 +511,7 @@ def test_cyclic_pull_sum_is_the_weighted_roll_sum(n, n_r, seed):
         assert_close(out, loop, scale)
 
     rho = 0.5 + rng.uniform(size=model.grid.shape)
-    u = ArrowFunction.random(model, rng)
+    u = ArrowFunction.random(model, random.Random(seed))
     scale = max(float(np.max(np.abs(u.slice(j)))) for j in range(n)) \
         * float(np.max(rho))
     assert_close(s_fiber_integrate(model, rho, u), loop_s_integral(model, rho, u.slice),
@@ -523,8 +525,17 @@ def test_cyclic_pull_sum_is_the_weighted_roll_sum(n, n_r, seed):
 # each against the construction it replaced
 
 def meshgrid_random(model, rng, rank=3):
-    """Reference: the random arrow function built on the full meshgrid."""
-    coeffs = rng.standard_normal((rank, model.group_size))
+    """Reference: the random arrow function built on the full meshgrid.
+
+    The coefficients replay ``randbytes`` as one big integer: word i is bits
+    64 i to 64 i + 63, and its top 53 bits scale to [0, 2) before the shift
+    to [-1, 1).
+    """
+    size = rank * model.group_size
+    bits = rng.getrandbits(64 * size)
+    words = [(bits >> (64 * i)) & (2 ** 64 - 1) for i in range(size)]
+    coeffs = np.array([(w >> 11) / 2 ** 52 - 1.0 for w in words]).reshape(
+        rank, model.group_size)
     mesh = model.grid.meshgrid()
     fields = []
     for _ in range(rank):
@@ -532,8 +543,8 @@ def meshgrid_random(model, rng, rank=3):
         for axis, coord in enumerate(mesh):
             ax = model.grid.axes[axis]
             scaled = 2 * np.pi * (coord - ax.lo) / ax.length
-            acc = acc * (1.0 + 0.5 * np.cos(scaled * int(rng.integers(1, 3))
-                                            + float(rng.uniform(0, 2 * np.pi))))
+            acc = acc * (1.0 + 0.5 * np.cos(scaled * rng.randrange(1, 3)
+                                            + rng.uniform(0, 2 * np.pi)))
         fields.append(acc)
     return coeffs, fields
 
@@ -562,7 +573,7 @@ FIELD_IDS = ["rotation2d", "circle_self", "trivial2d"]
 @pytest.mark.parametrize("make", FIELD_MODELS, ids=FIELD_IDS)
 def test_random_fields_equal_the_meshgrid_construction(make):
     model = make()
-    rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+    rng, ref_rng = random.Random(21), random.Random(21)
     for _ in range(4):
         u = ArrowFunction.random(model, rng)
         coeffs, fields = meshgrid_random(model, ref_rng)
@@ -570,14 +581,15 @@ def test_random_fields_equal_the_meshgrid_construction(make):
         for (a, b, e), c, f in zip(u.terms, coeffs, fields):
             assert e == 0 and b.values.shape == model.grid.shape
             assert np.array_equal(a, c) and np.array_equal(b.values, f)
+            assert np.all((-1.0 <= a) & (a < 1.0))
     # the same draws in the same order: both generators are in one state
-    assert rng.uniform() == ref_rng.uniform()
+    assert rng.random() == ref_rng.random()
 
 
 @pytest.mark.parametrize("make", FIELD_MODELS, ids=FIELD_IDS)
 def test_default_probe_equals_the_meshgrid_construction(make):
     model = make()
-    (a, b, e), = default_test_set(model, np.random.default_rng(22))[-1].terms
+    (a, b, e), = default_test_set(model, random.Random(22))[-1].terms
     assert e == 0 and np.array_equal(a, np.ones(model.group_size))
     assert np.array_equal(b.values, meshgrid_probe(model))
 
@@ -651,7 +663,7 @@ def test_shared_defect_pair_equals_the_separate_loops(make, tau):
     model = make()
     sigma = (TransverseDensityData.lebesgue(model) if tau is None else
              TransverseDensityData(model, lambda *c: 1.0 + 0.0 * c[0], tau))
-    tests = default_test_set(model, np.random.default_rng(24))
+    tests = default_test_set(model, random.Random(24))
     pair = invariance_defects(model, sigma, tests)
     assert pair == separate_defect_loops(model, sigma, tests)
     assert invariance_defect(model, sigma, tests) == pair[0]
@@ -705,9 +717,8 @@ def assert_factored_integrals_match(model, rho, tests):
 def test_factored_fiber_integrals_match_the_materialized_fft_and_the_loop(
         n_r, n, kind, rfft_calls):
     model = cyclic_model(n_r, n)
-    rng = np.random.default_rng(31)
-    rho = cyclic_rho(model, kind, rng)
-    tests = default_test_set(model, rng, count=4)
+    rho = cyclic_rho(model, kind, np.random.default_rng(31))
+    tests = default_test_set(model, random.Random(31), count=4)
     for u in tests:
         s_fiber_integrate(model, rho, u)
         t_fiber_integrate(model, rho, u)
@@ -721,17 +732,16 @@ def test_factored_fiber_integrals_match_the_materialized_fft_and_the_loop(
        kind=st.sampled_from(["constant", "off_axis", "along_axis"]))
 def test_factored_fiber_integrals_match_on_random_grids(n, n_r, seed, kind):
     model = cyclic_model(n_r, n)
-    rng = np.random.default_rng(seed)
-    rho = cyclic_rho(model, kind, rng)
-    assert_factored_integrals_match(model, rho, default_test_set(model, rng, count=3))
+    rho = cyclic_rho(model, kind, np.random.default_rng(seed))
+    assert_factored_integrals_match(model, rho,
+                                    default_test_set(model, random.Random(seed), count=3))
 
 
 @pytest.mark.parametrize("make", PROPER_MODELS[2:], ids=PROPER_IDS[2:])
 def test_finite_models_integrate_factored_fields_as_arrays(make):
     model = make()
-    rng = np.random.default_rng(32)
-    rho = 0.5 + rng.uniform(size=model.grid.shape)
-    for u in default_test_set(model, rng, count=3):
+    rho = 0.5 + np.random.default_rng(32).uniform(size=model.grid.shape)
+    for u in default_test_set(model, random.Random(32), count=3):
         for integral in (s_fiber_integrate, t_fiber_integrate):
             assert np.array_equal(integral(model, rho, u),
                                   integral(model, rho, materialized(u)))
@@ -805,7 +815,8 @@ def test_batched_path_never_multiplies_a_factored_field_out(n_r, n):
     model = cyclic_model(n_r, n)
     rng = np.random.default_rng(42)
     rho = cyclic_rho(model, "off_axis", rng)
-    tests = [batched_arrow_function(model, rng)] + default_test_set(model, rng, count=3)
+    tests = [batched_arrow_function(model, rng)] + default_test_set(
+        model, random.Random(42), count=3)
     for u in tests:
         s_fiber_integrate(model, rho, u)
         t_fiber_integrate(model, rho, u)
@@ -834,13 +845,13 @@ def scalar_additivity_defect(model, sigma, rng, samples):
     worst = 0.0
     drawn = 0
     while drawn < samples:
-        j = int(rng.integers(model.group_size))
-        k = int(rng.integers(model.group_size))
+        j = rng.randrange(model.group_size)
+        k = rng.randrange(model.group_size)
         jk = model.mul(j, k)
         if jk is None:
             continue
         drawn += 1
-        p = int(rng.integers(len(flat[0])))
+        p = rng.randrange(len(flat[0]))
         x = tuple(c[p] for c in flat)
         c_k = modular_cocycle(model, sigma, k, x)
         c_j = modular_cocycle(model, sigma, j, model.act_points(k, x))
@@ -853,8 +864,8 @@ def scalar_vanishing_defect(model, sigma, rng, samples):
     flat = [m.ravel() for m in model.grid.meshgrid()]
     worst = 0.0
     for _ in range(samples):
-        j = int(rng.integers(model.group_size))
-        p = int(rng.integers(len(flat[0])))
+        j = rng.randrange(model.group_size)
+        p = rng.randrange(len(flat[0]))
         worst = max(worst, abs(modular_cocycle(model, sigma, j, tuple(c[p] for c in flat))))
     return worst
 
@@ -896,10 +907,10 @@ COCYCLE_CASES = _cocycle_cases()
 def test_batched_cocycle_defects_equal_the_scalar_loops(case, seed, samples):
     sigma = COCYCLE_CASES[case]
     model = sigma.model
-    assert cocycle_additivity_defect(model, sigma, np.random.default_rng(seed), samples) \
-        == scalar_additivity_defect(model, sigma, np.random.default_rng(seed), samples)
-    assert cocycle_vanishing_defect(model, sigma, np.random.default_rng(seed), samples) \
-        == scalar_vanishing_defect(model, sigma, np.random.default_rng(seed), samples)
+    assert cocycle_additivity_defect(model, sigma, random.Random(seed), samples) \
+        == scalar_additivity_defect(model, sigma, random.Random(seed), samples)
+    assert cocycle_vanishing_defect(model, sigma, random.Random(seed), samples) \
+        == scalar_vanishing_defect(model, sigma, random.Random(seed), samples)
 
 
 @settings(max_examples=40, deadline=None)
@@ -967,12 +978,12 @@ def scalar_check_axioms(model, rng, samples):
     worst = 0.0
     e = model.identity_index()
     for _ in range(samples):
-        p = int(rng.integers(len(flat[0])))
+        p = rng.randrange(len(flat[0]))
         pt = [c[p] for c in flat]
         jk = None
         while jk is None:
-            j = int(rng.integers(model.group_size))
-            k = int(rng.integers(model.group_size))
+            j = rng.randrange(model.group_size)
+            k = rng.randrange(model.group_size)
             jk = model.mul(j, k)
         worst = max(worst, distance(model.act_points(e, pt), pt))
         worst = max(worst, distance(model.act_points(j, model.act_points(k, pt)),
@@ -1007,16 +1018,16 @@ AXIOM_MODELS = {
 @given(st.sampled_from(sorted(AXIOM_MODELS)), st.integers(0, 2**32 - 1), st.integers(0, 40))
 def test_check_axioms_equals_the_per_sample_loop(case, seed, samples):
     model = AXIOM_MODELS[case]()
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
     assert model.check_axioms(rng, samples, tol=np.inf) \
         == scalar_check_axioms(model, ref_rng, samples)
     # the same draws in the same order: both generators are in one state
-    assert rng.uniform() == ref_rng.uniform()
+    assert rng.random() == ref_rng.random()
 
 
 def test_check_axioms_still_raises_above_tol():
     with pytest.raises(ModelError, match="action axioms fail"):
-        COCYCLE_CASES["reflection"].model.check_axioms(np.random.default_rng(0))
+        COCYCLE_CASES["reflection"].model.check_axioms(random.Random(0))
 
 
 def loop_orbit_density(model, rho, node):
