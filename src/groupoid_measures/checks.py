@@ -19,7 +19,8 @@ import numpy as np
 
 from . import finite
 from .density import Axis, Grid, integrate
-from .expressions import compile_field, evaluate_scalar
+from .expressions import (COUNT, FIELD, INT, NATURAL, NUMBER, REQUIRED, SCALAR, ScenarioError,
+                          compile_field, integer, listed)
 from .reports import CheckRow
 from .smooth import (
     DEFAULT_TEST_COUNT,
@@ -32,7 +33,6 @@ from .smooth import (
     SaturationError,
     SubmersionGroupoidModel,
     TransverseDensityData,
-    as_int,
     averaging,
     build_model,
     cocycle_additivity_defect,
@@ -52,9 +52,9 @@ from .smooth import (
     weinstein_volume,
     weyl_check,
 )
+from .smooth.models import positive_finite
 from .symplectic import (
     LeafFamilyModel,
-    SymplecticModelError,
     SymplecticPairModel,
     affine_measure,
     affine_volume,
@@ -63,66 +63,6 @@ from .symplectic import (
     leaf_family_from_doc,
     liouville_density,
 )
-
-
-class ScenarioError(ValueError):
-    """Scenario input is malformed (unknown kinds, bad parameters)."""
-
-
-# ---------------------------------------------------------------------------
-# parameter kinds
-
-REQUIRED = object()  # the default of a parameter a scenario must give
-
-
-@dataclass(frozen=True)
-class Kind:
-    """How a value is read (``convert`` raises ScenarioError); ``label`` names it."""
-    label: str
-    convert: Callable
-
-    def read(self, doc: dict, key: str, default=REQUIRED):
-        if key not in doc:
-            if default is REQUIRED:
-                raise ScenarioError(f"missing required parameter {key!r}")
-            return default
-        return self.convert(doc[key], f"parameter {key!r}")
-
-
-def integer(minimum: int | None = None) -> Kind:
-    def convert(value, name):
-        out = as_int(value, name, ScenarioError)
-        if minimum is not None and out < minimum:
-            raise ScenarioError(f"{name} must be >= {minimum}, got {out}")
-        return out
-    return Kind("int" if minimum is None else f"int >= {minimum}", convert)
-
-
-def _number(value, name) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{name} must be a number, got {value!r}") from exc
-
-
-def _string(value, name) -> str:
-    if not isinstance(value, str):
-        raise ScenarioError(f"{name} must be a string expression, got {value!r}")
-    return value
-
-
-def listed(item: Kind, what: str) -> Kind:
-    def convert(value, name):
-        if not isinstance(value, list):
-            raise ScenarioError(f"{name} must be a list of {what}, got {value!r}")
-        return tuple(item.convert(v, f"an entry of {name}") for v in value)
-    return Kind(f"list of {what}", convert)
-
-
-INT, NATURAL, COUNT = integer(), integer(0), integer(1)
-NUMBER = Kind("number", _number)
-FIELD = Kind("field expression", _string)
-SCALAR = Kind("scalar expression", lambda value, name: evaluate_scalar(_string(value, name)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +146,7 @@ class ScenarioContext:
         if "model" not in self._cache:
             try:
                 self._cache["model"] = build_model(self.model_doc)
-            except ValueError as exc:  # a ModelError, or a grid axis out of bounds
+            except ModelError as exc:  # a model that its values do not describe
                 raise ScenarioError(str(exc)) from exc
         model = self._cache["model"]
         if not isinstance(model, ActionGroupoidModel):
@@ -288,9 +228,9 @@ class ScenarioContext:
         memo = ("cutoff", expr)
         if memo not in self._cache:
             phi = compile_field(expr, model.grid.ndim)(*model.grid.meshgrid())
-            if np.any(phi < 0):
-                raise ScenarioError(f"cut-off seed {key!r} must be nonnegative, "
-                                    f"got {expr!r}")
+            if not positive_finite(phi, strict=False):
+                raise ScenarioError(f"cut-off seed {key!r} must be nonnegative and "
+                                    f"finite, got {expr!r}")
             self._cache[memo] = cutoff_construct(model, self.sigma().rho_values, phi)
         return self._cache[memo]
 
@@ -299,12 +239,8 @@ class ScenarioContext:
         if "surface" not in self._cache:
             kind = self.model_doc.get("kind")
             if kind == "sphere":
-                area = self.model_doc.get("area", 4 * np.pi)
-                try:  # float() and a nonpositive area raise ValueError
-                    self._cache["surface"] = SymplecticPairModel.sphere(area=float(area))
-                except (TypeError, ValueError) as exc:
-                    raise ScenarioError(f"sphere area must be a positive number, "
-                                        f"got {area!r}") from exc
+                self._cache["surface"] = SymplecticPairModel.sphere(
+                    area=NUMBER.read(self.model_doc, "area", 4 * np.pi))
             elif kind == "torus_cell":
                 self._cache["surface"] = SymplecticPairModel.torus_cell()
             else:
@@ -320,11 +256,8 @@ class ScenarioContext:
             raise ScenarioError(f"needs a leaf-family model, which has no kind, "
                                 f"got kind {self.model_doc['kind']!r}")
         if key not in self._cache:
-            try:
-                self._cache[key] = (leaf_family_from_doc(self.model_doc) if iota is None
-                                    else self.leaf_family().with_iota(iota))
-            except SymplecticModelError as exc:
-                raise ScenarioError(str(exc)) from exc
+            self._cache[key] = (leaf_family_from_doc(self.model_doc) if iota is None
+                                else self.leaf_family().with_iota(iota))
         return self._cache[key]
 
 
@@ -770,11 +703,7 @@ def _dh_expected(ctx, tol, expected):
 
 @register("affine_total", "symplectic", 1e-6, expected=(SCALAR, REQUIRED))
 def _affine_total(ctx, tol, expected):
-    try:
-        mu = affine_measure(ctx.leaf_family())
-    except SymplecticModelError as exc:
-        raise ScenarioError(str(exc)) from exc
-    return mu.total_mass(), expected
+    return affine_measure(ctx.leaf_family()).total_mass(), expected
 
 
 @register("dh_weyl", "symplectic", 1e-6, f=(FIELD, "1.0 + 0*t"))

@@ -13,8 +13,8 @@ import os
 import sys
 from importlib import resources
 
-from .checks import REGISTRY, REQUIRED, ScenarioContext, ScenarioError, catalog, integer
-from .expressions import ExpressionError
+from .checks import REGISTRY, ScenarioContext, catalog
+from .expressions import REQUIRED, ScenarioError, integer, number
 from .reports import CheckRow, Report
 
 
@@ -23,6 +23,7 @@ class InputError(Exception):
 
 
 SEED = integer(0)  # nonnegative: random.Random(-n) would repeat random.Random(n)
+TOLERANCE = number(0)
 
 
 def load_scenario(path: str) -> dict:
@@ -51,9 +52,9 @@ def _parse_tol_overrides(pairs: list[str]) -> dict[str, float]:
             raise InputError(f"--tol expects KEY=VALUE, got {pair!r}")
         key, value = pair.split("=", 1)
         try:
-            overrides[key] = float(value)
-        except ValueError as exc:
-            raise InputError(f"--tol value for {key!r} is not a number") from exc
+            overrides[key] = TOLERANCE.convert(value, f"--tol value for {key!r}")
+        except ScenarioError as exc:
+            raise InputError(str(exc)) from exc
     return overrides
 
 
@@ -95,12 +96,9 @@ def read_scenario(doc: dict, tol_overrides: dict[str, float] | None = None,
         tol = entry.get("tolerance", scenario_tols.get(name, check.default_tol))
         tol = tol_overrides.get(name, tol)
         try:
-            tol = float(tol)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"check {name!r}: tolerance {tol!r} is not a number") from exc
-        try:
-            plan.append((check, tol, check.read_params(entry.get("params", {}))))
-        except (ScenarioError, ExpressionError) as exc:
+            plan.append((check, TOLERANCE.convert(tol, "tolerance"),
+                         check.read_params(entry.get("params", {}))))
+        except ScenarioError as exc:
             raise InputError(f"check {name!r}: {exc}") from exc
 
     return (doc["name"], engine, model, seed), plan
@@ -115,7 +113,7 @@ def run_scenario(scenario: tuple[tuple, list]) -> list[CheckRow]:
     for check, tol, values in plan:
         try:
             rows.extend(check.rows(ctx.name, check.runner(ctx, tol, **values), tol))
-        except (ScenarioError, ExpressionError) as exc:
+        except ScenarioError as exc:
             raise InputError(f"check {check.name!r}: {exc}") from exc
     return rows
 

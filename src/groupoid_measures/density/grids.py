@@ -9,15 +9,26 @@ Summation order is fixed: every reduction eliminates the highest-numbered
 axis first, one axis at a time.  Integrating out a trailing block of axes
 and then the rest therefore reproduces bit for bit the arithmetic of
 integrating everything at once.
+
+An axis or grid that cannot be built from its values raises ScenarioError:
+its values came from a scenario file or were derived from one.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from ..expressions import ScenarioError
+
+# The most nodes a grid may have.  The checks hold several float64 arrays of
+# a grid's size at once, so at 2**26 nodes (512 MiB per array) a grid is an
+# input error before any array is allocated.  The largest bundled grid, the
+# submersion probe's 9 x 8193, is about 900 times smaller.
+MAX_GRID_NODES = 2 ** 26
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -33,10 +44,11 @@ class Axis:
     periodic: bool = False
 
     def __post_init__(self):
-        if self.hi <= self.lo:
-            raise ValueError("axis needs hi > lo")
+        if not (self.hi > self.lo and math.isfinite(self.hi - self.lo)):
+            raise ScenarioError(f"axis needs hi > lo and a finite length, got "
+                                f"lo={self.lo!r}, hi={self.hi!r}")
         if self.n < (1 if self.periodic else 2):
-            raise ValueError("too few nodes for the axis rule")
+            raise ScenarioError("too few nodes for the axis rule")
 
     @property
     def length(self) -> float:
@@ -77,8 +89,11 @@ class Grid:
 
     def __init__(self, axes: list[Axis]):
         if not axes:
-            raise ValueError("grid needs at least one axis")
+            raise ScenarioError("grid needs at least one axis")
         self.axes = list(axes)
+        if math.prod(self.shape) > MAX_GRID_NODES:
+            raise ScenarioError(f"a grid of shape {self.shape} has more than "
+                                f"{MAX_GRID_NODES} nodes")
         total = 1.0
         for ax in self.axes:
             total *= ax.length
@@ -120,18 +135,6 @@ class Grid:
 
     def subgrid(self, keep: list[int]) -> "Grid":
         return Grid([self.axes[i] for i in keep])
-
-    def to_json(self) -> str:
-        return json.dumps({"axes": [
-            {"n": ax.n, "lo": ax.lo, "hi": ax.hi, "periodic": ax.periodic}
-            for ax in self.axes
-        ]})
-
-    @staticmethod
-    def from_json(text: str) -> "Grid":
-        doc = json.loads(text)
-        return Grid([Axis(int(a["n"]), float(a["lo"]), float(a["hi"]),
-                          bool(a.get("periodic", False))) for a in doc["axes"]])
 
 
 def interval(n: int, lo: float, hi: float) -> Grid:

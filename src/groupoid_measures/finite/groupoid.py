@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from ..expressions import as_int
+
 
 @dataclass(frozen=True)
 class FiniteGroupoid:
@@ -107,14 +109,18 @@ class GroupoidFormatError(ValueError):
 def from_json(text: str, name: str = "") -> FiniteGroupoid:
     """Parse a groupoid from its JSON form and re-validate the axioms."""
     doc = json.loads(text)
+
+    def index(value) -> int:
+        return as_int(value, "an object or arrow index")
+
     try:
-        n = int(doc["objects"])
+        n = as_int(doc["objects"], "objects")
         arrows = doc["arrows"]
-        src = tuple(int(a["src"]) for a in arrows)
-        tgt = tuple(int(a["tgt"]) for a in arrows)
-        table = {(int(g), int(h)): int(k) for g, h, k in doc["compose"]}
-        units = tuple(int(u) for u in doc["units"])
-        inverses = tuple(int(i) for i in doc["inverses"])
+        src = tuple(index(a["src"]) for a in arrows)
+        tgt = tuple(index(a["tgt"]) for a in arrows)
+        table = {(index(g), index(h)): index(k) for g, h, k in doc["compose"]}
+        units = tuple(index(u) for u in doc["units"])
+        inverses = tuple(index(i) for i in doc["inverses"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GroupoidFormatError(f"bad groupoid document: {exc}") from exc
     g = FiniteGroupoid(n, src, tgt, table, inverses, units, name=name)

@@ -17,7 +17,6 @@ log-ratio of sigma against this transport.
 
 from __future__ import annotations
 
-import json
 import random
 from functools import cached_property
 
@@ -25,21 +24,12 @@ import numpy as np
 
 from ..density.grids import Axis, Grid
 from ..density.groups import GroupModel
+from ..expressions import (BOOLEAN, COUNT, INT, NATURAL, NUMBER, REQUIRED, ScenarioError,
+                           listed, record)
 
 
 class ModelError(ValueError):
     pass
-
-
-def as_int(value, name: str, error: type[Exception] = ModelError) -> int:
-    """An integer input value; anything else (text, a fractional number) is an input error."""
-    try:
-        out = int(value)
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None or (out != value and not isinstance(value, str)):
-        raise error(f"{name} must be an integer, got {value!r}")
-    return out
 
 
 class ActionGroupoidModel:
@@ -360,6 +350,9 @@ class ScalingLineModel(ActionGroupoidModel):
     proper = False
 
     def __init__(self, max_power: int = 2, lo: float = 0.5, hi: float = 3.0, n: int = 16):
+        if max_power > 1022:
+            raise ModelError("max_power must be at most 1022, where the scales 2**k "
+                             "are still normal floats")
         grid = Grid([Axis(n, lo, hi)])
         super().__init__(grid, 2 * max_power + 1)
         self.max_power = max_power
@@ -476,54 +469,42 @@ def mirror_interval_model(n: int, half_width: float) -> FiniteActionModel:
     )
 
 
+_AXIS = record("{n, lo, hi, periodic}", Axis, n=(COUNT, REQUIRED), lo=(NUMBER, REQUIRED),
+               hi=(NUMBER, REQUIRED), periodic=(BOOLEAN, False))
+_GRID = record('{"axes": [{n, lo, hi, periodic}]}', Grid,
+               axes=(listed(_AXIS, "axes"), REQUIRED))
+
+
 def build_model(descriptor: dict):
     """Instantiate a model from its JSON descriptor (External Interfaces)."""
     kind = descriptor.get("kind")
     params = descriptor.get("params", {})
     if not isinstance(params, dict):
-        raise ModelError(f"model params must be an object, got {params!r}")
-
-    def int_param(key: str, default: int) -> int:
-        return as_int(params.get(key, default), f"parameter {key!r}")
-
-    def float_param(key: str, default: float) -> float:
-        value = params.get(key, default)
-        try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ModelError(f"parameter {key!r} must be a number, got {value!r}") from exc
-
-    def grid() -> Grid:
-        try:
-            return Grid.from_json(json.dumps(descriptor["grid"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelError(f"model {kind!r} needs a grid {{\"axes\": [{{n, lo, hi}}]}}: "
-                             f"{exc!r}") from exc
+        raise ScenarioError(f"model params must be an object, got {params!r}")
 
     if kind == "rotation2d":
         return RotationPlaneModel(
-            n_r=int_param("n_r", 64), n_phi=int_param("n_phi", 64),
-            r_lo=float_param("r_lo", 1.0), r_hi=float_param("r_hi", 2.0))
+            n_r=COUNT.read(params, "n_r", 64), n_phi=COUNT.read(params, "n_phi", 64),
+            r_lo=NUMBER.read(params, "r_lo", 1.0), r_hi=NUMBER.read(params, "r_hi", 2.0))
     if kind == "finite_action":
         kind = params.get("preset")
         if kind not in ("antipodal_circle", "mirror_interval"):
-            raise ModelError(f"unknown finite action preset {kind!r}")
+            raise ScenarioError(f"unknown finite action preset {kind!r}")
     if kind == "antipodal_circle":
-        return antipodal_circle_model(int_param("n", 256))
+        return antipodal_circle_model(COUNT.read(params, "n", 256))
     if kind == "mirror_interval":
-        return mirror_interval_model(int_param("n", 257), float_param("half_width", 1.0))
+        return mirror_interval_model(COUNT.read(params, "n", 257),
+                                     NUMBER.read(params, "half_width", 1.0))
     if kind == "circle_self":
-        return circle_self_model(int_param("n", 256))
+        return circle_self_model(COUNT.read(params, "n", 256))
     if kind == "trivial":
-        return TrivialActionModel(grid())
+        return TrivialActionModel(_GRID.read(descriptor, "grid"))
     if kind == "scaling_line":
-        return ScalingLineModel(max_power=int_param("max_power", 2))
+        return ScalingLineModel(max_power=NATURAL.read(params, "max_power", 2))
     if kind == "submersion":
-        axes = params.get("fiber_axes")
-        if not isinstance(axes, list):
-            raise ModelError(f"a submersion needs a list of 'fiber_axes', got {axes!r}")
-        return SubmersionGroupoidModel(grid(), [as_int(a, "fiber axis") for a in axes])
-    raise ModelError(f"unknown model kind {kind!r}")
+        return SubmersionGroupoidModel(_GRID.read(descriptor, "grid"),
+                                       listed(INT, "axis indices").read(params, "fiber_axes"))
+    raise ScenarioError(f"unknown model kind {kind!r}")
 
 
 def positive_finite(values, strict: bool = True) -> bool:

@@ -454,21 +454,6 @@ def modular_cocycle(model, sigma: TransverseDensityData, j, point):
     return float(out) if np.ndim(j) == 0 else out
 
 
-@dataclass
-class ModularCocycleData:
-    """A transverse density together with its per-arrow cocycle evaluator."""
-
-    sigma: TransverseDensityData
-
-    def __call__(self, j: int, point) -> float:
-        return modular_cocycle(self.sigma.model, self.sigma, j, point)
-
-    def additivity_defect(self, rng: random.Random,
-                          samples: int = 100) -> float:
-        return cocycle_additivity_defect(self.sigma.model, self.sigma, rng,
-                                         samples=samples)
-
-
 def cocycle_additivity_defect(model, sigma: TransverseDensityData,
                               rng: random.Random, samples: int = 100) -> float:
     """Additivity of the cocycle on seeded random composable pairs.

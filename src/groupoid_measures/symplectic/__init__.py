@@ -2,7 +2,6 @@
 
 from .models import (
     LeafFamilyModel,
-    SymplecticModelError,
     SymplecticPairModel,
     leaf_family_from_doc,
     leaf_family_from_json,
@@ -18,7 +17,7 @@ from .checks import (
 )
 
 __all__ = [
-    "LeafFamilyModel", "SymplecticModelError", "SymplecticPairModel",
+    "LeafFamilyModel", "SymplecticPairModel",
     "leaf_family_from_doc", "leaf_family_from_json",
     "affine_measure", "affine_volume", "canonical_base_density", "dh_density",
     "dh_total_mass_two_ways", "dh_weyl_check", "liouville_density",

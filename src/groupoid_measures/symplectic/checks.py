@@ -13,8 +13,9 @@ import numpy as np
 
 from ..density.grids import DensityField, integrate
 from ..density.measures import MeasureFunctional
+from ..expressions import ScenarioError
 from ..smooth.transverse import TwoSidedCheck
-from .models import LeafFamilyModel, SymplecticModelError, SymplecticPairModel
+from .models import LeafFamilyModel, SymplecticPairModel
 
 
 def liouville_density(model: SymplecticPairModel) -> DensityField:
@@ -57,7 +58,7 @@ def affine_measure(model: LeafFamilyModel, lattice_density=None) -> MeasureFunct
     weights = model.base_weights()
     degenerate_mass = float(weights[ell <= 0].sum())
     if degenerate_mass > 0:
-        raise SymplecticModelError(
+        raise ScenarioError(
             "affine structure is degenerate: the lattice density vanishes "
             f"on base mass {degenerate_mass:.3e}")
     rho = DensityField(model.base, ell)

@@ -15,12 +15,8 @@ import math
 import numpy as np
 
 from ..density.grids import Axis, DensityField, Grid, integrate
-from ..expressions import ExpressionError, compile_field
-from ..smooth.models import as_int
-
-
-class SymplecticModelError(ValueError):
-    pass
+from ..expressions import (COUNT, INT, NUMBER, REQUIRED, ScenarioError, compile_field,
+                           integer, listed, record)
 
 
 class SymplecticPairModel:
@@ -30,7 +26,7 @@ class SymplecticPairModel:
         self.grid = grid
         field = DensityField(grid, np.asarray(area_coefficient, dtype=float))
         if not np.all(np.isfinite(field.values) & (field.values > 0)):
-            raise SymplecticModelError("area density must be positive and finite")
+            raise ScenarioError("area density must be positive and finite")
         self.area_density = field
         self.name = name
 
@@ -61,7 +57,7 @@ class LeafFamilyModel:
     def __init__(self, base: Grid, area_fn, area_derivative_fn, iota: int = 1,
                  leaf: str = "sphere", leaf_nodes: int = 64):
         if base.ndim != 1:
-            raise SymplecticModelError("leaf families have a one-dimensional base")
+            raise ScenarioError("leaf families have a one-dimensional base")
         self.base = base
         self.area_fn = area_fn
         self.area_derivative_fn = area_derivative_fn
@@ -73,15 +69,15 @@ class LeafFamilyModel:
         elif leaf == "torus":
             self.leaf = SymplecticPairModel.torus_cell(n=leaf_nodes)
         else:
-            raise SymplecticModelError(f"unknown leaf template {leaf!r}")
+            raise ScenarioError(f"unknown leaf template {leaf!r}")
         t = base.nodes(0)
         self.areas = np.asarray(area_fn(t), dtype=float) + np.zeros(base.shape)
         self.area_slopes = np.asarray(area_derivative_fn(t), dtype=float) \
             + np.zeros(base.shape)
         if not np.all(np.isfinite(self.areas) & (self.areas > 0)):
-            raise SymplecticModelError("leaf areas must be positive and finite")
+            raise ScenarioError("leaf areas must be positive and finite")
         if not np.all(np.isfinite(self.area_slopes)):
-            raise SymplecticModelError("leaf area derivatives must be finite")
+            raise ScenarioError("leaf area derivatives must be finite")
         self.template_total = integrate(self.leaf.area_density)
         # quadrature total of every leaf_liouville(i)
         self.leaf_totals = np.array([integrate(self.leaf_liouville(i))
@@ -107,66 +103,45 @@ class LeafFamilyModel:
 
 
 def _component_count(iota: int) -> int:
-    if iota < 1:
-        raise SymplecticModelError("component count must be a positive integer")
-    return int(iota)
+    # every integer up to 2**53 is a float, so iota * volume stays exact
+    if not 1 <= iota <= 2 ** 53:
+        raise ScenarioError("component count must be a positive integer of at most 2**53")
+    return iota
 
 
-def _base_grid(b) -> Grid:
-    if not isinstance(b, dict):
-        raise SymplecticModelError(f"B must be an object {{lo, hi, n}}, got {b!r}")
-    for key in ("lo", "hi", "n"):
-        if key not in b:
-            raise SymplecticModelError(f"B is missing {key!r}")
-    n = as_int(b["n"], "B 'n'", SymplecticModelError)
-    try:
-        lo, hi = float(b["lo"]), float(b["hi"])
-    except (TypeError, ValueError) as exc:
-        raise SymplecticModelError(f"B needs numbers lo and hi: {exc}") from exc
-    try:
-        return Grid([Axis(n, lo, hi)])
-    except ValueError as exc:
-        raise SymplecticModelError(f"B: {exc}") from exc
+_INTERVAL = record("{lo, hi, n}", Axis, lo=(NUMBER, REQUIRED), hi=(NUMBER, REQUIRED),
+                   n=(COUNT, REQUIRED))
+_SAMPLES = listed(NUMBER, "numbers")
 
 
 def _area_function(doc: dict, key: str, default: str, n: int):
     """An expression in t, or a list of samples on the n base nodes."""
     value = doc.get(key, default)
     if isinstance(value, str):
-        try:
-            return compile_field(value, 1)
-        except ExpressionError as exc:
-            raise SymplecticModelError(str(exc)) from exc
-    try:
-        samples = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SymplecticModelError(f"{key} must be an expression in t or a list "
-                                   f"of numbers, got {value!r}") from exc
+        return compile_field(value, 1)
+    samples = np.array(_SAMPLES.convert(value, f"parameter {key!r}"))
     if samples.shape != (n,):
-        raise SymplecticModelError(f"{key} needs one sample per base node ({n}), "
-                                   f"got shape {samples.shape}")
+        raise ScenarioError(f"{key} needs one sample per base node ({n}), "
+                            f"got shape {samples.shape}")
     return lambda t: samples
 
 
 def leaf_family_from_doc(doc: dict) -> LeafFamilyModel:
     """Build a leaf family from {B:{lo,hi,n}, area, area_derivative, iota, leaf,
-    leaf_nodes}; any malformed field is a SymplecticModelError.
+    leaf_nodes}; any malformed field is a ScenarioError.
 
     ``area`` and ``area_derivative`` are expressions in t or sample lists on
     the base nodes.  Defaults: B = [1, 2] with 65 nodes, area 4*pi*t with
     derivative 4*pi, iota 1, a sphere leaf on 64 azimuth nodes.
     """
     if not isinstance(doc, dict):
-        raise SymplecticModelError(f"a leaf family is a JSON object, got {doc!r}")
-    base = _base_grid(doc.get("B", {"lo": 1.0, "hi": 2.0, "n": 65}))
+        raise ScenarioError(f"a leaf family is a JSON object, got {doc!r}")
+    base = Grid([_INTERVAL.read(doc, "B", Axis(65, 1.0, 2.0))])
     n = base.shape[0]
-    leaf_nodes = as_int(doc.get("leaf_nodes", 64), "leaf_nodes", SymplecticModelError)
-    if leaf_nodes < 2:
-        raise SymplecticModelError(f"leaf_nodes must be at least 2, got {leaf_nodes}")
     return LeafFamilyModel(base, _area_function(doc, "area", "4*pi*t", n),
                            _area_function(doc, "area_derivative", "4*pi + 0*t", n),
-                           iota=as_int(doc.get("iota", 1), "iota", SymplecticModelError),
-                           leaf=doc.get("leaf", "sphere"), leaf_nodes=leaf_nodes)
+                           iota=INT.read(doc, "iota", 1), leaf=doc.get("leaf", "sphere"),
+                           leaf_nodes=integer(2).read(doc, "leaf_nodes", 64))
 
 
 def leaf_family_from_json(text: str) -> LeafFamilyModel:

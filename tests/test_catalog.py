@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupoid_measures.checks import REGISTRY, REQUIRED
-from groupoid_measures.cli import main
+from groupoid_measures.cli import bundled_scenarios, main
 
 # a small model for the checks of each engine ...
 ENGINE_MODELS = {
@@ -96,10 +96,49 @@ def test_any_param_value_gives_a_documented_exit(name, data):
     else:
         params = {"undeclared": data.draw(JSON_VALUES)}
     code, err = run(small_scenario(name, params))
+    assert_documented_exit(code, err)
+    if "undeclared" in params:
+        assert code == 2 and "unknown parameter 'undeclared'" in err
+
+
+def assert_documented_exit(code: int, err: str):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 2:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
-    if "undeclared" in params:
-        assert code == 2 and "unknown parameter 'undeclared'" in err
+
+
+def value_paths(value, path=()):
+    """The path of every value inside a JSON value, objects and lists too."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield path + (key,)
+        yield from value_paths(item, path + (key,))
+
+
+def replaced(doc, path, value):
+    """A deep copy of ``doc`` with the value at ``path`` replaced."""
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return doc
+
+
+BUNDLED = {}
+for scenario_path in bundled_scenarios():
+    with open(scenario_path, encoding="utf-8") as fh:
+        BUNDLED[os.path.basename(scenario_path)] = json.load(fh)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(BUNDLED)), st.data())
+def test_any_model_value_gives_a_documented_exit(name, data):
+    # one value of the model document (its sigma included) replaced
+    doc = BUNDLED[name]
+    path = data.draw(st.sampled_from(list(value_paths(doc["model"], ("model",)))))
+    code, err = run(replaced(doc, path, data.draw(JSON_VALUES)))
+    assert_documented_exit(code, err)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from groupoid_measures import finite
 from groupoid_measures.cli import bundled_scenarios, main
 from groupoid_measures.checks import REGISTRY
+from groupoid_measures.density.grids import MAX_GRID_NODES
 
 
 def run_cli(capsys, *argv):
@@ -201,10 +202,15 @@ def test_bundled_scenarios_exist():
     assert len(names) >= 12
 
 
-def test_bad_tol_flag_is_input_error(capsys):
-    code, _, err = run_cli(capsys, "run", "z2_group", "--tol", "oops")
+@pytest.mark.parametrize("flag, message", [
+    ("oops", "KEY=VALUE"),
+    ("axioms_valid=nan", "--tol value for 'axioms_valid' must be a finite number"),
+    ("axioms_valid=-1", "--tol value for 'axioms_valid' must be >= 0"),
+])
+def test_bad_tol_flag_is_input_error(capsys, flag, message):
+    code, _, err = run_cli(capsys, "run", "z2_group", "--tol", flag)
     assert code == 2
-    assert "KEY=VALUE" in err
+    assert message in err
 
 
 def assert_input_error(code, err):
@@ -439,9 +445,13 @@ LEAF_CHECKS = [{"name": "affine_total", "params": {"expected": "4*pi"}},
     ({"area": "-t"}, "leaf areas must be positive"),
     ({"B": {"n": 1, "lo": 1, "hi": 2}}, "too few nodes"),
     ({"B": {"lo": 2, "hi": 1, "n": 9}}, "hi > lo"),
-    ({"B": {"hi": 2, "n": 9}}, "missing 'lo'"),
+    ({"B": {"hi": 2, "n": 9}}, "missing required parameter 'B' field 'lo'"),
     ({"B": {"lo": "a", "hi": 2, "n": 9}}, "'a'"),
     ({"leaf_nodes": 1}, "leaf_nodes"),
+    ({"B": {"n": True, "lo": 1, "hi": 2}}, "parameter 'B' field 'n' must be an integer, got True"),
+    ({"B": {"n": 10**30, "lo": 1, "hi": 2}}, "has more than"),
+    ({"leaf_nodes": 10**7}, "has more than"),
+    ({"iota": 1e308}, "component count"),
 ])
 def test_malformed_leaf_family_is_input_error(capsys, tmp_path, change, message):
     doc = {"name": "x", "engine": "symplectic", "model": dict(LEAF_FAMILY, **change),
@@ -474,7 +484,8 @@ def test_degenerate_affine_structure_is_input_error(capsys, tmp_path):
     assert "'affine_total'" in err and "degenerate" in err
 
 
-@pytest.mark.parametrize("area, message", [("x", "'x'"), (-1, "positive")])
+@pytest.mark.parametrize("area, message", [
+    ("x", "'x'"), (-1, "positive"), (True, "'area' must be a finite number, got True")])
 def test_bad_sphere_area_is_input_error(capsys, tmp_path, area, message):
     doc = {"name": "x", "engine": "symplectic", "model": {"kind": "sphere", "area": area},
            "checks": [{"name": "liouville_total", "params": {"expected": "1"}}]}
@@ -636,6 +647,12 @@ SCENARIO = {"name": "x", "engine": "finite", "model": {"kind": "pair", "n": 2},
     (dict(SCENARIO, seed="x"), "'seed' must be an integer"),
     (dict(SCENARIO, seed=-1), "'seed' must be >= 0"),
     (dict(SCENARIO, tolerances=5), "'tolerances' must be a JSON object"),
+    (dict(SCENARIO, tolerances={"axioms_valid": "nan"}),
+     "check 'axioms_valid': tolerance must be a finite number, got 'nan'"),
+    (dict(SCENARIO, checks=[{"name": "axioms_valid", "tolerance": True}]),
+     "tolerance must be a finite number, got True"),
+    (dict(SCENARIO, checks=[{"name": "axioms_valid", "tolerance": -1e-6}]),
+     "tolerance must be >= 0"),
     (dict(SCENARIO, checks=[{"name": "axioms_valid", "params": 5}]),
      "params must be an object"),
     (dict(SCENARIO, checks=[{"name": "axioms_valid", "params": {"kmax": 1}}]),
@@ -648,6 +665,14 @@ def test_document_of_the_wrong_shape_is_input_error(capsys, tmp_path, doc, messa
 
 
 ROTATION8 = {"kind": "rotation2d", "params": {"n_r": 8, "n_phi": 8}}
+CAP = f"has more than {MAX_GRID_NODES} nodes"
+
+
+def trivial_model(axis_change: dict) -> dict:
+    """A trivial-action model on one grid axis, changed by ``axis_change``."""
+    return {"kind": "trivial",
+            "grid": {"axes": [dict({"n": 9, "lo": 0, "hi": 1}, **axis_change)]}}
+
 
 
 @pytest.mark.parametrize("engine, model, check, message", [
@@ -656,13 +681,36 @@ ROTATION8 = {"kind": "rotation2d", "params": {"n_r": 8, "n_phi": 8}}
     ("finite", {"kind": "disjoint_union"}, {"name": "axioms_valid"}, "'parts'"),
     ("finite", {"kind": "json", "doc": {"x": 1}}, {"name": "axioms_valid"},
      "bad groupoid document"),
+    ("finite", {"kind": "json", "doc": {"objects": True, "arrows": [{"src": 0, "tgt": 0}],
+                                        "compose": [[0, 0, 0]], "units": [0],
+                                        "inverses": [0]}},
+     {"name": "axioms_valid"}, "objects must be an integer, got True"),
     ("finite", {"kind": "cyclic", "n": 0}, {"name": "axioms_valid"}, "'n' must be >= 1"),
     ("finite", {"kind": "pair", "n": 0}, {"name": "betti_zero"}, "'n' must be >= 1"),
     ("smooth", {"kind": "rotation2d", "params": {"r_lo": "x"}}, {"name": "model_axioms"},
-     "'r_lo' must be a number"),
+     "'r_lo' must be a finite number"),
+    ("smooth", {"kind": "rotation2d", "params": {"r_lo": "nan"}}, {"name": "model_axioms"},
+     "'r_lo' must be a finite number, got 'nan'"),
+    ("smooth", {"kind": "rotation2d", "params": {"r_lo": True}}, {"name": "model_axioms"},
+     "'r_lo' must be a finite number, got True"),
+    ("smooth", trivial_model({"n": 2.5}), {"name": "model_axioms"},
+     "field 'n' must be an integer, got 2.5"),
+    ("smooth", trivial_model({"periodic": "no"}), {"name": "model_axioms"},
+     "field 'periodic' must be true or false, got 'no'"),
     ("smooth", {"kind": "rotation2d", "params": {"n_r": 1}}, {"name": "model_axioms"},
      "too few nodes"),
-    ("smooth", {"kind": "trivial"}, {"name": "model_axioms"}, "needs a grid"),
+    # sizes no machine could hold, refused before any array is allocated
+    ("smooth", {"kind": "foliation", "n_leaf": 10**30}, {"name": "stokes_closed"}, CAP),
+    ("smooth", {"kind": "foliation", "n_leaf": 10**12}, {"name": "stokes_closed"}, CAP),
+    ("smooth", {"kind": "submersion_probe", "n_fiber": 10**30},
+     {"name": "exactness_obstruction"}, CAP),
+    ("smooth", trivial_model({"n": 10**30}), {"name": "model_axioms"}, CAP),
+    ("smooth", {"kind": "rotation2d", "params": {"n_phi": 2**30}}, {"name": "model_axioms"},
+     CAP),
+    ("smooth", {"kind": "scaling_line", "params": {"max_power": 10**30}},
+     {"name": "model_axioms"}, "max_power must be at most 1022"),
+    ("smooth", {"kind": "trivial"}, {"name": "model_axioms"},
+     "missing required parameter 'grid'"),
     ("smooth", dict(ROTATION8, sigma={"rho": "-1 + 0*r"}), {"name": "invariance_defect"},
      "strictly positive"),
     ("smooth", ROTATION8, {"name": "orbit_density_mass", "params": {"node": [99, 0]}},
@@ -854,20 +902,32 @@ def test_sigma_not_positive_at_a_cocycle_endpoint_is_input_error(capsys, tmp_pat
     assert "strictly positive and finite at both endpoints" in err
 
 
-@pytest.mark.parametrize("sigma", [{"rho": "1 + sqrt(x - 0.5)"}, {"tau": "log(x + 0.5)"}])
-def test_nan_density_prints_only_the_error_line(tmp_path, sigma):
+MIRROR33 = {"kind": "mirror_interval", "params": {"n": 33}}
+
+
+@pytest.mark.parametrize("model, check, message", [
+    (dict(MIRROR33, sigma={"rho": "1 + sqrt(x - 0.5)"}), {"name": "invariance_defect"},
+     "algebroid weight"),
+    (dict(MIRROR33, sigma={"tau": "log(x + 0.5)"}), {"name": "invariance_defect"},
+     "base density"),
+    # a cut-off seed that is NaN, or inf, at every node
+    ({"kind": "circle_self", "params": {"n": 256}},
+     {"name": "weinstein_two_ways", "params": {"phi": "sqrt(-1)"}}, "seed 'phi'"),
+    ({"kind": "circle_self", "params": {"n": 256}},
+     {"name": "weinstein_two_ways", "params": {"phi": "exp(1000*t)"}}, "seed 'phi'"),
+])
+def test_nan_density_prints_only_the_error_line(tmp_path, model, check, message):
     # a fresh interpreter with Python's default warning filters, so a numpy
     # RuntimeWarning would reach stderr ahead of the error line
     path = tmp_path / "s.json"
-    path.write_text(json.dumps({
-        "name": "x", "engine": "smooth",
-        "model": {"kind": "mirror_interval", "params": {"n": 33}, "sigma": sigma},
-        "checks": [{"name": "invariance_defect"}]}))
+    path.write_text(json.dumps({"name": "x", "engine": "smooth", "model": model,
+                                "checks": [check]}))
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
     proc = subprocess.run([sys.executable, "-m", "groupoid_measures.cli", "run", str(path)],
                           capture_output=True, text=True, env=env, timeout=60)
     assert_input_error(proc.returncode, proc.stderr)
+    assert message in proc.stderr
 
 
 # ---------------------------------------------------------------------------

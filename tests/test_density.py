@@ -9,7 +9,6 @@ from groupoid_measures.density import (
     Grid,
     GroupModel,
     MeasureFunctional,
-    circle,
     fiber_integrate,
     integrate,
     interval,
@@ -115,14 +114,6 @@ def test_measure_functional_checks():
     assert_linear_and_positive(mu, np.random.default_rng(3))
     with pytest.raises(ValueError, match="negative"):
         MeasureFunctional.from_density(DensityField.constant(g, -1.0))
-
-
-def test_grid_json_round_trip():
-    g = Grid([Axis(5, -1.0, 1.0), Axis(8, 0.0, 2 * np.pi, periodic=True)])
-    g2 = Grid.from_json(g.to_json())
-    assert g2.shape == g.shape
-    assert [a.periodic for a in g2.axes] == [False, True]
-    assert circle(8).axes[0].periodic
 
 
 def _reference_nodes(ax):
