@@ -1,10 +1,9 @@
-"""Quadrature substrate: grids, density fields, measures, model groups."""
+"""Quadrature substrate: grids, density fields and measures."""
 
-from .grids import Axis, DensityField, Grid, circle, fiber_integrate, integrate, interval
-from .groups import GroupModel
+from .grids import Axis, DensityField, Grid, fiber_integrate, integrate, interval
 from .measures import MeasureFunctional
 
 __all__ = [
-    "Axis", "DensityField", "Grid", "circle", "fiber_integrate", "integrate",
-    "interval", "GroupModel", "MeasureFunctional",
+    "Axis", "DensityField", "Grid", "fiber_integrate", "integrate", "interval",
+    "MeasureFunctional",
 ]

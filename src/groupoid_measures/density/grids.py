@@ -141,10 +141,6 @@ def interval(n: int, lo: float, hi: float) -> Grid:
     return Grid([Axis(n, lo, hi)])
 
 
-def circle(n: int, circumference: float = 2 * np.pi) -> Grid:
-    return Grid([Axis(n, 0.0, circumference, periodic=True)])
-
-
 @dataclass(frozen=True)
 class DensityField:
     grid: Grid
@@ -167,18 +163,11 @@ class DensityField:
         if np.any(self.values < 0):
             raise ValueError(f"{what} has negative nodes")
 
-    def __mul__(self, other):
-        if isinstance(other, DensityField):
-            return DensityField(self.grid, self.values * other.values)
-        return DensityField(self.grid, self.values * other)
 
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return DensityField(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        return DensityField(self.grid, self.values - other.values)
+def positive_finite(values, strict: bool = True) -> bool:
+    """Every value finite and > 0 (>= 0 with ``strict`` False); NaN is neither."""
+    values = np.asarray(values)
+    return bool(np.all(np.isfinite(values) & ((values > 0) if strict else (values >= 0))))
 
 
 def _reduce_axis(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 A finite groupoid is stored with integer object and arrow indices: two
 index maps ``src``/``tgt``, a partial composition table, an involution
-``inverse`` and a unit arrow per object.  Composition is written
-``compose(g, h)`` for "h first, then g", so it is defined exactly when
-``src(g) == tgt(h)``.
+``inverse`` and a unit arrow per object.  Composition is stored as
+``compose_table[(g, h)]`` for "h first, then g", so it is defined exactly
+when ``src(g) == tgt(h)``.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ class FiniteGroupoid:
 
     def composable(self, g: int, h: int) -> bool:
         return self.src[g] == self.tgt[h]
-
-    def compose(self, g: int, h: int) -> int:
-        """Composite arrow of g after h; requires src(g) == tgt(h)."""
-        return self.compose_table[(g, h)]
 
     def arrows_from(self, x: int) -> list[int]:
         """The arrows with source x, in index order."""

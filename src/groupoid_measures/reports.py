@@ -9,6 +9,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+def relative_error(lhs: float | Fraction, rhs: float | Fraction) -> float | Fraction:
+    """|lhs - rhs| / max(|lhs|, |rhs|); against unit scale when the reference
+    side ``rhs`` is zero.  Exact sides give an exact error."""
+    if rhs == 0:
+        return abs(lhs - rhs)
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+
+
 @dataclass(frozen=True)
 class CheckRow:
     """One comparison.  The sides of an exact row may be ``int`` or
@@ -27,10 +35,7 @@ class CheckRow:
 
     @property
     def rel_err(self) -> float | Fraction:
-        """Relative error; against unit scale when the reference side is zero."""
-        if self.rhs == 0:
-            return self.abs_err
-        return self.abs_err / max(abs(self.lhs), abs(self.rhs))
+        return relative_error(self.lhs, self.rhs)
 
     @property
     def passed(self) -> bool:

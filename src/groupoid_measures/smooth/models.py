@@ -22,8 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..density.grids import Axis, Grid
-from ..density.groups import GroupModel
+from ..density.grids import Axis, Grid, positive_finite
 from ..expressions import (BOOLEAN, COUNT, INT, NATURAL, NUMBER, REQUIRED, ScenarioError,
                            listed, record)
 
@@ -186,10 +185,10 @@ class CyclicAxisModel(ActionGroupoidModel):
         self.axis = axis
         self.name = name
         self.polar = polar
-        self.group = GroupModel("circle", n=ax.n)
 
     def haar_masses(self):
-        return self.group.haar_weights()
+        # the normalized Haar mass of a node is its quadrature weight / (2 pi)
+        return self.grid.axes[self.axis].weights() * (1.0 / (2 * np.pi))
 
     def mul(self, j, k):
         return (j + k) % self.group_size
@@ -262,7 +261,12 @@ class FiniteActionModel(ActionGroupoidModel):
     def __init__(self, grid: Grid, table: list[list[int]], node_maps, point_maps,
                  jacobians=None, name: str = "finite_action"):
         super().__init__(grid, len(table))
-        self.group = GroupModel("finite", table=table)
+        self.table = [list(row) for row in table]
+        self.identity = next(e for e in range(self.group_size)
+                             if all(self.table[e][b] == b for b in range(self.group_size)))
+        self.inverse = [next(b for b in range(self.group_size)
+                             if self.table[a][b] == self.identity)
+                        for a in range(self.group_size)]
         self.node_maps = [np.asarray(m, dtype=np.intp) for m in node_maps]
         self.point_maps = point_maps
         self.jacobians = jacobians
@@ -275,16 +279,16 @@ class FiniteActionModel(ActionGroupoidModel):
         self.node_table = np.stack([m.ravel() for m in self.node_maps])
 
     def haar_masses(self):
-        return self.group.haar_weights()
+        return np.full(self.group_size, 1.0 / self.group_size)
 
     def mul(self, j, k):
-        return self.group.table[j][k]
+        return self.table[j][k]
 
     def inv(self, j):
-        return self.group.inverse[j]
+        return self.inverse[j]
 
     def identity_index(self):
-        return self.group.identity
+        return self.identity
 
     def pull(self, j, values):
         return values.ravel()[self.node_maps[j]].reshape(self.grid.shape)
@@ -505,12 +509,6 @@ def build_model(descriptor: dict):
         return SubmersionGroupoidModel(_GRID.read(descriptor, "grid"),
                                        listed(INT, "axis indices").read(params, "fiber_axes"))
     raise ScenarioError(f"unknown model kind {kind!r}")
-
-
-def positive_finite(values, strict: bool = True) -> bool:
-    """Every value finite and > 0 (>= 0 with ``strict`` False); NaN is neither."""
-    values = np.asarray(values)
-    return bool(np.all(np.isfinite(values) & ((values > 0) if strict else (values >= 0))))
 
 
 class TransverseDensityData:

@@ -47,8 +47,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .models import (ActionGroupoidModel, CyclicAxisModel, ModelError,
-                     TransverseDensityData, positive_finite)
+from ..density.grids import positive_finite
+from .models import ActionGroupoidModel, CyclicAxisModel, ModelError, TransverseDensityData
 
 QUADRATURE_TOL = 1e-6
 ANALYTIC_TOL = 1e-9
@@ -344,28 +344,13 @@ def cutoff_normalization_defect(model, rho_values: np.ndarray,
     return float(np.max(np.abs(norm - 1.0)))
 
 
-@dataclass
-class TwoSidedCheck:
-    lhs: float
-    rhs: float
-
-    @property
-    def abs_err(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-    @property
-    def rel_err(self) -> float:
-        scale = max(abs(self.lhs), abs(self.rhs))
-        return self.abs_err / scale if scale else 0.0
-
-
 def _constant_cutoff(model, sigma: TransverseDensityData) -> np.ndarray:
     return cutoff_construct(model, sigma.rho_values, np.ones(model.grid.shape))
 
 
 def weyl_check(model, sigma: TransverseDensityData, f_values: np.ndarray,
-               *, cutoff: np.ndarray | None = None) -> TwoSidedCheck:
-    """Disintegration of the base measure into orbit integrals.
+               *, cutoff: np.ndarray | None = None) -> tuple[float, float]:
+    """Disintegration of the base measure into orbit integrals, as (lhs, rhs).
 
     lhs integrates f against tau on the base; rhs integrates the orbit
     integrals of f (against the induced orbit densities) with the measure
@@ -379,13 +364,14 @@ def weyl_check(model, sigma: TransverseDensityData, f_values: np.ndarray,
     orbit_integrals = s_fiber_integrate(
         model, sigma.rho_values, ArrowFunction.from_target_function(model, f_values))
     rhs = float((cutoff * orbit_integrals * sigma.tau_values * model.grid_weights).sum())
-    return TwoSidedCheck(lhs, rhs)
+    return lhs, rhs
 
 
 def weinstein_volume(model, sigma: TransverseDensityData,
                      *, cutoff: np.ndarray | None = None,
-                     volume_threshold: float = 1e-12) -> TwoSidedCheck:
-    """Orbit-space volume two ways: cut-off measure of 1 vs reciprocal orbit volumes.
+                     volume_threshold: float = 1e-12) -> tuple[float, float]:
+    """Orbit-space volume two ways, as (cut-off measure of 1, reciprocal orbit
+    volumes).
 
     ``cutoff`` is a cut-off function of sigma (default: from the constant seed).
     """
@@ -396,7 +382,7 @@ def weinstein_volume(model, sigma: TransverseDensityData,
         cutoff = _constant_cutoff(model, sigma)
     direct = pair_with_base_density(model, sigma.tau_values, cutoff)
     reciprocal = float((sigma.tau_values / volumes * model.grid_weights).sum())
-    return TwoSidedCheck(direct, reciprocal)
+    return direct, reciprocal
 
 
 @dataclass

@@ -14,7 +14,6 @@ import numpy as np
 from ..density.grids import DensityField, integrate
 from ..density.measures import MeasureFunctional
 from ..expressions import ScenarioError
-from ..smooth.transverse import TwoSidedCheck
 from .models import LeafFamilyModel, SymplecticPairModel
 
 
@@ -34,8 +33,8 @@ def dh_density(model: SymplecticPairModel) -> DensityField:
     return DensityField(model.grid, integrate(liouville) * liouville.values)
 
 
-def dh_total_mass_two_ways(model: SymplecticPairModel) -> TwoSidedCheck:
-    """Total DH mass via the density field vs the arrow-space pushforward.
+def dh_total_mass_two_ways(model: SymplecticPairModel) -> tuple[float, float]:
+    """Total DH mass, as (via the density field, via the arrow-space pushforward).
 
     The pushforward path integrates the product Liouville density over the
     arrow space (surface times surface) by Fubini, which is the square of
@@ -44,7 +43,7 @@ def dh_total_mass_two_ways(model: SymplecticPairModel) -> TwoSidedCheck:
     """
     field_total = integrate(dh_density(model))
     per_point = integrate(liouville_density(model))
-    return TwoSidedCheck(field_total, per_point * per_point)
+    return field_total, per_point * per_point
 
 
 def affine_measure(model: LeafFamilyModel, lattice_density=None) -> MeasureFunctional:
@@ -82,8 +81,9 @@ def base_measure_of_leaf_function(model: LeafFamilyModel, values: np.ndarray,
     return float((values * density * model.base_weights()).sum())
 
 
-def dh_weyl_check(model: LeafFamilyModel, f_leaf_values) -> TwoSidedCheck:
-    """Disintegration over leaves with the component-count correction.
+def dh_weyl_check(model: LeafFamilyModel, f_leaf_values) -> tuple[float, float]:
+    """Disintegration over leaves with the component-count correction, as
+    (lhs, rhs).
 
     ``f_leaf_values`` maps a base node index to samples on the leaf grid.
     lhs integrates f against leafwise Liouville times the lattice density;
@@ -101,11 +101,11 @@ def dh_weyl_check(model: LeafFamilyModel, f_leaf_values) -> TwoSidedCheck:
                                         model.lattice_density())
     rhs = base_measure_of_leaf_function(model, model.iota * leaf_integrals,
                                         canonical_base_density(model))
-    return TwoSidedCheck(lhs, rhs)
+    return lhs, rhs
 
 
-def affine_volume(model: LeafFamilyModel) -> TwoSidedCheck:
-    """Total canonical base mass vs the reciprocal orbit-volume integral.
+def affine_volume(model: LeafFamilyModel) -> tuple[float, float]:
+    """Total canonical base mass, as (direct, reciprocal orbit-volume integral).
 
     The second path integrates 1 / (iota * Vol(leaf)) against the measure
     that pairs leafwise Liouville with the lattice density.
@@ -116,4 +116,4 @@ def affine_volume(model: LeafFamilyModel) -> TwoSidedCheck:
                                            canonical_base_density(model))
     reciprocal = float((leaf_totals / (model.iota * leaf_totals)
                         * model.lattice_density() * model.base_weights()).sum())
-    return TwoSidedCheck(direct, reciprocal)
+    return direct, reciprocal

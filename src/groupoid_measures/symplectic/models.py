@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from ..density.grids import Axis, DensityField, Grid, integrate
+from ..density.grids import Axis, DensityField, Grid, integrate, positive_finite
 from ..expressions import (COUNT, INT, NUMBER, REQUIRED, ScenarioError, compile_field,
                            integer, listed, record)
 
@@ -25,7 +25,7 @@ class SymplecticPairModel:
     def __init__(self, grid: Grid, area_coefficient: np.ndarray, name: str = "surface"):
         self.grid = grid
         field = DensityField(grid, np.asarray(area_coefficient, dtype=float))
-        if not np.all(np.isfinite(field.values) & (field.values > 0)):
+        if not positive_finite(field.values):
             raise ScenarioError("area density must be positive and finite")
         self.area_density = field
         self.name = name
@@ -74,7 +74,7 @@ class LeafFamilyModel:
         self.areas = np.asarray(area_fn(t), dtype=float) + np.zeros(base.shape)
         self.area_slopes = np.asarray(area_derivative_fn(t), dtype=float) \
             + np.zeros(base.shape)
-        if not np.all(np.isfinite(self.areas) & (self.areas > 0)):
+        if not positive_finite(self.areas):
             raise ScenarioError("leaf areas must be positive and finite")
         if not np.all(np.isfinite(self.area_slopes)):
             raise ScenarioError("leaf area derivatives must be finite")

@@ -7,7 +7,6 @@ from groupoid_measures.density import (
     Axis,
     DensityField,
     Grid,
-    GroupModel,
     MeasureFunctional,
     fiber_integrate,
     integrate,
@@ -32,13 +31,6 @@ def test_integrate_gaussian_against_closed_form():
     rho = DensityField.from_function(g, lambda x: np.exp(-x ** 2 / 2))
     exact = np.sqrt(2 * np.pi)
     assert abs(integrate(rho) - exact) <= 1e-6 * exact
-
-
-def test_circle_haar_mass_is_one():
-    model = GroupModel("circle", n=96)
-    assert abs(model.total_mass() - 1.0) <= 1e-12
-    assert abs(GroupModel("torus2", n=24).total_mass() - 1.0) <= 1e-12
-    assert GroupModel("finite", table=[[0, 1], [1, 0]]).total_mass() == 1.0
 
 
 def test_integrate_is_linear_and_monotone():

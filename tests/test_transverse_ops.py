@@ -42,6 +42,7 @@ from groupoid_measures.smooth import (
 )
 from groupoid_measures.smooth.models import TrivialActionModel
 from groupoid_measures.density import Axis, Grid
+from groupoid_measures.reports import relative_error
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +58,19 @@ def lebesgue(rotation):
 def test_model_axioms_hold_on_samples(rotation):
     assert rotation.check_axioms(random.Random(0)) <= 1e-12
     assert antipodal_circle_model(64).check_axioms(random.Random(1)) <= 1e-12
+
+
+def test_circle_haar_masses_are_the_axis_weights_over_two_pi():
+    model = circle_self_model(17)
+    masses = model.haar_masses()
+    # bit for bit: at n = 17 this product differs from 1/n in the last bit
+    assert np.array_equal(masses, model.grid.axes[0].weights() * (1.0 / (2 * np.pi)))
+    assert masses[0] != 1.0 / 17
+    assert abs(masses.sum() - 1.0) <= 1e-12
+
+
+def test_antipodal_haar_masses_are_exact_halves():
+    assert antipodal_circle_model(8).haar_masses().tolist() == [0.5, 0.5]
     assert mirror_interval_model(65, 1.0).check_axioms(random.Random(2)) <= 1e-12
 
 
@@ -191,29 +205,29 @@ def test_weyl_formula_and_seed_independence(rotation, lebesgue):
     f = np.exp(-30 * (r - 1.5) ** 2) * (1 + 0.3 * np.cos(phi))
     seed1 = np.exp(-4 * (r - 1.5) ** 2) * (1.3 + np.cos(phi))
     seed2 = 0.5 + 0.1 * np.sin(phi) + (r - 1.5) ** 2
-    res1 = weyl_check(rotation, lebesgue, f,
-                      cutoff=cutoff_construct(rotation, lebesgue.rho_values, seed1))
-    res2 = weyl_check(rotation, lebesgue, f,
-                      cutoff=cutoff_construct(rotation, lebesgue.rho_values, seed2))
-    assert res1.rel_err <= 1e-6
-    assert abs(res1.rhs - res2.rhs) <= 2e-6 * abs(res1.rhs)
+    lhs, rhs1 = weyl_check(rotation, lebesgue, f,
+                           cutoff=cutoff_construct(rotation, lebesgue.rho_values, seed1))
+    _, rhs2 = weyl_check(rotation, lebesgue, f,
+                         cutoff=cutoff_construct(rotation, lebesgue.rho_values, seed2))
+    assert relative_error(lhs, rhs1) <= 1e-6
+    assert abs(rhs1 - rhs2) <= 2e-6 * abs(rhs1)
 
 
 def test_weyl_radial_integrand_against_polar_closed_form(rotation, lebesgue):
     # f(r) = r: integral of r * (Lebesgue) over the annulus = 2 pi (r_hi^3 - r_lo^3)/3
     r = rotation.grid.meshgrid()[0]
-    res = weyl_check(rotation, lebesgue, r)
+    lhs, rhs = weyl_check(rotation, lebesgue, r)
     closed = 2 * np.pi * (2.0 ** 3 - 1.0) / 3
-    assert abs(res.lhs - closed) <= 1e-3 * closed  # trapezoid in r
-    assert res.rel_err <= 1e-12
+    assert abs(lhs - closed) <= 1e-3 * closed  # trapezoid in r
+    assert relative_error(lhs, rhs) <= 1e-12
 
 
 def test_weyl_volume_corollary(rotation, lebesgue):
     # f = 1: lhs is the total area, rhs integrates orbit volumes
-    res = weyl_check(rotation, lebesgue, np.ones(rotation.grid.shape))
-    assert res.rel_err <= 1e-12
+    lhs, rhs = weyl_check(rotation, lebesgue, np.ones(rotation.grid.shape))
+    assert relative_error(lhs, rhs) <= 1e-12
     area = np.pi * (4.0 - 1.0)
-    assert abs(res.lhs - area) <= 1e-10 * area
+    assert abs(lhs - area) <= 1e-10 * area
 
 
 def test_weinstein_volume_antipodal_circle():
@@ -221,19 +235,19 @@ def test_weinstein_volume_antipodal_circle():
     sigma = TransverseDensityData(model, lambda t: 2.0 * np.ones_like(t),
                                   lambda t: np.ones_like(t))
     seed = 1.0 + 0.5 * np.cos(2 * model.grid.nodes(0))
-    res = weinstein_volume(model, sigma,
-                           cutoff=cutoff_construct(model, sigma.rho_values, seed))
-    assert abs(res.lhs - np.pi) <= 1e-9
-    assert res.rel_err <= 1e-6
+    direct, reciprocal = weinstein_volume(
+        model, sigma, cutoff=cutoff_construct(model, sigma.rho_values, seed))
+    assert abs(direct - np.pi) <= 1e-9
+    assert relative_error(direct, reciprocal) <= 1e-6
 
 
 def test_weinstein_volume_circle_self_action():
     model = circle_self_model(128)
     sigma = TransverseDensityData(model, lambda t: np.ones_like(t),
                                   lambda t: np.ones_like(t) / (2 * np.pi))
-    res = weinstein_volume(model, sigma)
-    assert abs(res.lhs - 1.0) <= 1e-12
-    assert res.rel_err <= 1e-12
+    direct, reciprocal = weinstein_volume(model, sigma)
+    assert abs(direct - 1.0) <= 1e-12
+    assert relative_error(direct, reciprocal) <= 1e-12
 
 
 def test_weinstein_volume_trivial_group_returns_total_mass():
@@ -241,8 +255,8 @@ def test_weinstein_volume_trivial_group_returns_total_mass():
     model = TrivialActionModel(grid)
     sigma = TransverseDensityData(model, lambda x: np.ones_like(x),
                                   lambda x: np.ones_like(x))
-    res = weinstein_volume(model, sigma)
-    assert abs(res.lhs - 2.0) <= 1e-12
+    direct, _ = weinstein_volume(model, sigma)
+    assert abs(direct - 2.0) <= 1e-12
 
 
 def test_orbit_density_free_rotation(rotation, lebesgue):
@@ -345,8 +359,8 @@ def test_weyl_trivial_group_sides_are_identical():
     sigma = TransverseDensityData(model, lambda x, y: np.ones_like(x),
                                   lambda x, y: 1.0 + x * y)
     f = np.sin(grid.meshgrid()[0]) + grid.meshgrid()[1]
-    res = weyl_check(model, sigma, f)
-    assert res.lhs == res.rhs
+    lhs, rhs = weyl_check(model, sigma, f)
+    assert lhs == rhs
 
 
 def test_action_axioms_robust_at_angle_wraparound():
