@@ -69,9 +69,37 @@ from .symplectic import (
 
 _SWAPS = listed(listed(INT, "points"), "point pairs")
 
+# The most composable pairs a finite groupoid may have, checked on its descriptor
+# before any list or table is built: at 100 to 170 bytes per composition-table
+# entry, 2**20 pairs take up to 170 MiB.  The largest bundled groupoid has 27.
+MAX_COMPOSABLE_PAIRS = 2 ** 20
+# the composable pairs of a kind from its size: n, n**3, n**2 and 4 * points
+_PAIRS = {"unit": ("n", lambda n: n), "pair": ("n", lambda n: n ** 3),
+          "cyclic": ("n", lambda n: n ** 2), "z2_action": ("points", lambda p: 4 * p)}
+
+
+def composable_pairs(doc: dict) -> int:
+    """The composable pairs of a descriptor's groupoid, summed over the parts
+    of a disjoint union; a ``json`` document lists its own table and counts 0."""
+    kind = doc.get("kind")
+    if kind == "disjoint_union":
+        parts = doc.get("parts")
+        if not (isinstance(parts, list) and parts and all(isinstance(p, dict) for p in parts)):
+            raise ScenarioError(f"'parts' must be a nonempty list of groupoid "
+                                f"descriptors, got {parts!r}")
+        return sum(composable_pairs(p) for p in parts)
+    if not (isinstance(kind, str) and kind in _PAIRS):
+        return 0
+    size, pairs = _PAIRS[kind]
+    return pairs(COUNT.read(doc, size))
+
 
 def build_finite_groupoid(doc: dict) -> finite.FiniteGroupoid:
-    """A groupoid descriptor; an empty groupoid would make every check vacuous."""
+    """A groupoid descriptor; an empty groupoid would make every check vacuous,
+    and one of more than MAX_COMPOSABLE_PAIRS composable pairs is refused."""
+    if composable_pairs(doc) > MAX_COMPOSABLE_PAIRS:
+        raise ScenarioError(f"a {doc['kind']!r} groupoid has more than "
+                            f"{MAX_COMPOSABLE_PAIRS} composable pairs")
     kind = doc.get("kind")
     if kind == "unit":
         return finite.unit_groupoid(COUNT.read(doc, "n"))
@@ -92,14 +120,9 @@ def build_finite_groupoid(doc: dict) -> finite.FiniteGroupoid:
         action = [list(range(points)), perm]
         return finite.action_groupoid(finite.cyclic_group_table(2), action,
                                       points, name="z2_action")
-    if kind == "disjoint_union":
-        parts = doc.get("parts")
-        if not (isinstance(parts, list) and parts
-                and all(isinstance(p, dict) for p in parts)):
-            raise ScenarioError(f"'parts' must be a nonempty list of groupoid "
-                                f"descriptors, got {parts!r}")
-        out = build_finite_groupoid(parts[0])
-        for p in parts[1:]:
+    if kind == "disjoint_union":  # composable_pairs has read its parts
+        out = build_finite_groupoid(doc["parts"][0])
+        for p in doc["parts"][1:]:
             out = finite.disjoint_union(out, build_finite_groupoid(p))
         return out
     if kind == "json":

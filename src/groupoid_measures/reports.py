@@ -10,8 +10,7 @@ from fractions import Fraction
 
 
 def relative_error(lhs: float | Fraction, rhs: float | Fraction) -> float | Fraction:
-    """|lhs - rhs| / max(|lhs|, |rhs|); against unit scale when the reference
-    side ``rhs`` is zero.  Exact sides give an exact error."""
+    """|lhs - rhs| / max(|lhs|, |rhs|), or |lhs - rhs| when the reference rhs is 0."""
     if rhs == 0:
         return abs(lhs - rhs)
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))

@@ -187,7 +187,6 @@ class CyclicAxisModel(ActionGroupoidModel):
         self.polar = polar
 
     def haar_masses(self):
-        # the normalized Haar mass of a node is its quadrature weight / (2 pi)
         return self.grid.axes[self.axis].weights() * (1.0 / (2 * np.pi))
 
     def mul(self, j, k):
@@ -262,11 +261,8 @@ class FiniteActionModel(ActionGroupoidModel):
                  jacobians=None, name: str = "finite_action"):
         super().__init__(grid, len(table))
         self.table = [list(row) for row in table]
-        self.identity = next(e for e in range(self.group_size)
-                             if all(self.table[e][b] == b for b in range(self.group_size)))
-        self.inverse = [next(b for b in range(self.group_size)
-                             if self.table[a][b] == self.identity)
-                        for a in range(self.group_size)]
+        self.identity = self.table.index(list(range(self.group_size)))
+        self.inverse = [row.index(self.identity) for row in self.table]
         self.node_maps = [np.asarray(m, dtype=np.intp) for m in node_maps]
         self.point_maps = point_maps
         self.jacobians = jacobians

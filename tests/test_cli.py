@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 from groupoid_measures import finite
 from groupoid_measures.cli import bundled_scenarios, main
-from groupoid_measures.checks import REGISTRY
+from groupoid_measures.checks import (MAX_COMPOSABLE_PAIRS, REGISTRY, build_finite_groupoid,
+                                      composable_pairs)
 from groupoid_measures.density.grids import MAX_GRID_NODES
+from groupoid_measures.expressions import ScenarioError
 
 
 def run_cli(capsys, *argv):
@@ -732,6 +734,41 @@ def test_bad_descriptor_or_grid_node_is_input_error(capsys, tmp_path, engine, mo
     code, _, err = run_doc(capsys, tmp_path, doc)
     assert_input_error(code, err)
     assert message in err
+
+
+def _refuse_to_build(*args, **kwargs):
+    raise AssertionError("a finite builder ran")
+
+
+@pytest.mark.parametrize("model", [
+    {"kind": "cyclic", "n": 10**40},
+    {"kind": "z2_action", "points": 2**63},
+    {"kind": "disjoint_union", "parts": [{"kind": "unit", "n": 1}, {"kind": "pair", "n": 129}]},
+], ids=["cyclic", "z2_action", "disjoint_union"])
+def test_oversized_finite_groupoid_is_input_error(capsys, tmp_path, monkeypatch, model):
+    # the cap is read from the descriptor alone, so no builder may run
+    for name in ("unit_groupoid", "pair_groupoid", "group_groupoid", "cyclic_group_table",
+                 "action_groupoid", "disjoint_union"):
+        monkeypatch.setattr(finite, name, _refuse_to_build)
+    doc = {"name": "x", "engine": "finite", "model": model,
+           "checks": [{"name": "axioms_valid"}]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert f"has more than {MAX_COMPOSABLE_PAIRS} composable pairs" in err
+
+
+def test_composable_pairs_count_the_built_table(monkeypatch):
+    parts = [{"kind": "unit", "n": 3}, {"kind": "pair", "n": 3}, {"kind": "cyclic", "n": 4},
+             {"kind": "z2_action", "points": 3, "swaps": [[0, 2]]}]
+    for doc in parts + [{"kind": "disjoint_union", "parts": parts}]:
+        assert composable_pairs(doc) == len(build_finite_groupoid(doc).compose_table)
+    # a descriptor at the cap is built and one pair more is refused; a stub
+    # stands in for the builder, so neither allocates a table
+    monkeypatch.setattr(finite, "unit_groupoid", lambda n: n)
+    cap = {"kind": "unit", "n": MAX_COMPOSABLE_PAIRS}
+    assert build_finite_groupoid(cap) == MAX_COMPOSABLE_PAIRS
+    with pytest.raises(ScenarioError, match="composable pairs"):
+        build_finite_groupoid(dict(cap, n=MAX_COMPOSABLE_PAIRS + 1))
 
 
 @pytest.mark.parametrize("engine, check, params, message", [
