@@ -74,29 +74,32 @@ def t_shriek(g: FiniteGroupoid, u) -> Weights:
     return out
 
 
-def difference_matrix(g: FiniteGroupoid) -> linalg_q.Matrix:
-    """Matrix of s_down - t_down, objects by arrows."""
-    m = linalg_q.zeros(g.n_objects, g.n_arrows)
-    for a in g.arrows():
-        m[g.src[a]][a] += 1
-        m[g.tgt[a]][a] -= 1
-    return m
+def _orbit_space(g: FiniteGroupoid) -> tuple[int, list[Weights]]:
+    """n_objects minus the exact rank of s_down - t_down, and the orbit indicators.
 
-
-def coinvariants(g: FiniteGroupoid) -> tuple[int, list[Weights]]:
-    """Dimension and representatives of coker(s_down - t_down).
-
-    The dimension is computed as n_objects minus the exact rank of the
-    difference matrix; the returned representatives are the orbit
-    indicator weights, which descend to a basis of the cokernel.
+    The image of s_down - t_down is spanned by the columns
+    {src(a): 1, tgt(a): -1} of the arrows that are not loops; a loop's
+    column is zero.
     """
-    dim = g.n_objects - linalg_q.rank(difference_matrix(g))
+    columns = [{g.src[a]: 1, g.tgt[a]: -1} for a in g.arrows() if g.src[a] != g.tgt[a]]
+    dim = g.n_objects - linalg_q._reduce(columns)
     basis = []
     for orb in orbits(g):
         vec = [Fraction(0)] * g.n_objects
         for x in orb:
             vec[x] = Fraction(1)
         basis.append(vec)
+    return dim, basis
+
+
+def coinvariants(g: FiniteGroupoid) -> tuple[int, list[Weights]]:
+    """Dimension and representatives of coker(s_down - t_down).
+
+    The dimension is n_objects minus the exact rank of s_down - t_down; the
+    returned representatives are the orbit indicator weights, which descend
+    to a basis of the cokernel.
+    """
+    dim, basis = _orbit_space(g)
     if dim != len(basis):
         raise AssertionError("cokernel dimension disagrees with orbit count")
     return dim, basis
@@ -113,23 +116,10 @@ def transverse_measure_cone(g: FiniteGroupoid) -> list[tuple[Weights, bool]]:
     Positive functionals are exactly the nonnegative combinations of the
     returned basis.
     """
-    constraints = []
-    for a in g.arrows():
-        if g.src[a] != g.tgt[a]:
-            row = [Fraction(0)] * g.n_objects
-            row[g.src[a]] += 1
-            row[g.tgt[a]] -= 1
-            constraints.append(row)
-    kernel_dim = g.n_objects - linalg_q.rank(constraints)
-    basis = []
-    for orb in orbits(g):
-        vec = [Fraction(0)] * g.n_objects
-        for x in orb:
-            vec[x] = Fraction(1)
-        basis.append((vec, True))
+    kernel_dim, basis = _orbit_space(g)
     if kernel_dim != len(basis):
         raise AssertionError("invariant functional space is not spanned by orbits")
-    return basis
+    return [(vec, True) for vec in basis]
 
 
 def is_invariant_functional(g: FiniteGroupoid, v) -> bool:

@@ -240,46 +240,30 @@ def restrict_full_subgroupoid(g: FiniteGroupoid, objects: list[int]) -> FiniteGr
 # builders
 
 def unit_groupoid(n: int) -> FiniteGroupoid:
-    """Only identity arrows over n objects."""
-    ids = tuple(range(n))
-    return FiniteGroupoid(
-        n_objects=n, src=ids, tgt=ids,
-        compose_table={(i, i): i for i in range(n)},
-        inverse=ids, unit=ids, name=f"unit({n})",
-    )
+    """Only identity arrows over n objects: the trivial group acting on n points."""
+    return action_groupoid([[0]], [list(range(n))], n, name=f"unit({n})")
 
 
 def pair_groupoid(n: int) -> FiniteGroupoid:
-    """One arrow (y, x) from x to y for every ordered pair of objects."""
-    pairs = [(y, x) for y in range(n) for x in range(n)]
-    index = {p: k for k, p in enumerate(pairs)}
-    table = {}
-    for (y1, x1) in pairs:
-        for (y2, x2) in pairs:
-            if x1 == y2:
-                table[(index[(y1, x1)], index[(y2, x2)])] = index[(y1, x2)]
+    """One arrow (y, x) = y * n + x from x to y for every ordered pair of
+    objects, with (z, y)(y, x) = (z, x)."""
+    arrows = range(n * n)
     return FiniteGroupoid(
         n_objects=n,
-        src=tuple(x for _, x in pairs),
-        tgt=tuple(y for y, _ in pairs),
-        compose_table=table,
-        inverse=tuple(index[(x, y)] for y, x in pairs),
-        unit=tuple(index[(x, x)] for x in range(n)),
+        src=tuple(a % n for a in arrows),
+        tgt=tuple(a // n for a in arrows),
+        compose_table={(z * n + y, y * n + x): z * n + x
+                       for z in range(n) for y in range(n) for x in range(n)},
+        inverse=tuple((a % n) * n + a // n for a in arrows),
+        unit=tuple(x * n + x for x in range(n)),
         name=f"pair({n})",
     )
 
 
 def group_groupoid(table: list[list[int]], name: str = "group") -> FiniteGroupoid:
-    """One-object groupoid from a group multiplication table t[a][b] = a*b."""
-    m = len(table)
-    identity = next(e for e in range(m) if all(table[e][b] == b for b in range(m)))
-    inv = tuple(next(b for b in range(m) if table[a][b] == identity) for a in range(m))
-    return FiniteGroupoid(
-        n_objects=1,
-        src=(0,) * m, tgt=(0,) * m,
-        compose_table={(a, b): table[a][b] for a in range(m) for b in range(m)},
-        inverse=inv, unit=(identity,), name=name,
-    )
+    """One-object groupoid from a group multiplication table t[a][b] = a*b:
+    the group acting on one point."""
+    return action_groupoid(table, [[0]] * len(table), 1, name=name)
 
 
 def cyclic_group_table(n: int) -> list[list[int]]:
@@ -291,25 +275,21 @@ def action_groupoid(table: list[list[int]], action: list[list[int]],
     """Action groupoid of a finite group on a finite set.
 
     ``table[a][b]`` is the group product a*b and ``action[a][x]`` the point
-    a.x; arrows are pairs (a, x): x -> a.x with (a, b.x)(b, x) = (ab, x).
+    a.x; arrows are pairs (a, x): x -> a.x, with index a * n_points + x, and
+    (a, b.x)(b, x) = (ab, x).
     """
-    m = len(table)
+    m, n = len(table), n_points
     identity = next(e for e in range(m) if all(table[e][b] == b for b in range(m)))
     ginv = [next(b for b in range(m) if table[a][b] == identity) for a in range(m)]
-    arrows = [(a, x) for a in range(m) for x in range(n_points)]
-    index = {p: k for k, p in enumerate(arrows)}
-    comp = {}
-    for (a, x1) in arrows:
-        for (b, x) in arrows:
-            if x1 == action[b][x]:
-                comp[(index[(a, x1)], index[(b, x)])] = index[(table[a][b], x)]
+    arrows = [(a, x) for a in range(m) for x in range(n)]
     return FiniteGroupoid(
-        n_objects=n_points,
+        n_objects=n,
         src=tuple(x for _, x in arrows),
         tgt=tuple(action[a][x] for a, x in arrows),
-        compose_table=comp,
-        inverse=tuple(index[(ginv[a], action[a][x])] for a, x in arrows),
-        unit=tuple(index[(identity, x)] for x in range(n_points)),
+        compose_table={(a * n + action[b][x], b * n + x): table[a][b] * n + x
+                       for b, x in arrows for a in range(m)},
+        inverse=tuple(ginv[a] * n + action[a][x] for a, x in arrows),
+        unit=tuple(identity * n + x for x in range(n)),
         name=name,
     )
 

@@ -12,8 +12,10 @@ rank is the rank over Q (the integer-first, rational-fallback scheme of
 Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001).  A nerve boundary
 column has at most k+1 nonzeros, and the reduction touches nothing else.
 
-``rank``, ``nullspace`` and ``matmul`` keep a dense interface (lists of
-rows) for the callers that hold dense matrices.
+The package calls only ``_reduce`` and ``compose``.  The dense names, on
+lists of rows (``zeros``, ``matmul``, ``is_zero``, ``_columns``, ``rank``,
+``nullspace``), serve only the tests, acceptance criterion 04 and the
+benchmark's tracer, which wraps ``rank``, ``nullspace`` and ``matmul`` by name.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@ engine as the reference for the quadrature engine's finite models.
 
 The references are the dense implementations the kernels replaced: a dense
 row echelon form for rank and kernel, a convolution that walks the whole
-composition table, and a nerve that scans every arrow for every extension.
+composition table, a nerve that scans every arrow for every extension, and
+builders that fill the composition table by a scan over all arrow pairs.
 A ``FiniteActionModel`` is a finite group permuting grid nodes, which is an
 action groupoid; its fiber integrals are sums that the exact engine computes
 over the rationals.
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from groupoid_measures.density import Axis, Grid
 from groupoid_measures.finite import (
+    FiniteGroupoid,
     HaarWeight,
     action_groupoid,
     average_function,
@@ -28,9 +30,12 @@ from groupoid_measures.finite import (
     disjoint_union,
     face,
     from_json,
+    group_groupoid,
     homology,
     nerve,
     orbits,
+    pair_groupoid,
+    unit_groupoid,
 )
 from groupoid_measures.finite import linalg_q
 from groupoid_measures.smooth import (
@@ -117,6 +122,68 @@ def scanned_nerve(g, k):
     return strings
 
 
+def scanned_unit_groupoid(n):
+    ids = tuple(range(n))
+    return FiniteGroupoid(
+        n_objects=n, src=ids, tgt=ids,
+        compose_table={(i, i): i for i in range(n)},
+        inverse=ids, unit=ids, name=f"unit({n})",
+    )
+
+
+def scanned_pair_groupoid(n):
+    pairs = [(y, x) for y in range(n) for x in range(n)]
+    index = {p: k for k, p in enumerate(pairs)}
+    table = {}
+    for (y1, x1) in pairs:
+        for (y2, x2) in pairs:
+            if x1 == y2:
+                table[(index[(y1, x1)], index[(y2, x2)])] = index[(y1, x2)]
+    return FiniteGroupoid(
+        n_objects=n,
+        src=tuple(x for _, x in pairs),
+        tgt=tuple(y for y, _ in pairs),
+        compose_table=table,
+        inverse=tuple(index[(x, y)] for y, x in pairs),
+        unit=tuple(index[(x, x)] for x in range(n)),
+        name=f"pair({n})",
+    )
+
+
+def scanned_group_groupoid(table, name="group"):
+    m = len(table)
+    identity = next(e for e in range(m) if all(table[e][b] == b for b in range(m)))
+    inv = tuple(next(b for b in range(m) if table[a][b] == identity) for a in range(m))
+    return FiniteGroupoid(
+        n_objects=1,
+        src=(0,) * m, tgt=(0,) * m,
+        compose_table={(a, b): table[a][b] for a in range(m) for b in range(m)},
+        inverse=inv, unit=(identity,), name=name,
+    )
+
+
+def scanned_action_groupoid(table, action, n_points, name="action"):
+    m = len(table)
+    identity = next(e for e in range(m) if all(table[e][b] == b for b in range(m)))
+    ginv = [next(b for b in range(m) if table[a][b] == identity) for a in range(m)]
+    arrows = [(a, x) for a in range(m) for x in range(n_points)]
+    index = {p: k for k, p in enumerate(arrows)}
+    comp = {}
+    for (a, x1) in arrows:
+        for (b, x) in arrows:
+            if x1 == action[b][x]:
+                comp[(index[(a, x1)], index[(b, x)])] = index[(table[a][b], x)]
+    return FiniteGroupoid(
+        n_objects=n_points,
+        src=tuple(x for _, x in arrows),
+        tgt=tuple(action[a][x] for a, x in arrows),
+        compose_table=comp,
+        inverse=tuple(index[(ginv[a], action[a][x])] for a, x in arrows),
+        unit=tuple(index[(identity, x)] for x in range(n_points)),
+        name=name,
+    )
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -149,6 +216,24 @@ def permutation_actions(draw, max_points=3):
     for _ in range(m - 1):
         action.append([perm[x] for x in action[-1]])
     return action_groupoid(cyclic_group_table(m), action, n, name=f"Z{m}:{perm}")
+
+
+@st.composite
+def permutation_groups(draw, max_points=4):
+    """(table, action, points): the group of permutations of up to four points
+    generated by one or two random ones, its elements in a random order."""
+    n = draw(st.integers(1, max_points))
+    gens = draw(st.lists(st.permutations(list(range(n))), min_size=1, max_size=2))
+    elements = [tuple(range(n))]
+    for p in elements:  # grows while it is walked: the closure under the generators
+        for gen in gens:
+            q = tuple(gen[x] for x in p)
+            if q not in elements:
+                elements.append(q)
+    elements = draw(st.permutations(elements))
+    index = {p: k for k, p in enumerate(elements)}
+    table = [[index[tuple(a[x] for x in b)] for b in elements] for a in elements]
+    return table, [list(p) for p in elements], n
 
 
 groupoids = st.one_of(
@@ -288,6 +373,30 @@ def test_nerve_matches_the_arrow_scan(g, k):
 @given(groupoids, st.integers(0, 3))
 def test_nerve_matches_the_arrow_scan_on_random_actions(g, k):
     assert nerve(g, k) == scanned_nerve(g, k)
+
+
+# ---------------------------------------------------------------------------
+# builders
+
+def assert_same_groupoid(built, reference):
+    assert built == reference
+    assert built.name == reference.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(permutation_groups())
+def test_action_and_group_builders_match_the_arrow_pair_scan(group):
+    table, action, n = group
+    assert_same_groupoid(action_groupoid(table, action, n),
+                         scanned_action_groupoid(table, action, n))
+    assert_same_groupoid(group_groupoid(table, "G"), scanned_group_groupoid(table, "G"))
+    assert_same_groupoid(group_groupoid(table), scanned_group_groupoid(table))
+
+
+@given(st.integers(0, 6))
+def test_unit_and_pair_builders_match_the_arrow_pair_scan(n):
+    assert_same_groupoid(unit_groupoid(n), scanned_unit_groupoid(n))
+    assert_same_groupoid(pair_groupoid(n), scanned_pair_groupoid(n))
 
 
 # ---------------------------------------------------------------------------

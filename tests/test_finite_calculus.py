@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from groupoid_measures.finite import (
     HaarWeight,
@@ -12,7 +13,6 @@ from groupoid_measures.finite import (
     convolve,
     counting_haar,
     cyclic_group_table,
-    difference_matrix,
     group_groupoid,
     is_invariant_functional,
     is_orbit_constant,
@@ -26,7 +26,17 @@ from groupoid_measures.finite import (
     unit_trace,
 )
 from groupoid_measures.finite import linalg_q
+from test_exact_references import dense_rank, groupoids
 from test_finite_groupoid import SUITE, z2_swap_plus_fixed
+
+
+def difference_matrix(g):
+    """Matrix of s_down - t_down, objects by arrows: the dense oracle."""
+    m = linalg_q.zeros(g.n_objects, g.n_arrows)
+    for a in g.arrows():
+        m[g.src[a]][a] += 1
+        m[g.tgt[a]][a] -= 1
+    return m
 
 
 def random_weights(rng, n):
@@ -74,6 +84,14 @@ def test_coinvariant_dimension_equals_orbit_count(g):
     dim, basis = coinvariants(g)
     assert dim == len(orbits(g))
     assert len(basis) == dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(groupoids)
+def test_orbit_space_dimension_is_the_dense_corank_of_the_difference_matrix(g):
+    corank = g.n_objects - dense_rank(difference_matrix(g))
+    assert coinvariants(g)[0] == corank
+    assert len(transverse_measure_cone(g)) == corank
 
 
 def test_coinvariants_examples():
