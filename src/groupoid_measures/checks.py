@@ -76,6 +76,13 @@ MAX_COMPOSABLE_PAIRS = 2 ** 20
 # the composable pairs of a kind from its size: n, n**3, n**2 and 4 * points
 _PAIRS = {"unit": ("n", lambda n: n), "pair": ("n", lambda n: n ** 3),
           "cyclic": ("n", lambda n: n ** 2), "z2_action": ("points", lambda p: 4 * p)}
+# The most nerve strings a check may enumerate, summed over its degrees and
+# counted by finite.nerve_size before any string is built.  Each string, with its
+# boundary column and reduction, took 1.1 to 1.4 KB of peak RSS (homology up to
+# degree 2 of Z32 and Z48: 33 825 and 112 945 strings; Z48 took 13.9 s on 2 cores,
+# Python 3.11), so 2**17 strings take about 190 MB.  The largest bundled
+# enumeration has 120.
+MAX_NERVE_STRINGS = 2 ** 17
 
 
 def composable_pairs(doc: dict) -> int:
@@ -92,6 +99,15 @@ def composable_pairs(doc: dict) -> int:
         return 0
     size, pairs = _PAIRS[kind]
     return pairs(COUNT.read(doc, size))
+
+
+def check_nerve_size(g: finite.FiniteGroupoid, kmax: int) -> None:
+    """Refuse a check that would enumerate the nerve of g in degrees 0..kmax
+    when that is more than MAX_NERVE_STRINGS strings."""
+    strings = sum(finite.nerve_size(g, k) for k in range(kmax + 1))
+    if strings > MAX_NERVE_STRINGS:
+        raise ScenarioError(f"the nerve has {strings} strings in degrees 0..{kmax}, "
+                            f"more than {MAX_NERVE_STRINGS}")
 
 
 def build_finite_groupoid(doc: dict) -> finite.FiniteGroupoid:
@@ -156,24 +172,23 @@ class ScenarioContext:
 
         Degrees up to k of a report need only the ranks of d_1..d_{k+1}, so
         the report for the largest kmax asked so far answers every smaller one.
+        A nerve of more than MAX_NERVE_STRINGS strings in degrees 0..kmax+1 is
+        refused.
         """
         rep = self._cache.get("homology")
         if rep is None or len(rep.degrees) <= kmax:
+            check_nerve_size(self.groupoid(), kmax + 1)
             rep = self._cache["homology"] = finite.homology(self.groupoid(), kmax)
         return finite.HomologyReport(rep.degrees[:kmax + 1])
 
     def model(self) -> ActionGroupoidModel:
-        """The scenario's group action model; the checks that read it act on
-        points, so another model (a submersion) is an input error."""
+        """The scenario's group action model."""
         if "model" not in self._cache:
             try:
                 self._cache["model"] = build_model(self.model_doc)
             except ModelError as exc:  # a model that its values do not describe
                 raise ScenarioError(str(exc)) from exc
-        model = self._cache["model"]
-        if not isinstance(model, ActionGroupoidModel):
-            raise ScenarioError(f"model {model.name!r} is not a group action model")
-        return model
+        return self._cache["model"]
 
     def proper_model(self) -> ActionGroupoidModel:
         """The scenario's model, for a check that integrates over its
@@ -196,8 +211,7 @@ class ScenarioContext:
         model = self.model()
         ndim = model.grid.ndim
         tau = doc.get("tau", "lebesgue")
-        tau_fn = (TransverseDensityData.lebesgue(model).tau_fn
-                  if tau == "lebesgue" else compile_field(tau, ndim))
+        tau_fn = model.volume_coefficient if tau == "lebesgue" else compile_field(tau, ndim)
         if "rho" not in doc and tau == "lebesgue":
             return TransverseDensityData.lebesgue(model)
         rho_fn = compile_field(doc.get("rho", "1.0 + 0*c0"), ndim)
@@ -372,6 +386,7 @@ def _homology(ctx, tol, kmax, expected):
 @register("boundary_squares", "finite", 0.0, kmax=(integer(2), 3))
 def _boundary_squares(ctx, tol, kmax):
     g = ctx.groupoid()
+    check_nerve_size(g, kmax)
     nerves = [finite.nerve(g, k) for k in range(kmax + 1)]
     d = [None] + [finite.boundary_columns(g, k, nerves[k], nerves[k - 1])
                   for k in range(1, kmax + 1)]
@@ -411,6 +426,7 @@ def _morita(ctx, tol, subset, kmax):
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     full = ctx.homology(kmax).betti()
+    # a full subgroupoid's nerve is part of the nerve that ctx.homology capped
     restricted = finite.homology(sub, kmax).betti()
     return {f"morita_restriction[{k}]": (restricted[k], full[k]) for k in range(kmax + 1)}
 

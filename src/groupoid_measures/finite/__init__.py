@@ -36,6 +36,7 @@ from .homology import (
     face,
     homology,
     nerve,
+    nerve_size,
 )
 
 __all__ = [
@@ -47,4 +48,5 @@ __all__ = [
     "counting_haar", "is_invariant_functional", "is_orbit_constant", "is_trace",
     "s_shriek", "t_shriek", "transverse_measure_cone", "unit_trace",
     "HomologyReport", "boundary_columns", "boundary_matrix", "face", "homology", "nerve",
+    "nerve_size",
 ]

@@ -28,6 +28,18 @@ def nerve(g: FiniteGroupoid, k: int) -> list[tuple[int, ...]]:
     return strings
 
 
+def nerve_size(g: FiniteGroupoid, k: int) -> int:
+    """len(nerve(g, k)), counted in O(k * arrows) without enumerating a string."""
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
+    # ends[x]: the strings of the degree reached whose last arrow has source x
+    ends = [1] * g.n_objects
+    tgt = g.tgt
+    for _ in range(k):
+        ends = [sum(ends[tgt[b]] for b in g.arrows_from(x)) for x in g.objects()]
+    return sum(ends)
+
+
 def face(g: FiniteGroupoid, string: tuple[int, ...], i: int) -> tuple[int, ...]:
     """i-th face of a k-string: drop an end arrow or compose an adjacent pair.
 

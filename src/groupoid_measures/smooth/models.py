@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from ..density.grids import Axis, Grid, positive_finite
-from ..expressions import (BOOLEAN, COUNT, INT, NATURAL, NUMBER, REQUIRED, ScenarioError,
+from ..expressions import (BOOLEAN, COUNT, NATURAL, NUMBER, REQUIRED, ScenarioError,
                            listed, record)
 
 
@@ -501,9 +501,6 @@ def build_model(descriptor: dict):
         return TrivialActionModel(_GRID.read(descriptor, "grid"))
     if kind == "scaling_line":
         return ScalingLineModel(max_power=NATURAL.read(params, "max_power", 2))
-    if kind == "submersion":
-        return SubmersionGroupoidModel(_GRID.read(descriptor, "grid"),
-                                       listed(INT, "axis indices").read(params, "fiber_axes"))
     raise ScenarioError(f"unknown model kind {kind!r}")
 
 

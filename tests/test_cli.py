@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoid_measures import finite
+from groupoid_measures import checks, finite
 from groupoid_measures.cli import bundled_scenarios, main
-from groupoid_measures.checks import (MAX_COMPOSABLE_PAIRS, REGISTRY, build_finite_groupoid,
-                                      composable_pairs)
+from groupoid_measures.checks import (MAX_COMPOSABLE_PAIRS, MAX_NERVE_STRINGS, REGISTRY,
+                                      build_finite_groupoid, composable_pairs)
 from groupoid_measures.density.grids import MAX_GRID_NODES
 from groupoid_measures.expressions import ScenarioError
 
@@ -726,7 +726,7 @@ def trivial_model(axis_change: dict) -> dict:
      "'n_base' must be >= 2"),
     ("smooth", {"kind": "submersion", "params": {"fiber_axes": [1]},
                 "grid": {"axes": [{"n": 4, "lo": 0, "hi": 1}, {"n": 4, "lo": 0, "hi": 1}]}},
-     {"name": "cocycle_vanishes"}, "'submersion' is not a group action model"),
+     {"name": "cocycle_vanishes"}, "unknown model kind 'submersion'"),
 ])
 def test_bad_descriptor_or_grid_node_is_input_error(capsys, tmp_path, engine, model,
                                                      check, message):
@@ -769,6 +769,36 @@ def test_composable_pairs_count_the_built_table(monkeypatch):
     assert build_finite_groupoid(cap) == MAX_COMPOSABLE_PAIRS
     with pytest.raises(ScenarioError, match="composable pairs"):
         build_finite_groupoid(dict(cap, n=MAX_COMPOSABLE_PAIRS + 1))
+
+
+@pytest.mark.parametrize("check", [
+    {"name": "homology_betti", "params": {"kmax": 2}},
+    {"name": "morita_restriction", "params": {"kmax": 2}},
+    {"name": "boundary_squares", "params": {"kmax": 3}},
+], ids=lambda check: check["name"])
+def test_oversized_nerve_is_input_error(capsys, tmp_path, monkeypatch, check):
+    # Z128 has 16 384 composable pairs, under MAX_COMPOSABLE_PAIRS, but
+    # 2 113 665 strings in degrees 0..3; they are counted, never enumerated
+    monkeypatch.setattr(finite, "nerve", _refuse_to_build)
+    monkeypatch.setattr(finite, "homology", _refuse_to_build)
+    doc = {"name": "x", "engine": "finite", "model": {"kind": "cyclic", "n": 128},
+           "checks": [check]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert f"the nerve has 2113665 strings in degrees 0..3, more than {MAX_NERVE_STRINGS}" in err
+
+
+def test_a_nerve_at_the_cap_is_enumerated_and_one_string_more_is_refused(capsys, tmp_path,
+                                                                         monkeypatch):
+    # pair(3) has 3 + 9 + 27 + 81 = 120 strings in degrees 0..3
+    doc = {"name": "x", "engine": "finite", "model": {"kind": "pair", "n": 3},
+           "checks": [{"name": "homology_betti", "params": {"kmax": 2}}]}
+    monkeypatch.setattr(checks, "MAX_NERVE_STRINGS", 120)
+    assert run_doc(capsys, tmp_path, doc)[0] == 0
+    monkeypatch.setattr(checks, "MAX_NERVE_STRINGS", 119)
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert "the nerve has 120 strings" in err
 
 
 @pytest.mark.parametrize("engine, check, params, message", [

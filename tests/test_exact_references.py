@@ -33,6 +33,7 @@ from groupoid_measures.finite import (
     group_groupoid,
     homology,
     nerve,
+    nerve_size,
     orbits,
     pair_groupoid,
     unit_groupoid,
@@ -367,12 +368,14 @@ def test_convolve_matches_the_table_walk(g, data):
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_nerve_matches_the_arrow_scan(g, k):
     assert nerve(g, k) == scanned_nerve(g, k)
+    assert nerve_size(g, k) == len(scanned_nerve(g, k))
 
 
 @settings(max_examples=40, deadline=None)
 @given(groupoids, st.integers(0, 3))
 def test_nerve_matches_the_arrow_scan_on_random_actions(g, k):
     assert nerve(g, k) == scanned_nerve(g, k)
+    assert nerve_size(g, k) == len(scanned_nerve(g, k))
 
 
 # ---------------------------------------------------------------------------
