@@ -475,7 +475,7 @@ _GRID = record('{"axes": [{n, lo, hi, periodic}]}', Grid,
                axes=(listed(_AXIS, "axes"), REQUIRED))
 
 
-def build_model(descriptor: dict):
+def build_model(descriptor: dict) -> ActionGroupoidModel:
     """Instantiate a model from its JSON descriptor (External Interfaces)."""
     kind = descriptor.get("kind")
     params = descriptor.get("params", {})
