@@ -28,7 +28,6 @@ from .smooth import (
     ArrowFunction,
     FiberObstructionError,
     FoliatedGrid,
-    ModelError,
     OneForm,
     SaturationError,
     SubmersionGroupoidModel,
@@ -142,10 +141,7 @@ def build_finite_groupoid(doc: dict) -> finite.FiniteGroupoid:
             out = finite.disjoint_union(out, build_finite_groupoid(p))
         return out
     if kind == "json":
-        try:
-            return finite.from_json(json.dumps(doc.get("doc")))
-        except finite.GroupoidFormatError as exc:
-            raise ScenarioError(str(exc)) from exc
+        return finite.from_json(json.dumps(doc.get("doc")))
     raise ScenarioError(f"unknown finite groupoid kind {kind!r}")
 
 
@@ -184,10 +180,7 @@ class ScenarioContext:
     def model(self) -> ActionGroupoidModel:
         """The scenario's group action model."""
         if "model" not in self._cache:
-            try:
-                self._cache["model"] = build_model(self.model_doc)
-            except ModelError as exc:  # a model that its values do not describe
-                raise ScenarioError(str(exc)) from exc
+            self._cache["model"] = build_model(self.model_doc)
         return self._cache["model"]
 
     def proper_model(self) -> ActionGroupoidModel:
@@ -215,10 +208,7 @@ class ScenarioContext:
         if "rho" not in doc and tau == "lebesgue":
             return TransverseDensityData.lebesgue(model)
         rho_fn = compile_field(doc.get("rho", "1.0 + 0*c0"), ndim)
-        try:
-            return TransverseDensityData(model, rho_fn, tau_fn)
-        except ModelError as exc:  # a weight or density of the wrong sign
-            raise ScenarioError(str(exc)) from exc
+        return TransverseDensityData(model, rho_fn, tau_fn)
 
     def defects(self, sigma_doc: dict | None,
                 count: int = DEFAULT_TEST_COUNT) -> tuple[float, float]:
@@ -257,8 +247,9 @@ class ScenarioContext:
         return self._cache["foliation"]
 
     def cutoff(self, expr: str, key: str) -> np.ndarray:
-        """Cut-off of the scenario's density from a seed expression, built
-        once per expression; a seed that misses an orbit raises SaturationError.
+        """Cut-off of the scenario's density from the seed parameter ``key``,
+        built once per expression; a seed that misses an orbit raises
+        SaturationError.
         """
         model = self.proper_model()
         memo = ("cutoff", expr)
@@ -267,7 +258,10 @@ class ScenarioContext:
             if not positive_finite(phi, strict=False):
                 raise ScenarioError(f"cut-off seed {key!r} must be nonnegative and "
                                     f"finite, got {expr!r}")
-            self._cache[memo] = cutoff_construct(model, self.sigma().rho_values, phi)
+            try:
+                self._cache[memo] = cutoff_construct(model, self.sigma().rho_values, phi)
+            except SaturationError as exc:
+                raise SaturationError(f"cut-off seed {key!r}: {exc}") from exc
         return self._cache[memo]
 
     def surface(self) -> SymplecticPairModel:
@@ -421,10 +415,7 @@ def _morita(ctx, tol, subset, kmax):
     g = ctx.groupoid()
     if subset is None:
         subset = [orb[0] for orb in finite.orbits(g)]
-    try:
-        sub = finite.restrict_full_subgroupoid(g, list(subset))
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    sub = finite.restrict_full_subgroupoid(g, list(subset))
     full = ctx.homology(kmax).betti()
     # a full subgroupoid's nerve is part of the nerve that ctx.homology capped
     restricted = finite.homology(sub, kmax).betti()
@@ -484,16 +475,22 @@ _WITNESS = {"tau": (FIELD, REQUIRED), "rho": (FIELD, _CONSTANT_SEED),
             "min_defect": (NUMBER, 1e-3)}
 
 
+def _shortfall(floor: float, value: float) -> float:
+    """How far ``value`` falls below ``floor``: 0 when it clears the floor, and
+    NaN for a NaN value, which ``max(0.0, floor - value)`` would turn into 0."""
+    return 0.0 if value >= floor else floor - value
+
+
 @register("invariance_witness", "smooth", 0.0, **_WITNESS)
 def _inv_witness(ctx, tol, tau, rho, min_defect):
     invariance, _ = ctx.defects({"rho": rho, "tau": tau})
-    return max(0.0, min_defect - invariance), 0.0
+    return _shortfall(min_defect, invariance), 0.0
 
 
 @register("inversion_witness", "smooth", 0.0, **_WITNESS)
 def _invsn_witness(ctx, tol, tau, rho, min_defect):
     _, inversion = ctx.defects({"rho": rho, "tau": tau})
-    return max(0.0, min_defect - inversion), 0.0
+    return _shortfall(min_defect, inversion), 0.0
 
 
 @register("averaging_annihilates", "smooth", 1e-6, count=(COUNT, 20))
@@ -517,27 +514,18 @@ def _avg_orbit_const(ctx, tol):
     return averaging(model, sigma.rho_values, section, tol=tol).constancy_defect, 0.0
 
 
-def _cutoff(ctx, expr: str, key: str) -> np.ndarray:
-    """The cut-off of the seed parameter ``key``; a seed that misses an orbit
-    is an input error."""
-    try:
-        return ctx.cutoff(expr, key)
-    except SaturationError as exc:
-        raise ScenarioError(f"cut-off seed {key!r}: {exc}") from exc
-
-
 @register("cutoff_normalization", "smooth", 1e-9, phi=(FIELD, _CONSTANT_SEED))
 def _cutoff_norm(ctx, tol, phi):
     model, sigma = ctx.proper_model(), ctx.sigma()
     return cutoff_normalization_defect(model, sigma.rho_values,
-                                       _cutoff(ctx, phi, "phi")), 0.0
+                                       ctx.cutoff(phi, "phi")), 0.0
 
 
 @register("weyl", "smooth", 1e-6, f=(FIELD, REQUIRED), phi=(FIELD, _CONSTANT_SEED))
 def _weyl(ctx, tol, f, phi):
     model, sigma = ctx.proper_model(), ctx.sigma()
     values = compile_field(f, model.grid.ndim)(*model.grid.meshgrid())
-    return weyl_check(model, sigma, values, cutoff=_cutoff(ctx, phi, "phi"))
+    return weyl_check(model, sigma, values, cutoff=ctx.cutoff(phi, "phi"))
 
 
 @register("weyl_seed_independence", "smooth", 2e-6, f=(FIELD, REQUIRED),
@@ -545,7 +533,7 @@ def _weyl(ctx, tol, f, phi):
 def _weyl_seeds(ctx, tol, f, phi1, phi2):
     model, sigma = ctx.proper_model(), ctx.sigma()
     values = compile_field(f, model.grid.ndim)(*model.grid.meshgrid())
-    c1, c2 = _cutoff(ctx, phi1, "phi1"), _cutoff(ctx, phi2, "phi2")
+    c1, c2 = ctx.cutoff(phi1, "phi1"), ctx.cutoff(phi2, "phi2")
     return (weyl_check(model, sigma, values, cutoff=c1)[1],
             weyl_check(model, sigma, values, cutoff=c2)[1])
 
@@ -553,13 +541,13 @@ def _weyl_seeds(ctx, tol, f, phi1, phi2):
 @register("weinstein_two_ways", "smooth", 1e-6, phi=(FIELD, _CONSTANT_SEED))
 def _weinstein(ctx, tol, phi):
     return weinstein_volume(ctx.proper_model(), ctx.sigma(),
-                            cutoff=_cutoff(ctx, phi, "phi"))
+                            cutoff=ctx.cutoff(phi, "phi"))
 
 
 @register("weinstein_expected", "smooth", 1e-9, expected=(SCALAR, REQUIRED))
 def _weinstein_expected(ctx, tol, expected):
     direct, _ = weinstein_volume(ctx.proper_model(), ctx.sigma(),
-                                 cutoff=_cutoff(ctx, _CONSTANT_SEED, "phi"))
+                                 cutoff=ctx.cutoff(_CONSTANT_SEED, "phi"))
     return direct, expected
 
 
@@ -592,25 +580,14 @@ def _orbit_basepoint(ctx, tol, node):
     return first.distance(second), 0.0
 
 
-def _cocycle_input(cocycle, *args):
-    """A cocycle value or defect; a sigma that is not positive and finite at
-    the ends of an arrow (which may leave the model grid) is an input error."""
-    try:
-        return cocycle(*args)
-    except ModelError as exc:
-        raise ScenarioError(str(exc)) from exc
-
-
 @register("cocycle_additivity", "smooth", 1e-9, samples=(COUNT, 100))
 def _cocycle_add(ctx, tol, samples):
-    return _cocycle_input(cocycle_additivity_defect, ctx.model(), ctx.sigma(),
-                         ctx.rng(7), samples), 0.0
+    return cocycle_additivity_defect(ctx.model(), ctx.sigma(), ctx.rng(7), samples), 0.0
 
 
 @register("cocycle_vanishes", "smooth", 1e-12, samples=(COUNT, 50))
 def _cocycle_zero(ctx, tol, samples):
-    return _cocycle_input(cocycle_vanishing_defect, ctx.model(), ctx.sigma(),
-                         ctx.rng(8), samples), 0.0
+    return cocycle_vanishing_defect(ctx.model(), ctx.sigma(), ctx.rng(8), samples), 0.0
 
 
 @register("cocycle_expected", "smooth", 1e-9, element=(INT, REQUIRED),
@@ -620,7 +597,7 @@ def _cocycle_expected(ctx, tol, element, point, expected):
     if not 0 <= element < model.group_size or len(point) != model.grid.ndim:
         raise ScenarioError(f"needs an element in range({model.group_size}) and a "
                             f"point with {model.grid.ndim} coordinates")
-    return _cocycle_input(modular_cocycle, model, ctx.sigma(), element, point), expected
+    return modular_cocycle(model, ctx.sigma(), element, point), expected
 
 
 @register("cutoff_saturation_error", "smooth", 0.0, exact=True, phi=(FIELD, REQUIRED))
@@ -664,7 +641,7 @@ def _stokes_order(ctx, tol, omega, transverse, min_order):
         defects.append(stokes_defect(*_foliation_data(sub, omega, transverse)))
     # a zero fine defect means the scheme is exact for this omega
     order = float(np.log2(defects[0] / defects[1])) if defects[1] else np.inf
-    return max(0.0, min_order - order), 0.0
+    return _shortfall(min_order, order), 0.0
 
 
 @register("ruelle_sullivan_closed", "smooth", 1e-4, beta=_LEAF_FORM,

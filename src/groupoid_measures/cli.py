@@ -1,8 +1,12 @@
 """Command-line front end: run scenario files, list the check catalog.
 
-Exit codes: 0 all checks pass, 1 at least one check fails, 2 input error
-(malformed JSON, a document of the wrong shape, unknown checks, bad check
-parameters, missing files).
+Exit codes: 0 all checks pass, 1 at least one check fails, 2 input error.
+An input error is a ``ScenarioError``, raised where a value is first found
+wrong: malformed JSON, a document of the wrong shape, unknown checks, bad
+check parameters, missing files, or data that breaks a precondition of a
+check (an orbit volume below threshold, a degenerate lattice, a field that
+is not finite where it is integrated).  Anything else, a ``ModelError``
+included, is a bug in the program and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -18,10 +22,6 @@ from .expressions import REQUIRED, ScenarioError, integer, number
 from .reports import CheckRow, Report
 
 
-class InputError(Exception):
-    pass
-
-
 SEED = integer(0)  # nonnegative: random.Random(-n) would repeat random.Random(n)
 TOLERANCE = number(0)
 
@@ -31,17 +31,17 @@ def load_scenario(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read scenario {path!r}: {exc}") from exc
+        raise ScenarioError(f"cannot read scenario {path!r}: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: malformed JSON at line {exc.lineno}, "
-                         f"column {exc.colno}: {exc.msg}") from exc
+        raise ScenarioError(f"{path}: malformed JSON at line {exc.lineno}, "
+                            f"column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
-        raise InputError(f"{path}: a scenario must be a JSON object, got {doc!r}")
+        raise ScenarioError(f"{path}: a scenario must be a JSON object, got {doc!r}")
     for key in ("name", "engine", "model", "checks"):
         if key not in doc:
-            raise InputError(f"{path}: scenario is missing the {key!r} field")
+            raise ScenarioError(f"{path}: scenario is missing the {key!r} field")
     return doc
 
 
@@ -49,12 +49,9 @@ def _parse_tol_overrides(pairs: list[str]) -> dict[str, float]:
     overrides = {}
     for pair in pairs or []:
         if "=" not in pair:
-            raise InputError(f"--tol expects KEY=VALUE, got {pair!r}")
+            raise ScenarioError(f"--tol expects KEY=VALUE, got {pair!r}")
         key, value = pair.split("=", 1)
-        try:
-            overrides[key] = TOLERANCE.convert(value, f"--tol value for {key!r}")
-        except ScenarioError as exc:
-            raise InputError(str(exc)) from exc
+        overrides[key] = TOLERANCE.convert(value, f"--tol value for {key!r}")
     return overrides
 
 
@@ -62,8 +59,8 @@ def _shaped(doc: dict, key: str, shape: type, default=None):
     """A scenario field that must be a JSON object (dict) or list."""
     value = doc.get(key, default)
     if not isinstance(value, shape):
-        raise InputError(f"scenario field {key!r} must be a JSON "
-                         f"{'object' if shape is dict else 'list'}, got {value!r}")
+        raise ScenarioError(f"scenario field {key!r} must be a JSON "
+                            f"{'object' if shape is dict else 'list'}, got {value!r}")
     return value
 
 
@@ -74,32 +71,30 @@ def read_scenario(doc: dict, tol_overrides: dict[str, float] | None = None,
     tol_overrides = tol_overrides or {}
     engine = doc["engine"]
     if engine not in ("finite", "smooth", "symplectic"):
-        raise InputError(f"unknown engine {engine!r}")
-    try:
-        seed = SEED.read(doc, "seed", 0) if seed_override is None else seed_override
-    except ScenarioError as exc:
-        raise InputError(f"scenario {exc}") from exc
+        raise ScenarioError(f"unknown engine {engine!r}")
+    seed = (SEED.read(doc, "seed", 0, "scenario parameter 'seed'")
+            if seed_override is None else seed_override)
     model = _shaped(doc, "model", dict)
     scenario_tols = _shaped(doc, "tolerances", dict, {})
     plan = []
     for entry in _shaped(doc, "checks", list):
         if not isinstance(entry, dict):
-            raise InputError(f"a check entry must be a JSON object, got {entry!r}")
+            raise ScenarioError(f"a check entry must be a JSON object, got {entry!r}")
         name = entry.get("name")
         if not isinstance(name, str) or name not in REGISTRY:
             valid = ", ".join(sorted(REGISTRY))
-            raise InputError(f"unknown check {name!r}; valid names: {valid}")
+            raise ScenarioError(f"unknown check {name!r}; valid names: {valid}")
         check = REGISTRY[name]
         if check.engine != engine:
-            raise InputError(f"check {name!r} belongs to engine {check.engine!r}, "
-                             f"scenario uses {engine!r}")
+            raise ScenarioError(f"check {name!r} belongs to engine {check.engine!r}, "
+                                f"scenario uses {engine!r}")
         tol = entry.get("tolerance", scenario_tols.get(name, check.default_tol))
         tol = tol_overrides.get(name, tol)
         try:
             plan.append((check, TOLERANCE.convert(tol, "tolerance"),
                          check.read_params(entry.get("params", {}))))
         except ScenarioError as exc:
-            raise InputError(f"check {name!r}: {exc}") from exc
+            raise ScenarioError(f"check {name!r}: {exc}") from exc
 
     return (doc["name"], engine, model, seed), plan
 
@@ -114,7 +109,7 @@ def run_scenario(scenario: tuple[tuple, list]) -> list[CheckRow]:
         try:
             rows.extend(check.rows(ctx.name, check.runner(ctx, tol, **values), tol))
         except ScenarioError as exc:
-            raise InputError(f"check {check.name!r}: {exc}") from exc
+            raise ScenarioError(f"check {check.name!r}: {exc}") from exc
     return rows
 
 
@@ -141,10 +136,7 @@ def cmd_run(args) -> int:
     paths = [_resolve_path(p) for p in args.scenarios]
     seed_override = None
     if "GM_SEED" in os.environ:
-        try:
-            seed_override = SEED.convert(os.environ["GM_SEED"], "GM_SEED")
-        except ScenarioError as exc:
-            raise InputError(str(exc)) from exc
+        seed_override = SEED.convert(os.environ["GM_SEED"], "GM_SEED")
 
     # every document is read before the first check runs
     scenarios = [read_scenario(load_scenario(p), overrides, seed_override)
@@ -205,7 +197,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
+    except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

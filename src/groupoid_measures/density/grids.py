@@ -177,7 +177,7 @@ def _reduce_axis(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:
 def integrate(rho: DensityField) -> float:
     """Quadrature total of a density field (fixed axis-descending order)."""
     if not np.all(np.isfinite(rho.values)):
-        raise ValueError("field has non-finite values")
+        raise ScenarioError("field has non-finite values")
     acc = rho.values
     for axis in reversed(range(rho.grid.ndim)):
         acc = _reduce_axis(rho.grid, acc, axis)

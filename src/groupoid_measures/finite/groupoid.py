@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from ..expressions import as_int
+from ..expressions import ScenarioError, as_int
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class FiniteGroupoid:
         return json.dumps(doc, indent=2)
 
 
-class GroupoidFormatError(ValueError):
+class GroupoidFormatError(ScenarioError):
     """Raised when a serialized groupoid is malformed or violates the axioms."""
 
 
@@ -214,11 +214,11 @@ def restrict_full_subgroupoid(g: FiniteGroupoid, objects: list[int]) -> FiniteGr
     selected = sorted(set(objects))
     outside = [x for x in selected if not 0 <= x < g.n_objects]
     if outside:
-        raise ValueError(f"objects {outside} are not in range({g.n_objects})")
+        raise ScenarioError(f"objects {outside} are not in range({g.n_objects})")
     sel_set = set(selected)
     for orb in orbits(g):
         if not sel_set & set(orb):
-            raise ValueError(f"object subset misses the orbit {orb}")
+            raise ScenarioError(f"object subset misses the orbit {orb}")
     obj_new = {x: i for i, x in enumerate(selected)}
     keep = [a for a in g.arrows() if g.src[a] in sel_set and g.tgt[a] in sel_set]
     arr_new = {a: i for i, a in enumerate(keep)}

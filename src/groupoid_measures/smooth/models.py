@@ -28,7 +28,7 @@ from ..expressions import (BOOLEAN, COUNT, NATURAL, NUMBER, REQUIRED, ScenarioEr
 
 
 class ModelError(ValueError):
-    pass
+    """A model bug or a misuse of the API; no scenario document reaches one."""
 
 
 class ActionGroupoidModel:
@@ -351,8 +351,8 @@ class ScalingLineModel(ActionGroupoidModel):
 
     def __init__(self, max_power: int = 2, lo: float = 0.5, hi: float = 3.0, n: int = 16):
         if max_power > 1022:
-            raise ModelError("max_power must be at most 1022, where the scales 2**k "
-                             "are still normal floats")
+            raise ScenarioError("max_power must be at most 1022, where the scales 2**k "
+                                "are still normal floats")
         grid = Grid([Axis(n, lo, hi)])
         super().__init__(grid, 2 * max_power + 1)
         self.max_power = max_power
@@ -422,7 +422,7 @@ def RotationPlaneModel(n_r: int, n_phi: int, r_lo: float, r_hi: float
                        ) -> CyclicAxisModel:
     """Circle rotations of a planar region in the polar chart (radius, angle)."""
     if r_lo < 0:
-        raise ModelError("radius axis cannot be negative")
+        raise ScenarioError("radius axis cannot be negative")
     grid = Grid([Axis(n_r, r_lo, r_hi),
                  Axis(n_phi, 0.0, 2 * np.pi, periodic=True)])
     return CyclicAxisModel(grid, axis=1, name="rotation2d", polar=True)
@@ -444,7 +444,7 @@ def TrivialActionModel(grid: Grid) -> FiniteActionModel:
 def antipodal_circle_model(n: int) -> FiniteActionModel:
     """Z/2 acting on the circle by the half-turn; n must be even."""
     if n % 2:
-        raise ModelError("antipodal model needs an even node count")
+        raise ScenarioError("antipodal model needs an even node count")
     grid = Grid([Axis(n, 0.0, 2 * np.pi, periodic=True)])
     idx = np.arange(n)
     return FiniteActionModel(
@@ -521,9 +521,9 @@ class TransverseDensityData:
         self.rho_values = np.asarray(rho_fn(*mesh), dtype=float) + np.zeros(model.grid.shape)
         self.tau_values = np.asarray(tau_fn(*mesh), dtype=float) + np.zeros(model.grid.shape)
         if not positive_finite(self.rho_values):
-            raise ModelError("algebroid weight must be strictly positive and finite (full)")
+            raise ScenarioError("algebroid weight must be strictly positive and finite (full)")
         if not positive_finite(self.tau_values, strict=False):
-            raise ModelError("base density must be nonnegative and finite")
+            raise ScenarioError("base density must be nonnegative and finite")
 
     @staticmethod
     def lebesgue(model) -> "TransverseDensityData":

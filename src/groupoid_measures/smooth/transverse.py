@@ -48,6 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from ..density.grids import positive_finite
+from ..expressions import ScenarioError
 from .models import ActionGroupoidModel, CyclicAxisModel, ModelError, TransverseDensityData
 
 QUADRATURE_TOL = 1e-6
@@ -56,7 +57,7 @@ ANALYTIC_TOL = 1e-9
 DEFAULT_TEST_COUNT = 8
 
 
-class SaturationError(ValueError):
+class SaturationError(ScenarioError):
     """Some source fiber carries no mass: the seed misses an orbit."""
 
 
@@ -97,16 +98,11 @@ class ArrowFunction:
     """Test function on the arrow space: terms (a, b, e) summing a[j] b(g_j^e x).
 
     b is read at the source x (e = 0) or the target a(g_j, x) (e = 1); it is
-    a grid array or a ``SeparableField``.  An opaque ``slice_fn``
-    (j -> x -> u(g_j, x)) becomes one term per group node with a unit
-    coefficient vector.
+    a grid array or a ``SeparableField``.
     """
 
-    def __init__(self, model: ActionGroupoidModel, slice_fn=None, terms=None):
+    def __init__(self, model: ActionGroupoidModel, terms):
         self.model = model
-        if terms is None:
-            terms = [(a, np.asarray(slice_fn(j), dtype=float), 0)
-                     for j, a in enumerate(np.eye(model.group_size))]
         self.terms = terms
 
     def slice(self, j: int) -> np.ndarray:
@@ -377,7 +373,7 @@ def weinstein_volume(model, sigma: TransverseDensityData,
     """
     volumes = fiber_volumes(model, sigma.rho_values)
     if float(np.min(volumes)) <= volume_threshold:
-        raise ModelError("an orbit volume is below threshold; model is not compact")
+        raise ScenarioError("an orbit volume is below threshold; model is not compact")
     if cutoff is None:
         cutoff = _constant_cutoff(model, sigma)
     direct = pair_with_base_density(model, sigma.tau_values, cutoff)
@@ -432,7 +428,7 @@ def modular_cocycle(model, sigma: TransverseDensityData, j, point):
     tau_x, tau_y = sigma.tau_fn(*x), sigma.tau_fn(*y)
     rho_x, rho_y = sigma.rho_fn(*x), sigma.rho_fn(*y)
     if not all(positive_finite(v) for v in (tau_x, tau_y, rho_x, rho_y)):
-        raise ModelError("sigma must be strictly positive and finite at both endpoints")
+        raise ScenarioError("sigma must be strictly positive and finite at both endpoints")
     jac = np.abs(model.jacobian_points(j, x))
     adj = np.abs(model.adjoint_factor(j))
     out = (np.log(tau_y) + np.log(jac) - np.log(tau_x)) \

@@ -46,20 +46,22 @@ def dh_total_mass_two_ways(model: SymplecticPairModel) -> tuple[float, float]:
     return field_total, per_point * per_point
 
 
-def affine_measure(model: LeafFamilyModel, lattice_density=None) -> MeasureFunctional:
-    """Measure on the leaf interval with the lattice density |A'| (or given).
-
-    Degenerate lattices (density vanishing on a positive-measure set) are
-    rejected.
-    """
-    ell = model.lattice_density() if lattice_density is None \
-        else np.asarray(lattice_density, dtype=float)
-    weights = model.base_weights()
-    degenerate_mass = float(weights[ell <= 0].sum())
+def _check_lattice(model: LeafFamilyModel, ell: np.ndarray) -> None:
+    """Reject a degenerate lattice: a density that vanishes on a set of
+    positive base mass."""
+    degenerate_mass = float(model.base_weights()[ell <= 0].sum())
     if degenerate_mass > 0:
         raise ScenarioError(
             "affine structure is degenerate: the lattice density vanishes "
             f"on base mass {degenerate_mass:.3e}")
+
+
+def affine_measure(model: LeafFamilyModel, lattice_density=None) -> MeasureFunctional:
+    """Measure on the leaf interval with the lattice density |A'| (or given);
+    a degenerate lattice is rejected."""
+    ell = model.lattice_density() if lattice_density is None \
+        else np.asarray(lattice_density, dtype=float)
+    _check_lattice(model, ell)
     rho = DensityField(model.base, ell)
     return MeasureFunctional.from_density(rho, support="leaf interval")
 
@@ -108,8 +110,10 @@ def affine_volume(model: LeafFamilyModel) -> tuple[float, float]:
     """Total canonical base mass, as (direct, reciprocal orbit-volume integral).
 
     The second path integrates 1 / (iota * Vol(leaf)) against the measure
-    that pairs leafwise Liouville with the lattice density.
+    that pairs leafwise Liouville with the lattice density.  A degenerate
+    lattice is rejected, as in ``affine_measure``.
     """
+    _check_lattice(model, model.lattice_density())
     n = model.base.shape[0]
     leaf_totals = model.leaf_totals
     direct = base_measure_of_leaf_function(model, np.ones(n),

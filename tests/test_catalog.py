@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from groupoid_measures.checks import REGISTRY, REQUIRED
 from groupoid_measures.cli import bundled_scenarios, main
+from groupoid_measures.expressions import FIELD
 
 # a small model for the checks of each engine ...
 ENGINE_MODELS = {
@@ -76,8 +77,11 @@ def test_list_checks_names_every_declared_parameter(capsys):
 
 
 TEXT = st.text(alphabet="xyt +*().", max_size=6)  # no digits: no huge counts
+# fields that are non-finite or zero at some node of every small model
+BAD_FIELDS = ["log(t - 1)", "sqrt(x - 0.5)", "0*x", "1/(x - x)"]
 JSON_VALUES = st.one_of(
     TEXT,
+    st.sampled_from(BAD_FIELDS),
     st.floats(-4, 4) | st.sampled_from([math.nan, math.inf]),
     st.integers(-3, -1),
     st.booleans(),
@@ -99,6 +103,17 @@ def test_any_param_value_gives_a_documented_exit(name, data):
     assert_documented_exit(code, err)
     if "undeclared" in params:
         assert code == 2 and "unknown parameter 'undeclared'" in err
+
+
+FIELD_PARAMS = [(name, key) for name, check in sorted(REGISTRY.items())
+                for key, (kind, _) in check.params.items() if kind is FIELD]
+
+
+@pytest.mark.parametrize("expr", BAD_FIELDS)
+@pytest.mark.parametrize("name, key", FIELD_PARAMS)
+def test_every_field_parameter_gives_a_documented_exit_on_a_bad_field(name, key, expr):
+    code, err = run(small_scenario(name, {key: expr}))
+    assert_documented_exit(code, err)
 
 
 def assert_documented_exit(code: int, err: str):

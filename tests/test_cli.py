@@ -613,6 +613,51 @@ def test_averaging_that_is_not_orbit_constant_stays_a_failure(capsys, tmp_path,
         run_doc(capsys, tmp_path, doc)
 
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ("weinstein_small_orbits.json",
+     "check 'weinstein_two_ways': an orbit volume is below threshold"),
+    ("iota_degenerate_lattice.json",
+     "check 'iota_scaling': affine structure is degenerate"),
+    ("dh_weyl_log.json", "check 'dh_weyl': field has non-finite values"),
+])
+def test_data_that_breaks_a_precondition_is_input_error(capsys, doc, message):
+    code, _, err = run_cli(capsys, "run", os.path.join(DATA, doc))
+    assert_input_error(code, err)
+    assert message in err
+
+
+def test_degenerate_lattice_fails_every_affine_check_alike(capsys, tmp_path):
+    # a zero lattice density used to give affine_volume_two_ways 0 = 0
+    with open(os.path.join(DATA, "iota_degenerate_lattice.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    messages = set()
+    for name in ("affine_total", "affine_volume_two_ways", "iota_scaling"):
+        params = {"expected": "1"} if name == "affine_total" else {}
+        code, _, err = run_doc(capsys, tmp_path, dict(
+            doc, checks=[{"name": name, "params": params}]))
+        assert_input_error(code, err)
+        messages.add(err.split(": ", 2)[2])
+    assert messages == {"affine structure is degenerate: the lattice density vanishes "
+                        "on base mass 1.000e+00\n"}
+
+
+def test_nan_convergence_order_fails_its_row(capsys):
+    code, out, err = run_cli(capsys, "run", os.path.join(DATA, "stokes_order_nan.json"))
+    assert code == 1 and "Traceback" not in err
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["check"] == "stokes_order" and row["lhs"] == "nan"
+    assert row["pass"] == "false"
+
+
+def test_shortfall_is_the_clipped_difference_and_keeps_nan():
+    for value in (-np.inf, -1.0, 0.0, 1.8, 1.9, 3.0, np.inf):
+        assert checks._shortfall(1.8, value) == max(0.0, 1.8 - value)
+    assert np.isnan(checks._shortfall(1.8, np.nan))
+
+
 def test_model_axioms_on_the_scaling_model_redraws_undefined_pairs(capsys, tmp_path):
     doc = {"name": "x", "engine": "smooth", "model": {"kind": "scaling_line"},
            "checks": [{"name": "model_axioms"}]}

@@ -12,6 +12,7 @@ from groupoid_measures.density import (
     integrate,
     interval,
 )
+from groupoid_measures.expressions import ScenarioError
 
 
 def test_grid_weights_sum_to_volume():
@@ -24,6 +25,14 @@ def test_grid_weights_sum_to_volume():
 def test_integrate_constant_on_unit_interval_is_exact():
     one = DensityField.constant(interval(64, 0.0, 1.0), 1.0)
     assert integrate(one) == 1.0
+
+
+def test_integrate_rejects_a_non_finite_field_as_input_error():
+    # a ScenarioError is a ValueError, so library callers keep catching it
+    with np.errstate(divide="ignore"):
+        field = DensityField.from_function(interval(9, 1.0, 2.0), lambda t: np.log(t - 1))
+    with pytest.raises(ScenarioError, match="non-finite"):
+        integrate(field)
 
 
 def test_integrate_gaussian_against_closed_form():

@@ -42,7 +42,15 @@ from groupoid_measures.smooth import (
 )
 from groupoid_measures.smooth.models import TrivialActionModel
 from groupoid_measures.density import Axis, Grid
+from groupoid_measures.expressions import ScenarioError
 from groupoid_measures.reports import relative_error
+
+
+def slice_arrow_function(model, slices):
+    """Reference builder: u(g_j, x) = slices[j], one term per group node with
+    a unit coefficient vector."""
+    return ArrowFunction(model, terms=[(a, np.asarray(s, dtype=float), 0)
+                                       for a, s in zip(np.eye(model.group_size), slices)])
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +103,7 @@ def test_two_element_fiber_sums_cross_checked_by_hand():
     model = mirror_interval_model(9, 1.0)
     rho = np.linspace(1.0, 2.0, 9)
     u_slices = np.stack([np.arange(9.0), np.arange(9.0)[::-1]])
-    u = ArrowFunction(model, lambda j: u_slices[j])
+    u = slice_arrow_function(model, u_slices)
     out = s_fiber_integrate(model, rho, u)
     # two-term sums: haar mass 1/2 each, identity leaves nodes, mirror flips
     expected = 0.5 * (u_slices[0] * rho + u_slices[1] * rho[::-1])
@@ -113,7 +121,8 @@ def test_fiber_integrals_are_linear(rotation, lebesgue):
     u = ArrowFunction.random(rotation, rng)
     v = ArrowFunction.random(rotation, rng)
     c = 1.75
-    comb = ArrowFunction(rotation, lambda j: c * u.slice(j) + v.slice(j))
+    comb = slice_arrow_function(rotation, [c * u.slice(j) + v.slice(j)
+                                           for j in range(rotation.group_size)])
     left = s_fiber_integrate(rotation, lebesgue.rho_values, comb)
     right = c * s_fiber_integrate(rotation, lebesgue.rho_values, u) \
         + s_fiber_integrate(rotation, lebesgue.rho_values, v)
@@ -342,7 +351,7 @@ def test_weinstein_threshold_error():
     model = circle_self_model(64)
     sigma = TransverseDensityData(model, lambda t: np.ones_like(t),
                                   lambda t: np.ones_like(t))
-    with pytest.raises(ModelError, match="threshold"):
+    with pytest.raises(ScenarioError, match="threshold"):
         weinstein_volume(model, sigma, volume_threshold=10.0)
 
 
@@ -457,7 +466,7 @@ def arrow_forms(model, rng):
         "separable": ArrowFunction.separable(model, coeffs, fields),
         "base": ArrowFunction.from_base_function(model, field),
         "target": ArrowFunction.from_target_function(model, field),
-        "opaque": ArrowFunction(model, lambda j: opaque[j]),
+        "opaque": slice_arrow_function(model, opaque),
     }
     refs = {"separable": lambda j: sum(c[j] * f for c, f in zip(coeffs, fields))}
     refs["base"] = lambda j: field
@@ -950,13 +959,13 @@ def test_batched_cocycle_equals_the_per_arrow_values(case, data):
 def test_nan_density_is_rejected():
     model = mirror_interval_model(17, 1.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        with pytest.raises(ModelError, match="strictly positive and finite"):
+        with pytest.raises(ScenarioError, match="strictly positive and finite"):
             TransverseDensityData(model, lambda x: 1 + np.sqrt(x - 0.5),
                                   lambda x: np.ones_like(x))
-        with pytest.raises(ModelError, match="nonnegative and finite"):
+        with pytest.raises(ScenarioError, match="nonnegative and finite"):
             TransverseDensityData(model, lambda x: np.ones_like(x),
                                   lambda x: np.log(x + 0.5))
-    with pytest.raises(ModelError, match="nonnegative and finite"):
+    with pytest.raises(ScenarioError, match="nonnegative and finite"):
         TransverseDensityData(model, lambda x: np.ones_like(x),
                               lambda x: np.full_like(x, np.inf))
 
