@@ -1,9 +1,5 @@
-"""Quadrature substrate: grids, density fields and measures."""
+"""Quadrature substrate: product grids and the one canonical integral."""
 
-from .grids import Axis, DensityField, Grid, fiber_integrate, integrate, interval
-from .measures import MeasureFunctional
+from .grids import Axis, Grid, integrate
 
-__all__ = [
-    "Axis", "DensityField", "Grid", "fiber_integrate", "integrate", "interval",
-    "MeasureFunctional",
-]
+__all__ = ["Axis", "Grid", "integrate"]

@@ -1,14 +1,16 @@
-"""Product quadrature grids and grid-sampled density fields.
+"""Product quadrature grids and the one canonical integral.
 
-A density field stores the chart coefficient of a density at every grid
-node; integrating it is a weighted sum.  Bounded axes use the trapezoid
-rule, periodic axes the rectangle rule (which is spectrally accurate for
-smooth periodic integrands).
+A density is the array of its chart coefficients at the grid nodes, and
+integrating it is a weighted sum.  Bounded axes use the trapezoid rule,
+periodic axes the rectangle rule (which is spectrally accurate for smooth
+periodic integrands).
 
-Summation order is fixed: every reduction eliminates the highest-numbered
-axis first, one axis at a time.  Integrating out a trailing block of axes
-and then the rest therefore reproduces bit for bit the arithmetic of
-integrating everything at once.
+``integrate`` sums in a fixed order: it eliminates the highest-numbered axis
+first, one axis at a time.  Every symplectic report row is this arithmetic
+(the Liouville and DH totals and the leaf totals on a leaf grid, the affine
+and Weyl sums on a 1-D base), so the order stays fixed to keep their digits.
+The smooth engine's pairings are instead one flat sum against
+``Grid.weights``, the product-rule weight of every node.
 
 An axis or grid that cannot be built from its values raises ScenarioError:
 its values came from a scenario file or were derived from one.
@@ -17,6 +19,7 @@ its values came from a scenario file or were derived from one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,6 +52,11 @@ class Axis:
                                 f"lo={self.lo!r}, hi={self.hi!r}")
         if self.n < (1 if self.periodic else 2):
             raise ScenarioError("too few nodes for the axis rule")
+        # a subnormal spacing has too few digits for the weights to sum to
+        # the length, so the rule cannot be built
+        if self.spacing < sys.float_info.min:
+            raise ScenarioError(f"axis spacing {self.spacing!r} is below the smallest "
+                                f"normal float, got lo={self.lo!r}, hi={self.hi!r}")
 
     @property
     def length(self) -> float:
@@ -101,6 +109,15 @@ class Grid:
         if abs(weight_total - total) > 1e-12 * abs(total):
             raise AssertionError("quadrature weights do not sum to the volume")
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Product-rule weight of every node; one read-only array per grid,
+        built on first use."""
+        w = self.axis_weight(0).copy()
+        for axis in range(1, self.ndim):
+            w = w * self.axis_weight(axis)
+        return _read_only(w)
+
     def _weight_total(self) -> float:
         t = np.array(1.0)
         for ax in self.axes:
@@ -137,68 +154,20 @@ class Grid:
         return Grid([self.axes[i] for i in keep])
 
 
-def interval(n: int, lo: float, hi: float) -> Grid:
-    return Grid([Axis(n, lo, hi)])
-
-
-@dataclass(frozen=True)
-class DensityField:
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != self.grid.shape:
-            raise ValueError(f"values shape {self.values.shape} does not match "
-                             f"grid shape {self.grid.shape}")
-
-    @staticmethod
-    def from_function(grid: Grid, fn) -> "DensityField":
-        return DensityField(grid, np.asarray(fn(*grid.meshgrid()), dtype=float))
-
-    @staticmethod
-    def constant(grid: Grid, value: float) -> "DensityField":
-        return DensityField(grid, np.full(grid.shape, float(value)))
-
-    def check_nonnegative(self, what: str = "density") -> None:
-        if np.any(self.values < 0):
-            raise ValueError(f"{what} has negative nodes")
-
-
 def positive_finite(values, strict: bool = True) -> bool:
     """Every value finite and > 0 (>= 0 with ``strict`` False); NaN is neither."""
     values = np.asarray(values)
     return bool(np.all(np.isfinite(values) & ((values > 0) if strict else (values >= 0))))
 
 
-def _reduce_axis(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:
-    return (values * grid.axis_weight(axis, values.ndim)).sum(axis=axis)
-
-
-def integrate(rho: DensityField) -> float:
-    """Quadrature total of a density field (fixed axis-descending order)."""
-    if not np.all(np.isfinite(rho.values)):
+def integrate(grid: Grid, values: np.ndarray) -> float:
+    """Quadrature total of node values on the grid (fixed axis-descending
+    order)."""
+    if values.shape != grid.shape:
+        raise ValueError(f"values shape {values.shape} does not match "
+                         f"grid shape {grid.shape}")
+    if not np.all(np.isfinite(values)):
         raise ScenarioError("field has non-finite values")
-    acc = rho.values
-    for axis in reversed(range(rho.grid.ndim)):
-        acc = _reduce_axis(rho.grid, acc, axis)
-    return float(acc)
-
-
-def fiber_integrate(rho: DensityField, fiber_axes: list[int]) -> DensityField:
-    """Integrate out the listed axes; the result lives on the base grid.
-
-    Axes are eliminated in descending order.  When the fiber axes form a
-    trailing block, composing with integrate() over the base regroups the
-    arithmetic of integrate() on the total space exactly.
-    """
-    fiber = sorted(set(fiber_axes), reverse=True)
-    for ax in fiber:
-        if not 0 <= ax < rho.grid.ndim:
-            raise ValueError(f"no axis {ax} in a {rho.grid.ndim}-dimensional grid")
-    if len(fiber) == rho.grid.ndim:
-        raise ValueError("cannot integrate out every axis; use integrate()")
-    acc = rho.values
-    for axis in fiber:
-        acc = _reduce_axis(rho.grid, acc, axis)
-    keep = [i for i in range(rho.grid.ndim) if i not in set(fiber)]
-    return DensityField(rho.grid.subgrid(keep), acc)
+    for axis in reversed(range(grid.ndim)):
+        values = (values * grid.axis_weight(axis, values.ndim)).sum(axis=axis)
+    return float(values)

@@ -52,9 +52,8 @@ class FoliatedGrid:
 
     def evaluate(self, weight_values: np.ndarray, integrand: np.ndarray) -> float:
         """The weighted sum; infinities of both signs give NaN, with no warning."""
-        w = self.grid.axis_weight(0, 2) * self.grid.axis_weight(1, 2)
         with np.errstate(invalid="ignore", over="ignore"):
-            return float((weight_values * integrand * w).sum())
+            return float((weight_values * integrand * self.grid.weights).sum())
 
 
 def stokes_defect(foliation: FoliatedGrid, weight_values: np.ndarray,

@@ -46,10 +46,6 @@ class ActionGroupoidModel:
     def __init__(self, grid: Grid, group_size: int):
         self.grid = grid
         self.group_size = group_size
-        w = grid.axis_weight(0, grid.ndim).astype(float)
-        for axis in range(1, grid.ndim):
-            w = w * grid.axis_weight(axis, grid.ndim)
-        self.grid_weights = np.broadcast_to(w, grid.shape).copy()
 
     # group structure on quadrature indices
     def haar_masses(self) -> np.ndarray:
@@ -120,7 +116,7 @@ class ActionGroupoidModel:
         raise NotImplementedError
 
     def integrate(self, values: np.ndarray) -> float:
-        return float((values * self.grid_weights).sum())
+        return float((values * self.grid.weights).sum())
 
     def check_axioms(self, rng: random.Random, samples: int = 20,
                      tol: float = 1e-9) -> float:

@@ -219,7 +219,7 @@ def fiber_volumes(model, rho_values: np.ndarray) -> np.ndarray:
 def pair_with_base_density(model, tau_values: np.ndarray, f: np.ndarray) -> float:
     """The base integral of f against tau: ``model.integrate(f * tau)`` as one
     expression, so that numpy reuses the product for the weighted one."""
-    return float((f * tau_values * model.grid_weights).sum())
+    return float((f * tau_values * model.grid.weights).sum())
 
 
 def default_test_set(model, rng: random.Random,
@@ -359,7 +359,7 @@ def weyl_check(model, sigma: TransverseDensityData, f_values: np.ndarray,
     lhs = pair_with_base_density(model, sigma.tau_values, f_values)
     orbit_integrals = s_fiber_integrate(
         model, sigma.rho_values, ArrowFunction.from_target_function(model, f_values))
-    rhs = float((cutoff * orbit_integrals * sigma.tau_values * model.grid_weights).sum())
+    rhs = float((cutoff * orbit_integrals * sigma.tau_values * model.grid.weights).sum())
     return lhs, rhs
 
 
@@ -377,7 +377,7 @@ def weinstein_volume(model, sigma: TransverseDensityData,
     if cutoff is None:
         cutoff = _constant_cutoff(model, sigma)
     direct = pair_with_base_density(model, sigma.tau_values, cutoff)
-    reciprocal = float((sigma.tau_values / volumes * model.grid_weights).sum())
+    reciprocal = float((sigma.tau_values / volumes * model.grid.weights).sum())
     return direct, reciprocal
 
 

@@ -4,7 +4,6 @@ from .models import (
     LeafFamilyModel,
     SymplecticPairModel,
     leaf_family_from_doc,
-    leaf_family_from_json,
 )
 from .checks import (
     affine_measure,
@@ -18,7 +17,7 @@ from .checks import (
 
 __all__ = [
     "LeafFamilyModel", "SymplecticPairModel",
-    "leaf_family_from_doc", "leaf_family_from_json",
+    "leaf_family_from_doc",
     "affine_measure", "affine_volume", "canonical_base_density", "dh_density",
     "dh_total_mass_two_ways", "dh_weyl_check", "liouville_density",
 ]

@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..density.grids import DensityField, integrate
-from ..density.measures import MeasureFunctional
+from ..density.grids import integrate
 from ..expressions import ScenarioError
 from .models import LeafFamilyModel, SymplecticPairModel
 
 
-def liouville_density(model: SymplecticPairModel) -> DensityField:
+def liouville_density(model: SymplecticPairModel) -> np.ndarray:
     """Nodewise absolute area coefficient; total is the symplectic area."""
-    return DensityField(model.grid, np.abs(model.area_density.values))
+    return np.abs(model.area_density)
 
 
-def dh_density(model: SymplecticPairModel) -> DensityField:
+def dh_density(model: SymplecticPairModel) -> np.ndarray:
     """Source-fiber integral of the pair groupoid's Liouville density.
 
     For the pair groupoid of a surface the source fiber over x is a copy
@@ -30,40 +29,39 @@ def dh_density(model: SymplecticPairModel) -> DensityField:
     total Liouville volume.
     """
     liouville = liouville_density(model)
-    return DensityField(model.grid, integrate(liouville) * liouville.values)
+    return integrate(model.grid, liouville) * liouville
 
 
 def dh_total_mass_two_ways(model: SymplecticPairModel) -> tuple[float, float]:
-    """Total DH mass, as (via the density field, via the arrow-space pushforward).
+    """Total DH mass, as (via the density, via the arrow-space pushforward).
 
     The pushforward path integrates the product Liouville density over the
     arrow space (surface times surface) by Fubini, which is the square of
-    the Liouville total; the field path scales the Liouville field by its
-    total first and integrates the result.
+    the Liouville total; the density path scales the Liouville density by
+    its total first and integrates the result.
     """
-    field_total = integrate(dh_density(model))
-    per_point = integrate(liouville_density(model))
-    return field_total, per_point * per_point
+    density_total = integrate(model.grid, dh_density(model))
+    per_point = integrate(model.grid, liouville_density(model))
+    return density_total, per_point * per_point
 
 
 def _check_lattice(model: LeafFamilyModel, ell: np.ndarray) -> None:
     """Reject a degenerate lattice: a density that vanishes on a set of
     positive base mass."""
-    degenerate_mass = float(model.base_weights()[ell <= 0].sum())
+    degenerate_mass = float(model.base.weights[ell <= 0].sum())
     if degenerate_mass > 0:
         raise ScenarioError(
             "affine structure is degenerate: the lattice density vanishes "
             f"on base mass {degenerate_mass:.3e}")
 
 
-def affine_measure(model: LeafFamilyModel, lattice_density=None) -> MeasureFunctional:
-    """Measure on the leaf interval with the lattice density |A'| (or given);
-    a degenerate lattice is rejected."""
+def affine_measure(model: LeafFamilyModel, lattice_density=None) -> np.ndarray:
+    """Density of the affine measure on the base grid: the lattice density
+    |A'| (or the given one); a degenerate lattice is rejected."""
     ell = model.lattice_density() if lattice_density is None \
         else np.asarray(lattice_density, dtype=float)
     _check_lattice(model, ell)
-    rho = DensityField(model.base, ell)
-    return MeasureFunctional.from_density(rho, support="leaf interval")
+    return ell
 
 
 def canonical_base_density(model: LeafFamilyModel) -> np.ndarray:
@@ -78,11 +76,6 @@ def canonical_base_density(model: LeafFamilyModel) -> np.ndarray:
     return model.lattice_density() * leaf_totals / fiber_volumes
 
 
-def base_measure_of_leaf_function(model: LeafFamilyModel, values: np.ndarray,
-                                  density: np.ndarray) -> float:
-    return float((values * density * model.base_weights()).sum())
-
-
 def dh_weyl_check(model: LeafFamilyModel, f_leaf_values) -> tuple[float, float]:
     """Disintegration over leaves with the component-count correction, as
     (lhs, rhs).
@@ -94,15 +87,12 @@ def dh_weyl_check(model: LeafFamilyModel, f_leaf_values) -> tuple[float, float]:
     """
     n = model.base.shape[0]
     leaf_integrals = np.array([
-        integrate(DensityField(model.leaf.grid,
-                               np.asarray(f_leaf_values(i), dtype=float)
-                               * model.leaf_liouville(i).values))
+        integrate(model.leaf.grid, np.asarray(f_leaf_values(i), dtype=float)
+                  * model.leaf_liouville(i))
         for i in range(n)
     ])
-    lhs = base_measure_of_leaf_function(model, leaf_integrals,
-                                        model.lattice_density())
-    rhs = base_measure_of_leaf_function(model, model.iota * leaf_integrals,
-                                        canonical_base_density(model))
+    lhs = integrate(model.base, leaf_integrals * model.lattice_density())
+    rhs = integrate(model.base, model.iota * leaf_integrals * canonical_base_density(model))
     return lhs, rhs
 
 
@@ -114,10 +104,8 @@ def affine_volume(model: LeafFamilyModel) -> tuple[float, float]:
     lattice is rejected, as in ``affine_measure``.
     """
     _check_lattice(model, model.lattice_density())
-    n = model.base.shape[0]
     leaf_totals = model.leaf_totals
-    direct = base_measure_of_leaf_function(model, np.ones(n),
-                                           canonical_base_density(model))
-    reciprocal = float((leaf_totals / (model.iota * leaf_totals)
-                        * model.lattice_density() * model.base_weights()).sum())
+    direct = integrate(model.base, canonical_base_density(model))
+    reciprocal = integrate(model.base, leaf_totals / (model.iota * leaf_totals)
+                           * model.lattice_density())
     return direct, reciprocal

@@ -9,12 +9,11 @@ with a prescribed area function, component count, and leaf template.
 from __future__ import annotations
 
 import copy
-import json
 import math
 
 import numpy as np
 
-from ..density.grids import Axis, DensityField, Grid, integrate, positive_finite
+from ..density.grids import Axis, Grid, integrate, positive_finite
 from ..expressions import (COUNT, INT, NUMBER, REQUIRED, ScenarioError, compile_field,
                            integer, listed, record)
 
@@ -24,10 +23,9 @@ class SymplecticPairModel:
 
     def __init__(self, grid: Grid, area_coefficient: np.ndarray, name: str = "surface"):
         self.grid = grid
-        field = DensityField(grid, np.asarray(area_coefficient, dtype=float))
-        if not positive_finite(field.values):
+        self.area_density = np.asarray(area_coefficient, dtype=float)
+        if not positive_finite(self.area_density):
             raise ScenarioError("area density must be positive and finite")
-        self.area_density = field
         self.name = name
 
     @staticmethod
@@ -78,9 +76,9 @@ class LeafFamilyModel:
             raise ScenarioError("leaf areas must be positive and finite")
         if not np.all(np.isfinite(self.area_slopes)):
             raise ScenarioError("leaf area derivatives must be finite")
-        self.template_total = integrate(self.leaf.area_density)
+        self.template_total = integrate(self.leaf.grid, self.leaf.area_density)
         # quadrature total of every leaf_liouville(i)
-        self.leaf_totals = np.array([integrate(self.leaf_liouville(i))
+        self.leaf_totals = np.array([integrate(self.leaf.grid, self.leaf_liouville(i))
                                      for i in range(base.shape[0])])
         self.leaf_totals.flags.writeable = False
 
@@ -93,13 +91,11 @@ class LeafFamilyModel:
     def lattice_density(self) -> np.ndarray:
         return np.abs(self.area_slopes)
 
-    def leaf_liouville(self, t_index: int) -> DensityField:
-        """Liouville density of the leaf over node t, total mass A(t)."""
+    def leaf_liouville(self, t_index: int) -> np.ndarray:
+        """Liouville density of the leaf over node t on the leaf grid, total
+        mass A(t)."""
         scale = self.areas[t_index] / self.template_total
-        return DensityField(self.leaf.grid, self.leaf.area_density.values * scale)
-
-    def base_weights(self) -> np.ndarray:
-        return self.base.axes[0].weights()
+        return self.leaf.area_density * scale
 
 
 def _component_count(iota: int) -> int:
@@ -143,7 +139,3 @@ def leaf_family_from_doc(doc: dict) -> LeafFamilyModel:
                            iota=INT.read(doc, "iota", 1), leaf=doc.get("leaf", "sphere"),
                            leaf_nodes=integer(2).read(doc, "leaf_nodes", 64))
 
-
-def leaf_family_from_json(text: str) -> LeafFamilyModel:
-    """Build a leaf family from its JSON text (see ``leaf_family_from_doc``)."""
-    return leaf_family_from_doc(json.loads(text))

@@ -515,9 +515,9 @@ def test_leaf_checks_integrate_each_leaf_once(capsys, tmp_path, monkeypatch):
     from groupoid_measures.symplectic import models
     calls = {"integrate": 0, "leaf_liouville": 0}
 
-    def counted_integrate(rho, _fn=models.integrate):
+    def counted_integrate(*args, _fn=models.integrate):
         calls["integrate"] += 1
-        return _fn(rho)
+        return _fn(*args)
 
     def counted_liouville(self, i, _fn=models.LeafFamilyModel.leaf_liouville):
         calls["leaf_liouville"] += 1
@@ -622,6 +622,8 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
     ("iota_degenerate_lattice.json",
      "check 'iota_scaling': affine structure is degenerate"),
     ("dh_weyl_log.json", "check 'dh_weyl': field has non-finite values"),
+    ("subnormal_axis.json", "check 'weinstein_two_ways': axis spacing 1.39067116157e-312 "
+                            "is below the smallest normal float"),
 ])
 def test_data_that_breaks_a_precondition_is_input_error(capsys, doc, message):
     code, _, err = run_cli(capsys, "run", os.path.join(DATA, doc))
