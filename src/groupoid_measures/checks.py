@@ -45,9 +45,8 @@ from .smooth import (
     modular_cocycle,
     orbit_density,
     ruelle_sullivan_evaluate,
-    s_fiber_integrate,
+    shriek_difference,
     stokes_defect,
-    t_fiber_integrate,
     weinstein_volume,
     weyl_check,
 )
@@ -499,9 +498,7 @@ def _avg_annihilates(ctx, tol, count):
     rng = ctx.rng(5)
     worst = 0.0
     for _ in range(count):
-        u = ArrowFunction.random(model, rng)
-        diff = s_fiber_integrate(model, sigma.rho_values, u)
-        diff -= t_fiber_integrate(model, sigma.rho_values, u)
+        diff = shriek_difference(model, sigma.rho_values, ArrowFunction.random(model, rng))
         res = averaging(model, sigma.rho_values, diff)
         worst = max(worst, float(np.max(np.abs(res.values))))
     return worst, 0.0

@@ -18,6 +18,7 @@ log-ratio of sigma against this transport.
 from __future__ import annotations
 
 import random
+import weakref
 from functools import cached_property
 
 import numpy as np
@@ -115,9 +116,6 @@ class ActionGroupoidModel:
         """Representative values on the orbit-space grid; model specific."""
         raise NotImplementedError
 
-    def integrate(self, values: np.ndarray) -> float:
-        return float((values * self.grid.weights).sum())
-
     def check_axioms(self, rng: random.Random, samples: int = 20,
                      tol: float = 1e-9) -> float:
         """Sampled unit/compatibility/cocycle checks; returns the worst defect.
@@ -181,6 +179,7 @@ class CyclicAxisModel(ActionGroupoidModel):
         self.axis = axis
         self.name = name
         self.polar = polar
+        self._constancy = None  # (weak ref to a read-only array, whether constant)
 
     def haar_masses(self):
         return self.grid.axes[self.axis].weights() * (1.0 / (2 * np.pi))
@@ -211,9 +210,31 @@ class CyclicAxisModel(ActionGroupoidModel):
             shape[self.axis] = self.group_size
             return np.broadcast_to(weights[0] * values.sum(self.axis, keepdims=True),
                                    shape)
-        v_hat = np.fft.rfft(np.moveaxis(values, self.axis, -1))
-        out = np.fft.irfft(np.conj(np.fft.rfft(weights)) * v_hat, n=self.group_size)
+        out = self.correlate(weights, np.moveaxis(values, self.axis, -1))
         return np.moveaxis(out, -1, self.axis)
+
+    def correlate(self, weights, values):
+        """Circular correlation along the last axis by one FFT pair:
+        out[..., i] = sum_j weights[..., j] * values[..., (i + j) mod n].
+
+        Stacked rows (K x n) are transformed row by row, so each row comes
+        out bit for bit as it would alone."""
+        return np.fft.irfft(np.conj(np.fft.rfft(weights)) * np.fft.rfft(values),
+                            n=self.group_size)
+
+    def constant_along_axis(self, values) -> bool:
+        """Whether the values do not change along the axis (``orbit_spread`` 0).
+
+        The answer for a read-only array is kept for the last such array
+        asked about (compared by identity, through a weak reference so that
+        the memo keeps no density alive), so a density's rho is tested once;
+        a writable array is tested on every call.
+        """
+        if values.flags.writeable:
+            return self.orbit_spread(values) == 0.0
+        if self._constancy is None or self._constancy[0]() is not values:
+            self._constancy = (weakref.ref(values), self.orbit_spread(values) == 0.0)
+        return self._constancy[1]
 
     def orbit_spread(self, values):
         # orbits are rows along the axis; rounding is monotone, so max - min
@@ -242,9 +263,11 @@ class CyclicAxisModel(ActionGroupoidModel):
         return coords[0] if self.polar else super().volume_coefficient(*coords)
 
     def project_to_base(self, values):
-        """Values at angle node 0; the base keeps the other axes (or is a point)."""
+        """Values at angle node 0, as a view (``np.take`` would first copy a
+        broadcast average into a full grid array); the base keeps the other
+        axes (or is a point)."""
         rest = [i for i in range(self.grid.ndim) if i != self.axis]
-        return (np.atleast_1d(np.take(values, 0, axis=self.axis)),
+        return (np.atleast_1d(values[(slice(None),) * self.axis + (0,)]),
                 self.grid.subgrid(rest) if rest else "point")
 
 
@@ -506,7 +529,9 @@ class TransverseDensityData:
     ``rho_fn`` is the strictly positive object-side weight whose right
     translation gives the source-fiber densities; ``tau_fn`` the chart
     coefficient of the base density.  Both are kept as callables (for
-    pointwise cocycle evaluation) and sampled on the model grid.
+    pointwise cocycle evaluation) and sampled on the model grid; the rho
+    samples are read-only, so a model can decide once per density whether
+    rho is constant along its orbits.
     """
 
     def __init__(self, model, rho_fn, tau_fn):
@@ -516,6 +541,7 @@ class TransverseDensityData:
         mesh = model.grid.meshgrid()
         self.rho_values = np.asarray(rho_fn(*mesh), dtype=float) + np.zeros(model.grid.shape)
         self.tau_values = np.asarray(tau_fn(*mesh), dtype=float) + np.zeros(model.grid.shape)
+        self.rho_values.setflags(write=False)
         if not positive_finite(self.rho_values):
             raise ScenarioError("algebroid weight must be strictly positive and finite (full)")
         if not positive_finite(self.tau_values, strict=False):

@@ -21,13 +21,20 @@ per-axis profiles evaluated on the axis nodes only).  When rho is constant
 along the cyclic axis, each factored term integrates to a profile along
 the axis (the field's own times the total weight for a source term, its
 1-D correlation for a target term) times the field's profile of the other
-axes.  The fiber integral stacks these
-into a K x n and an M x K matrix, sums the K terms with one matrix product
-and multiplies by rho once, so no factored field is ever multiplied out to
-the grid.  Every other term (plain arrays, a rho that varies along the
-axis, finite models) adds its own ``pull_sum``.  The invariance and
-inversion defects share one s- and one t-integral per test function
-(``invariance_defects``).
+axes.  The fiber integral stacks these into a K x n and an M x K matrix,
+with the unequal-weight correlations as one FFT pair over their stacked
+rows, sums the K terms with one matrix product and multiplies by rho once,
+so no factored field is ever multiplied out to the grid.  Every other term
+(plain arrays, a rho that varies along the axis, finite models) adds its
+own ``pull_sum``.  Whether rho is constant along the axis is decided once
+per read-only rho (the model keeps the last answer).
+
+A test function whose terms are all factored builds no grid-sized s- or
+t-integral in the defect checks: ``invariance_defects`` pairs the rows of u
+and of its inversion with rho tau weights in row space, so both defects
+come from one pass over the test set.  ``shriek_difference`` takes its
+s - t as one s-integral of u and the negated terms of ``u.inverted()``.
+Any other test function keeps its grid integrals.
 
 Hot loops keep at most one grid-sized temporary alive per step: a base
 pairing is the single expression ``(f * tau * weights).sum()``, whose
@@ -143,34 +150,35 @@ class ArrowFunction:
 
         The group coefficients are uniform on [-1, 1): the top 53 bits of
         each little-endian 64-bit word of one ``randbytes`` draw.  Each field
-        is a ``SeparableField`` of 1-D per-axis profiles, so cosines are
-        evaluated on the axis nodes only.
+        is a ``SeparableField`` of 1-D per-axis profiles: a frequency and a
+        phase are drawn per field and axis, in that order, and each axis
+        then takes one cosine over the (rank, n) stack of its profiles.
         """
         words = np.frombuffer(rng.randbytes(8 * rank * model.group_size), dtype="<u8")
         coeffs = ((words >> 11) * 2.0 ** -52 - 1.0).reshape(rank, model.group_size)
-        fields = []
-        for _ in range(rank):
-            profiles = []
-            for ax in model.grid.axes:
-                scaled = 2 * np.pi * (ax.nodes() - ax.lo) / ax.length
-                profiles.append(1.0 + 0.5 * np.cos(
-                    scaled * rng.randrange(1, 3) + rng.uniform(0, 2 * np.pi)))
-            fields.append(SeparableField(model.grid, profiles))
+        axes = model.grid.axes
+        draws = np.array([[(rng.randrange(1, 3), rng.uniform(0, 2 * np.pi)) for _ in axes]
+                          for _ in range(rank)])
+        stacks = []
+        for i, ax in enumerate(axes):
+            scaled = 2 * np.pi * (ax.nodes() - ax.lo) / ax.length
+            freq, phase = draws[:, i, 0, None], draws[:, i, 1, None]
+            stacks.append(1.0 + 0.5 * np.cos(scaled * freq + phase))
+        fields = [SeparableField(model.grid, [p[k] for p in stacks]) for k in range(rank)]
         return ArrowFunction(model, terms=[(a, b, 0) for a, b in zip(coeffs, fields)])
 
 
 def s_fiber_integrate(model, rho_values: np.ndarray, u: ArrowFunction) -> np.ndarray:
     """Source-fiber integral: sum of haar(g) u(g, x) rho(a(g, x)) over the group.
 
-    On a cyclic model whose rho is constant along the axis, the
-    ``SeparableField`` terms are summed by ``_factored_sum`` and multiplied
-    by rho once; every other term adds its own ``pull_sum``.
+    Where ``_keeps_factors`` holds, the ``SeparableField`` terms are summed
+    by ``_factored_sum`` and multiplied by rho once; every other term adds
+    its own ``pull_sum``.
     """
     haar = model.haar_masses()
     terms = u.terms
     factored = [t for t in terms if isinstance(t[1], SeparableField)]
-    if (factored and isinstance(model, CyclicAxisModel)
-            and model.orbit_spread(rho_values) == 0.0):
+    if factored and _keeps_factors(model, rho_values):
         acc = _factored_sum(model, haar, factored)
         acc *= rho_values
         terms = [t for t in terms if not isinstance(t[1], SeparableField)]
@@ -183,30 +191,71 @@ def s_fiber_integrate(model, rho_values: np.ndarray, u: ArrowFunction) -> np.nda
     return acc
 
 
-def _factored_sum(model, haar: np.ndarray, terms) -> np.ndarray:
-    """Fiber integral over rho = 1 of ``SeparableField`` terms on a cyclic model.
+def _keeps_factors(model, rho_values: np.ndarray) -> bool:
+    """Whether factored terms integrate without being multiplied out: on a
+    cyclic model whose rho is constant along the axis."""
+    return isinstance(model, CyclicAxisModel) and model.constant_along_axis(rho_values)
 
-    Each term integrates to a profile along the axis (the field's own,
-    times the total weight for e = 0, correlated along the axis for e = 1)
-    times the field's profile of the other axes.  The K axis profiles are
-    the rows of a K x n matrix, the other profiles, raveled over the M
-    nodes off the axis (a scalar when M = 1), the columns of an M x K one,
-    and one product sums the terms.
+
+def _is_factored(model, rho_values: np.ndarray, u: ArrowFunction) -> bool:
+    """Whether u has terms and each is a ``SeparableField`` that stays factored."""
+    return (bool(u.terms) and all(isinstance(b, SeparableField) for _, b, _ in u.terms)
+            and _keeps_factors(model, rho_values))
+
+
+def _factored_parts(model, haar: np.ndarray, terms):
+    """The factors of ``SeparableField`` terms integrated over rho = 1 on a
+    cyclic model, as (cols K x M, rows K x n).
+
+    Each term integrates to a profile along the axis (the field's own, times
+    the total weight for e = 0, correlated along the axis for e = 1), row k,
+    times the field's profile of the other axes raveled over the M nodes off
+    the axis (one entry when M = 1), column k.  The unequal-weight
+    correlations of all terms are one FFT pair over their stacked rows.
     """
-    shape, axis = model.grid.shape, model.axis
-    rows, cols = [], []
-    for a, b, e in terms:
-        along, rest = b.split(axis)
-        w = haar * a
-        rows.append((model.pull_sum(w, along) if e else w.sum() * along).ravel())
+    rows = np.empty((len(terms), model.group_size))
+    cols, stacked = [], []
+    for k, (a, b, e) in enumerate(terms):
+        along, rest = b.split(model.axis)
         cols.append(np.ravel(rest))
-    out = np.array(cols).T @ np.array(rows)
+        w = haar * a
+        if e and not np.all(w == w[0]):
+            stacked.append((k, w, along.ravel()))
+        else:
+            rows[k] = (model.pull_sum(w, along) if e else w.sum() * along).ravel()
+    if stacked:
+        index, weights, profiles = zip(*stacked)
+        rows[list(index)] = model.correlate(np.array(weights), np.array(profiles))
+    return np.array(cols), rows
+
+
+def _factored_sum(model, haar: np.ndarray, terms) -> np.ndarray:
+    """Fiber integral over rho = 1 of ``SeparableField`` terms on a cyclic
+    model: one product sums the K terms of ``_factored_parts``."""
+    shape, axis = model.grid.shape, model.axis
+    cols, rows = _factored_parts(model, haar, terms)
+    out = cols.T @ rows
     return np.moveaxis(out.reshape(shape[:axis] + shape[axis + 1:] + (shape[axis],)),
                        -1, axis)
 
 
 def t_fiber_integrate(model, rho_values: np.ndarray, u: ArrowFunction) -> np.ndarray:
     return s_fiber_integrate(model, rho_values, u.inverted())
+
+
+def shriek_difference(model, rho_values: np.ndarray, u: ArrowFunction) -> np.ndarray:
+    """The s-integral minus the t-integral of u, s_!(u) - t_!(u).
+
+    A factored u (``_is_factored``) takes one s-integral of its terms and
+    the negated terms of ``u.inverted()``; any other u subtracts its
+    t-integral from its s-integral on the grid.
+    """
+    if _is_factored(model, rho_values, u):
+        return s_fiber_integrate(model, rho_values, ArrowFunction(
+            model, u.terms + [(-a, b, e) for a, b, e in u.inverted().terms]))
+    diff = s_fiber_integrate(model, rho_values, u)
+    diff -= t_fiber_integrate(model, rho_values, u)
+    return diff
 
 
 def fiber_volumes(model, rho_values: np.ndarray) -> np.ndarray:
@@ -217,8 +266,9 @@ def fiber_volumes(model, rho_values: np.ndarray) -> np.ndarray:
 
 
 def pair_with_base_density(model, tau_values: np.ndarray, f: np.ndarray) -> float:
-    """The base integral of f against tau: ``model.integrate(f * tau)`` as one
-    expression, so that numpy reuses the product for the weighted one."""
+    """The base integral of f against tau: the flat sum of f * tau against
+    ``grid.weights`` as one expression, so that numpy reuses the product for
+    the weighted one."""
     return float((f * tau_values * model.grid.weights).sum())
 
 
@@ -246,22 +296,43 @@ def default_test_set(model, rng: random.Random,
 
 def invariance_defects(model, sigma: TransverseDensityData,
                        test_set: list[ArrowFunction]) -> tuple[float, float]:
-    """Both invariance defects from one s- and one t-integral per test function.
+    """Both invariance defects from one pass over the test set.
 
     The first is the largest |mu_sigma(s-integral - t-integral)|; the second
     the largest |mu_sigma(s-integral) - mu_sigma(t-integral)|, the violation
     of arrow-space measure symmetry under inversion (the t-integral of u is
     the s-integral of u composed with inversion).
+
+    A factored test function (``_is_factored``) is paired in row space: u
+    and ``u.inverted()`` share their columns, so with q = rho tau weights as
+    an M x n matrix and a = cols @ q, mu_sigma of the s-integral is the sum
+    of rows_s * a, that of the t-integral the sum of rows_t * a, and no
+    grid-sized integral is built.  Every other test function pairs its s-
+    and t-integral on the grid.
     """
     invariance = inversion = 0.0
-    tau = sigma.tau_values
+    rho, tau = sigma.rho_values, sigma.tau_values
+    haar = q = None
     for u in test_set:
-        s_part = s_fiber_integrate(model, sigma.rho_values, u)
-        t_part = t_fiber_integrate(model, sigma.rho_values, u)
-        s_pair = pair_with_base_density(model, tau, s_part)
-        t_pair = pair_with_base_density(model, tau, t_part)
-        s_part -= t_part
-        invariance = max(invariance, abs(pair_with_base_density(model, tau, s_part)))
+        if _is_factored(model, rho, u):
+            if q is None:
+                haar = model.haar_masses()
+                q = np.moveaxis(rho * tau * model.grid.weights, model.axis, -1).reshape(
+                    -1, model.group_size)
+            cols, s_rows = _factored_parts(model, haar, u.terms)
+            t_rows = _factored_parts(model, haar, u.inverted().terms)[1]
+            a = cols @ q
+            s_pair, t_pair = float((s_rows * a).sum()), float((t_rows * a).sum())
+            s_rows -= t_rows
+            difference = float((s_rows * a).sum())
+        else:
+            s_part = s_fiber_integrate(model, rho, u)
+            t_part = t_fiber_integrate(model, rho, u)
+            s_pair = pair_with_base_density(model, tau, s_part)
+            t_pair = pair_with_base_density(model, tau, t_part)
+            s_part -= t_part
+            difference = pair_with_base_density(model, tau, s_part)
+        invariance = max(invariance, abs(difference))
         inversion = max(inversion, abs(s_pair - t_pair))
     return invariance, inversion
 

@@ -346,26 +346,34 @@ def test_non_integer_kmax_is_input_error(capsys, tmp_path):
     assert "'kmax'" in err and "'x'" in err
 
 
+@pytest.mark.parametrize("model,counts", [
+    # 8 factored test functions on a Lebesgue rotation: two row computations
+    # each (u and its inversion) and no grid-sized s- or t-integral
+    ({"kind": "rotation2d", "params": {"n_r": 6, "n_phi": 16}},
+     {"rows": 16, "s": 0, "t": 0}),
+    # the grid path: one s- and one t-integral each, and a t-integral is an
+    # s-integral of the inverted function, so 16 s-calls and 8 t-calls (24 in
+    # all); two separate passes made 32 and 8 (40 in all)
+    ({"kind": "antipodal_circle", "params": {"n": 16}},
+     {"rows": 0, "s": 16, "t": 8}),
+], ids=["row-space", "grid"])
 def test_both_defect_checks_share_one_pass_of_fiber_integrals(capsys, tmp_path,
-                                                              monkeypatch):
-    # 8 test functions: one s- and one t-integral each, and a t-integral is
-    # an s-integral of the inverted function, so 16 s-calls and 8 t-calls
-    # (24 in all); two separate passes made 32 and 8 (40 in all)
+                                                              monkeypatch, model, counts):
     from groupoid_measures.smooth import transverse
-    calls = {"s": 0, "t": 0}
-    for key, attr in (("s", "s_fiber_integrate"), ("t", "t_fiber_integrate")):
+    calls = dict.fromkeys(counts, 0)
+    for key, attr in (("rows", "_factored_parts"), ("s", "s_fiber_integrate"),
+                      ("t", "t_fiber_integrate")):
         def counted(*args, _fn=getattr(transverse, attr), _key=key):
             calls[_key] += 1
             return _fn(*args)
         monkeypatch.setattr(transverse, attr, counted)
-    doc = {"name": "x", "engine": "smooth",
-           "model": {"kind": "rotation2d", "params": {"n_r": 6, "n_phi": 16}},
+    doc = {"name": "x", "engine": "smooth", "model": model,
            "checks": [{"name": "invariance_defect"}, {"name": "inversion_defect"}]}
     code, out, _ = run_doc(capsys, tmp_path, doc)
     assert code == 0
     assert [r["check"] for r in csv.DictReader(io.StringIO(out))] == \
         ["invariance_defect", "inversion_defect"]
-    assert calls == {"s": 16, "t": 8}
+    assert calls == counts
 
 
 def test_finite_checks_share_one_homology_of_the_groupoid(capsys, tmp_path,

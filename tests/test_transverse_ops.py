@@ -4,7 +4,9 @@ Heavier identities run on moderate grids; the acceptance suite repeats the
 critical ones at the full resolutions.
 """
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from groupoid_measures.smooth import (
     ArrowFunction,
+    CyclicAxisModel,
     FiniteActionModel,
     ModelError,
     RotationPlaneModel,
@@ -36,14 +39,24 @@ from groupoid_measures.smooth import (
     modular_cocycle,
     orbit_density,
     s_fiber_integrate,
+    shriek_difference,
     t_fiber_integrate,
     weinstein_volume,
     weyl_check,
 )
 from groupoid_measures.smooth.models import TrivialActionModel
+from groupoid_measures.smooth.transverse import _factored_parts, _is_factored, field_values
 from groupoid_measures.density import Axis, Grid
 from groupoid_measures.expressions import ScenarioError
 from groupoid_measures.reports import relative_error
+
+
+EPS = np.finfo(float).eps
+
+
+def flat_integral(model, values):
+    """Reference: the flat sum of the values against the grid's product weights."""
+    return float((values * model.grid.weights).sum())
 
 
 def slice_arrow_function(model, slices):
@@ -657,39 +670,83 @@ def test_cyclic_mixed_terms_are_the_weighted_roll_sum(n, n_r, seed):
 
 
 def separate_defect_loops(model, sigma, tests):
-    """Reference: the invariance and the inversion defect, each by its own loop."""
+    """Reference: the invariance and the inversion defect, each by its own loop
+    over grid-sized s- and t-integrals."""
     invariance = inversion = 0.0
     for u in tests:
         s_part = s_fiber_integrate(model, sigma.rho_values, u)
         t_part = t_fiber_integrate(model, sigma.rho_values, u)
-        invariance = max(invariance, abs(model.integrate(
-            (s_part - t_part) * sigma.tau_values)))
+        invariance = max(invariance, abs(flat_integral(
+            model, (s_part - t_part) * sigma.tau_values)))
     for u in tests:
-        direct = model.integrate(
-            s_fiber_integrate(model, sigma.rho_values, u) * sigma.tau_values)
-        flipped = model.integrate(
-            s_fiber_integrate(model, sigma.rho_values, u.inverted()) * sigma.tau_values)
+        direct = flat_integral(
+            model, s_fiber_integrate(model, sigma.rho_values, u) * sigma.tau_values)
+        flipped = flat_integral(
+            model, s_fiber_integrate(model, sigma.rho_values, u.inverted()) * sigma.tau_values)
         inversion = max(inversion, abs(direct - flipped))
     return invariance, inversion
 
 
-@pytest.mark.parametrize("make,tau", [
-    (lambda: RotationPlaneModel(n_r=24, n_phi=32, r_lo=1.0, r_hi=2.0), None),
-    (lambda: RotationPlaneModel(n_r=24, n_phi=32, r_lo=1.0, r_hi=2.0),
-     lambda r, phi: r * (1.0 + 0.3 * np.cos(phi))),
-    (lambda: circle_self_model(31), lambda t: 1.0 + 0.5 * np.sin(t)),
-    (lambda: antipodal_circle_model(16), lambda t: 1.0 + 0.5 * np.sin(t)),
-    (lambda: mirror_interval_model(9, 1.0), lambda x: 1.0 + x),
-], ids=["rotation-lebesgue", "rotation-angular", "circle_self", "antipodal", "mirror"])
-def test_shared_defect_pair_equals_the_separate_loops(make, tau):
+def assert_defects_match_the_separate_loops(model, sigma, tests):
+    """Grid path: equal to the loops.  Row-space path (every test function
+    factored): within 32 eps of the L1 size of the pairings, the largest
+    <|s|, tau> + <|t|, tau> over the test set."""
+    pair = invariance_defects(model, sigma, tests)
+    ref = separate_defect_loops(model, sigma, tests)
+    if not any(_is_factored(model, sigma.rho_values, u) for u in tests):
+        assert pair == ref
+        return
+    tau = sigma.tau_values
+    scale = max(flat_integral(model, np.abs(s_fiber_integrate(model, sigma.rho_values, u)) * tau)
+                + flat_integral(model, np.abs(t_fiber_integrate(model, sigma.rho_values, u)) * tau)
+                for u in tests)
+    assert abs(pair[0] - ref[0]) <= 32 * EPS * scale
+    assert abs(pair[1] - ref[1]) <= 32 * EPS * scale
+
+
+def rotation_model():
+    return RotationPlaneModel(n_r=24, n_phi=32, r_lo=1.0, r_hi=2.0)
+
+
+@pytest.mark.parametrize("make,rho,tau,row_space", [
+    (rotation_model, None, None, True),
+    (rotation_model, lambda r, phi: 1.0 + 0.0 * r,
+     lambda r, phi: r * (1.0 + 0.3 * np.cos(phi)), True),
+    (lambda: circle_self_model(31), lambda t: 1.0 + 0.0 * t,
+     lambda t: 1.0 + 0.5 * np.sin(t), True),
+    (rotation_model, lambda r, phi: 1.0 + 0.3 * np.cos(phi),
+     lambda r, phi: r * (1.0 + 0.3 * np.cos(phi)), False),
+    (lambda: circle_self_model(31), lambda t: 1.0 + 0.3 * np.cos(t),
+     lambda t: 1.0 + 0.5 * np.sin(t), False),
+    (lambda: antipodal_circle_model(16), lambda t: 1.0 + 0.0 * t,
+     lambda t: 1.0 + 0.5 * np.sin(t), False),
+    (lambda: mirror_interval_model(9, 1.0), lambda x: 1.0 + 0.0 * x,
+     lambda x: 1.0 + x, False),
+], ids=["rotation-lebesgue", "rotation-angular", "circle_self", "rotation-rho-along-axis",
+        "circle-rho-along-axis", "antipodal", "mirror"])
+def test_shared_defect_pair_equals_the_separate_loops(make, rho, tau, row_space):
     model = make()
     sigma = (TransverseDensityData.lebesgue(model) if tau is None else
-             TransverseDensityData(model, lambda *c: 1.0 + 0.0 * c[0], tau))
+             TransverseDensityData(model, rho, tau))
     tests = default_test_set(model, random.Random(24))
+    assert all(_is_factored(model, sigma.rho_values, u) == row_space for u in tests)
+    assert_defects_match_the_separate_loops(model, sigma, tests)
     pair = invariance_defects(model, sigma, tests)
-    assert pair == separate_defect_loops(model, sigma, tests)
     assert invariance_defect(model, sigma, tests) == pair[0]
     assert inversion_invariance_check(model, sigma, tests) == pair[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 33), n_r=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["constant", "off_axis", "along_axis"]))
+def test_defect_pair_matches_the_separate_loops_on_random_grids(n, n_r, seed, kind):
+    model = cyclic_model(n_r, n)
+    rng = np.random.default_rng(seed)
+    rho = cyclic_rho(model, kind, rng)
+    tau = 0.5 + rng.uniform(size=model.grid.shape)
+    sigma = TransverseDensityData(model, lambda *c: rho, lambda *c: tau)
+    assert_defects_match_the_separate_loops(
+        model, sigma, default_test_set(model, random.Random(seed), count=4))
 
 
 # ---------------------------------------------------------------------------
@@ -699,17 +756,29 @@ def test_shared_defect_pair_equals_the_separate_loops(make, tau):
 
 @pytest.fixture
 def rfft_calls(monkeypatch):
-    """Counts np.fft.rfft calls by the number of operand axes longer than one."""
+    """Counts np.fft.rfft calls by operand shape.
+
+    A correlation of a full grid array transforms the grid array with the
+    cyclic axis moved last (``full_grid_shape``); rows along the axis, one
+    profile or a K x n stack of them, have other shapes.
+    """
     counts = {}
     fft = np.fft.rfft
 
     def counted(a, *args, **kwargs):
-        key = sum(d > 1 for d in np.shape(a))
+        key = np.shape(a)
         counts[key] = counts.get(key, 0) + 1
         return fft(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfft", counted)
     return counts
+
+
+def full_grid_shape(model):
+    """The shape of a full grid array with the cyclic axis moved last."""
+    shape = list(model.grid.shape)
+    shape.append(shape.pop(model.axis))
+    return tuple(shape)
 
 
 def materialized(u):
@@ -745,7 +814,8 @@ def test_factored_fiber_integrals_match_the_materialized_fft_and_the_loop(
         s_fiber_integrate(model, rho, u)
         t_fiber_integrate(model, rho, u)
     if n_r > 1:  # only a rho that varies along the angle takes the full-grid FFT
-        assert (rfft_calls.get(2, 0) > 0) == (kind == "along_axis")
+        # (the 3-row stacks of the random functions never have the grid's shape)
+        assert (rfft_calls.get(full_grid_shape(model), 0) > 0) == (kind == "along_axis")
     assert_factored_integrals_match(model, rho, tests)
 
 
@@ -781,8 +851,10 @@ def test_lebesgue_rotation_checks_make_no_full_grid_fft(rfft_calls):
     assert [r.check for r in rows] == ["invariance_defect", "inversion_defect",
                                       "averaging_annihilates"]
     assert all(r.passed for r in rows)
-    assert rfft_calls.get(2, 0) == 0
-    assert rfft_calls.get(1, 0) > 0
+    grid = full_grid_shape(RotationPlaneModel(n_r=8, n_phi=16, r_lo=1.0, r_hi=2.0))
+    assert rfft_calls.get(grid, 0) == 0
+    # the target correlations ran, as rows along the axis
+    assert sum(c for shape, c in rfft_calls.items() if shape[-1] == 16) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1108,7 +1180,7 @@ def test_fused_pairing_equals_integrate_of_the_product(make):
     model = make()
     rng = np.random.default_rng(53)
     f, tau = rng.standard_normal(model.grid.shape), rng.uniform(size=model.grid.shape)
-    assert pair_with_base_density(model, tau, f) == model.integrate(f * tau)
+    assert pair_with_base_density(model, tau, f) == flat_integral(model, f * tau)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1134,3 +1206,194 @@ def test_inverted_reads_the_inverse_index():
     rotation = RotationPlaneModel(n_r=3, n_phi=8, r_lo=1.0, r_hi=2.0)
     assert rotation.inverse_index.tolist() == [(-j) % 8 for j in range(8)]
     assert rotation.inverse_index is rotation.inverse_index
+
+
+# ---------------------------------------------------------------------------
+# factored test functions kept factored through the defect and averaging
+# checks: the stacked correlation rows, the one-integral difference, the
+# vectorized random draw, the base projection view and the rho constancy
+# memo, each against the construction it replaced
+
+def loop_random(model, rng, rank=3):
+    """Reference: the random arrow function with one cosine per field and axis,
+    as (coefficients, per-field lists of axis profiles)."""
+    words = np.frombuffer(rng.randbytes(8 * rank * model.group_size), dtype="<u8")
+    coeffs = ((words >> 11) * 2.0 ** -52 - 1.0).reshape(rank, model.group_size)
+    fields = []
+    for _ in range(rank):
+        profiles = []
+        for ax in model.grid.axes:
+            scaled = 2 * np.pi * (ax.nodes() - ax.lo) / ax.length
+            profiles.append(1.0 + 0.5 * np.cos(
+                scaled * rng.randrange(1, 3) + rng.uniform(0, 2 * np.pi)))
+        fields.append(profiles)
+    return coeffs, fields
+
+
+def assert_random_equals_the_loop(model, seed, rank=3):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        u = ArrowFunction.random(model, rng, rank=rank)
+        coeffs, fields = loop_random(model, ref_rng, rank=rank)
+        assert len(u.terms) == rank
+        for (a, b, e), c, profiles in zip(u.terms, coeffs, fields):
+            assert e == 0 and np.array_equal(a, c)
+            assert len(b.profiles) == len(profiles)
+            for p, ref in zip(b.profiles, profiles):
+                assert np.array_equal(p.ravel(), ref)
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("make", FIELD_MODELS, ids=FIELD_IDS)
+def test_vectorized_random_equals_the_per_field_loop(make):
+    assert_random_equals_the_loop(make(), 61)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(2, 70), min_size=1, max_size=3),
+       rank=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_vectorized_random_equals_the_loop_on_random_grids(sizes, rank, seed):
+    # axis lengths off and on the SIMD widths, so every tail of np.cos runs
+    grid = Grid([Axis(n, -1.0, 0.5 + i) for i, n in enumerate(sizes)])
+    assert_random_equals_the_loop(TrivialActionModel(grid), seed, rank=rank)
+
+
+def per_term_rows(model, haar, terms):
+    """Reference: each factored term's row by its own pull_sum."""
+    rows = []
+    for a, b, e in terms:
+        along = b.split(model.axis)[0]
+        w = haar * a
+        rows.append((model.pull_sum(w, along) if e else w.sum() * along).ravel())
+    return np.array(rows)
+
+
+def assert_stacked_rows_equal_the_per_term_pull_sums(model, tests):
+    haar = model.haar_masses()
+    for u in tests:
+        for v in (u, u.inverted()):
+            terms = [t for t in v.terms if isinstance(t[1], SeparableField)]
+            cols, rows = _factored_parts(model, haar, terms)
+            assert np.array_equal(rows, per_term_rows(model, haar, terms))
+            assert np.array_equal(cols, np.array([np.ravel(b.split(model.axis)[1])
+                                                  for _, b, _ in terms]))
+
+
+@BATCH_GRIDS
+def test_stacked_correlation_rows_equal_the_per_term_pull_sums(n_r, n):
+    model = cyclic_model(n_r, n)
+    rng = np.random.default_rng(62)
+    assert_stacked_rows_equal_the_per_term_pull_sums(
+        model, [batched_arrow_function(model, rng)]
+        + default_test_set(model, random.Random(62), count=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 33), n_r=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_correlation_rows_on_random_grids(n, n_r, seed):
+    model = cyclic_model(n_r, n)
+    assert_stacked_rows_equal_the_per_term_pull_sums(
+        model, [batched_arrow_function(model, np.random.default_rng(seed))]
+        + default_test_set(model, random.Random(seed), count=3))
+
+
+def absolute(u):
+    """|u| term by term: the integrand whose integrals bound every rounding
+    error of the integrals of u."""
+    return ArrowFunction(u.model, terms=[(np.abs(a), np.abs(field_values(b)), e)
+                                         for a, b, e in u.terms])
+
+
+def assert_shriek_difference_is_s_minus_t(model, rho, tests, size=lambda u, s, t: (s, t)):
+    """One integral for a factored u: within 32 eps (max|s| + max|t|) of s - t
+    at every node, s and t measured by ``size``; any other u: s - t itself."""
+    for u in tests:
+        s, t = s_fiber_integrate(model, rho, u), t_fiber_integrate(model, rho, u)
+        diff = shriek_difference(model, rho, u)
+        if _is_factored(model, rho, u):
+            s_size, t_size = size(u, s, t)
+            bound = 32 * EPS * (np.max(np.abs(s_size)) + np.max(np.abs(t_size)))
+            assert np.all(np.abs(diff - (s - t)) <= bound)
+        else:
+            assert np.array_equal(diff, s - t)
+
+
+@pytest.mark.parametrize("make", PROPER_MODELS, ids=PROPER_IDS)
+@pytest.mark.parametrize("kind", ["constant", "along_axis"])
+def test_shriek_difference_is_the_s_minus_t_integral(make, kind):
+    model = make()
+    rng = np.random.default_rng(63)
+    rho = (np.full(model.grid.shape, 1.5) if kind == "constant"
+           else 0.5 + rng.uniform(size=model.grid.shape))
+    tests = default_test_set(model, random.Random(63), count=4)
+    assert all(_is_factored(model, rho, u) == (
+        isinstance(model, CyclicAxisModel) and kind == "constant") for u in tests)
+    assert_shriek_difference_is_s_minus_t(model, rho, tests + [mixed_arrow_function(model, rng)[0]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 33), n_r=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["constant", "off_axis", "along_axis"]))
+def test_shriek_difference_on_random_grids(n, n_r, seed, kind):
+    # on a few nodes the terms of s can cancel far below their own size (n = 1
+    # gave s = 0.00475 from terms near 1, and a difference of 1.7e-16), so
+    # the sizes here are the s- and t-integrals of |u|, which bound |s|, |t|
+    model = cyclic_model(n_r, n)
+    rho = cyclic_rho(model, kind, np.random.default_rng(seed))
+    assert_shriek_difference_is_s_minus_t(
+        model, rho, default_test_set(model, random.Random(seed), count=3),
+        size=lambda u, s, t: (s_fiber_integrate(model, rho, absolute(u)),
+                              t_fiber_integrate(model, rho, absolute(u))))
+
+
+@BATCH_GRIDS
+def test_project_to_base_is_a_view_equal_to_take(n_r, n):
+    model = cyclic_model(n_r, n)
+    values = np.random.default_rng(64).standard_normal(model.grid.shape)
+    # a plain array and the read-only broadcast of an equal-weight average
+    for v in (values, model.pull_sum(model.haar_masses(), values)):
+        base, _ = model.project_to_base(v)
+        assert np.array_equal(base, np.atleast_1d(np.take(v, 0, axis=model.axis)))
+        if n_r > 1:
+            assert np.shares_memory(base, v)
+
+
+def test_rho_constancy_is_decided_once_per_read_only_density():
+    model = cyclic_model(4, 16)
+    tested = []
+
+    def spread(values, _fn=model.orbit_spread):
+        tested.append(id(values))
+        return _fn(values)
+
+    model.orbit_spread = spread
+    sigma = TransverseDensityData.lebesgue(model)
+    assert not sigma.rho_values.flags.writeable
+    u = ArrowFunction.random(model, random.Random(65))
+    for _ in range(3):
+        s_fiber_integrate(model, sigma.rho_values, u)
+        shriek_difference(model, sigma.rho_values, u)
+    invariance_defects(model, sigma, default_test_set(model, random.Random(65)))
+    assert len(tested) == 1
+    # a second density replaces the one entry; the first is then tested again
+    varying = TransverseDensityData(model, lambda r, phi: 1.0 + 0.3 * np.cos(phi),
+                                    model.volume_coefficient)
+    assert not model.constant_along_axis(varying.rho_values)
+    assert not model.constant_along_axis(varying.rho_values)
+    assert len(tested) == 2
+    assert model.constant_along_axis(sigma.rho_values)
+    assert len(tested) == 3
+    # a writable rho is tested on every call, and leaves the entry alone
+    rho = np.ones(model.grid.shape)
+    assert model.constant_along_axis(rho)
+    rho[0, 0] = 2.0
+    assert not model.constant_along_axis(rho)
+    rho[0, 0] = 1.0
+    assert model.constant_along_axis(rho)
+    assert tested[3:] == [id(rho)] * 3
+    assert model.constant_along_axis(sigma.rho_values) and len(tested) == 6
+    # the entry keeps no density alive
+    gone = weakref.ref(sigma.rho_values)
+    del sigma
+    gc.collect()
+    assert gone() is None
