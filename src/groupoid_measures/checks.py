@@ -45,7 +45,7 @@ from .smooth import (
     modular_cocycle,
     orbit_density,
     ruelle_sullivan_evaluate,
-    shriek_difference,
+    shriek_average,
     stokes_defect,
     weinstein_volume,
     weyl_check,
@@ -245,6 +245,15 @@ class ScenarioContext:
             self._cache["foliation"] = FoliatedGrid(grid, leaf_axis=0)
         return self._cache["foliation"]
 
+    def field(self, expr: str) -> np.ndarray:
+        """A field sampled on the model grid, read-only, once per expression."""
+        memo = ("field", expr)
+        if memo not in self._cache:
+            grid = self.model().grid
+            self._cache[memo] = compile_field(expr, grid.ndim)(*grid.meshgrid())
+            self._cache[memo].setflags(write=False)
+        return self._cache[memo]
+
     def cutoff(self, expr: str, key: str) -> np.ndarray:
         """Cut-off of the scenario's density from the seed parameter ``key``,
         built once per expression; a seed that misses an orbit raises
@@ -253,7 +262,8 @@ class ScenarioContext:
         model = self.proper_model()
         memo = ("cutoff", expr)
         if memo not in self._cache:
-            phi = compile_field(expr, model.grid.ndim)(*model.grid.meshgrid())
+            phi = self.field(expr)
+            del self._cache[("field", expr)]  # the cut-off memo answers every later ask
             if not positive_finite(phi, strict=False):
                 raise ScenarioError(f"cut-off seed {key!r} must be nonnegative and "
                                     f"finite, got {expr!r}")
@@ -498,9 +508,8 @@ def _avg_annihilates(ctx, tol, count):
     rng = ctx.rng(5)
     worst = 0.0
     for _ in range(count):
-        diff = shriek_difference(model, sigma.rho_values, ArrowFunction.random(model, rng))
-        res = averaging(model, sigma.rho_values, diff)
-        worst = max(worst, float(np.max(np.abs(res.values))))
+        av = shriek_average(model, sigma.rho_values, ArrowFunction.random(model, rng))
+        worst = max(worst, float(np.max(np.abs(av))))
     return worst, 0.0
 
 
@@ -521,15 +530,14 @@ def _cutoff_norm(ctx, tol, phi):
 @register("weyl", "smooth", 1e-6, f=(FIELD, REQUIRED), phi=(FIELD, _CONSTANT_SEED))
 def _weyl(ctx, tol, f, phi):
     model, sigma = ctx.proper_model(), ctx.sigma()
-    values = compile_field(f, model.grid.ndim)(*model.grid.meshgrid())
-    return weyl_check(model, sigma, values, cutoff=ctx.cutoff(phi, "phi"))
+    return weyl_check(model, sigma, ctx.field(f), cutoff=ctx.cutoff(phi, "phi"))
 
 
 @register("weyl_seed_independence", "smooth", 2e-6, f=(FIELD, REQUIRED),
           phi1=(FIELD, REQUIRED), phi2=(FIELD, REQUIRED))
 def _weyl_seeds(ctx, tol, f, phi1, phi2):
     model, sigma = ctx.proper_model(), ctx.sigma()
-    values = compile_field(f, model.grid.ndim)(*model.grid.meshgrid())
+    values = ctx.field(f)
     c1, c2 = ctx.cutoff(phi1, "phi1"), ctx.cutoff(phi2, "phi2")
     return (weyl_check(model, sigma, values, cutoff=c1)[1],
             weyl_check(model, sigma, values, cutoff=c2)[1])

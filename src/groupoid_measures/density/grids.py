@@ -136,7 +136,8 @@ class Grid:
         return self.axes[axis].nodes()
 
     def meshgrid(self) -> list[np.ndarray]:
-        return list(np.meshgrid(*[ax.nodes() for ax in self.axes], indexing="ij"))
+        """The open grid: each axis's nodes shaped by ``along``."""
+        return list(np.meshgrid(*[ax.nodes() for ax in self.axes], indexing="ij", sparse=True))
 
     def along(self, axis: int, profile: np.ndarray, ndim: int | None = None) -> np.ndarray:
         """A profile on the nodes of one axis, shaped to broadcast against

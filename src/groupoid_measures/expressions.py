@@ -10,6 +10,7 @@ JSON boolean is neither an integer nor a number, and a number is finite.
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -35,13 +36,16 @@ class ExpressionError(ScenarioError):
 
 
 def compile_field(expr: str, ndim: int):
-    """Compile an expression to a function of ndim coordinate arrays."""
+    """Compile a subscript-free expression to a function of ndim coordinate arrays."""
     if not isinstance(expr, str):
         raise ExpressionError(f"an expression must be a string, got {expr!r}")
     try:
         code = compile(expr, "<field-expression>", "eval")
     except SyntaxError as exc:
         raise ExpressionError(f"bad expression {expr!r}: {exc}") from exc
+    if "[" in expr and any(isinstance(node, ast.Subscript)  # a subscript needs a "["
+                           for node in ast.walk(ast.parse(expr, mode="eval"))):
+        raise ExpressionError(f"subscripts are not allowed in {expr!r}")
     allowed = set(_NAMES)
     for axis in range(ndim):
         allowed.update(_ALIASES[axis] if axis < len(_ALIASES) else (f"c{axis}",))
@@ -50,6 +54,7 @@ def compile_field(expr: str, ndim: int):
             raise ExpressionError(f"name {name!r} not allowed in {expr!r}")
 
     def fn(*coords):
+        shape = np.broadcast_shapes(*map(np.shape, coords))
         scope = dict(_NAMES)
         for axis, coord in enumerate(coords):
             names = _ALIASES[axis] if axis < len(_ALIASES) else (f"c{axis}",)
@@ -59,11 +64,11 @@ def compile_field(expr: str, ndim: int):
             # a NaN or inf is the caller's to reject, with its own message
             with np.errstate(all="ignore"):
                 result = eval(code, {"__builtins__": {}}, scope)
-                out = result + np.zeros_like(np.asarray(coords[0], dtype=float))
+                out = result + np.zeros(shape)
         except (ArithmeticError, AttributeError, IndexError, TypeError,
                 ValueError) as exc:
             raise ExpressionError(f"cannot evaluate {expr!r}: {exc}") from exc
-        if out.dtype.kind != "f" or out.shape != np.broadcast_shapes(*map(np.shape, coords)):
+        if out.dtype.kind != "f" or out.shape != shape:
             raise ExpressionError(f"{expr!r} is not a real value at each point")
         return out
 

@@ -103,7 +103,7 @@ class ActionGroupoidModel:
 
     def node_points(self, flat: np.ndarray) -> list[np.ndarray]:
         """Chart coordinates of the grid nodes with flat indices ``flat``, one
-        array per axis (the meshgrid entries, read from the axis nodes)."""
+        array per axis (read from the axis nodes)."""
         return [ax.nodes()[i] for ax, i in
                 zip(self.grid.axes, np.unravel_index(flat, self.grid.shape))]
 
@@ -199,17 +199,14 @@ class CyclicAxisModel(ActionGroupoidModel):
     def pull_sum(self, weights, values):
         """Circular correlation along the axis, on one of two exact paths.
 
-        Equal weights give one sum along the axis, returned as a read-only
-        broadcast of the sums, so no grid-sized array is written.  Other
-        weights correlate by an FFT along the axis: of the axis length for
-        a 1-D profile along it, of the full array otherwise.  Values need
-        only broadcast against the grid; the result has their shape.
+        Equal weights give one sum along the axis, kept at length 1 there (an
+        orbit-space array that broadcasts against the grid).  Other weights
+        correlate by an FFT along the axis: of the axis length for a 1-D
+        profile along it, of the full array otherwise.  Values need only
+        broadcast against the grid, and so does the result.
         """
         if np.all(weights == weights[0]):
-            shape = list(np.shape(values))
-            shape[self.axis] = self.group_size
-            return np.broadcast_to(weights[0] * values.sum(self.axis, keepdims=True),
-                                   shape)
+            return weights[0] * values.sum(self.axis, keepdims=True)
         out = self.correlate(weights, np.moveaxis(values, self.axis, -1))
         return np.moveaxis(out, -1, self.axis)
 
@@ -237,11 +234,7 @@ class CyclicAxisModel(ActionGroupoidModel):
         return self._constancy[1]
 
     def orbit_spread(self, values):
-        # orbits are rows along the axis; rounding is monotone, so max - min
-        # wins.  A row broadcast along the axis (an equal-weight pull_sum) is
-        # read once: its spread is x - x either way.
-        if values.shape[self.axis] > 1 and values.strides[self.axis] == 0:
-            values = values[(slice(None),) * self.axis + (slice(0, 1),)]
+        # orbits are rows along the axis; rounding is monotone: max - min wins
         return float(np.max(np.ptp(values, axis=self.axis)))
 
     def node_images(self, flat):
@@ -263,9 +256,8 @@ class CyclicAxisModel(ActionGroupoidModel):
         return coords[0] if self.polar else super().volume_coefficient(*coords)
 
     def project_to_base(self, values):
-        """Values at angle node 0, as a view (``np.take`` would first copy a
-        broadcast average into a full grid array); the base keeps the other
-        axes (or is a point)."""
+        """Values at angle node 0, as a view; the base keeps the other axes
+        (or is a point)."""
         rest = [i for i in range(self.grid.ndim) if i != self.axis]
         return (np.atleast_1d(values[(slice(None),) * self.axis + (0,)]),
                 self.grid.subgrid(rest) if rest else "point")

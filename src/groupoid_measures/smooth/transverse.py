@@ -7,43 +7,34 @@ density (rho, tau) pairs the result with tau on the base.  Target-fiber
 integration is source-fiber integration after composing with inversion.
 
 Arrow functions are sums of terms a(g) b(g^e x), e in {0, 1}, so a fiber
-integral is one model ``pull_sum`` per term: one gather per group element
-on finite models, and on cyclic models a circular correlation along the
-axis that takes one of two exact paths:
-
-- equal weights: one sum along the axis, returned as a read-only
-  broadcast of the sums;
-- other weights: an FFT along the axis, of the axis length for a 1-D
-  profile along it, of the full array otherwise.
+integral is one model ``pull_sum`` per term, the terms added by
+broadcasting: one gather per group element on finite models; on cyclic
+models an FFT along the axis, or for equal weights one sum along it, kept
+at length 1 there.  So fiber volumes, cut-off normalizations, orbit
+integrals and averages on a cyclic model stay on the orbit space.
 
 Random test functions keep their fields factored (``SeparableField``,
-per-axis profiles evaluated on the axis nodes only).  When rho is constant
-along the cyclic axis, each factored term integrates to a profile along
-the axis (the field's own times the total weight for a source term, its
-1-D correlation for a target term) times the field's profile of the other
-axes.  The fiber integral stacks these into a K x n and an M x K matrix,
-with the unequal-weight correlations as one FFT pair over their stacked
-rows, sums the K terms with one matrix product and multiplies by rho once,
-so no factored field is ever multiplied out to the grid.  Every other term
-(plain arrays, a rho that varies along the axis, finite models) adds its
-own ``pull_sum``.  Whether rho is constant along the axis is decided once
-per read-only rho (the model keeps the last answer).
+per-axis profiles on the axis nodes).  When rho is constant along the
+cyclic axis (decided once per read-only rho), each factored term
+integrates to a row along the axis (the field's profile there times the
+total weight, or correlated for a target term) times a column, the
+field's profile of the other axes.  The fiber integral stacks K terms into
+K x n rows, with the unequal-weight correlations as one FFT pair, and
+M x K columns, sums them with one matrix product and multiplies by rho
+once.  For such a test function ``invariance_defects`` pairs the rows of u
+and of its inversion in row space, ``shriek_difference`` is one s-integral
+of u and the negated terms of ``u.inverted()``, and ``shriek_average``
+sums those rows along the axis, so no grid-sized array is built.  Every
+other term (plain arrays, a rho that varies along the axis, finite models)
+adds its own ``pull_sum``.
 
-A test function whose terms are all factored builds no grid-sized s- or
-t-integral in the defect checks: ``invariance_defects`` pairs the rows of u
-and of its inversion with rho tau weights in row space, so both defects
-come from one pass over the test set.  ``shriek_difference`` takes its
-s - t as one s-integral of u and the negated terms of ``u.inverted()``.
-Any other test function keeps its grid integrals.
-
-Hot loops keep at most one grid-sized temporary alive per step: a base
-pairing is the single expression ``(f * tau * weights).sum()``, whose
-intermediate numpy reuses; differences are formed in place; ``averaging``
-pulls its section once.  Whenever two or more 512 KB arrays of the
-256 x 256 rotation model are freed together, the allocator returns the
-heap top to the kernel and the next step faults the same pages in again;
-keeping to the rule took a fresh-process run of the bundled scenarios
-from about 13 900 minor page faults to about 6 400.
+Hot loops keep at most one grid-sized temporary alive per step (a base
+pairing is the one expression ``(f * tau * weights).sum()``; differences
+are formed in place): whenever two or more 512 KB arrays of the 256 x 256
+rotation model are freed together, the allocator returns the heap top to
+the kernel and the next step faults the same pages in again.  A run of
+the bundled scenarios in a fresh process takes about 3 650 minor page
+faults (13 900 before this rule, 5 900 before the orbit-space results).
 """
 
 from __future__ import annotations
@@ -173,21 +164,20 @@ def s_fiber_integrate(model, rho_values: np.ndarray, u: ArrowFunction) -> np.nda
 
     Where ``_keeps_factors`` holds, the ``SeparableField`` terms are summed
     by ``_factored_sum`` and multiplied by rho once; every other term adds
-    its own ``pull_sum``.
+    its own ``pull_sum``; the terms add by broadcasting.
     """
     haar = model.haar_masses()
     terms = u.terms
     factored = [t for t in terms if isinstance(t[1], SeparableField)]
+    acc = 0.0
     if factored and _keeps_factors(model, rho_values):
         acc = _factored_sum(model, haar, factored)
         acc *= rho_values
         terms = [t for t in terms if not isinstance(t[1], SeparableField)]
-    else:
-        acc = np.zeros(model.grid.shape)
     for a, b, e in terms:
         b = field_values(b)
-        acc += (model.pull_sum(haar * a, b * rho_values) if e
-                else b * model.pull_sum(haar * a, rho_values))
+        acc = acc + (model.pull_sum(haar * a, b * rho_values) if e
+                     else b * model.pull_sum(haar * a, rho_values))
     return acc
 
 
@@ -251,18 +241,34 @@ def shriek_difference(model, rho_values: np.ndarray, u: ArrowFunction) -> np.nda
     t-integral from its s-integral on the grid.
     """
     if _is_factored(model, rho_values, u):
-        return s_fiber_integrate(model, rho_values, ArrowFunction(
-            model, u.terms + [(-a, b, e) for a, b, e in u.inverted().terms]))
+        return s_fiber_integrate(model, rho_values, ArrowFunction(model, _difference_terms(u)))
     diff = s_fiber_integrate(model, rho_values, u)
     diff -= t_fiber_integrate(model, rho_values, u)
     return diff
 
 
+def _difference_terms(u: ArrowFunction) -> list:
+    """u's terms and the negated terms of ``u.inverted()``: s_!(u) - t_!(u)."""
+    return u.terms + [(-a, b, e) for a, b, e in u.inverted().terms]
+
+
+def shriek_average(model, rho_values: np.ndarray, u: ArrowFunction) -> np.ndarray:
+    """The fiber average of s_!(u) - t_!(u).  A factored u is averaged in row
+    space, at orbit-space shape: haar[0] * rho_base**2 * (cols.T @ rows.sum(1))
+    from the ``_factored_parts`` of ``_difference_terms(u)`` (one rho in s - t,
+    one in the fiber weight).  Any other u averages its ``shriek_difference``."""
+    if not _is_factored(model, rho_values, u):
+        return averaging(model, rho_values, shriek_difference(model, rho_values, u)).values
+    haar = model.haar_masses()
+    cols, rows = _factored_parts(model, haar, _difference_terms(u))
+    rho_base = rho_values[(slice(None),) * model.axis + (slice(0, 1),)]
+    return haar[0] * rho_base ** 2 * (cols.T @ rows.sum(1)).reshape(rho_base.shape)
+
+
 def fiber_volumes(model, rho_values: np.ndarray) -> np.ndarray:
-    """Mass of each source fiber (equals the induced orbit volume)."""
-    return s_fiber_integrate(model, rho_values,
-                             ArrowFunction.from_base_function(
-                                 model, np.ones(model.grid.shape)))
+    """Mass of each source fiber, the target integral of 1 (the orbit volume)."""
+    return s_fiber_integrate(model, rho_values, ArrowFunction.from_target_function(
+        model, np.ones(model.grid.shape)))
 
 
 def pair_with_base_density(model, tau_values: np.ndarray, f: np.ndarray) -> float:
@@ -356,7 +362,7 @@ def inversion_invariance_check(model, sigma: TransverseDensityData,
 
 @dataclass
 class AveragingResult:
-    values: np.ndarray          # orbit-constant function on the model grid
+    values: np.ndarray          # orbit-constant; broadcasts against the model grid
     base_values: np.ndarray     # representative values on the orbit space
     base_descriptor: object
     constancy_defect: float
@@ -376,8 +382,9 @@ def averaging(model, rho_values: np.ndarray, section_values: np.ndarray,
     av = model.pull_sum(model.haar_masses(), weighted)
     # constancy is judged against the size of the integrand, not of the
     # average itself, so that averages that are legitimately zero pass
-    scale = float(np.max(np.abs(weighted, out=weighted))) or 1.0
-    defect = model.orbit_spread(av) / scale
+    defect = model.orbit_spread(av)
+    if defect:  # zero is exact: a NaN in the section gives a NaN spread
+        defect /= float(np.max(np.abs(weighted, out=weighted))) or 1.0
     if defect > tol:
         raise ModelError(f"averaged section is not orbit constant ({defect:.3e})")
     base_values, base = model.project_to_base(av)

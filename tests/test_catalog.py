@@ -77,8 +77,9 @@ def test_list_checks_names_every_declared_parameter(capsys):
 
 
 TEXT = st.text(alphabet="xyt +*().", max_size=6)  # no digits: no huge counts
-# fields that are non-finite or zero at some node of every small model
-BAD_FIELDS = ["log(t - 1)", "sqrt(x - 0.5)", "0*x", "1/(x - x)"]
+# fields that are non-finite or zero at some node of every small model, and a
+# subscript, which no field takes
+BAD_FIELDS = ["log(t - 1)", "sqrt(x - 0.5)", "0*x", "1/(x - x)", "phi[5]"]
 JSON_VALUES = st.one_of(
     TEXT,
     st.sampled_from(BAD_FIELDS),

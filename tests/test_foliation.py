@@ -54,7 +54,8 @@ def test_stokes_zero_omega_gives_exact_zero():
 
 def test_stokes_interior_supported_omega_cancels_to_rounding():
     fol = horizontal_foliation(256)
-    x, y = fol.grid.meshgrid()
+    # dense coordinates: the mask indexes every node of the grid
+    x, y = np.broadcast_arrays(*fol.grid.meshgrid())
     omega = np.exp(-60 * (x - 0.5) ** 2) * np.exp(-y)
     omega[np.abs(x - 0.5) > 0.4] = 0.0
     assert stokes_defect(fol, transverse_profile(fol), omega) <= 1e-12
@@ -62,7 +63,8 @@ def test_stokes_interior_supported_omega_cancels_to_rounding():
 
 def test_stokes_noninvariant_weight_is_detected():
     fol = horizontal_foliation(256)
-    x, y = fol.grid.meshgrid()
+    # dense coordinates: the mask indexes every node of the grid
+    x, y = np.broadcast_arrays(*fol.grid.meshgrid())
     omega = np.exp(-60 * (x - 0.5) ** 2) * np.exp(-y)
     omega[np.abs(x - 0.5) > 0.4] = 0.0
     leafwise_varying = 1.0 + x  # weights depend on the leaf coordinate

@@ -4,6 +4,7 @@ Heavier identities run on moderate grids; the acceptance suite repeats the
 critical ones at the full resolutions.
 """
 
+import copy
 import gc
 import random
 import weakref
@@ -39,11 +40,13 @@ from groupoid_measures.smooth import (
     modular_cocycle,
     orbit_density,
     s_fiber_integrate,
+    shriek_average,
     shriek_difference,
     t_fiber_integrate,
     weinstein_volume,
     weyl_check,
 )
+from groupoid_measures.smooth import transverse
 from groupoid_measures.smooth.models import TrivialActionModel
 from groupoid_measures.smooth.transverse import _factored_parts, _is_factored, field_values
 from groupoid_measures.density import Axis, Grid
@@ -933,9 +936,15 @@ def test_rho_varying_along_the_axis_keeps_the_per_term_path(n_r, n):
 # ---------------------------------------------------------------------------
 # the batched cocycle against a per-arrow scalar reference
 
+def dense_nodes(model):
+    """Reference: the chart coordinates of every grid node in flat order, one
+    array per axis (the open ``meshgrid`` broadcast to the grid)."""
+    return [m.ravel() for m in np.broadcast_arrays(*model.grid.meshgrid())]
+
+
 def scalar_additivity_defect(model, sigma, rng, samples):
     """The per-arrow loop the batched additivity defect replaced."""
-    flat = [m.ravel() for m in model.grid.meshgrid()]
+    flat = dense_nodes(model)
     worst = 0.0
     drawn = 0
     while drawn < samples:
@@ -955,7 +964,7 @@ def scalar_additivity_defect(model, sigma, rng, samples):
 
 
 def scalar_vanishing_defect(model, sigma, rng, samples):
-    flat = [m.ravel() for m in model.grid.meshgrid()]
+    flat = dense_nodes(model)
     worst = 0.0
     for _ in range(samples):
         j = rng.randrange(model.group_size)
@@ -1012,7 +1021,7 @@ def test_batched_cocycle_defects_equal_the_scalar_loops(case, seed, samples):
 def test_batched_cocycle_equals_the_per_arrow_values(case, data):
     sigma = COCYCLE_CASES[case]
     model = sigma.model
-    flat = [m.ravel() for m in model.grid.meshgrid()]
+    flat = dense_nodes(model)
     n = data.draw(st.integers(1, 30))
     j = np.array(data.draw(st.lists(st.integers(0, model.group_size - 1),
                                     min_size=n, max_size=n)))
@@ -1056,7 +1065,7 @@ def test_orbit_representatives_are_the_least_node_of_each_orbit():
 
 def scalar_check_axioms(model, rng, samples):
     """The per-sample loop of check_axioms: scalar calls on meshgrid points."""
-    flat = [m.ravel() for m in model.grid.meshgrid()]
+    flat = dense_nodes(model)
 
     def distance(p, q):
         worst = 0.0
@@ -1185,7 +1194,7 @@ def test_fused_pairing_equals_integrate_of_the_product(make):
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 33), n_r=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
-def test_equal_weight_pull_sum_is_a_read_only_repeat(n, n_r, seed):
+def test_equal_weight_pull_sum_is_the_orbit_space_sum(n, n_r, seed):
     model = cyclic_model(n_r, n)
     rng = np.random.default_rng(seed)
     weights = np.full(n, rng.uniform(-1.0, 1.0))
@@ -1193,11 +1202,15 @@ def test_equal_weight_pull_sum_is_a_read_only_repeat(n, n_r, seed):
     on_axis[model.axis] = n
     for values in (rng.standard_normal(model.grid.shape), rng.standard_normal(on_axis)):
         out = model.pull_sum(weights, values)
-        assert not out.flags.writeable
-        assert np.array_equal(out, np.repeat(
-            weights[0] * values.sum(model.axis, keepdims=True), n, axis=model.axis))
-        # the broadcast rows are read once by orbit_spread
-        assert model.orbit_spread(out) == model.orbit_spread(np.array(out))
+        sums = weights[0] * values.sum(model.axis, keepdims=True)
+        # length 1 along the axis, the sums themselves
+        assert out.shape == sums.shape and out.shape[model.axis] == 1
+        assert np.array_equal(out, sums)
+        # broadcast against the grid, it is the repeat of the sums, and its
+        # spread is that of the repeat: zero
+        repeat = np.repeat(sums, n, axis=model.axis)
+        assert np.array_equal(np.broadcast_to(out, repeat.shape), repeat)
+        assert model.orbit_spread(out) == model.orbit_spread(repeat) == 0.0
 
 
 def test_inverted_reads_the_inverse_index():
@@ -1259,12 +1272,14 @@ def test_vectorized_random_equals_the_loop_on_random_grids(sizes, rank, seed):
 
 
 def per_term_rows(model, haar, terms):
-    """Reference: each factored term's row by its own pull_sum."""
+    """Reference: each factored term's row by its own pull_sum, repeated along
+    the axis where that is an orbit-space sum."""
     rows = []
     for a, b, e in terms:
         along = b.split(model.axis)[0]
         w = haar * a
-        rows.append((model.pull_sum(w, along) if e else w.sum() * along).ravel())
+        row = (model.pull_sum(w, along) if e else w.sum() * along).ravel()
+        rows.append(np.broadcast_to(row, model.group_size))
     return np.array(rows)
 
 
@@ -1350,7 +1365,7 @@ def test_shriek_difference_on_random_grids(n, n_r, seed, kind):
 def test_project_to_base_is_a_view_equal_to_take(n_r, n):
     model = cyclic_model(n_r, n)
     values = np.random.default_rng(64).standard_normal(model.grid.shape)
-    # a plain array and the read-only broadcast of an equal-weight average
+    # a plain array and an equal-weight average, at orbit-space shape
     for v in (values, model.pull_sum(model.haar_masses(), values)):
         base, _ = model.project_to_base(v)
         assert np.array_equal(base, np.atleast_1d(np.take(v, 0, axis=model.axis)))
@@ -1397,3 +1412,153 @@ def test_rho_constancy_is_decided_once_per_read_only_density():
     del sigma
     gc.collect()
     assert gone() is None
+
+
+# ---------------------------------------------------------------------------
+# orbit-space results: equal-weight cyclic sums stay at length 1 along the
+# axis, against a copy of the model that spreads them over the grid, and the
+# row-space average of a factored s - t against the grid average
+
+def grid_sized(model):
+    """Reference: a copy of a cyclic model whose ``pull_sum`` spreads every
+    result over the grid, as a written array (the grid-sized fiber sums)."""
+    ref = copy.copy(model)
+
+    def pull_sum(weights, values):
+        out = CyclicAxisModel.pull_sum(model, weights, values)
+        return np.array(np.broadcast_to(out, np.broadcast_shapes(out.shape, np.shape(values))))
+
+    ref.pull_sum = pull_sum
+    return ref
+
+
+def orbit_shape(model):
+    shape = list(model.grid.shape)
+    shape[model.axis] = 1
+    return tuple(shape)
+
+
+def assert_orbit_space_results_equal_the_grid(model, rho, rng):
+    ref, shape = grid_sized(model), model.grid.shape
+    f, phi = rng.standard_normal(shape), 0.5 + rng.uniform(size=shape)
+    sigma = TransverseDensityData(model, lambda *c: rho, lambda *c: 0.5 + c[0] ** 2)
+    sigma_ref = TransverseDensityData(ref, lambda *c: rho, lambda *c: 0.5 + c[0] ** 2)
+    for values in (f, phi):
+        u = ArrowFunction.from_target_function(model, values)
+        out = s_fiber_integrate(model, rho, u)
+        assert out.shape == orbit_shape(model)
+        assert np.array_equal(np.broadcast_to(out, shape), s_fiber_integrate(ref, rho, u))
+    volumes = fiber_volumes(model, rho)
+    assert volumes.shape == orbit_shape(model)
+    # the target integral of 1 is bit for bit the source integral of 1 it replaced
+    assert np.array_equal(np.broadcast_to(volumes, shape), s_fiber_integrate(
+        ref, rho, ArrowFunction.from_base_function(ref, np.ones(shape))))
+    cutoff = cutoff_construct(model, rho, phi)
+    assert np.array_equal(cutoff, cutoff_construct(ref, rho, phi))
+    assert cutoff_normalization_defect(model, rho, cutoff) \
+        == cutoff_normalization_defect(ref, rho, cutoff)
+    assert weyl_check(model, sigma, f, cutoff=cutoff) \
+        == weyl_check(ref, sigma_ref, f, cutoff=cutoff)
+    assert weinstein_volume(model, sigma, cutoff=cutoff) \
+        == weinstein_volume(ref, sigma_ref, cutoff=cutoff)
+    res, res_ref = averaging(model, rho, f), averaging(ref, rho, f)
+    assert res.values.shape == orbit_shape(model)
+    assert np.array_equal(np.broadcast_to(res.values, shape), res_ref.values)
+    assert np.array_equal(res.base_values, res_ref.base_values)
+    assert res.constancy_defect == res_ref.constancy_defect == 0.0
+
+
+@BATCH_GRIDS
+@pytest.mark.parametrize("kind", ["constant", "off_axis", "along_axis"])
+def test_orbit_space_results_equal_the_grid_sized_sums(n_r, n, kind):
+    rng = np.random.default_rng(71)
+    model = cyclic_model(n_r, n)
+    assert_orbit_space_results_equal_the_grid(model, cyclic_rho(model, kind, rng), rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 33), n_r=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["constant", "off_axis", "along_axis"]))
+def test_orbit_space_results_on_random_grids(n, n_r, seed, kind):
+    rng = np.random.default_rng(seed)
+    model = cyclic_model(n_r, n)
+    assert_orbit_space_results_equal_the_grid(model, cyclic_rho(model, kind, rng), rng)
+
+
+def test_constancy_defect_scales_a_nonzero_spread_by_the_integrand():
+    model = cyclic_model(3, 8)
+    rng = np.random.default_rng(72)
+    rho, section = 0.5 + rng.uniform(size=model.grid.shape), rng.standard_normal((3, 8))
+    assert averaging(model, rho, section).constancy_defect == 0.0
+    model.orbit_spread = lambda values: 3e-9
+    res = averaging(model, rho, section)
+    assert res.constancy_defect == 3e-9 / float(np.max(np.abs(section * rho)))
+    with pytest.raises(ModelError, match="not orbit constant"):
+        averaging(model, rho, section, tol=1e-12)
+
+
+class SourceOnly(ArrowFunction):
+    """An arrow function whose inversion has no terms: its s - t is its
+    s-integral, so its average is not zero."""
+
+    def inverted(self):
+        return ArrowFunction(self.model, terms=[])
+
+
+def assert_row_space_average_matches_the_grid(model, rho, tests):
+    """A factored u: the row-space average, at orbit-space shape, within
+    32 eps of the grid average, measured by the averages of the s- and
+    t-integrals of |u| (largest over the orbit space); any other u: the grid
+    average itself."""
+    largest = None  # largest average of an s-integral, relative to |u|
+    for u in tests:
+        grid = averaging(model, rho, shriek_difference(model, rho, u)).values
+        row = shriek_average(model, rho, u)
+        if not _is_factored(model, rho, u):
+            assert np.array_equal(row, grid)
+            continue
+        assert row.shape == orbit_shape(model)
+        s_size = np.max(np.abs(averaging(
+            model, rho, s_fiber_integrate(model, rho, absolute(u))).values))
+        t_size = np.max(np.abs(averaging(
+            model, rho, t_fiber_integrate(model, rho, absolute(u))).values))
+        assert np.all(np.abs(row - grid) <= 32 * EPS * (s_size + t_size))
+        # the average of the s-integral alone, so that the rho and Haar
+        # factors of the row-space formula show
+        source = shriek_average(model, rho, SourceOnly(model, u.terms))
+        ref = averaging(model, rho, s_fiber_integrate(model, rho, u)).values
+        assert np.all(np.abs(source - ref) <= 32 * EPS * s_size)
+        largest = max(largest or 0.0, float(np.max(np.abs(ref))) / s_size)
+    return largest
+
+
+@pytest.mark.parametrize("make", PROPER_MODELS, ids=PROPER_IDS)
+@pytest.mark.parametrize("kind", ["constant", "off_axis", "along_axis"])
+def test_shriek_average_is_the_average_of_the_s_minus_t_integral(make, kind, monkeypatch):
+    model = make()
+    rng = np.random.default_rng(73)
+    rho = (cyclic_rho(model, kind, rng) if isinstance(model, CyclicAxisModel)
+           else 0.5 + rng.uniform(size=model.grid.shape))
+    tests = default_test_set(model, random.Random(73), count=4)
+    factored = isinstance(model, CyclicAxisModel) and kind != "along_axis"
+    assert all(_is_factored(model, rho, u) == factored for u in tests)
+    largest = assert_row_space_average_matches_the_grid(
+        model, rho, tests + [mixed_arrow_function(model, rng)[0]])
+    if factored:
+        # these test functions have s-averages near their own size
+        assert largest > 0.05
+        # the row-space path builds no s - t and averages nothing on the grid
+        monkeypatch.setattr(transverse, "averaging", None)
+        monkeypatch.setattr(transverse, "s_fiber_integrate", None)
+        for u in tests:
+            shriek_average(model, rho, u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 33), n_r=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["constant", "off_axis", "along_axis"]))
+def test_shriek_average_on_random_grids(n, n_r, seed, kind):
+    model = cyclic_model(n_r, n)
+    rho = cyclic_rho(model, kind, np.random.default_rng(seed))
+    assert_row_space_average_matches_the_grid(
+        model, rho, default_test_set(model, random.Random(seed), count=3))
