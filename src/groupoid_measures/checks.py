@@ -742,7 +742,7 @@ def _iota_scaling(ctx, tol):
     family = ctx.leaf_family()
     base = affine_volume(family)[0]
     doubled = affine_volume(ctx.leaf_family(iota=2 * family.iota))[0]
-    return doubled / base, 0.5
+    return np.divide(doubled, base), 0.5
 
 
 def catalog() -> list[CheckDef]:

@@ -4,8 +4,9 @@ Exit codes: 0 all checks pass, 1 at least one check fails, 2 input error.
 An input error is a ``ScenarioError``, raised where a value is first found
 wrong: malformed JSON, a document of the wrong shape, unknown checks, bad
 check parameters, missing files, or data that breaks a precondition of a
-check (an orbit volume below threshold, a degenerate lattice, a field that
-is not finite where it is integrated).  Anything else, a ``ModelError``
+check (an orbit volume below threshold, a degenerate lattice), a field sample
+that is not finite, or a check whose arithmetic overflows, is invalid or divides
+by zero, so no row holds a NaN or an inf.  Anything else, a ``ModelError``
 included, is a bug in the program and ends in a traceback.
 """
 
@@ -16,6 +17,8 @@ import json
 import os
 import sys
 from importlib import resources
+
+import numpy as np
 
 from .checks import REGISTRY, ScenarioContext, catalog
 from .expressions import REQUIRED, ScenarioError, integer, number
@@ -101,15 +104,17 @@ def read_scenario(doc: dict, tol_overrides: dict[str, float] | None = None,
 
 def run_scenario(scenario: tuple[tuple, list]) -> list[CheckRow]:
     """Runs the checks of a scenario from ``read_scenario``, in order, in a
-    context whose caches go when the scenario is done."""
+    context whose caches go when the scenario is done; numpy raises on
+    overflow, invalid operations and division by zero, not on underflow."""
     context, plan = scenario
     ctx = ScenarioContext(*context)
     rows: list[CheckRow] = []
-    for check, tol, values in plan:
-        try:
-            rows.extend(check.rows(ctx.name, check.runner(ctx, tol, **values), tol))
-        except ScenarioError as exc:
-            raise ScenarioError(f"check {check.name!r}: {exc}") from exc
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for check, tol, values in plan:
+            try:
+                rows.extend(check.rows(ctx.name, check.runner(ctx, tol, **values), tol))
+            except (ScenarioError, FloatingPointError) as exc:
+                raise ScenarioError(f"check {check.name!r}: {exc}") from exc
     return rows
 
 

@@ -163,12 +163,10 @@ def positive_finite(values, strict: bool = True) -> bool:
 
 def integrate(grid: Grid, values: np.ndarray) -> float:
     """Quadrature total of node values on the grid (fixed axis-descending
-    order)."""
+    order); an overflow is for the caller's numpy error state to judge."""
     if values.shape != grid.shape:
         raise ValueError(f"values shape {values.shape} does not match "
                          f"grid shape {grid.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ScenarioError("field has non-finite values")
     for axis in reversed(range(grid.ndim)):
         values = (values * grid.axis_weight(axis, values.ndim)).sum(axis=axis)
     return float(values)

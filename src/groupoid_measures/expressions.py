@@ -36,7 +36,8 @@ class ExpressionError(ScenarioError):
 
 
 def compile_field(expr: str, ndim: int):
-    """Compile a subscript-free expression to a function of ndim coordinate arrays."""
+    """Compile a subscript-free expression to a function of ndim coordinate
+    arrays; a sample that is not finite at every point is an ExpressionError."""
     if not isinstance(expr, str):
         raise ExpressionError(f"an expression must be a string, got {expr!r}")
     try:
@@ -61,7 +62,7 @@ def compile_field(expr: str, ndim: int):
             for nm in names:
                 scope[nm] = coord
         try:
-            # a NaN or inf is the caller's to reject, with its own message
+            # only the sample is judged, so where(x > 0, 1/x, 0) evaluates
             with np.errstate(all="ignore"):
                 result = eval(code, {"__builtins__": {}}, scope)
                 out = result + np.zeros(shape)
@@ -70,6 +71,8 @@ def compile_field(expr: str, ndim: int):
             raise ExpressionError(f"cannot evaluate {expr!r}: {exc}") from exc
         if out.dtype.kind != "f" or out.shape != shape:
             raise ExpressionError(f"{expr!r} is not a real value at each point")
+        if not np.isfinite(out).all():
+            raise ExpressionError(f"{expr!r} is not finite at every point")
         return out
 
     return fn

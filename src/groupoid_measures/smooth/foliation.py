@@ -28,18 +28,16 @@ class FoliatedGrid:
         self.h = grid.axes[leaf_axis].spacing
 
     def leafwise_derivative(self, values: np.ndarray) -> np.ndarray:
-        """Second-order derivative along the leaves; an infinite sample gives
-        NaN or infinite derivatives, with no warning."""
+        """Second-order derivative along the leaves."""
         v = np.moveaxis(np.asarray(values, dtype=float), self.leaf_axis, 0)
         h = self.h
-        with np.errstate(invalid="ignore", over="ignore"):
-            if self.grid.axes[self.leaf_axis].periodic:
-                out = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2 * h)
-            else:
-                out = np.empty_like(v)
-                out[1:-1] = (v[2:] - v[:-2]) / (2 * h)
-                out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
-                out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
+        if self.grid.axes[self.leaf_axis].periodic:
+            out = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2 * h)
+        else:
+            out = np.empty_like(v)
+            out[1:-1] = (v[2:] - v[:-2]) / (2 * h)
+            out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
+            out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
         return np.moveaxis(out, 0, self.leaf_axis)
 
     def measure_weights(self, transverse_values: np.ndarray) -> np.ndarray:
@@ -51,9 +49,8 @@ class FoliatedGrid:
             self.grid.shape).copy()
 
     def evaluate(self, weight_values: np.ndarray, integrand: np.ndarray) -> float:
-        """The weighted sum; infinities of both signs give NaN, with no warning."""
-        with np.errstate(invalid="ignore", over="ignore"):
-            return float((weight_values * integrand * self.grid.weights).sum())
+        """The weighted sum."""
+        return float((weight_values * integrand * self.grid.weights).sum())
 
 
 def stokes_defect(foliation: FoliatedGrid, weight_values: np.ndarray,

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -62,21 +61,20 @@ class SaturationError(ScenarioError):
 class SeparableField:
     """A grid field kept as the product of one profile per axis.
 
-    ``values`` multiplies the profiles out once, in axis order, as a
-    read-only array; ``split(axis)`` gives the profile along one axis and
-    the product of the others.  Both broadcast against the grid.
+    ``values`` multiplies the profiles out, in axis order, on each read, so
+    no grid array outlives its use; ``split(axis)`` gives the profile along
+    one axis and the product of the others.  Both broadcast against the grid.
     """
 
     def __init__(self, grid, profiles):
         self.profiles = [grid.along(axis, np.asarray(p, dtype=float))
                          for axis, p in enumerate(profiles)]
 
-    @cached_property
+    @property
     def values(self) -> np.ndarray:
         acc = 1.0
         for p in self.profiles:
             acc = acc * p
-        acc.setflags(write=False)
         return acc
 
     def split(self, axis: int):

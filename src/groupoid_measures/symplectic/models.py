@@ -74,8 +74,6 @@ class LeafFamilyModel:
             + np.zeros(base.shape)
         if not positive_finite(self.areas):
             raise ScenarioError("leaf areas must be positive and finite")
-        if not np.all(np.isfinite(self.area_slopes)):
-            raise ScenarioError("leaf area derivatives must be finite")
         self.template_total = integrate(self.leaf.grid, self.leaf.area_density)
         # quadrature total of every leaf_liouville(i)
         self.leaf_totals = np.array([integrate(self.leaf.grid, self.leaf_liouville(i))

@@ -2,6 +2,7 @@
 the same way, so a malformed value is an input error, never a traceback."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -45,8 +46,9 @@ def small_scenario(name: str, params: dict | None = None) -> dict:
             "checks": [{"name": name, "params": dict(required, **(params or {}))}]}
 
 
-def run(doc) -> tuple[int, str]:
-    """``gm run`` on a document; an escaping exception fails the caller."""
+def run(doc) -> tuple[int, str, str]:
+    """``gm run`` on a document, as (exit, stdout, stderr); an escaping
+    exception fails the caller."""
     fd, path = tempfile.mkstemp(suffix=".json")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -54,15 +56,16 @@ def run(doc) -> tuple[int, str]:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["run", path])
-        return code, err.getvalue()
+        return code, out.getvalue(), err.getvalue()
     finally:
         os.unlink(path)
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_every_check_runs_on_its_small_scenario(name):
-    code, err = run(small_scenario(name))
+    code, out, err = run(small_scenario(name))
     assert code in (0, 1), err
+    assert_documented_exit(code, out, err)
 
 
 def test_list_checks_names_every_declared_parameter(capsys):
@@ -77,13 +80,15 @@ def test_list_checks_names_every_declared_parameter(capsys):
 
 
 TEXT = st.text(alphabet="xyt +*().", max_size=6)  # no digits: no huge counts
-# fields that are non-finite or zero at some node of every small model, and a
-# subscript, which no field takes
-BAD_FIELDS = ["log(t - 1)", "sqrt(x - 0.5)", "0*x", "1/(x - x)", "phi[5]"]
+# fields that are non-finite or zero at some node of every small model, a
+# subscript, which no field takes, and finite fields at the ends of the float
+# range, whose products overflow or underflow
+BAD_FIELDS = ["log(t - 1)", "sqrt(x - 0.5)", "0*x", "1/(x - x)", "phi[5]",
+              "1e200*t", "1e200 + 0*t", "1e-310 + 0*x", "-1e308 + 0*y"]
 JSON_VALUES = st.one_of(
     TEXT,
     st.sampled_from(BAD_FIELDS),
-    st.floats(-4, 4) | st.sampled_from([math.nan, math.inf]),
+    st.floats(-4, 4) | st.sampled_from([math.nan, math.inf, 1e308, -1e308, 5e-324]),
     st.integers(-3, -1),
     st.booleans(),
     st.none(),
@@ -100,8 +105,8 @@ def test_any_param_value_gives_a_documented_exit(name, data):
         params = {data.draw(st.sampled_from(keys)): data.draw(JSON_VALUES)}
     else:
         params = {"undeclared": data.draw(JSON_VALUES)}
-    code, err = run(small_scenario(name, params))
-    assert_documented_exit(code, err)
+    code, out, err = run(small_scenario(name, params))
+    assert_documented_exit(code, out, err)
     if "undeclared" in params:
         assert code == 2 and "unknown parameter 'undeclared'" in err
 
@@ -113,16 +118,22 @@ FIELD_PARAMS = [(name, key) for name, check in sorted(REGISTRY.items())
 @pytest.mark.parametrize("expr", BAD_FIELDS)
 @pytest.mark.parametrize("name, key", FIELD_PARAMS)
 def test_every_field_parameter_gives_a_documented_exit_on_a_bad_field(name, key, expr):
-    code, err = run(small_scenario(name, {key: expr}))
-    assert_documented_exit(code, err)
+    code, out, err = run(small_scenario(name, {key: expr}))
+    assert_documented_exit(code, out, err)
 
 
-def assert_documented_exit(code: int, err: str):
+def assert_documented_exit(code: int, out: str, err: str):
+    """Exit 2 prints one error line; exit 0 or 1 writes a report whose every
+    lhs and rhs is finite."""
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 2:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+    else:
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows and all(math.isfinite(float(r[side]))
+                            for r in rows for side in ("lhs", "rhs")), out
 
 
 def value_paths(value, path=()):
@@ -156,5 +167,5 @@ def test_any_model_value_gives_a_documented_exit(name, data):
     # one value of the model document (its sigma included) replaced
     doc = BUNDLED[name]
     path = data.draw(st.sampled_from(list(value_paths(doc["model"], ("model",)))))
-    code, err = run(replaced(doc, path, data.draw(JSON_VALUES)))
-    assert_documented_exit(code, err)
+    code, out, err = run(replaced(doc, path, data.draw(JSON_VALUES)))
+    assert_documented_exit(code, out, err)

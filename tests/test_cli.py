@@ -629,9 +629,14 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
      "check 'weinstein_two_ways': an orbit volume is below threshold"),
     ("iota_degenerate_lattice.json",
      "check 'iota_scaling': affine structure is degenerate"),
-    ("dh_weyl_log.json", "check 'dh_weyl': field has non-finite values"),
+    ("dh_weyl_log.json", "check 'dh_weyl': 'log(t - 1)' is not finite at every point"),
     ("subnormal_axis.json", "check 'weinstein_two_ways': axis spacing 1.39067116157e-312 "
                             "is below the smallest normal float"),
+    # finite samples whose products overflow (an overflowed orbit volume once
+    # gave weinstein_two_ways 0 = 0), or whose affine volume underflows to 0
+    ("affine_overflow.json", "check 'affine_volume_two_ways': overflow encountered"),
+    ("weinstein_rho_overflow.json", "check 'weinstein_two_ways': overflow encountered"),
+    ("iota_subnormal_lattice.json", "check 'iota_scaling': invalid value encountered in divide"),
 ])
 def test_data_that_breaks_a_precondition_is_input_error(capsys, doc, message):
     code, _, err = run_cli(capsys, "run", os.path.join(DATA, doc))
@@ -654,12 +659,11 @@ def test_degenerate_lattice_fails_every_affine_check_alike(capsys, tmp_path):
                         "on base mass 1.000e+00\n"}
 
 
-def test_nan_convergence_order_fails_its_row(capsys):
+def test_nan_omega_of_a_convergence_order_is_input_error(capsys):
     code, out, err = run_cli(capsys, "run", os.path.join(DATA, "stokes_order_nan.json"))
-    assert code == 1 and "Traceback" not in err
-    (row,) = csv.DictReader(io.StringIO(out))
-    assert row["check"] == "stokes_order" and row["lhs"] == "nan"
-    assert row["pass"] == "false"
+    assert_input_error(code, err)
+    assert out == ""
+    assert "check 'stokes_order': 'sqrt(x - 0.5) + 0*y' is not finite at every point" in err
 
 
 def test_shortfall_is_the_clipped_difference_and_keeps_nan():
@@ -994,20 +998,36 @@ def test_symplectic_checks_need_their_model_kind(capsys, tmp_path, model, check,
                                    "averaging_annihilates", "cocycle_additivity",
                                    "cocycle_vanishes"])
 @pytest.mark.parametrize("sigma, message", [
-    ({"rho": "1 + sqrt(x - 0.5)"}, "algebroid weight must be strictly positive and finite"),
-    ({"tau": "log(x + 0.5)"}, "base density must be nonnegative and finite"),
+    ({"rho": "1 + sqrt(x - 0.5)"}, "'1 + sqrt(x - 0.5)' is not finite at every point"),
+    ({"tau": "log(x + 0.5)"}, "'log(x + 0.5)' is not finite at every point"),
 ])
 def test_nan_density_is_input_error(capsys, tmp_path, check, sigma, message):
     # NaN compares false both ways: it used to slip past the sign tests and
-    # give passing rows with lhs 0.  numpy's own warning about the sqrt or
-    # log is silenced here, so that stderr holds only the error line.
+    # give passing rows with lhs 0.  The sample is rejected where it is
+    # taken, and numpy's own warning about the sqrt or log is not raised.
     doc = {"name": "x", "engine": "smooth",
            "model": {"kind": "mirror_interval", "params": {"n": 33}, "sigma": sigma},
            "checks": [{"name": check}]}
-    with np.errstate(invalid="ignore", divide="ignore"):
-        code, _, err = run_doc(capsys, tmp_path, doc)
+    code, _, err = run_doc(capsys, tmp_path, doc)
     assert_input_error(code, err)
-    assert f"'{check}'" in err and message in err
+    assert f"check '{check}': {message}" in err
+
+
+@pytest.mark.parametrize("sigma, check, message", [
+    ({"rho": "x"}, {"name": "invariance_defect"},
+     "algebroid weight must be strictly positive and finite"),
+    ({"tau": "x"}, {"name": "invariance_defect"}, "base density must be nonnegative and finite"),
+    ({}, {"name": "weinstein_two_ways", "params": {"phi": "-1 + 0*x"}},
+     "cut-off seed 'phi' must be nonnegative and finite"),
+])
+def test_finite_density_or_seed_of_the_wrong_sign_is_input_error(capsys, tmp_path, sigma,
+                                                                 check, message):
+    doc = {"name": "x", "engine": "smooth",
+           "model": {"kind": "mirror_interval", "params": {"n": 33}, "sigma": sigma},
+           "checks": [check]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert f"check '{check['name']}': {message}" in err
 
 
 @pytest.mark.parametrize("check", [
@@ -1029,14 +1049,15 @@ MIRROR33 = {"kind": "mirror_interval", "params": {"n": 33}}
 
 @pytest.mark.parametrize("model, check, message", [
     (dict(MIRROR33, sigma={"rho": "1 + sqrt(x - 0.5)"}), {"name": "invariance_defect"},
-     "algebroid weight"),
+     "'1 + sqrt(x - 0.5)' is not finite"),
     (dict(MIRROR33, sigma={"tau": "log(x + 0.5)"}), {"name": "invariance_defect"},
-     "base density"),
+     "'log(x + 0.5)' is not finite"),
     # a cut-off seed that is NaN, or inf, at every node
     ({"kind": "circle_self", "params": {"n": 256}},
-     {"name": "weinstein_two_ways", "params": {"phi": "sqrt(-1)"}}, "seed 'phi'"),
+     {"name": "weinstein_two_ways", "params": {"phi": "sqrt(-1)"}}, "'sqrt(-1)' is not finite"),
     ({"kind": "circle_self", "params": {"n": 256}},
-     {"name": "weinstein_two_ways", "params": {"phi": "exp(1000*t)"}}, "seed 'phi'"),
+     {"name": "weinstein_two_ways", "params": {"phi": "exp(1000*t)"}},
+     "'exp(1000*t)' is not finite"),
 ])
 def test_nan_density_prints_only_the_error_line(tmp_path, model, check, message):
     # a fresh interpreter with Python's default warning filters, so a numpy
@@ -1049,7 +1070,58 @@ def test_nan_density_prints_only_the_error_line(tmp_path, model, check, message)
     proc = subprocess.run([sys.executable, "-m", "groupoid_measures.cli", "run", str(path)],
                           capture_output=True, text=True, env=env, timeout=60)
     assert_input_error(proc.returncode, proc.stderr)
-    assert message in proc.stderr
+    assert f"check '{check['name']}': {message}" in proc.stderr
+
+
+FAMILY_1E200 = dict(LEAF_FAMILY, area="1e200*t", area_derivative="1e200 + 0*t")
+FOLIATION33 = {"kind": "foliation", "n_leaf": 33, "n_transverse": 5}
+
+
+# affine_overflow.json and weinstein_rho_overflow.json are two more
+@pytest.mark.parametrize("engine, model, check, message", [
+    ("symplectic", FAMILY_1E200, {"name": "dh_weyl", "params": {"f": "1e300 + 0*t"}},
+     "overflow encountered"),
+    ("symplectic", FAMILY_1E200, {"name": "iota_scaling"}, "overflow encountered"),
+    ("symplectic", {"kind": "sphere", "area": 1e308}, {"name": "dh_two_ways"},
+     "overflow encountered"),
+    ("smooth", dict(ROTATION8, sigma={"tau": "1e308 + 0*r"}), {"name": "invariance_defect"},
+     "overflow encountered"),
+    ("smooth", ROTATION8, {"name": "weyl", "params": {"f": "1e308*r"}},
+     "'1e308*r' is not finite at every point"),
+    ("smooth", FOLIATION33, {"name": "stokes_closed", "params": {"omega": "1e308*x + 0*y"}},
+     "overflow encountered"),
+])
+def test_finite_data_whose_check_overflows_is_input_error(capsys, tmp_path, engine, model,
+                                                          check, message):
+    # no row may hold the inf or NaN these give, nor compare two of them
+    doc = {"name": "x", "engine": engine, "model": model, "checks": [check]}
+    code, out, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert out == "" and f"check '{check['name']}': {message}" in err
+
+
+def test_finite_wrong_answer_with_extreme_values_stays_a_failing_row(capsys, tmp_path):
+    doc = {"name": "x", "engine": "symplectic", "model": FAMILY_1E200,
+           "checks": [{"name": "affine_total", "params": {"expected": "1"}}]}
+    code, out, err = run_doc(capsys, tmp_path, doc)
+    assert code == 1 and "Traceback" not in err
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert float(row["lhs"]) == pytest.approx(1e200) and row["pass"] == "false"
+
+
+def test_underflow_in_a_check_keeps_numpys_default(capsys, tmp_path):
+    # f and tau are normal floats at x = -0.3125, their product is not
+    doc = {"name": "x", "engine": "smooth",
+           "model": dict(MIRROR33, sigma={"tau": "exp(-1000*x**2)"}),
+           "checks": [{"name": "weyl", "params": {"f": "exp(-1000*(x-0.5)**2)"}}]}
+    with np.errstate(under="raise"):
+        code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert "check 'weyl': underflow encountered" in err
+    code, out, err = run_doc(capsys, tmp_path, doc)
+    assert code == 0 and err == "# 1/1 checks passed\n"
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert 0 < float(row["lhs"]) == float(row["rhs"])
 
 
 # ---------------------------------------------------------------------------

@@ -58,15 +58,6 @@ def test_integrate_constant_on_unit_interval_is_exact():
     assert integrate(g, np.ones(g.shape)) == 1.0
 
 
-def test_integrate_rejects_a_non_finite_field_as_input_error():
-    # a ScenarioError is a ValueError, so library callers keep catching it
-    g = interval(9, 1.0, 2.0)
-    with np.errstate(divide="ignore"):
-        values = np.log(g.nodes(0) - 1)
-    with pytest.raises(ScenarioError, match="non-finite"):
-        integrate(g, values)
-
-
 def test_integrate_rejects_values_of_another_shape():
     g = Grid([Axis(5, 0.0, 1.0), Axis(3, 0.0, 1.0)])
     for shape in ((3, 5), (5,), (5, 3, 1)):

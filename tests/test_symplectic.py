@@ -226,7 +226,6 @@ def test_leaf_family_parser_takes_samples_leaf_nodes_and_defaults():
     ({"B": [1, 2, 9]}, "must be an object"),
     ({"leaf_nodes": 1}, "'leaf_nodes' must be >= 2"),
 ])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_leaf_family_parser_rejects_malformed_fields(change, message):
     doc = dict({"B": {"lo": 1.0, "hi": 2.0, "n": 9}, "area": "4*pi*t",
                 "area_derivative": "4*pi + 0*t"}, **change)

@@ -4,6 +4,7 @@ Heavier identities run on moderate grids; the acceptance suite repeats the
 critical ones at the full resolutions.
 """
 
+import collections
 import copy
 import gc
 import random
@@ -887,6 +888,29 @@ def separable_fields(u):
     return [b for _, b, _ in u.terms if isinstance(b, SeparableField)]
 
 
+@pytest.fixture
+def values_reads(monkeypatch):
+    """How often each ``SeparableField`` (by id) is multiplied out from now on."""
+    reads = collections.Counter()
+    product = SeparableField.values.fget
+
+    def counted(self):
+        reads[id(self)] += 1
+        return product(self)
+    monkeypatch.setattr(SeparableField, "values", property(counted))
+    return reads
+
+
+def test_a_slice_keeps_no_field_array_alive():
+    model = cyclic_model(5, 63)
+    u = ArrowFunction.random(model, random.Random(6))
+    u.slice(0)
+    for b in separable_fields(u):
+        assert list(vars(b)) == ["profiles"]
+        assert max(p.size for p in b.profiles) < np.prod(model.grid.shape)
+        assert b.values is not b.values and b.values.flags.writeable
+
+
 BATCH_GRIDS = pytest.mark.parametrize(
     "n_r, n", [(5, 63), (4, 64), (1, 63), (1, 64)],
     ids=["rotation-odd", "rotation-even", "circle-odd", "circle-even"])
@@ -908,7 +932,7 @@ def test_batched_factored_terms_match_the_group_node_loop(n_r, n, kind):
 
 
 @BATCH_GRIDS
-def test_batched_path_never_multiplies_a_factored_field_out(n_r, n):
+def test_batched_path_never_multiplies_a_factored_field_out(n_r, n, values_reads):
     model = cyclic_model(n_r, n)
     rng = np.random.default_rng(42)
     rho = cyclic_rho(model, "off_axis", rng)
@@ -918,18 +942,19 @@ def test_batched_path_never_multiplies_a_factored_field_out(n_r, n):
         s_fiber_integrate(model, rho, u)
         t_fiber_integrate(model, rho, u)
     assert model.orbit_spread(rho) == 0.0
-    assert all("values" not in b.__dict__ for u in tests for b in separable_fields(u))
+    assert not values_reads
 
 
 @BATCH_GRIDS
-def test_rho_varying_along_the_axis_keeps_the_per_term_path(n_r, n):
+def test_rho_varying_along_the_axis_keeps_the_per_term_path(n_r, n, values_reads):
     model = cyclic_model(n_r, n)
     rng = np.random.default_rng(43)
     rho = cyclic_rho(model, "along_axis", rng)
     u = batched_arrow_function(model, rng)
     for integral in (s_fiber_integrate, t_fiber_integrate):
+        values_reads.clear()
         out = integral(model, rho, u)
-        assert all("values" in b.__dict__ for b in separable_fields(u))
+        assert all(values_reads[id(b)] for b in separable_fields(u))
         assert np.array_equal(out, integral(model, rho, materialized(u)))
 
 
