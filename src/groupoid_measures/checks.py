@@ -10,6 +10,7 @@ tolerances (1e-6 quadrature, 1e-9 analytic, 1e-4 for derivative identities).
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -325,11 +326,17 @@ class CheckDef:
                 for key, (kind, default) in self.params.items()}
 
     def rows(self, scenario: str, result, tol: float) -> list[CheckRow]:
-        """Report rows; exact checks keep ``int`` and ``Fraction`` sides."""
+        """Report rows; exact checks keep ``int`` and ``Fraction`` sides.  A
+        float row whose error |lhs - rhs| overflows is an input error."""
         labelled = result if isinstance(result, dict) else {self.name: result}
         side = _exact_side if self.exact else float
-        return [CheckRow(scenario, label, side(lhs), side(rhs), tol, self.exact)
+        rows = [CheckRow(scenario, label, side(lhs), side(rhs), tol, self.exact)
                 for label, (lhs, rhs) in labelled.items()]
+        for row in rows:
+            if not (self.exact or math.isfinite(row.abs_err)):
+                raise ScenarioError(f"the error of row {row.check!r} is not finite "
+                                    f"(lhs {row.lhs!r}, rhs {row.rhs!r})")
+        return rows
 
 
 def _exact_side(value):

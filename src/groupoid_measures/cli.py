@@ -5,9 +5,10 @@ An input error is a ``ScenarioError``, raised where a value is first found
 wrong: malformed JSON, a document of the wrong shape, unknown checks, bad
 check parameters, missing files, or data that breaks a precondition of a
 check (an orbit volume below threshold, a degenerate lattice), a field sample
-that is not finite, or a check whose arithmetic overflows, is invalid or divides
-by zero, so no row holds a NaN or an inf.  Anything else, a ``ModelError``
-included, is a bug in the program and ends in a traceback.
+that is not finite, a check whose arithmetic overflows, is invalid or divides
+by zero, or a float row whose error |lhs - rhs| overflows, so no row holds a
+NaN or an inf.  Anything else, a ``ModelError`` included, is a bug in the
+program and ends in a traceback.
 """
 
 from __future__ import annotations

@@ -14,19 +14,15 @@ at length 1 there.  So fiber volumes, cut-off normalizations, orbit
 integrals and averages on a cyclic model stay on the orbit space.
 
 Random test functions keep their fields factored (``SeparableField``,
-per-axis profiles on the axis nodes).  When rho is constant along the
-cyclic axis (decided once per read-only rho), each factored term
-integrates to a row along the axis (the field's profile there times the
-total weight, or correlated for a target term) times a column, the
-field's profile of the other axes.  The fiber integral stacks K terms into
-K x n rows, with the unequal-weight correlations as one FFT pair, and
-M x K columns, sums them with one matrix product and multiplies by rho
-once.  For such a test function ``invariance_defects`` pairs the rows of u
-and of its inversion in row space, ``shriek_difference`` is one s-integral
-of u and the negated terms of ``u.inverted()``, and ``shriek_average``
-sums those rows along the axis, so no grid-sized array is built.  Every
-other term (plain arrays, a rho that varies along the axis, finite models)
-adds its own ``pull_sum``.
+per-axis profiles on the axis nodes).  Two checks use that, when rho is
+constant along the cyclic axis (decided once per read-only rho) and every
+term is factored: ``invariance_defects`` pairs u and its inversion with
+tau in row space, and ``shriek_average`` averages s_!(u) - t_!(u) there.
+Each factored term integrates to a row along the axis (the field's profile
+there times the total weight, or correlated for a target term) times a
+column, the field's profile of the other axes (``_factored_parts``), so
+no grid-sized array is built.  Every other test function, and every fiber
+integral, goes through ``s_fiber_integrate``.
 
 Hot loops keep at most one grid-sized temporary alive per step (a base
 pairing is the one expression ``(f * tau * weights).sum()``; differences
@@ -160,35 +156,22 @@ class ArrowFunction:
 def s_fiber_integrate(model, rho_values: np.ndarray, u: ArrowFunction) -> np.ndarray:
     """Source-fiber integral: sum of haar(g) u(g, x) rho(a(g, x)) over the group.
 
-    Where ``_keeps_factors`` holds, the ``SeparableField`` terms are summed
-    by ``_factored_sum`` and multiplied by rho once; every other term adds
-    its own ``pull_sum``; the terms add by broadcasting.
+    One ``pull_sum`` per term, the terms added by broadcasting.
     """
     haar = model.haar_masses()
-    terms = u.terms
-    factored = [t for t in terms if isinstance(t[1], SeparableField)]
     acc = 0.0
-    if factored and _keeps_factors(model, rho_values):
-        acc = _factored_sum(model, haar, factored)
-        acc *= rho_values
-        terms = [t for t in terms if not isinstance(t[1], SeparableField)]
-    for a, b, e in terms:
+    for a, b, e in u.terms:
         b = field_values(b)
         acc = acc + (model.pull_sum(haar * a, b * rho_values) if e
                      else b * model.pull_sum(haar * a, rho_values))
     return acc
 
 
-def _keeps_factors(model, rho_values: np.ndarray) -> bool:
-    """Whether factored terms integrate without being multiplied out: on a
-    cyclic model whose rho is constant along the axis."""
-    return isinstance(model, CyclicAxisModel) and model.constant_along_axis(rho_values)
-
-
 def _is_factored(model, rho_values: np.ndarray, u: ArrowFunction) -> bool:
-    """Whether u has terms and each is a ``SeparableField`` that stays factored."""
+    """Whether u has terms, each a ``SeparableField``, on a cyclic model whose
+    rho is constant along the axis: then u stays factored in row space."""
     return (bool(u.terms) and all(isinstance(b, SeparableField) for _, b, _ in u.terms)
-            and _keeps_factors(model, rho_values))
+            and isinstance(model, CyclicAxisModel) and model.constant_along_axis(rho_values))
 
 
 def _factored_parts(model, haar: np.ndarray, terms):
@@ -217,29 +200,12 @@ def _factored_parts(model, haar: np.ndarray, terms):
     return np.array(cols), rows
 
 
-def _factored_sum(model, haar: np.ndarray, terms) -> np.ndarray:
-    """Fiber integral over rho = 1 of ``SeparableField`` terms on a cyclic
-    model: one product sums the K terms of ``_factored_parts``."""
-    shape, axis = model.grid.shape, model.axis
-    cols, rows = _factored_parts(model, haar, terms)
-    out = cols.T @ rows
-    return np.moveaxis(out.reshape(shape[:axis] + shape[axis + 1:] + (shape[axis],)),
-                       -1, axis)
-
-
 def t_fiber_integrate(model, rho_values: np.ndarray, u: ArrowFunction) -> np.ndarray:
     return s_fiber_integrate(model, rho_values, u.inverted())
 
 
 def shriek_difference(model, rho_values: np.ndarray, u: ArrowFunction) -> np.ndarray:
-    """The s-integral minus the t-integral of u, s_!(u) - t_!(u).
-
-    A factored u (``_is_factored``) takes one s-integral of its terms and
-    the negated terms of ``u.inverted()``; any other u subtracts its
-    t-integral from its s-integral on the grid.
-    """
-    if _is_factored(model, rho_values, u):
-        return s_fiber_integrate(model, rho_values, ArrowFunction(model, _difference_terms(u)))
+    """The s-integral minus the t-integral of u, s_!(u) - t_!(u), on the grid."""
     diff = s_fiber_integrate(model, rho_values, u)
     diff -= t_fiber_integrate(model, rho_values, u)
     return diff
@@ -416,22 +382,16 @@ def cutoff_normalization_defect(model, rho_values: np.ndarray,
     return float(np.max(np.abs(norm - 1.0)))
 
 
-def _constant_cutoff(model, sigma: TransverseDensityData) -> np.ndarray:
-    return cutoff_construct(model, sigma.rho_values, np.ones(model.grid.shape))
-
-
 def weyl_check(model, sigma: TransverseDensityData, f_values: np.ndarray,
-               *, cutoff: np.ndarray | None = None) -> tuple[float, float]:
+               *, cutoff: np.ndarray) -> tuple[float, float]:
     """Disintegration of the base measure into orbit integrals, as (lhs, rhs).
 
     lhs integrates f against tau on the base; rhs integrates the orbit
     integrals of f (against the induced orbit densities) with the measure
     that the transverse density induces on the orbit space, realized by a
-    cut-off function of sigma (default: from the constant seed).  The rhs
-    does not depend on the seed of the cut-off.
+    cut-off function of sigma.  The rhs does not depend on the seed of the
+    cut-off.
     """
-    if cutoff is None:
-        cutoff = _constant_cutoff(model, sigma)
     lhs = pair_with_base_density(model, sigma.tau_values, f_values)
     orbit_integrals = s_fiber_integrate(
         model, sigma.rho_values, ArrowFunction.from_target_function(model, f_values))
@@ -440,18 +400,16 @@ def weyl_check(model, sigma: TransverseDensityData, f_values: np.ndarray,
 
 
 def weinstein_volume(model, sigma: TransverseDensityData,
-                     *, cutoff: np.ndarray | None = None,
+                     *, cutoff: np.ndarray,
                      volume_threshold: float = 1e-12) -> tuple[float, float]:
     """Orbit-space volume two ways, as (cut-off measure of 1, reciprocal orbit
     volumes).
 
-    ``cutoff`` is a cut-off function of sigma (default: from the constant seed).
+    ``cutoff`` is a cut-off function of sigma.
     """
     volumes = fiber_volumes(model, sigma.rho_values)
     if float(np.min(volumes)) <= volume_threshold:
         raise ScenarioError("an orbit volume is below threshold; model is not compact")
-    if cutoff is None:
-        cutoff = _constant_cutoff(model, sigma)
     direct = pair_with_base_density(model, sigma.tau_values, cutoff)
     reciprocal = float((sigma.tau_values / volumes * model.grid.weights).sum())
     return direct, reciprocal

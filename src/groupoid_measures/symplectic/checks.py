@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..density.grids import integrate
-from ..expressions import ScenarioError
 from .models import LeafFamilyModel, SymplecticPairModel
 
 
@@ -45,23 +44,9 @@ def dh_total_mass_two_ways(model: SymplecticPairModel) -> tuple[float, float]:
     return density_total, per_point * per_point
 
 
-def _check_lattice(model: LeafFamilyModel, ell: np.ndarray) -> None:
-    """Reject a degenerate lattice: a density that vanishes on a set of
-    positive base mass."""
-    degenerate_mass = float(model.base.weights[ell <= 0].sum())
-    if degenerate_mass > 0:
-        raise ScenarioError(
-            "affine structure is degenerate: the lattice density vanishes "
-            f"on base mass {degenerate_mass:.3e}")
-
-
-def affine_measure(model: LeafFamilyModel, lattice_density=None) -> np.ndarray:
-    """Density of the affine measure on the base grid: the lattice density
-    |A'| (or the given one); a degenerate lattice is rejected."""
-    ell = model.lattice_density() if lattice_density is None \
-        else np.asarray(lattice_density, dtype=float)
-    _check_lattice(model, ell)
-    return ell
+def affine_measure(model: LeafFamilyModel) -> np.ndarray:
+    """Density of the affine measure on the base grid: the lattice density |A'|."""
+    return model.lattice_density()
 
 
 def canonical_base_density(model: LeafFamilyModel) -> np.ndarray:
@@ -100,10 +85,8 @@ def affine_volume(model: LeafFamilyModel) -> tuple[float, float]:
     """Total canonical base mass, as (direct, reciprocal orbit-volume integral).
 
     The second path integrates 1 / (iota * Vol(leaf)) against the measure
-    that pairs leafwise Liouville with the lattice density.  A degenerate
-    lattice is rejected, as in ``affine_measure``.
+    that pairs leafwise Liouville with the lattice density.
     """
-    _check_lattice(model, model.lattice_density())
     leaf_totals = model.leaf_totals
     direct = integrate(model.base, canonical_base_density(model))
     reciprocal = integrate(model.base, leaf_totals / (model.iota * leaf_totals)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import math
+import sys
 
 import numpy as np
 
@@ -47,9 +48,12 @@ class LeafFamilyModel:
     """Interval of symplectic leaves with areas A(t) and component count iota.
 
     The leaf template only enters through its Liouville totals, which are
-    rescaled to A(t); the transverse lattice density defaults to |A'(t)|.
-    The template and the leaf totals are integrated once per family;
-    ``with_iota`` twins share them.
+    rescaled to A(t); the transverse lattice density is |A'(t)|.  A
+    degenerate lattice, one whose density vanishes (is below the smallest
+    normal float, as ``Axis`` rules for spacings) on base mass > 0, is
+    rejected here, so every leaf-family check sees a lattice of positive
+    density.  The template and the leaf totals are integrated once per
+    family; ``with_iota`` twins share them.
     """
 
     def __init__(self, base: Grid, area_fn, area_derivative_fn, iota: int = 1,
@@ -74,6 +78,11 @@ class LeafFamilyModel:
             + np.zeros(base.shape)
         if not positive_finite(self.areas):
             raise ScenarioError("leaf areas must be positive and finite")
+        degenerate_mass = float(base.weights[self.lattice_density() < sys.float_info.min].sum())
+        if degenerate_mass > 0:
+            raise ScenarioError(
+                "affine structure is degenerate: the lattice density vanishes "
+                f"on base mass {degenerate_mass:.3e}")
         self.template_total = integrate(self.leaf.grid, self.leaf.area_density)
         # quadrature total of every leaf_liouville(i)
         self.leaf_totals = np.array([integrate(self.leaf.grid, self.leaf_liouville(i))

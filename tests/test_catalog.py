@@ -124,7 +124,7 @@ def test_every_field_parameter_gives_a_documented_exit_on_a_bad_field(name, key,
 
 def assert_documented_exit(code: int, out: str, err: str):
     """Exit 2 prints one error line; exit 0 or 1 writes a report whose every
-    lhs and rhs is finite."""
+    lhs, rhs, abs_err and rel_err is finite."""
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 2:
@@ -133,7 +133,8 @@ def assert_documented_exit(code: int, out: str, err: str):
     else:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows and all(math.isfinite(float(r[side]))
-                            for r in rows for side in ("lhs", "rhs")), out
+                            for r in rows
+                            for side in ("lhs", "rhs", "abs_err", "rel_err")), out
 
 
 def value_paths(value, path=()):

@@ -636,7 +636,14 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
     # gave weinstein_two_ways 0 = 0), or whose affine volume underflows to 0
     ("affine_overflow.json", "check 'affine_volume_two_ways': overflow encountered"),
     ("weinstein_rho_overflow.json", "check 'weinstein_two_ways': overflow encountered"),
-    ("iota_subnormal_lattice.json", "check 'iota_scaling': invalid value encountered in divide"),
+    # a subnormal lattice density counts as vanishing (it once gave the
+    # affine checks 0 = 0 and dh_weyl 9e-323 = 9e-323)
+    ("iota_subnormal_lattice.json", "check 'iota_scaling': affine structure is degenerate"),
+    ("affine_subnormal_lattice.json",
+     "check 'affine_volume_two_ways': affine structure is degenerate"),
+    # sides of opposite sign near the float range once wrote abs_err Infinity
+    ("liouville_error_overflow.json",
+     "check 'liouville_total': the error of row 'liouville_total' is not finite"),
 ])
 def test_data_that_breaks_a_precondition_is_input_error(capsys, doc, message):
     code, _, err = run_cli(capsys, "run", os.path.join(DATA, doc))
@@ -645,11 +652,11 @@ def test_data_that_breaks_a_precondition_is_input_error(capsys, doc, message):
 
 
 def test_degenerate_lattice_fails_every_affine_check_alike(capsys, tmp_path):
-    # a zero lattice density used to give affine_volume_two_ways 0 = 0
+    # a zero lattice density used to give affine_volume_two_ways and dh_weyl 0 = 0
     with open(os.path.join(DATA, "iota_degenerate_lattice.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
     messages = set()
-    for name in ("affine_total", "affine_volume_two_ways", "iota_scaling"):
+    for name in ("affine_total", "affine_volume_two_ways", "iota_scaling", "dh_weyl"):
         params = {"expected": "1"} if name == "affine_total" else {}
         code, _, err = run_doc(capsys, tmp_path, dict(
             doc, checks=[{"name": name, "params": params}]))

@@ -86,10 +86,12 @@ def test_affine_measure_is_positive_and_linear():
     assert mu(np.zeros(family.base.shape)) == 0.0
 
 
-def test_degenerate_lattice_is_rejected():
-    family = sphere_family()
+@pytest.mark.parametrize("slope", [0.0, 5e-324])
+def test_degenerate_lattice_is_rejected(slope):
+    # a subnormal density counts as vanishing, as a subnormal axis spacing does
     with pytest.raises(ScenarioError, match="degenerate"):
-        affine_measure(family, lattice_density=np.zeros(family.base.shape))
+        LeafFamilyModel(Grid([Axis(65, 1.0, 2.0)]), lambda t: 4 * np.pi * t,
+                        lambda t: slope + 0 * t)
 
 
 def test_dh_weyl_identity_and_localization():

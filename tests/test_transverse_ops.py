@@ -242,7 +242,8 @@ def test_weyl_formula_and_seed_independence(rotation, lebesgue):
 def test_weyl_radial_integrand_against_polar_closed_form(rotation, lebesgue):
     # f(r) = r: integral of r * (Lebesgue) over the annulus = 2 pi (r_hi^3 - r_lo^3)/3
     r = rotation.grid.meshgrid()[0]
-    lhs, rhs = weyl_check(rotation, lebesgue, r)
+    lhs, rhs = weyl_check(rotation, lebesgue, r, cutoff=cutoff_construct(
+        rotation, lebesgue.rho_values, np.ones(rotation.grid.shape)))
     closed = 2 * np.pi * (2.0 ** 3 - 1.0) / 3
     assert abs(lhs - closed) <= 1e-3 * closed  # trapezoid in r
     assert relative_error(lhs, rhs) <= 1e-12
@@ -250,7 +251,9 @@ def test_weyl_radial_integrand_against_polar_closed_form(rotation, lebesgue):
 
 def test_weyl_volume_corollary(rotation, lebesgue):
     # f = 1: lhs is the total area, rhs integrates orbit volumes
-    lhs, rhs = weyl_check(rotation, lebesgue, np.ones(rotation.grid.shape))
+    ones = np.ones(rotation.grid.shape)
+    lhs, rhs = weyl_check(rotation, lebesgue, ones,
+                          cutoff=cutoff_construct(rotation, lebesgue.rho_values, ones))
     assert relative_error(lhs, rhs) <= 1e-12
     area = np.pi * (4.0 - 1.0)
     assert abs(lhs - area) <= 1e-10 * area
@@ -271,7 +274,8 @@ def test_weinstein_volume_circle_self_action():
     model = circle_self_model(128)
     sigma = TransverseDensityData(model, lambda t: np.ones_like(t),
                                   lambda t: np.ones_like(t) / (2 * np.pi))
-    direct, reciprocal = weinstein_volume(model, sigma)
+    direct, reciprocal = weinstein_volume(
+        model, sigma, cutoff=cutoff_construct(model, sigma.rho_values, np.ones(model.grid.shape)))
     assert abs(direct - 1.0) <= 1e-12
     assert relative_error(direct, reciprocal) <= 1e-12
 
@@ -281,7 +285,8 @@ def test_weinstein_volume_trivial_group_returns_total_mass():
     model = TrivialActionModel(grid)
     sigma = TransverseDensityData(model, lambda x: np.ones_like(x),
                                   lambda x: np.ones_like(x))
-    direct, _ = weinstein_volume(model, sigma)
+    direct, _ = weinstein_volume(
+        model, sigma, cutoff=cutoff_construct(model, sigma.rho_values, np.ones(model.grid.shape)))
     assert abs(direct - 2.0) <= 1e-12
 
 
@@ -369,7 +374,8 @@ def test_weinstein_threshold_error():
     sigma = TransverseDensityData(model, lambda t: np.ones_like(t),
                                   lambda t: np.ones_like(t))
     with pytest.raises(ScenarioError, match="threshold"):
-        weinstein_volume(model, sigma, volume_threshold=10.0)
+        weinstein_volume(model, sigma, volume_threshold=10.0, cutoff=cutoff_construct(
+            model, sigma.rho_values, np.ones(model.grid.shape)))
 
 
 def test_finite_action_descriptor_kind():
@@ -385,7 +391,8 @@ def test_weyl_trivial_group_sides_are_identical():
     sigma = TransverseDensityData(model, lambda x, y: np.ones_like(x),
                                   lambda x, y: 1.0 + x * y)
     f = np.sin(grid.meshgrid()[0]) + grid.meshgrid()[1]
-    lhs, rhs = weyl_check(model, sigma, f)
+    lhs, rhs = weyl_check(model, sigma, f,
+                          cutoff=cutoff_construct(model, sigma.rho_values, np.ones(grid.shape)))
     assert lhs == rhs
 
 
@@ -809,18 +816,11 @@ def assert_factored_integrals_match(model, rho, tests):
 @pytest.mark.parametrize("n_r, n", [(5, 63), (4, 64), (1, 63), (1, 64)],
                          ids=["rotation-odd", "rotation-even", "circle-odd", "circle-even"])
 @pytest.mark.parametrize("kind", ["constant", "off_axis", "along_axis"])
-def test_factored_fiber_integrals_match_the_materialized_fft_and_the_loop(
-        n_r, n, kind, rfft_calls):
+def test_factored_fiber_integrals_match_the_materialized_fft_and_the_loop(n_r, n, kind):
     model = cyclic_model(n_r, n)
     rho = cyclic_rho(model, kind, np.random.default_rng(31))
-    tests = default_test_set(model, random.Random(31), count=4)
-    for u in tests:
-        s_fiber_integrate(model, rho, u)
-        t_fiber_integrate(model, rho, u)
-    if n_r > 1:  # only a rho that varies along the angle takes the full-grid FFT
-        # (the 3-row stacks of the random functions never have the grid's shape)
-        assert (rfft_calls.get(full_grid_shape(model), 0) > 0) == (kind == "along_axis")
-    assert_factored_integrals_match(model, rho, tests)
+    assert_factored_integrals_match(model, rho,
+                                    default_test_set(model, random.Random(31), count=4))
 
 
 @settings(max_examples=60, deadline=None)
@@ -843,9 +843,10 @@ def test_finite_models_integrate_factored_fields_as_arrays(make):
                                   integral(model, rho, materialized(u)))
 
 
-def test_lebesgue_rotation_checks_make_no_full_grid_fft(rfft_calls):
+def test_lebesgue_rotation_checks_make_no_full_grid_fft(rfft_calls, values_reads):
     # the random fields stay factored and the Lebesgue rho is constant along
-    # the angle, so every correlation is a 1-D FFT of the angle axis
+    # the angle, so every correlation is a 1-D FFT of the angle axis and no
+    # factored field is multiplied out to the grid
     from groupoid_measures.cli import read_scenario, run_scenario
     doc = {"name": "x", "engine": "smooth",
            "model": {"kind": "rotation2d", "params": {"n_r": 8, "n_phi": 16}},
@@ -859,6 +860,7 @@ def test_lebesgue_rotation_checks_make_no_full_grid_fft(rfft_calls):
     assert rfft_calls.get(grid, 0) == 0
     # the target correlations ran, as rows along the axis
     assert sum(c for shape, c in rfft_calls.items() if shape[-1] == 16) > 0
+    assert not values_reads
 
 
 # ---------------------------------------------------------------------------
@@ -933,14 +935,19 @@ def test_batched_factored_terms_match_the_group_node_loop(n_r, n, kind):
 
 @BATCH_GRIDS
 def test_batched_path_never_multiplies_a_factored_field_out(n_r, n, values_reads):
+    # the defect pairing and the average of s - t, in row space
     model = cyclic_model(n_r, n)
     rng = np.random.default_rng(42)
     rho = cyclic_rho(model, "off_axis", rng)
-    tests = [batched_arrow_function(model, rng)] + default_test_set(
-        model, random.Random(42), count=3)
+    sigma = TransverseDensityData(model, lambda *c: rho,
+                                  lambda *c: 0.5 + rng.uniform(size=model.grid.shape))
+    factored = ArrowFunction(model, [t for t in batched_arrow_function(model, rng).terms
+                                     if isinstance(t[1], SeparableField)])
+    tests = [factored] + default_test_set(model, random.Random(42), count=3)
+    assert all(_is_factored(model, sigma.rho_values, u) for u in tests)
+    invariance_defects(model, sigma, tests)
     for u in tests:
-        s_fiber_integrate(model, rho, u)
-        t_fiber_integrate(model, rho, u)
+        shriek_average(model, sigma.rho_values, u)
     assert model.orbit_spread(rho) == 0.0
     assert not values_reads
 
@@ -1344,18 +1351,11 @@ def absolute(u):
                                          for a, b, e in u.terms])
 
 
-def assert_shriek_difference_is_s_minus_t(model, rho, tests, size=lambda u, s, t: (s, t)):
-    """One integral for a factored u: within 32 eps (max|s| + max|t|) of s - t
-    at every node, s and t measured by ``size``; any other u: s - t itself."""
+def assert_shriek_difference_is_s_minus_t(model, rho, tests):
+    """s - t itself, for every u."""
     for u in tests:
         s, t = s_fiber_integrate(model, rho, u), t_fiber_integrate(model, rho, u)
-        diff = shriek_difference(model, rho, u)
-        if _is_factored(model, rho, u):
-            s_size, t_size = size(u, s, t)
-            bound = 32 * EPS * (np.max(np.abs(s_size)) + np.max(np.abs(t_size)))
-            assert np.all(np.abs(diff - (s - t)) <= bound)
-        else:
-            assert np.array_equal(diff, s - t)
+        assert np.array_equal(shriek_difference(model, rho, u), s - t)
 
 
 @pytest.mark.parametrize("make", PROPER_MODELS, ids=PROPER_IDS)
@@ -1375,15 +1375,10 @@ def test_shriek_difference_is_the_s_minus_t_integral(make, kind):
 @given(n=st.integers(1, 33), n_r=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
        kind=st.sampled_from(["constant", "off_axis", "along_axis"]))
 def test_shriek_difference_on_random_grids(n, n_r, seed, kind):
-    # on a few nodes the terms of s can cancel far below their own size (n = 1
-    # gave s = 0.00475 from terms near 1, and a difference of 1.7e-16), so
-    # the sizes here are the s- and t-integrals of |u|, which bound |s|, |t|
     model = cyclic_model(n_r, n)
     rho = cyclic_rho(model, kind, np.random.default_rng(seed))
     assert_shriek_difference_is_s_minus_t(
-        model, rho, default_test_set(model, random.Random(seed), count=3),
-        size=lambda u, s, t: (s_fiber_integrate(model, rho, absolute(u)),
-                              t_fiber_integrate(model, rho, absolute(u))))
+        model, rho, default_test_set(model, random.Random(seed), count=3))
 
 
 @BATCH_GRIDS
