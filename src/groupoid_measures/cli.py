@@ -1,14 +1,16 @@
 """Command-line front end: run scenario files, list the check catalog.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 input error.
-An input error is a ``ScenarioError``, raised where a value is first found
-wrong: malformed JSON, a document of the wrong shape, unknown checks, bad
-check parameters, missing files, or data that breaks a precondition of a
-check (an orbit volume below threshold, a degenerate lattice), a field sample
-that is not finite, a check whose arithmetic overflows, is invalid or divides
-by zero, or a float row whose error |lhs - rhs| overflows, so no row holds a
-NaN or an inf.  Anything else, a ``ModelError`` included, is a bug in the
-program and ends in a traceback.
+A violated identity is a failing row.  An input error is a ``ScenarioError``,
+raised where a value is first found wrong: malformed JSON, a document of the
+wrong shape, unknown checks (in a document or a ``--tol`` key), bad check
+parameters, missing or unwritable files, or data that breaks a precondition
+of a check (an orbit volume below threshold, a degenerate lattice), a field
+sample that is not finite, a check whose arithmetic overflows, is invalid or
+divides by zero, or a float row whose error |lhs - rhs| overflows, so no row
+holds a NaN or an inf.  Anything else, a ``ModelError`` included (misuse of
+the library or a constructor check that no document reaches), is a bug in
+the program and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ def _parse_tol_overrides(pairs: list[str]) -> dict[str, float]:
         if "=" not in pair:
             raise ScenarioError(f"--tol expects KEY=VALUE, got {pair!r}")
         key, value = pair.split("=", 1)
+        if key not in REGISTRY:
+            raise ScenarioError(f"--tol names no check {key!r}; valid names: "
+                                f"{', '.join(sorted(REGISTRY))}")
         overrides[key] = TOLERANCE.convert(value, f"--tol value for {key!r}")
     return overrides
 
@@ -150,8 +155,11 @@ def cmd_run(args) -> int:
     report = Report([row for s in scenarios for row in run_scenario(s)])
     text = report.to_json() if args.format == "json" else report.to_csv()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ScenarioError(f"cannot write report {args.out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
     summary = report.summary()

@@ -128,22 +128,29 @@ def _finite(value, name) -> float:
     return out
 
 
-def _at_least(label: str, read: Callable, minimum) -> Kind:
-    """The values ``read`` accepts, none below ``minimum`` unless it is None."""
+def _bounded(label: str, read: Callable, minimum, maximum=None) -> Kind:
+    """The values ``read`` accepts, none below ``minimum`` and none above
+    ``maximum``, each bound unless it is None."""
     def convert(value, name):
         out = read(value, name)
         if minimum is not None and out < minimum:
             raise ScenarioError(f"{name} must be >= {minimum}, got {out!r}")
+        if maximum is not None and out > maximum:
+            raise ScenarioError(f"{name} must be <= {maximum}, got {value!r}")
         return out
-    return Kind(label if minimum is None else f"{label} >= {minimum}", convert)
+    if maximum is not None:
+        label = f"{label} in {minimum}..{maximum}"
+    elif minimum is not None:
+        label = f"{label} >= {minimum}"
+    return Kind(label, convert)
 
 
-def integer(minimum: int | None = None) -> Kind:
-    return _at_least("int", as_int, minimum)
+def integer(minimum: int | None = None, maximum: int | None = None) -> Kind:
+    return _bounded("int", as_int, minimum, maximum)
 
 
 def number(minimum: float | None = None) -> Kind:
-    return _at_least("number", _finite, minimum)
+    return _bounded("number", _finite, minimum)
 
 
 def _boolean(value, name) -> bool:

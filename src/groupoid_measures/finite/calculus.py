@@ -74,12 +74,14 @@ def t_shriek(g: FiniteGroupoid, u) -> Weights:
     return out
 
 
-def _orbit_space(g: FiniteGroupoid) -> tuple[int, list[Weights]]:
-    """n_objects minus the exact rank of s_down - t_down, and the orbit indicators.
+def coinvariants(g: FiniteGroupoid) -> tuple[int, list[Weights]]:
+    """Dimension and representatives of coker(s_down - t_down).
 
-    The image of s_down - t_down is spanned by the columns
-    {src(a): 1, tgt(a): -1} of the arrows that are not loops; a loop's
-    column is zero.
+    The dimension is n_objects minus the exact rank of s_down - t_down, whose
+    image is spanned by the columns {src(a): 1, tgt(a): -1} of the arrows that
+    are not loops (a loop's column is zero).  The representatives are the
+    orbit indicator weights, which descend to a basis of the cokernel when the
+    dimension equals the orbit count.
     """
     columns = [{g.src[a]: 1, g.tgt[a]: -1} for a in g.arrows() if g.src[a] != g.tgt[a]]
     dim = g.n_objects - linalg_q._reduce(columns)
@@ -92,34 +94,18 @@ def _orbit_space(g: FiniteGroupoid) -> tuple[int, list[Weights]]:
     return dim, basis
 
 
-def coinvariants(g: FiniteGroupoid) -> tuple[int, list[Weights]]:
-    """Dimension and representatives of coker(s_down - t_down).
-
-    The dimension is n_objects minus the exact rank of s_down - t_down; the
-    returned representatives are the orbit indicator weights, which descend
-    to a basis of the cokernel.
-    """
-    dim, basis = _orbit_space(g)
-    if dim != len(basis):
-        raise AssertionError("cokernel dimension disagrees with orbit count")
-    return dim, basis
-
-
-def transverse_measure_cone(g: FiniteGroupoid) -> list[tuple[Weights, bool]]:
-    """Basis of {v : v o s_down = v o t_down}, with a positivity flag per vector.
+def transverse_measure_cone(g: FiniteGroupoid) -> tuple[int, list[Weights]]:
+    """Dimension of {v : v o s_down = v o t_down} and the rays of its positive cone.
 
     The invariance condition on an object functional v reduces, on arrow
-    indicators, to v(src(a)) = v(tgt(a)) for every arrow a.  The solution
-    space is an exact kernel (its dimension is n_objects minus the rank of
-    those constraints) and is recombined to the orbit indicator basis; each
-    indicator spans a ray of the positive cone, so every flag is True.
-    Positive functionals are exactly the nonnegative combinations of the
-    returned basis.
+    indicators, to v(src(a)) = v(tgt(a)) for every arrow a: v is in the
+    kernel of the transpose of s_down - t_down, whose dimension is the
+    cokernel's, n_objects minus the exact rank.  Each orbit indicator spans a
+    ray of the positive cone, and positive functionals are exactly the
+    nonnegative combinations of the rays when the dimension equals the orbit
+    count.
     """
-    kernel_dim, basis = _orbit_space(g)
-    if kernel_dim != len(basis):
-        raise AssertionError("invariant functional space is not spanned by orbits")
-    return [(vec, True) for vec in basis]
+    return coinvariants(g)
 
 
 def is_invariant_functional(g: FiniteGroupoid, v) -> bool:

@@ -228,7 +228,7 @@ def restrict_full_subgroupoid(g: FiniteGroupoid, objects: list[int]) -> FiniteGr
         tgt=tuple(obj_new[g.tgt[a]] for a in keep),
         compose_table={
             (arr_new[a], arr_new[b]): arr_new[g.compose_table[(a, b)]]
-            for a in keep for b in keep if g.composable(a, b)
+            for a in keep for b in g.arrows_into[g.src[a]] if b in arr_new
         },
         inverse=tuple(arr_new[g.inverse[a]] for a in keep),
         unit=tuple(arr_new[g.unit[x]] for x in selected),

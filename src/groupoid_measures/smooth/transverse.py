@@ -44,8 +44,6 @@ from ..density.grids import positive_finite
 from ..expressions import ScenarioError
 from .models import ActionGroupoidModel, CyclicAxisModel, ModelError, TransverseDensityData
 
-QUADRATURE_TOL = 1e-6
-ANALYTIC_TOL = 1e-9
 # size of the default test set of the invariance and inversion defects
 DEFAULT_TEST_COUNT = 8
 
@@ -326,33 +324,24 @@ def inversion_invariance_check(model, sigma: TransverseDensityData,
 
 @dataclass
 class AveragingResult:
-    values: np.ndarray          # orbit-constant; broadcasts against the model grid
-    base_values: np.ndarray     # representative values on the orbit space
-    base_descriptor: object
-    constancy_defect: float
+    values: np.ndarray          # broadcasts against the grid; on the orbit space if cyclic
+    constancy_defect: float     # orbit spread of values over the largest |h * rho|
 
 
-def averaging(model, rho_values: np.ndarray, section_values: np.ndarray,
-              tol: float = QUADRATURE_TOL) -> AveragingResult:
-    """Fiber mass of the section h * rho, as a function on the orbit space.
-
-    Raises ModelError when the result fails to be constant on orbits
-    (which signals a broken model, not bad data).
-    """
+def averaging(model, rho_values: np.ndarray, section_values: np.ndarray) -> AveragingResult:
+    """Fiber mass of the section h * rho, as a function on the orbit space,
+    and how far it is from constant on orbits; the caller judges the defect."""
     if not model.proper:
         raise ModelError("averaging needs a proper model")
     # the s-fiber integral of the target function of the section, as one pull
     weighted = section_values * rho_values
     av = model.pull_sum(model.haar_masses(), weighted)
-    # constancy is judged against the size of the integrand, not of the
+    # constancy is measured against the size of the integrand, not of the
     # average itself, so that averages that are legitimately zero pass
     defect = model.orbit_spread(av)
     if defect:  # zero is exact: a NaN in the section gives a NaN spread
         defect /= float(np.max(np.abs(weighted, out=weighted))) or 1.0
-    if defect > tol:
-        raise ModelError(f"averaged section is not orbit constant ({defect:.3e})")
-    base_values, base = model.project_to_base(av)
-    return AveragingResult(av, base_values, base, defect)
+    return AveragingResult(av, defect)
 
 
 def cutoff_construct(model, rho_values: np.ndarray, phi_values: np.ndarray,

@@ -208,11 +208,19 @@ def test_bundled_scenarios_exist():
     ("oops", "KEY=VALUE"),
     ("axioms_valid=nan", "--tol value for 'axioms_valid' must be a finite number"),
     ("axioms_valid=-1", "--tol value for 'axioms_valid' must be >= 0"),
+    ("weyll=1e-30", "--tol names no check 'weyll'"),
 ])
 def test_bad_tol_flag_is_input_error(capsys, flag, message):
     code, _, err = run_cli(capsys, "run", "z2_group", "--tol", flag)
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("where", ["missing/report.csv", "."])
+def test_unwritable_out_is_input_error(capsys, tmp_path, where):
+    code, out, err = run_cli(capsys, "run", "z2_group", "--out", str(tmp_path / where))
+    assert_input_error(code, err)
+    assert "cannot write report" in err and out == ""
 
 
 def assert_input_error(code, err):
@@ -609,16 +617,34 @@ def test_group_quadrature_check_on_a_non_proper_model_is_input_error(capsys, tmp
     assert f"'{check['name']}'" in err and "'scaling_line' is not a proper" in err
 
 
+def assert_failing_rows(code, out, err, checks):
+    """Exit 1 with a report whose failing rows are exactly ``checks``."""
+    assert code == 1 and "Traceback" not in err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["check"] for r in rows if r["pass"] == "false"] == checks
+
+
 def test_averaging_that_is_not_orbit_constant_stays_a_failure(capsys, tmp_path,
                                                               monkeypatch):
-    # a broken model, not bad input: the ModelError is not mapped to exit 2
-    from groupoid_measures.smooth import CyclicAxisModel, ModelError
+    # a broken model, not bad input: the row fails, and it is not exit 2
+    from groupoid_measures.smooth import CyclicAxisModel
     monkeypatch.setattr(CyclicAxisModel, "orbit_spread", lambda self, values: 1.0)
     doc = {"name": "x", "engine": "smooth",
            "model": {"kind": "rotation2d", "params": {"n_r": 6, "n_phi": 16}},
            "checks": [{"name": "averaging_orbit_constant"}]}
-    with pytest.raises(ModelError, match="not orbit constant"):
-        run_doc(capsys, tmp_path, doc)
+    assert_failing_rows(*run_doc(capsys, tmp_path, doc), ["averaging_orbit_constant"])
+
+
+def test_an_off_by_one_rank_fails_the_orbit_count_rows(capsys, tmp_path, monkeypatch):
+    # each row compares a computed rank with the orbit count, so an exact
+    # rank that is one too large fails all three rows instead of an abort
+    reduce = finite.linalg_q._reduce
+    monkeypatch.setattr(finite.linalg_q, "_reduce", lambda columns: reduce(columns) + 1)
+    doc = {"name": "x", "engine": "finite", "model": {"kind": "pair", "n": 3},
+           "checks": [{"name": "coinvariants_dimension"}, {"name": "cone_dimension"},
+                      {"name": "betti_zero"}]}
+    assert_failing_rows(*run_doc(capsys, tmp_path, doc),
+                        ["coinvariants_dimension", "cone_dimension", "betti_zero"])
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -644,6 +670,15 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
     # sides of opposite sign near the float range once wrote abs_err Infinity
     ("liouville_error_overflow.json",
      "check 'liouville_total': the error of row 'liouville_total' is not finite"),
+    # a count, samples or kmax above its cap once ran until it was stopped
+    ("invariance_count_1e308.json",
+     "check 'invariance_defect': parameter 'count' must be <= 1000, got 1e+308"),
+    ("trace_samples_1e308.json", "check 'trace_matches_orbit_constancy': "
+                                 "parameter 'samples' must be <= 1000, got 1e+308"),
+    ("homology_kmax_1e308.json",
+     "check 'homology_betti': parameter 'kmax' must be <= 16, got 1e+308"),
+    ("homology_kmax_1e8.json",
+     "check 'homology_betti': parameter 'kmax' must be <= 16, got 100000000"),
 ])
 def test_data_that_breaks_a_precondition_is_input_error(capsys, doc, message):
     code, _, err = run_cli(capsys, "run", os.path.join(DATA, doc))
@@ -865,6 +900,30 @@ def test_a_nerve_at_the_cap_is_enumerated_and_one_string_more_is_refused(capsys,
     code, _, err = run_doc(capsys, tmp_path, doc)
     assert_input_error(code, err)
     assert "the nerve has 120 strings" in err
+
+
+# every count, samples and kmax parameter of the catalog, with its cap
+CAPPED_PARAMS = [(name, key, checks.MAX_DRAWS if kind is checks.DRAWS else checks.MAX_DEGREE)
+                 for name, check in sorted(REGISTRY.items())
+                 for key, (kind, _) in check.params.items()
+                 if kind is checks.DRAWS or key == "kmax"]
+
+
+def test_every_count_samples_and_kmax_parameter_is_capped():
+    assert len(CAPPED_PARAMS) == 10
+
+
+@pytest.mark.parametrize("value", [None, 1e308])
+@pytest.mark.parametrize("name, key, cap", CAPPED_PARAMS,
+                         ids=[f"{n}-{k}" for n, k, _ in CAPPED_PARAMS])
+def test_param_above_its_cap_is_input_error(capsys, tmp_path, name, key, cap, value):
+    engine = REGISTRY[name].engine
+    doc = {"name": "x", "engine": engine,
+           "model": ROTATION8 if engine == "smooth" else {"kind": "unit", "n": 1},
+           "checks": [{"name": name, "params": {key: cap + 1 if value is None else value}}]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert f"'{name}': parameter '{key}' must be <= {cap}" in err
 
 
 @pytest.mark.parametrize("engine, check, params, message", [

@@ -497,10 +497,6 @@ def test_exact_engine_is_the_reference_for_finite_smooth_models(case, data):
     def on_grid(values):
         return np.array([float(v) for v in values]).reshape(model.grid.shape)
 
-    reps = model.orbit_representatives().tolist()
-    assert len(reps) == len(orbits(g))
-    assert reps == sorted(min(orb) for orb in orbits(g))
-
     # the normalized Haar measure gives each group element the mass 1/|G|
     haar = HaarWeight(g, rho)
     assert np.allclose(fiber_volumes(model, on_grid(rho)).ravel(),

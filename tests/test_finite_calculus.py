@@ -91,7 +91,7 @@ def test_coinvariant_dimension_equals_orbit_count(g):
 def test_orbit_space_dimension_is_the_dense_corank_of_the_difference_matrix(g):
     corank = g.n_objects - dense_rank(difference_matrix(g))
     assert coinvariants(g)[0] == corank
-    assert len(transverse_measure_cone(g)) == corank
+    assert transverse_measure_cone(g)[0] == corank
 
 
 def test_coinvariants_examples():
@@ -103,9 +103,10 @@ def test_coinvariants_examples():
 
 @pytest.mark.parametrize("g", SUITE, ids=lambda g: g.name)
 def test_cone_basis_is_invariant_and_spans_kernel(g):
-    basis = transverse_measure_cone(g)
-    for vec, positive in basis:
-        assert positive
+    dim, basis = transverse_measure_cone(g)
+    assert len(basis) == dim
+    for vec in basis:
+        assert all(v >= 0 for v in vec)  # a ray of the positive cone
         assert is_invariant_functional(g, vec)
     # oracle: exact kernel of the transposed difference matrix
     diff = difference_matrix(g)
@@ -118,12 +119,9 @@ def test_cone_basis_is_invariant_and_spans_kernel(g):
 
 
 def test_cone_examples():
-    unit3 = transverse_measure_cone(unit_groupoid(3))
-    assert [v for v, _ in unit3] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    pair3 = transverse_measure_cone(pair_groupoid(3))
-    assert [v for v, _ in pair3] == [[1, 1, 1]]
-    two_orbit = transverse_measure_cone(z2_swap_plus_fixed())
-    assert [v for v, _ in two_orbit] == [[1, 1, 0], [0, 0, 1]]
+    assert transverse_measure_cone(unit_groupoid(3)) == (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert transverse_measure_cone(pair_groupoid(3)) == (1, [[1, 1, 1]])
+    assert transverse_measure_cone(z2_swap_plus_fixed()) == (2, [[1, 1, 0], [0, 0, 1]])
 
 
 def test_convolution_on_unit_groupoid_is_pointwise():

@@ -175,7 +175,6 @@ def test_averaging_of_radial_section_returns_radial_profile(rotation, lebesgue):
     res = averaging(rotation, lebesgue.rho_values, section)
     assert res.constancy_defect <= 1e-14
     assert np.max(np.abs(res.values - section)) <= 1e-12  # rho is normalized
-    assert res.base_values.shape == (rotation.grid.shape[0],)
 
 
 def test_averaging_annihilates_shriek_differences(rotation, lebesgue):
@@ -1083,14 +1082,6 @@ def test_nan_density_is_rejected():
                               lambda x: np.full_like(x, np.inf))
 
 
-def test_orbit_representatives_are_the_least_node_of_each_orbit():
-    for model in (antipodal_circle_model(24), mirror_interval_model(17, 1.0),
-                  TrivialActionModel(Grid([Axis(3, 0.0, 1.0), Axis(4, 0.0, 1.0)]))):
-        n = int(np.prod(model.grid.shape))
-        orbits = {frozenset(int(m.ravel()[x]) for m in model.node_maps) for x in range(n)}
-        assert model.orbit_representatives().tolist() == sorted(min(o) for o in orbits)
-
-
 # ---------------------------------------------------------------------------
 # the array paths of the rotation hot loops against the per-element loops
 # they replaced, compared bit for bit
@@ -1154,15 +1145,14 @@ AXIOM_MODELS = {
 def test_check_axioms_equals_the_per_sample_loop(case, seed, samples):
     model = AXIOM_MODELS[case]()
     rng, ref_rng = random.Random(seed), random.Random(seed)
-    assert model.check_axioms(rng, samples, tol=np.inf) \
-        == scalar_check_axioms(model, ref_rng, samples)
+    assert model.check_axioms(rng, samples) == scalar_check_axioms(model, ref_rng, samples)
     # the same draws in the same order: both generators are in one state
     assert rng.random() == ref_rng.random()
 
 
-def test_check_axioms_still_raises_above_tol():
-    with pytest.raises(ModelError, match="action axioms fail"):
-        COCYCLE_CASES["reflection"].model.check_axioms(random.Random(0))
+def test_check_axioms_returns_the_defect_of_a_failing_axiom():
+    # the caller judges it: the model_axioms row compares it with 1e-9
+    assert COCYCLE_CASES["reflection"].model.check_axioms(random.Random(0)) > 1e-9
 
 
 def loop_orbit_density(model, rho, node):
@@ -1205,14 +1195,10 @@ def test_averaging_equals_the_target_fiber_integral(make):
     model = make()
     rng = np.random.default_rng(52)
     rho = 0.5 + rng.uniform(size=model.grid.shape)
-    base = model.project_to_base(rng.uniform(size=model.grid.shape))[0]
-    # an orbit-constant section passes the constancy test; a random one is
-    # compared through its values before the test
     section = model.pull_sum(model.haar_masses(), rng.uniform(size=model.grid.shape))
     res = averaging(model, rho, np.array(section))
     ref = s_fiber_integrate(model, rho, ArrowFunction.from_target_function(model, section))
     assert np.array_equal(res.values, ref)
-    assert base.shape == res.base_values.shape
 
 
 @pytest.mark.parametrize("make", PROPER_MODELS, ids=PROPER_IDS)
@@ -1381,18 +1367,6 @@ def test_shriek_difference_on_random_grids(n, n_r, seed, kind):
         model, rho, default_test_set(model, random.Random(seed), count=3))
 
 
-@BATCH_GRIDS
-def test_project_to_base_is_a_view_equal_to_take(n_r, n):
-    model = cyclic_model(n_r, n)
-    values = np.random.default_rng(64).standard_normal(model.grid.shape)
-    # a plain array and an equal-weight average, at orbit-space shape
-    for v in (values, model.pull_sum(model.haar_masses(), values)):
-        base, _ = model.project_to_base(v)
-        assert np.array_equal(base, np.atleast_1d(np.take(v, 0, axis=model.axis)))
-        if n_r > 1:
-            assert np.shares_memory(base, v)
-
-
 def test_rho_constancy_is_decided_once_per_read_only_density():
     model = cyclic_model(4, 16)
     tested = []
@@ -1406,8 +1380,7 @@ def test_rho_constancy_is_decided_once_per_read_only_density():
     assert not sigma.rho_values.flags.writeable
     u = ArrowFunction.random(model, random.Random(65))
     for _ in range(3):
-        s_fiber_integrate(model, sigma.rho_values, u)
-        shriek_difference(model, sigma.rho_values, u)
+        shriek_average(model, sigma.rho_values, u)
     invariance_defects(model, sigma, default_test_set(model, random.Random(65)))
     assert len(tested) == 1
     # a second density replaces the one entry; the first is then tested again
@@ -1484,7 +1457,6 @@ def assert_orbit_space_results_equal_the_grid(model, rho, rng):
     res, res_ref = averaging(model, rho, f), averaging(ref, rho, f)
     assert res.values.shape == orbit_shape(model)
     assert np.array_equal(np.broadcast_to(res.values, shape), res_ref.values)
-    assert np.array_equal(res.base_values, res_ref.base_values)
     assert res.constancy_defect == res_ref.constancy_defect == 0.0
 
 
@@ -1513,8 +1485,6 @@ def test_constancy_defect_scales_a_nonzero_spread_by_the_integrand():
     model.orbit_spread = lambda values: 3e-9
     res = averaging(model, rho, section)
     assert res.constancy_defect == 3e-9 / float(np.max(np.abs(section * rho)))
-    with pytest.raises(ModelError, match="not orbit constant"):
-        averaging(model, rho, section, tol=1e-12)
 
 
 class SourceOnly(ArrowFunction):
