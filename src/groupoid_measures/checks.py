@@ -78,7 +78,7 @@ MAX_COMPOSABLE_PAIRS = 2 ** 20
 _PAIRS = {"unit": ("n", lambda n: n), "pair": ("n", lambda n: n ** 3),
           "cyclic": ("n", lambda n: n ** 2), "z2_action": ("points", lambda p: 4 * p)}
 # The most nerve strings a check may enumerate, summed over its degrees and
-# counted by finite.nerve_size before any string is built.  Each string, with its
+# counted by finite.nerve_sizes before any string is built.  Each string, with its
 # boundary column and reduction, took 1.1 to 1.4 KB of peak RSS (homology up to
 # degree 2 of Z32 and Z48: 33 825 and 112 945 strings; Z48 took 13.9 s on 2 cores,
 # Python 3.11), so 2**17 strings take about 190 MB.  The largest bundled
@@ -101,7 +101,7 @@ DRAWS, DEGREE = integer(1, MAX_DRAWS), integer(0, MAX_DEGREE)
 
 def composable_pairs(doc: dict) -> int:
     """The composable pairs of a descriptor's groupoid, summed over the parts
-    of a disjoint union; a ``json`` document lists its own table and counts 0."""
+    of a disjoint union; a ``json`` document counts the entries it lists."""
     kind = doc.get("kind")
     if kind == "disjoint_union":
         parts = doc.get("parts")
@@ -109,6 +109,9 @@ def composable_pairs(doc: dict) -> int:
             raise ScenarioError(f"'parts' must be a nonempty list of groupoid "
                                 f"descriptors, got {parts!r}")
         return sum(composable_pairs(p) for p in parts)
+    if kind == "json":  # from_json reports a document that is not a table
+        compose = doc["doc"].get("compose") if isinstance(doc.get("doc"), dict) else None
+        return len(compose) if isinstance(compose, list) else 0
     if not (isinstance(kind, str) and kind in _PAIRS):
         return 0
     size, pairs = _PAIRS[kind]
@@ -118,7 +121,7 @@ def composable_pairs(doc: dict) -> int:
 def check_nerve_size(g: finite.FiniteGroupoid, kmax: int) -> None:
     """Refuse a check that would enumerate the nerve of g in degrees 0..kmax
     when that is more than MAX_NERVE_STRINGS strings."""
-    strings = sum(finite.nerve_size(g, k) for k in range(kmax + 1))
+    strings = sum(finite.nerve_sizes(g, kmax))
     if strings > MAX_NERVE_STRINGS:
         raise ScenarioError(f"the nerve has {strings} strings in degrees 0..{kmax}, "
                             f"more than {MAX_NERVE_STRINGS}")
@@ -427,12 +430,10 @@ def _boundary_squares(ctx, tol, kmax):
 def _trace_equiv(ctx, tol, samples):
     g = ctx.groupoid()
     rng = ctx.rng(1)
-    weights = [[Fraction(1)] * g.n_objects]
-    for orb in finite.orbits(g):
-        vec = [Fraction(0)] * g.n_objects
-        for x in orb:
-            vec[x] = Fraction(2)
-        weights.append(vec)
+    # every trace condition reads w(x) = w(y) or w(x) = 0, so a distinct nonzero
+    # value on each orbit fails one whenever an orbit indicator does
+    weights = [[Fraction(1)] * g.n_objects,
+               [Fraction(2 * k + 2) for k in finite.orbit_index(g)]]
     for _ in range(samples):
         weights.append([Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
                         for _ in range(g.n_objects)])
@@ -456,15 +457,18 @@ def _morita(ctx, tol, subset, kmax):
 @register("convolution_associative", "finite", 0.0)
 def _assoc(ctx, tol):
     g = ctx.groupoid()
+    check_nerve_size(g, 3)  # the work: the composable triples, in degree 3
     deltas = [{a: 1} for a in g.arrows()]
-    # each product of two indicators once; both bracketings of every triple
-    # still go through convolve
-    pairs = [[finite.convolve(g, da, db) for db in deltas] for da in deltas]
+    into, src, convolve = g.arrows_into, g.src, finite.convolve
+    # products[a]: (b, delta_a * delta_b) for each b composable with a, once;
+    # both bracketings of every composable triple still go through convolve
+    products = [[(b, convolve(g, da, deltas[b])) for b in into[src[a]]]
+                for a, da in enumerate(deltas)]
     violations = 0
     for a, da in enumerate(deltas):
-        for b in g.arrows():
-            for c, dc in enumerate(deltas):
-                if finite.convolve(g, pairs[a][b], dc) != finite.convolve(g, da, pairs[b][c]):
+        for b, ab in products[a]:
+            for c, bc in products[b]:
+                if convolve(g, ab, deltas[c]) != convolve(g, da, bc):
                     violations += 1
     return violations, 0
 

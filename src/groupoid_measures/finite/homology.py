@@ -28,16 +28,19 @@ def nerve(g: FiniteGroupoid, k: int) -> list[tuple[int, ...]]:
     return strings
 
 
-def nerve_size(g: FiniteGroupoid, k: int) -> int:
-    """len(nerve(g, k)), counted in O(k * arrows) without enumerating a string."""
-    if k < 0:
+def nerve_sizes(g: FiniteGroupoid, kmax: int) -> list[int]:
+    """[len(nerve(g, k)) for k in 0..kmax], counted in one O(kmax * arrows)
+    pass without enumerating a string."""
+    if kmax < 0:
         raise ValueError("degree must be nonnegative")
     # ends[x]: the strings of the degree reached whose last arrow has source x
     ends = [1] * g.n_objects
+    sizes = [g.n_objects]
     tgt = g.tgt
-    for _ in range(k):
+    for _ in range(kmax):
         ends = [sum(ends[tgt[b]] for b in g.arrows_from(x)) for x in g.objects()]
-    return sum(ends)
+        sizes.append(sum(ends))
+    return sizes
 
 
 def face(g: FiniteGroupoid, string: tuple[int, ...], i: int) -> tuple[int, ...]:

@@ -679,6 +679,12 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
      "check 'homology_betti': parameter 'kmax' must be <= 16, got 1e+308"),
     ("homology_kmax_1e8.json",
      "check 'homology_betti': parameter 'kmax' must be <= 16, got 100000000"),
+    # a table entry that names an arrow out of range once passed both checks
+    ("groupoid_stray_compose.json",
+     "check 'axioms_valid': invalid groupoid: composition spurious for pair (7, 0)"),
+    # its work is the composable triples, which the nerve cap counts
+    ("associative_cyclic_64.json", "check 'convolution_associative': the nerve has "
+                                   "266305 strings in degrees 0..3, more than 131072"),
 ])
 def test_data_that_breaks_a_precondition_is_input_error(capsys, doc, message):
     code, _, err = run_cli(capsys, "run", os.path.join(DATA, doc))
@@ -870,6 +876,17 @@ def test_composable_pairs_count_the_built_table(monkeypatch):
     assert build_finite_groupoid(cap) == MAX_COMPOSABLE_PAIRS
     with pytest.raises(ScenarioError, match="composable pairs"):
         build_finite_groupoid(dict(cap, n=MAX_COMPOSABLE_PAIRS + 1))
+
+
+def test_a_json_groupoid_counts_its_listed_entries_against_the_cap(monkeypatch):
+    # pair(2) lists 8 entries: at a cap of 8 it is built, at 7 it is refused
+    doc = {"kind": "json", "doc": json.loads(finite.pair_groupoid(2).to_json())}
+    assert composable_pairs(doc) == 8
+    monkeypatch.setattr(checks, "MAX_COMPOSABLE_PAIRS", 8)
+    assert build_finite_groupoid(doc) == finite.pair_groupoid(2)
+    monkeypatch.setattr(checks, "MAX_COMPOSABLE_PAIRS", 7)
+    with pytest.raises(ScenarioError, match="a 'json' groupoid has more than 7 composable"):
+        build_finite_groupoid(doc)
 
 
 @pytest.mark.parametrize("check", [

@@ -3,13 +3,15 @@ engine as the reference for the quadrature engine's finite models.
 
 The references are the dense implementations the kernels replaced: a dense
 row echelon form for rank and kernel, a convolution that walks the whole
-composition table, a nerve that scans every arrow for every extension, and
-builders that fill the composition table by a scan over all arrow pairs.
+composition table, a nerve that scans every arrow for every extension,
+builders that fill the composition table by a scan over all arrow pairs, and
+an axiom check and a trace test that scan every pair and triple of arrows.
 A ``FiniteActionModel`` is a finite group permuting grid nodes, which is an
 action groupoid; its fiber integrals are sums that the exact engine computes
 over the rationals.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -32,11 +34,15 @@ from groupoid_measures.finite import (
     from_json,
     group_groupoid,
     homology,
+    is_orbit_constant,
+    is_trace,
     nerve,
-    nerve_size,
+    nerve_sizes,
+    orbit_index,
     orbits,
     pair_groupoid,
     unit_groupoid,
+    validate,
 )
 from groupoid_measures.finite import linalg_q
 from groupoid_measures.smooth import (
@@ -121,6 +127,77 @@ def scanned_nerve(g, k):
         strings = [s + (b,) for s in strings
                    for b in g.arrows() if g.src[s[-1]] == g.tgt[b]]
     return strings
+
+
+def scanned_validate(g):
+    """Every groupoid axiom, the composition table checked on all arrows**2
+    pairs and associativity on all arrows**3 triples."""
+    problems = []
+    n, m = g.n_objects, g.n_arrows
+    if len(g.tgt) != m or len(g.inverse) != m or len(g.unit) != n:
+        return ["index maps have inconsistent lengths"]
+    for a in g.arrows():
+        if not (0 <= g.src[a] < n and 0 <= g.tgt[a] < n):
+            problems.append(f"arrow {a}: src/tgt out of range")
+        if not 0 <= g.inverse[a] < m:
+            problems.append(f"arrow {a}: inverse out of range")
+    for x in g.objects():
+        if not 0 <= g.unit[x] < m:
+            problems.append(f"object {x}: unit out of range")
+    if problems:
+        return problems
+    for x in g.objects():
+        u = g.unit[x]
+        if g.src[u] != x or g.tgt[u] != x:
+            problems.append(f"unit of object {x} is not an endo-arrow at {x}")
+    for a in g.arrows():
+        for b in g.arrows():
+            composable = g.src[a] == g.tgt[b]
+            defined = (a, b) in g.compose_table
+            if composable != defined:
+                kind = "missing" if composable else "spurious"
+                problems.append(f"composition {kind} for pair ({a}, {b})")
+                continue
+            if defined:
+                c = g.compose_table[(a, b)]
+                if not 0 <= c < m:
+                    problems.append(f"composite of ({a}, {b}) out of range")
+                elif g.src[c] != g.src[b] or g.tgt[c] != g.tgt[a]:
+                    problems.append(f"composition mismatch for pair ({a}, {b})")
+    if problems:
+        return problems
+    table = g.compose_table
+    for a in g.arrows():
+        x, y = g.src[a], g.tgt[a]
+        if table[(a, g.unit[x])] != a or table[(g.unit[y], a)] != a:
+            problems.append(f"unit law fails at arrow {a}")
+        ai = g.inverse[a]
+        if g.src[ai] != y or g.tgt[ai] != x:
+            problems.append(f"inverse of arrow {a} has wrong endpoints")
+        elif table[(a, ai)] != g.unit[y] or table[(ai, a)] != g.unit[x]:
+            problems.append(f"inverse law fails at arrow {a}")
+    for a in g.arrows():
+        for b in g.arrows():
+            for c in g.arrows():
+                if g.src[a] == g.tgt[b] and g.src[b] == g.tgt[c] and (
+                        table[(table[(a, b)], c)] != table[(a, table[(b, c)])]):
+                    problems.append(f"associativity fails on ({a}, {b}, {c})")
+    return problems
+
+
+def scanned_is_trace(g, w):
+    """tr(delta_a * delta_b) = tr(delta_b * delta_a) on all arrows**2 pairs."""
+    units = {g.unit[x]: x for x in g.objects()}
+
+    def tr_product(a, b):
+        x = units.get(g.compose_table.get((a, b)))
+        return Fraction(w[x]) if x is not None else Fraction(0)
+
+    for a in g.arrows():
+        for b in g.arrows():
+            if tr_product(a, b) != tr_product(b, a):
+                return False, (a, b)
+    return True, None
 
 
 def scanned_unit_groupoid(n):
@@ -240,6 +317,39 @@ def permutation_groups(draw, max_points=4):
 groupoids = st.one_of(
     permutation_actions(),
     st.builds(disjoint_union, permutation_actions(2), permutation_actions(3)))
+
+
+groupoids_and_groups = st.one_of(
+    groupoids, permutation_groups().map(lambda group: action_groupoid(*group)),
+    permutation_groups().map(lambda group: group_groupoid(group[0])))
+
+
+@st.composite
+def broken_groupoids(draw):
+    """A valid groupoid with one fault put in on purpose: a dropped table
+    entry, a spurious entry between arrows that do not compose, a wrong
+    composite or a wrong inverse.  Every key stays in range."""
+    g = draw(groupoids_and_groups)
+    m, table = g.n_arrows, dict(g.compose_table)
+    fault = draw(st.sampled_from(["dropped", "spurious", "composite", "inverse"]))
+    if fault == "dropped":
+        del table[draw(st.sampled_from(sorted(table)))]
+        return replace(g, compose_table=table)
+    if fault == "spurious":
+        apart = [(a, b) for a in g.arrows() for b in g.arrows() if g.src[a] != g.tgt[b]]
+        assume(apart)
+        table[draw(st.sampled_from(apart))] = draw(st.integers(0, m - 1))
+        return replace(g, compose_table=table)
+    assume(m > 1)
+    shift = draw(st.integers(1, m - 1))
+    if fault == "composite":
+        key = draw(st.sampled_from(sorted(table)))
+        table[key] = (table[key] + shift) % m
+        return replace(g, compose_table=table)
+    a = draw(st.integers(0, m - 1))
+    inverse = list(g.inverse)
+    inverse[a] = (inverse[a] + shift) % m
+    return replace(g, inverse=tuple(inverse))
 
 
 @st.composite
@@ -368,14 +478,83 @@ def test_convolve_matches_the_table_walk(g, data):
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_nerve_matches_the_arrow_scan(g, k):
     assert nerve(g, k) == scanned_nerve(g, k)
-    assert nerve_size(g, k) == len(scanned_nerve(g, k))
+    assert nerve_sizes(g, k) == [len(scanned_nerve(g, j)) for j in range(k + 1)]
 
 
 @settings(max_examples=40, deadline=None)
 @given(groupoids, st.integers(0, 3))
 def test_nerve_matches_the_arrow_scan_on_random_actions(g, k):
     assert nerve(g, k) == scanned_nerve(g, k)
-    assert nerve_size(g, k) == len(scanned_nerve(g, k))
+    assert nerve_sizes(g, k) == [len(scanned_nerve(g, j)) for j in range(k + 1)]
+
+
+# ---------------------------------------------------------------------------
+# axioms and the trace test
+
+def object_weights(g, data):
+    """The all-ones weight, one with a distinct nonzero value on each orbit,
+    and two drawn ones, which are orbit constant now and then."""
+    drawn = st.lists(st.integers(0, 2), min_size=g.n_objects, max_size=g.n_objects)
+    return [[1] * g.n_objects, [2 * k + 2 for k in orbit_index(g)],
+            data.draw(drawn), [2 * v for v in data.draw(drawn)]]
+
+
+def assert_matches_the_scans(g, data):
+    assert sorted(validate(g)) == sorted(scanned_validate(g))
+    for w in object_weights(g, data):
+        assert is_trace(g, w)[0] == scanned_is_trace(g, w)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(groupoids_and_groups, st.data())
+def test_table_walks_match_the_arrow_scans(g, data):
+    assert validate(g) == []
+    assert_matches_the_scans(g, data)
+    for w in object_weights(g, data):
+        assert is_trace(g, w)[0] == is_orbit_constant(g, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(broken_groupoids(), st.data())
+def test_table_walks_match_the_arrow_scans_on_broken_tables(g, data):
+    assert validate(g) != []
+    assert_matches_the_scans(g, data)
+
+
+def test_the_orbit_valued_weight_catches_a_broken_trace_condition(monkeypatch):
+    # unit(2) with spurious entries that make delta_0 * delta_1 the unit at 0
+    # and delta_1 * delta_0 the unit at 1: the one condition is w(0) = w(1),
+    # which the all-ones weight and a constant sample keep
+    from groupoid_measures import checks
+    g = unit_groupoid(2)
+    broken = replace(g, compose_table={**g.compose_table, (0, 1): 0, (1, 0): 1})
+    assert is_trace(broken, [1, 1])[0] and not is_trace(broken, [2, 4])[0]
+
+    class ConstantRandom:
+        def randrange(self, start, stop):
+            return stop - 1
+
+    monkeypatch.setattr(checks, "build_finite_groupoid", lambda doc: broken)
+    monkeypatch.setattr(checks.ScenarioContext, "rng", lambda self, salt=0: ConstantRandom())
+    ctx = checks.ScenarioContext("x", "finite", {"kind": "unit", "n": 2}, 0)
+    runner = checks.REGISTRY["trace_matches_orbit_constancy"].runner
+    assert runner(ctx, 0.0, samples=1) == (1, 0)
+
+
+def test_a_convolve_broken_on_one_product_fails_convolution_associative(monkeypatch):
+    from groupoid_measures import checks, finite
+    convolve_ok = finite.convolve
+
+    def broken(g, u, v):
+        # pair(2): arrow 1 is 1 -> 0 and arrow 2 is 0 -> 1, so 1 * 2 is the unit 0
+        return {0: 2} if (u, v) == ({1: 1}, {2: 1}) else convolve_ok(g, u, v)
+
+    ctx = checks.ScenarioContext("x", "finite", {"kind": "pair", "n": 2}, 0)
+    runner = checks.REGISTRY["convolution_associative"].runner
+    assert runner(ctx, 0.0) == (0, 0)
+    monkeypatch.setattr(finite, "convolve", broken)
+    violations, _ = runner(ctx, 0.0)
+    assert violations > 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from groupoid_measures.finite import (
     counting_haar,
     cyclic_group_table,
     group_groupoid,
-    is_invariant_functional,
     is_orbit_constant,
     is_trace,
     orbits,
@@ -107,7 +106,7 @@ def test_cone_basis_is_invariant_and_spans_kernel(g):
     assert len(basis) == dim
     for vec in basis:
         assert all(v >= 0 for v in vec)  # a ray of the positive cone
-        assert is_invariant_functional(g, vec)
+        assert is_orbit_constant(g, vec)
     # oracle: exact kernel of the transposed difference matrix
     diff = difference_matrix(g)
     transpose = [[diff[r][c] for r in range(len(diff))]
@@ -115,7 +114,7 @@ def test_cone_basis_is_invariant_and_spans_kernel(g):
     kernel = linalg_q.nullspace(transpose) if transpose else []
     assert len(kernel) == len(basis)
     for vec in kernel:
-        assert is_invariant_functional(g, vec)
+        assert is_orbit_constant(g, vec)
 
 
 def test_cone_examples():

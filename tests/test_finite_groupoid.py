@@ -58,6 +58,20 @@ def test_corrupted_target_reports_composition_mismatch():
     assert any("mismatch" in p or "endpoints" in p or "law" in p for p in problems)
 
 
+def test_a_table_entry_naming_an_arrow_out_of_range_is_spurious():
+    g = pair_groupoid(2)
+    stray = FiniteGroupoid(g.n_objects, g.src, g.tgt, {**g.compose_table, (7, 0): 0},
+                           g.inverse, g.unit)
+    assert validate(stray) == ["composition spurious for pair (7, 0)"]
+
+
+def test_cached_adjacency_is_computed_once_and_the_class_keeps_its_descriptor():
+    g = pair_groupoid(3)
+    assert g.arrows_into is g.arrows_into
+    assert g.arrows_into == [[a for a in g.arrows() if g.tgt[a] == x] for x in g.objects()]
+    assert FiniteGroupoid.arrows_into is vars(FiniteGroupoid)["arrows_into"]
+
+
 def test_orbits_unit_and_pair():
     assert orbits(unit_groupoid(3)) == [[0], [1], [2]]
     assert orbits(pair_groupoid(3)) == [[0, 1, 2]]
