@@ -48,6 +48,9 @@ def load_scenario(path: str) -> dict:
     for key in ("name", "engine", "model", "checks"):
         if key not in doc:
             raise ScenarioError(f"{path}: scenario is missing the {key!r} field")
+    if not isinstance(doc["name"], str):
+        raise ScenarioError(f"{path}: scenario field 'name' must be a string, "
+                            f"got {doc['name']!r}")
     return doc
 
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 
 def relative_error(lhs: float | Fraction, rhs: float | Fraction) -> float | Fraction:
@@ -48,6 +48,26 @@ class CheckRow:
                 "abs_err": float(self.abs_err), "rel_err": float(self.rel_err)}
 
 
+# one row of ``json.dumps(doc, indent=2)``, written without the encoder
+_JSON_ROW = """    {
+      "scenario": %s,
+      "check": %s,
+      "lhs": %s,
+      "rhs": %s,
+      "abs_err": %s,
+      "rel_err": %s,
+      "tolerance": %s,
+      "pass": %s
+    }"""
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    """A float as ``json.dumps`` writes it."""
+    text = float.__repr__(value)
+    return _JSON_NONFINITE.get(text, text)
+
+
 @dataclass
 class Report:
     rows: list[CheckRow]
@@ -71,10 +91,17 @@ class Report:
         return out.getvalue()
 
     def to_json(self) -> str:
-        return json.dumps({
-            "rows": [{
-                "scenario": r.scenario, "check": r.check, **r.rendered(),
-                "tolerance": r.tolerance, "pass": r.passed,
-            } for r in self.rows],
-            "summary": self.summary(),
-        }, indent=2)
+        """The bytes of ``json.dumps({"rows": [...], "summary": ...}, indent=2)``;
+        scenario names and check labels must be strings."""
+        rows, passed = [], 0
+        for r in self.rows:
+            ok = r.passed
+            passed += ok
+            rows.append(_JSON_ROW % (
+                encode_basestring_ascii(r.scenario), encode_basestring_ascii(r.check),
+                *map(_json_float, r.rendered().values()), _json_float(r.tolerance),
+                "true" if ok else "false"))
+        body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+        return (f'{{\n  "rows": {body},\n  "summary": {{\n'
+                f'    "total": {len(rows)},\n    "passed": {passed},\n'
+                f'    "failed": {len(rows) - passed}\n  }}\n}}')

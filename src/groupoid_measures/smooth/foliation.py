@@ -132,14 +132,18 @@ def exactness_probe(model, u_values: np.ndarray, tol: float = 1e-9,
 
     fiber_integrals = np.tensordot(w, u, axes=(0, 0))
     worst = float(np.max(np.abs(fiber_integrals))) if fiber_integrals.size else 0.0
-    scale = float(np.max(np.abs(u))) * ax.length or 1.0
+    u_max = float(np.max(np.abs(u)))
+    scale = u_max * ax.length or 1.0
     if worst > tol * scale:
         raise FiberObstructionError(worst, tol * scale)
 
+    # the cumulative trapezoid, written into v with no grid-sized temporary
     v = np.zeros_like(u)
-    v[1:] = np.cumsum((u[1:] + u[:-1]) * (h / 2), axis=0)
+    np.add(u[1:], u[:-1], out=v[1:])
+    v[1:] *= h / 2
+    np.cumsum(v[1:], axis=0, out=v[1:])
 
-    support = np.abs(u) > support_tol * (float(np.max(np.abs(u))) or 1.0)
+    support = np.abs(u) > support_tol * (u_max or 1.0)
     rows = np.where(support.any(axis=tuple(range(1, u.ndim))))[0]
     if rows.size:
         lo, hi = int(rows[0]), int(rows[-1])

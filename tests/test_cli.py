@@ -685,6 +685,8 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
     # its work is the composable triples, which the nerve cap counts
     ("associative_cyclic_64.json", "check 'convolution_associative': the nerve has "
                                    "266305 strings in degrees 0..3, more than 131072"),
+    # a list name was once a nested list in JSON reports and "[1, 2]" in CSV
+    ("scenario_name_not_string.json", "scenario field 'name' must be a string, got [1, 2]"),
 ])
 def test_data_that_breaks_a_precondition_is_input_error(capsys, doc, message):
     code, _, err = run_cli(capsys, "run", os.path.join(DATA, doc))

@@ -8,9 +8,12 @@ builders that fill the composition table by a scan over all arrow pairs, and
 an axiom check and a trace test that scan every pair and triple of arrows.
 A ``FiniteActionModel`` is a finite group permuting grid nodes, which is an
 action groupoid; its fiber integrals are sums that the exact engine computes
-over the rationals.
+over the rationals.  The JSON report's row template has the encoder it
+replaced, ``json.dumps(..., indent=2)``, as its reference.
 """
 
+import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -45,6 +48,7 @@ from groupoid_measures.finite import (
     validate,
 )
 from groupoid_measures.finite import linalg_q
+from groupoid_measures.reports import CheckRow, Report
 from groupoid_measures.smooth import (
     FiniteActionModel,
     SaturationError,
@@ -698,3 +702,63 @@ def test_exact_engine_is_the_reference_for_finite_smooth_models(case, data):
     assert np.allclose(cutoff.ravel(),
                        [float(p * size / seed.fiber_mass(x)) for x, p in enumerate(phi)],
                        rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# the JSON report
+
+def encoder_json(report):
+    """``Report.to_json`` before the row template: the pure-Python encoder."""
+    return json.dumps({
+        "rows": [{
+            "scenario": r.scenario, "check": r.check, **r.rendered(),
+            "tolerance": r.tolerance, "pass": r.passed,
+        } for r in report.rows],
+        "summary": report.summary(),
+    }, indent=2)
+
+
+# quotes, backslashes, control characters, non-ASCII text and lone surrogates
+names = st.text(st.one_of(st.characters(), st.sampled_from(
+    '"\\/\x00\x08\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600')), max_size=8)
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308,
+                  0.1, 1e16, 1e-7, math.nan, math.inf, -math.inf]
+floats = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS + [-x for x in SPECIAL_FLOATS]))
+exact_sides = st.one_of(st.integers(), st.fractions())
+
+
+@st.composite
+def check_rows(draw):
+    exact = draw(st.booleans())
+    side = exact_sides if exact else floats
+    return CheckRow(draw(names), draw(names), draw(side), draw(side), draw(floats), exact)
+
+
+def assert_renders_as_the_encoder(report):
+    try:
+        expected = encoder_json(report)
+    except (OverflowError, ZeroDivisionError) as exc:
+        # a side too large for a float, or a NaN against a zero reference
+        with pytest.raises(type(exc)):
+            report.to_json()
+        return
+    assert report.to_json() == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(check_rows(), max_size=6))
+def test_the_row_template_writes_the_encoders_bytes(rows):
+    assert_renders_as_the_encoder(Report(rows))
+
+
+def test_the_row_template_writes_the_encoders_bytes_on_every_special_value():
+    rows = [CheckRow("q\"\\\x01\u00e9\ud800", "c", lhs, rhs, tol, False)
+            for lhs in SPECIAL_FLOATS for rhs in SPECIAL_FLOATS
+            for tol in (0.0, 1e-6, math.inf)]
+    rows += [CheckRow("x", "exact", 3, Fraction(7, 2), 0.0, True),
+             CheckRow("x", "exact", 2**60, 2**60, 0.0, True)]
+    # a NaN against a zero lhs has no relative error in either renderer
+    kept = [r for r in rows if not (r.lhs == 0 and math.isnan(r.rhs))]
+    assert_renders_as_the_encoder(Report(kept))
+    assert Report([]).to_json() == encoder_json(Report([]))
+    assert '"rows": [],' in Report([]).to_json()

@@ -112,6 +112,20 @@ def test_exactness_probe_recovers_bump(probe_model):
     assert report.tail_magnitude <= 1e-6
 
 
+def test_in_place_antiderivative_equals_the_cumulative_trapezoid_bit_for_bit():
+    # a spacing that is not a power of two, so that a reordered product would show
+    model = SubmersionGroupoidModel(Grid([Axis(9, -2.0, 2.0), Axis(4097, -3.0, 4.0)]),
+                                    fiber_axes=[1])
+    x, y = model.total.meshgrid()
+    u = -2.0 * y * np.exp(-(x ** 2 + y ** 2)) + 1e-3 * np.sin(7 * y) * np.cos(3 * x)
+    h = model.total.axes[1].spacing
+    w = np.moveaxis(u, 1, 0)
+    reference = np.zeros_like(w)
+    reference[1:] = np.cumsum((w[1:] + w[:-1]) * (h / 2), axis=0)
+    report = exactness_probe(model, u, tol=np.inf)
+    assert np.array_equal(report.antiderivative, np.moveaxis(reference, 0, 1))
+
+
 def test_exactness_probe_rejects_nonzero_fiber_integral(probe_model):
     x, y = probe_model.total.meshgrid()
     with pytest.raises(FiberObstructionError):
