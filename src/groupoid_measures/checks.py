@@ -14,20 +14,21 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 from typing import Callable
 
 import numpy as np
 
 from . import finite
 from .density.grids import Axis, Grid, integrate, positive_finite
-from .expressions import (COUNT, FIELD, INT, NUMBER, REQUIRED, SCALAR, ScenarioError,
-                          compile_field, integer, listed)
+from .expressions import (COUNT, FIELD, INT, NUMBER, OBJECT, REQUIRED, SCALAR, Descriptor,
+                          Kind, ModelKind, ScenarioError, as_object, compile_field, integer,
+                          listed, read_fields)
 from .reports import CheckRow
 from .smooth import (
     DEFAULT_TEST_COUNT,
-    ActionGroupoidModel,
     ArrowFunction,
     FiberObstructionError,
     FoliatedGrid,
@@ -53,30 +54,25 @@ from .smooth import (
     weinstein_volume,
     weyl_check,
 )
+from .smooth.models import ACTION_KINDS
 from .symplectic import (
-    LeafFamilyModel,
     SymplecticPairModel,
     affine_measure,
     affine_volume,
     dh_total_mass_two_ways,
     dh_weyl_check,
-    leaf_family_from_doc,
     liouville_density,
 )
+from .symplectic.models import LEAF_FAMILY
 
 
 # ---------------------------------------------------------------------------
-# model construction from scenario descriptors
-
-_SWAPS = listed(listed(INT, "points"), "point pairs")
+# the model kinds of scenario documents
 
 # The most composable pairs a finite groupoid may have, checked on its descriptor
 # before any list or table is built: at 100 to 170 bytes per composition-table
 # entry, 2**20 pairs take up to 170 MiB.  The largest bundled groupoid has 27.
 MAX_COMPOSABLE_PAIRS = 2 ** 20
-# the composable pairs of a kind from its size: n, n**3, n**2 and 4 * points
-_PAIRS = {"unit": ("n", lambda n: n), "pair": ("n", lambda n: n ** 3),
-          "cyclic": ("n", lambda n: n ** 2), "z2_action": ("points", lambda p: 4 * p)}
 # The most nerve strings a check may enumerate, summed over its degrees and
 # counted by finite.nerve_sizes before any string is built.  Each string, with its
 # boundary column and reduction, took 1.1 to 1.4 KB of peak RSS (homology up to
@@ -97,25 +93,102 @@ MAX_DRAWS = 1000
 # largest bundled degree is 3.
 MAX_DEGREE = 16
 DRAWS, DEGREE = integer(1, MAX_DRAWS), integer(0, MAX_DEGREE)
+# The most samples times arrows average_orbit_constant may take: each sample is
+# averaged over every arrow.  On unit(4096), at 32 samples, the 2**17 took 1.4 s
+# (2 cores, Python 3.11).  The largest bundled product is 45.
+MAX_SAMPLE_ARROWS = 2 ** 17
+
+# the families of checks: the engine of each, and the error that refuses a
+# model that does not serve it
+FAMILIES = {
+    "finite_groupoid": ("finite", "needs a finite groupoid model, got kind {kind!r}"),
+    "group_action": ("smooth", "needs a group action model, got kind {kind!r}"),
+    "proper_action": ("smooth", "model {kind!r} is not a proper action model: it has "
+                                "no invariant group quadrature"),
+    "foliation": ("smooth", "needs a 'foliation' model, got kind {kind!r}"),
+    "submersion_probe": ("smooth", "needs a 'submersion_probe' model, got kind {kind!r}"),
+    "surface": ("symplectic", "needs a 'sphere' or 'torus_cell' model, got kind {kind!r}"),
+    "leaf_family": ("symplectic", "needs a leaf-family model, which has no kind, "
+                                  "got kind {kind!r}"),
+}
 
 
-def composable_pairs(doc: dict) -> int:
-    """The composable pairs of a descriptor's groupoid, summed over the parts
-    of a disjoint union; a ``json`` document counts the entries it lists."""
-    kind = doc.get("kind")
-    if kind == "disjoint_union":
-        parts = doc.get("parts")
-        if not (isinstance(parts, list) and parts and all(isinstance(p, dict) for p in parts)):
-            raise ScenarioError(f"'parts' must be a nonempty list of groupoid "
-                                f"descriptors, got {parts!r}")
-        return sum(composable_pairs(p) for p in parts)
-    if kind == "json":  # from_json reports a document that is not a table
-        compose = doc["doc"].get("compose") if isinstance(doc.get("doc"), dict) else None
-        return len(compose) if isinstance(compose, list) else 0
-    if not (isinstance(kind, str) and kind in _PAIRS):
-        return 0
-    size, pairs = _PAIRS[kind]
-    return pairs(COUNT.read(doc, size))
+def _z2_action(points: int, swaps) -> finite.FiniteGroupoid:
+    perm = list(range(points))
+    for pair in swaps:
+        if len(pair) != 2 or not all(0 <= p < points for p in pair):
+            raise ScenarioError(f"swap {list(pair)} is not a pair of points "
+                                f"in range({points})")
+        a, b = pair
+        perm[a], perm[b] = perm[b], perm[a]
+    return finite.action_groupoid(finite.cyclic_group_table(2), [list(range(points)), perm],
+                                  points, name="z2_action")
+
+
+def _parts(value, name) -> list[Descriptor]:
+    if not (isinstance(value, list) and value):
+        raise ScenarioError(f"{name} must be a nonempty list of groupoid "
+                            f"descriptors, got {value!r}")
+    return [Descriptor.read(MODEL_KINDS["finite"], part) for part in value]
+
+
+_N, _GROUPOID = {"n": (COUNT, REQUIRED)}, ("finite_groupoid",)
+# Every model kind of each engine: the families it serves, its builder, its
+# fields and, for a finite groupoid, its composable pairs.  The builders look
+# the library's functions up when they run, where gmbench/tracer.py wraps them.
+MODEL_KINDS = {
+    "finite": {
+        "unit": ModelKind(_GROUPOID, lambda n: finite.unit_groupoid(n), _N, lambda n: n),
+        "pair": ModelKind(_GROUPOID, lambda n: finite.pair_groupoid(n), _N, lambda n: n ** 3),
+        "cyclic": ModelKind(_GROUPOID, lambda n: finite.group_groupoid(
+            finite.cyclic_group_table(n), name=f"Z{n}"), _N, lambda n: n ** 2),
+        "z2_action": ModelKind(
+            _GROUPOID, _z2_action,
+            {"points": (COUNT, REQUIRED),
+             "swaps": (listed(listed(INT, "points"), "point pairs"), ())},
+            lambda points, swaps: 4 * points),
+        "disjoint_union": ModelKind(
+            _GROUPOID, lambda parts: reduce(finite.disjoint_union, (p.build() for p in parts)),
+            {"parts": (Kind("groupoid descriptors", _parts), REQUIRED)},
+            lambda parts: sum(p.pairs for p in parts)),
+        "json": ModelKind(  # from_json reports a document that is not a table
+            _GROUPOID, lambda doc: finite.from_json(json.dumps(doc)),
+            {"doc": (OBJECT, REQUIRED)},
+            lambda doc: len(doc["compose"]) if isinstance(doc.get("compose"), list) else 0),
+    },
+    "smooth": {
+        **ACTION_KINDS,
+        # a derivative stencil needs 3 nodes, an interval rule 2
+        "foliation": ModelKind(
+            ("foliation",), lambda n_leaf, n_transverse: FoliatedGrid(
+                Grid([Axis(n_leaf, 0.0, 1.0), Axis(n_transverse, 0.0, 1.0)]), leaf_axis=0),
+            {"n_leaf": (integer(3), 257), "n_transverse": (integer(2), 33)}),
+        "submersion_probe": ModelKind(
+            ("submersion_probe",), lambda n_base, n_fiber: SubmersionGroupoidModel(
+                Grid([Axis(n_base, -2.0, 2.0), Axis(n_fiber, -4.0, 4.0)]), fiber_axes=[1]),
+            {"n_base": (integer(2), 9), "n_fiber": (integer(2), 8193)}),
+    },
+    "symplectic": {
+        "sphere": ModelKind(("surface",), lambda area: SymplecticPairModel.sphere(area=area),
+                            {"area": (NUMBER, 4 * np.pi)}),
+        "torus_cell": ModelKind(("surface",), lambda: SymplecticPairModel.torus_cell(), {}),
+        None: LEAF_FAMILY,
+    },
+}
+
+
+def read_model(engine: str, doc) -> Descriptor:
+    """A scenario's model descriptor, read through the kinds of its engine; a
+    finite groupoid of more than MAX_COMPOSABLE_PAIRS composable pairs is
+    refused."""
+    try:
+        descriptor = Descriptor.read(MODEL_KINDS[engine], doc)
+    except RecursionError as exc:  # parts of parts, each read by its own call
+        raise ScenarioError("the model descriptor is nested too deep to read") from exc
+    if descriptor.pairs > MAX_COMPOSABLE_PAIRS:
+        raise ScenarioError(f"a {descriptor.kind!r} groupoid has more than "
+                            f"{MAX_COMPOSABLE_PAIRS} composable pairs")
+    return descriptor
 
 
 def check_nerve_size(g: finite.FiniteGroupoid, kmax: int) -> None:
@@ -127,59 +200,27 @@ def check_nerve_size(g: finite.FiniteGroupoid, kmax: int) -> None:
                             f"more than {MAX_NERVE_STRINGS}")
 
 
-def build_finite_groupoid(doc: dict) -> finite.FiniteGroupoid:
-    """A groupoid descriptor; an empty groupoid would make every check vacuous,
-    and one of more than MAX_COMPOSABLE_PAIRS composable pairs is refused."""
-    if composable_pairs(doc) > MAX_COMPOSABLE_PAIRS:
-        raise ScenarioError(f"a {doc['kind']!r} groupoid has more than "
-                            f"{MAX_COMPOSABLE_PAIRS} composable pairs")
-    kind = doc.get("kind")
-    if kind == "unit":
-        return finite.unit_groupoid(COUNT.read(doc, "n"))
-    if kind == "pair":
-        return finite.pair_groupoid(COUNT.read(doc, "n"))
-    if kind == "cyclic":
-        n = COUNT.read(doc, "n")
-        return finite.group_groupoid(finite.cyclic_group_table(n), name=f"Z{n}")
-    if kind == "z2_action":
-        points = COUNT.read(doc, "points")
-        perm = list(range(points))
-        for pair in _SWAPS.read(doc, "swaps", ()):
-            if len(pair) != 2 or not all(0 <= p < points for p in pair):
-                raise ScenarioError(f"swap {list(pair)} is not a pair of points "
-                                    f"in range({points})")
-            a, b = pair
-            perm[a], perm[b] = perm[b], perm[a]
-        action = [list(range(points)), perm]
-        return finite.action_groupoid(finite.cyclic_group_table(2), action,
-                                      points, name="z2_action")
-    if kind == "disjoint_union":  # composable_pairs has read its parts
-        out = build_finite_groupoid(doc["parts"][0])
-        for p in doc["parts"][1:]:
-            out = finite.disjoint_union(out, build_finite_groupoid(p))
-        return out
-    if kind == "json":
-        return finite.from_json(json.dumps(doc.get("doc")))
-    raise ScenarioError(f"unknown finite groupoid kind {kind!r}")
-
-
 class ScenarioContext:
-    """Lazily builds the engine objects a scenario's checks operate on."""
+    """Builds a scenario's model from its descriptor as read, once, when a
+    check first asks, and caches what the checks derive from it."""
 
-    def __init__(self, name: str, engine: str, model_doc: dict, seed: int):
+    def __init__(self, name: str, engine: str, descriptor: Descriptor, seed: int):
         self.name = name
         self.engine = engine
-        self.model_doc = model_doc
+        self.descriptor = descriptor
         self.seed = seed
         self._cache: dict = {}
 
     def rng(self, salt: int = 0) -> random.Random:
         return random.Random(self.seed + salt)
 
-    def groupoid(self) -> finite.FiniteGroupoid:
-        if "groupoid" not in self._cache:
-            self._cache["groupoid"] = build_finite_groupoid(self.model_doc)
-        return self._cache["groupoid"]
+    def model(self):
+        """The scenario's model; a group action is built by build_model."""
+        if "model" not in self._cache:
+            d = self.descriptor
+            build = build_model if "group_action" in d.entry.serves else Descriptor.build
+            self._cache["model"] = build(d)
+        return self._cache["model"]
 
     def homology(self, kmax: int) -> finite.HomologyReport:
         """Nerve homology of the groupoid up to degree kmax, computed once.
@@ -191,42 +232,25 @@ class ScenarioContext:
         """
         rep = self._cache.get("homology")
         if rep is None or len(rep.degrees) <= kmax:
-            check_nerve_size(self.groupoid(), kmax + 1)
-            rep = self._cache["homology"] = finite.homology(self.groupoid(), kmax)
+            check_nerve_size(self.model(), kmax + 1)
+            rep = self._cache["homology"] = finite.homology(self.model(), kmax)
         return finite.HomologyReport(rep.degrees[:kmax + 1])
 
-    def model(self) -> ActionGroupoidModel:
-        """The scenario's group action model."""
-        if "model" not in self._cache:
-            self._cache["model"] = build_model(self.model_doc)
-        return self._cache["model"]
-
-    def proper_model(self) -> ActionGroupoidModel:
-        """The scenario's model, for a check that integrates over its
-        invariant group quadrature; a model without one is an input error."""
-        model = self.model()
-        if not model.proper:
-            raise ScenarioError(f"model {model.name!r} is not a proper action "
-                                "model: it has no invariant group quadrature")
-        return model
-
-    def sigma(self) -> TransverseDensityData:
-        if "sigma" not in self._cache:
-            doc = self.model_doc.get("sigma", {})
-            if not isinstance(doc, dict):
-                raise ScenarioError(f"sigma must be an object, got {doc!r}")
-            self._cache["sigma"] = self.sigma_from(doc)
-        return self._cache["sigma"]
-
-    def sigma_from(self, doc: dict) -> TransverseDensityData:
+    def sigma(self, doc: dict | None = None) -> TransverseDensityData:
+        """The density of a ``sigma`` record's ``rho`` and ``tau``; the
+        scenario's own, built once, when ``doc`` is None."""
+        if doc is None:
+            if "sigma" not in self._cache:
+                self._cache["sigma"] = self.sigma(self.descriptor.values["sigma"])
+            return self._cache["sigma"]
         model = self.model()
         ndim = model.grid.ndim
-        tau = doc.get("tau", "lebesgue")
+        rho, tau = doc["rho"], doc["tau"]
         tau_fn = model.volume_coefficient if tau == "lebesgue" else compile_field(tau, ndim)
-        if "rho" not in doc and tau == "lebesgue":
+        if rho is None and tau == "lebesgue":
             return TransverseDensityData.lebesgue(model)
-        rho_fn = compile_field(doc.get("rho", "1.0 + 0*c0"), ndim)
-        return TransverseDensityData(model, rho_fn, tau_fn)
+        return TransverseDensityData(
+            model, compile_field(_CONSTANT_SEED if rho is None else rho, ndim), tau_fn)
 
     def defects(self, sigma_doc: dict | None,
                 count: int = DEFAULT_TEST_COUNT) -> tuple[float, float]:
@@ -238,31 +262,11 @@ class ScenarioContext:
         """
         key = ("defects", json.dumps(sigma_doc, sort_keys=True), count)
         if key not in self._cache:
-            model = self.proper_model()
-            sigma = self.sigma() if sigma_doc is None else self.sigma_from(sigma_doc)
+            model = self.model()
+            sigma = self.sigma(sigma_doc)
             tests = default_test_set(model, self.rng(4), count=count)
             self._cache[key] = invariance_defects(model, sigma, tests)
         return self._cache[key]
-
-    def model_of_kind(self, kind: str) -> dict:
-        """The model document of a check that builds its own model of ``kind``."""
-        if self.model_doc.get("kind") != kind:
-            raise ScenarioError(f"needs a {kind!r} model, got kind "
-                                f"{self.model_doc.get('kind')!r}")
-        return self.model_doc
-
-    def foliation(self, min_leaf: int = 3, min_transverse: int = 2) -> FoliatedGrid:
-        """The unit-square foliation; a derivative stencil needs 3 nodes, a rule 2."""
-        doc = self.model_of_kind("foliation")
-        n_leaf = INT.read(doc, "n_leaf", 257)
-        n_tr = INT.read(doc, "n_transverse", 33)
-        if n_leaf < min_leaf or n_tr < min_transverse:
-            raise ScenarioError(f"needs n_leaf >= {min_leaf} and n_transverse >= "
-                                f"{min_transverse}, got {n_leaf} and {n_tr}")
-        if "foliation" not in self._cache:
-            grid = Grid([Axis(n_leaf, 0.0, 1.0), Axis(n_tr, 0.0, 1.0)])
-            self._cache["foliation"] = FoliatedGrid(grid, leaf_axis=0)
-        return self._cache["foliation"]
 
     def field(self, expr: str) -> np.ndarray:
         """A field sampled on the model grid, read-only, once per expression."""
@@ -278,7 +282,7 @@ class ScenarioContext:
         built once per expression; a seed that misses an orbit raises
         SaturationError.
         """
-        model = self.proper_model()
+        model = self.model()
         memo = ("cutoff", expr)
         if memo not in self._cache:
             phi = self.field(expr)
@@ -292,56 +296,26 @@ class ScenarioContext:
                 raise SaturationError(f"cut-off seed {key!r}: {exc}") from exc
         return self._cache[memo]
 
-    def surface(self) -> SymplecticPairModel:
-        """The scenario's symplectic surface: ``kind`` "sphere" or "torus_cell"."""
-        if "surface" not in self._cache:
-            kind = self.model_doc.get("kind")
-            if kind == "sphere":
-                self._cache["surface"] = SymplecticPairModel.sphere(
-                    area=NUMBER.read(self.model_doc, "area", 4 * np.pi))
-            elif kind == "torus_cell":
-                self._cache["surface"] = SymplecticPairModel.torus_cell()
-            else:
-                raise ScenarioError(f"needs a 'sphere' or 'torus_cell' model, "
-                                    f"got kind {kind!r}")
-        return self._cache["surface"]
-
-    def leaf_family(self, iota: int | None = None) -> LeafFamilyModel:
-        """The scenario's leaf family, built once; another iota gives a twin
-        that shares its leaves.  A leaf-family document carries no ``kind``."""
-        key = ("leaf_family", iota)
-        if "kind" in self.model_doc:
-            raise ScenarioError(f"needs a leaf-family model, which has no kind, "
-                                f"got kind {self.model_doc['kind']!r}")
-        if key not in self._cache:
-            self._cache[key] = (leaf_family_from_doc(self.model_doc) if iota is None
-                                else self.leaf_family().with_iota(iota))
-        return self._cache[key]
-
 
 # ---------------------------------------------------------------------------
 # the catalog
 
 @dataclass(frozen=True)
 class CheckDef:
-    """A catalog entry; ``params`` maps each key to ``(kind, default)``."""
+    """A catalog entry; ``model`` is the family of models it runs on (a key of
+    FAMILIES), and ``params`` maps each key to ``(kind, default)``."""
     name: str
     engine: str
     runner: Callable
     default_tol: float
     exact: bool
     params: dict
+    model: str
 
     def read_params(self, params) -> dict:
         """The values of every declared parameter, read from a scenario entry."""
-        if not isinstance(params, dict):
-            raise ScenarioError(f"params must be an object, got {params!r}")
-        for key in params:
-            if key not in self.params:
-                raise ScenarioError(f"unknown parameter {key!r}; declared: "
-                                    f"{', '.join(self.params) or 'none'}")
-        return {key: kind.read(params, key, default)
-                for key, (kind, default) in self.params.items()}
+        return read_fields(as_object(params, "params"), self.params,
+                           lambda key: f"parameter {key!r}")
 
     def rows(self, scenario: str, result, tol: float) -> list[CheckRow]:
         """Report rows; exact checks keep ``int`` and ``Fraction`` sides.  A
@@ -364,11 +338,15 @@ def _exact_side(value):
 REGISTRY: dict[str, CheckDef] = {}
 
 
-def register(name: str, engine: str, default_tol: float, exact: bool | None = None,
+def register(name: str, model: str, default_tol: float, exact: bool | None = None,
              **params):
+    """Declares a check that runs on the ``model`` family, whose engine it takes."""
+    engine = FAMILIES[model][0]
+
     def wrap(fn):
         REGISTRY[name] = CheckDef(name, engine, fn, default_tol,
-                                  engine == "finite" if exact is None else exact, params)
+                                  engine == "finite" if exact is None else exact, params,
+                                  model)
         return fn
     return wrap
 
@@ -376,29 +354,30 @@ def register(name: str, engine: str, default_tol: float, exact: bool | None = No
 # ---------------------------------------------------------------------------
 # finite engine checks (all exact: tolerance 0)
 
-@register("axioms_valid", "finite", 0.0)
+@register("axioms_valid", "finite_groupoid", 0.0)
 def _axioms_valid(ctx, tol):
-    return len(finite.validate(ctx.groupoid())), 0
+    check_nerve_size(ctx.model(), 3)  # the work: the composable triples, in degree 3
+    return len(finite.validate(ctx.model())), 0
 
 
-@register("coinvariants_dimension", "finite", 0.0)
+@register("coinvariants_dimension", "finite_groupoid", 0.0)
 def _coinv_dim(ctx, tol):
-    g = ctx.groupoid()
+    g = ctx.model()
     return finite.coinvariants(g)[0], len(finite.orbits(g))
 
 
-@register("cone_dimension", "finite", 0.0)
+@register("cone_dimension", "finite_groupoid", 0.0)
 def _cone_dim(ctx, tol):
-    g = ctx.groupoid()
+    g = ctx.model()
     return finite.transverse_measure_cone(g)[0], len(finite.orbits(g))
 
 
-@register("betti_zero", "finite", 0.0)
+@register("betti_zero", "finite_groupoid", 0.0)
 def _betti_zero(ctx, tol):
-    return ctx.homology(0).degrees[0].betti, len(finite.orbits(ctx.groupoid()))
+    return ctx.homology(0).degrees[0].betti, len(finite.orbits(ctx.model()))
 
 
-@register("homology_betti", "finite", 0.0, kmax=(DEGREE, 2),
+@register("homology_betti", "finite_groupoid", 0.0, kmax=(DEGREE, 2),
           expected=(listed(INT, "Betti numbers"), None))
 def _homology(ctx, tol, kmax, expected):
     if expected is not None and len(expected) < kmax + 1:
@@ -406,14 +385,14 @@ def _homology(ctx, tol, kmax, expected):
                             f"kmax {kmax} needs {kmax + 1}")
     rep = ctx.homology(kmax)
     if expected is None:
-        expected = [len(finite.orbits(ctx.groupoid()))] + [0] * kmax
+        expected = [len(finite.orbits(ctx.model()))] + [0] * kmax
     return {f"homology_betti[{d.degree}]": (d.betti, expected[d.degree])
             for d in rep.degrees}
 
 
-@register("boundary_squares", "finite", 0.0, kmax=(integer(2, MAX_DEGREE), 3))
+@register("boundary_squares", "finite_groupoid", 0.0, kmax=(integer(2, MAX_DEGREE), 3))
 def _boundary_squares(ctx, tol, kmax):
-    g = ctx.groupoid()
+    g = ctx.model()
     check_nerve_size(g, kmax)
     nerves = [finite.nerve(g, k) for k in range(kmax + 1)]
     d = [None] + [finite.boundary_columns(g, k, nerves[k], nerves[k - 1])
@@ -426,9 +405,9 @@ def _boundary_squares(ctx, tol, kmax):
     return rows
 
 
-@register("trace_matches_orbit_constancy", "finite", 0.0, samples=(DRAWS, 6))
+@register("trace_matches_orbit_constancy", "finite_groupoid", 0.0, samples=(DRAWS, 6))
 def _trace_equiv(ctx, tol, samples):
-    g = ctx.groupoid()
+    g = ctx.model()
     rng = ctx.rng(1)
     # every trace condition reads w(x) = w(y) or w(x) = 0, so a distinct nonzero
     # value on each orbit fails one whenever an orbit indicator does
@@ -441,10 +420,10 @@ def _trace_equiv(ctx, tol, samples):
                for w in weights), 0
 
 
-@register("morita_restriction", "finite", 0.0,
+@register("morita_restriction", "finite_groupoid", 0.0,
           subset=(listed(INT, "objects"), None), kmax=(DEGREE, 2))
 def _morita(ctx, tol, subset, kmax):
-    g = ctx.groupoid()
+    g = ctx.model()
     if subset is None:
         subset = [orb[0] for orb in finite.orbits(g)]
     sub = finite.restrict_full_subgroupoid(g, list(subset))
@@ -454,9 +433,9 @@ def _morita(ctx, tol, subset, kmax):
     return {f"morita_restriction[{k}]": (restricted[k], full[k]) for k in range(kmax + 1)}
 
 
-@register("convolution_associative", "finite", 0.0)
+@register("convolution_associative", "finite_groupoid", 0.0)
 def _assoc(ctx, tol):
-    g = ctx.groupoid()
+    g = ctx.model()
     check_nerve_size(g, 3)  # the work: the composable triples, in degree 3
     deltas = [{a: 1} for a in g.arrows()]
     into, src, convolve = g.arrows_into, g.src, finite.convolve
@@ -473,9 +452,12 @@ def _assoc(ctx, tol):
     return violations, 0
 
 
-@register("average_orbit_constant", "finite", 0.0, samples=(DRAWS, 5))
+@register("average_orbit_constant", "finite_groupoid", 0.0, samples=(DRAWS, 5))
 def _avg_const(ctx, tol, samples):
-    g = ctx.groupoid()
+    g = ctx.model()
+    if samples * g.n_arrows > MAX_SAMPLE_ARROWS:
+        raise ScenarioError(f"{samples} samples over {g.n_arrows} arrows are more than "
+                            f"{MAX_SAMPLE_ARROWS} sample arrows")
     haar = finite.counting_haar(g)
     rng = ctx.rng(2)
     violations = 0
@@ -489,17 +471,17 @@ def _avg_const(ctx, tol, samples):
 # ---------------------------------------------------------------------------
 # smooth engine checks
 
-@register("model_axioms", "smooth", 1e-9)
+@register("model_axioms", "group_action", 1e-9)
 def _model_axioms(ctx, tol):
     return ctx.model().check_axioms(ctx.rng(3)), 0.0
 
 
-@register("invariance_defect", "smooth", 1e-6, count=(DRAWS, DEFAULT_TEST_COUNT))
+@register("invariance_defect", "proper_action", 1e-6, count=(DRAWS, DEFAULT_TEST_COUNT))
 def _inv_defect(ctx, tol, count):
     return ctx.defects(None, count)[0], 0.0
 
 
-@register("inversion_defect", "smooth", 1e-6, count=(DRAWS, DEFAULT_TEST_COUNT))
+@register("inversion_defect", "proper_action", 1e-6, count=(DRAWS, DEFAULT_TEST_COUNT))
 def _invsn_defect(ctx, tol, count):
     return ctx.defects(None, count)[1], 0.0
 
@@ -515,21 +497,21 @@ def _shortfall(floor: float, value: float) -> float:
     return 0.0 if value >= floor else floor - value
 
 
-@register("invariance_witness", "smooth", 0.0, **_WITNESS)
+@register("invariance_witness", "proper_action", 0.0, **_WITNESS)
 def _inv_witness(ctx, tol, tau, rho, min_defect):
     invariance, _ = ctx.defects({"rho": rho, "tau": tau})
     return _shortfall(min_defect, invariance), 0.0
 
 
-@register("inversion_witness", "smooth", 0.0, **_WITNESS)
+@register("inversion_witness", "proper_action", 0.0, **_WITNESS)
 def _invsn_witness(ctx, tol, tau, rho, min_defect):
     _, inversion = ctx.defects({"rho": rho, "tau": tau})
     return _shortfall(min_defect, inversion), 0.0
 
 
-@register("averaging_annihilates", "smooth", 1e-6, count=(DRAWS, 20))
+@register("averaging_annihilates", "proper_action", 1e-6, count=(DRAWS, 20))
 def _avg_annihilates(ctx, tol, count):
-    model, sigma = ctx.proper_model(), ctx.sigma()
+    model, sigma = ctx.model(), ctx.sigma()
     rng = ctx.rng(5)
     worst = 0.0
     for _ in range(count):
@@ -538,45 +520,45 @@ def _avg_annihilates(ctx, tol, count):
     return worst, 0.0
 
 
-@register("averaging_orbit_constant", "smooth", 1e-6)
+@register("averaging_orbit_constant", "proper_action", 1e-6)
 def _avg_orbit_const(ctx, tol):
-    model, sigma = ctx.proper_model(), ctx.sigma()
+    model, sigma = ctx.model(), ctx.sigma()
     section = ArrowFunction.random(model, ctx.rng(6)).slice(0)
     return averaging(model, sigma.rho_values, section).constancy_defect, 0.0
 
 
-@register("cutoff_normalization", "smooth", 1e-9, phi=(FIELD, _CONSTANT_SEED))
+@register("cutoff_normalization", "proper_action", 1e-9, phi=(FIELD, _CONSTANT_SEED))
 def _cutoff_norm(ctx, tol, phi):
-    model, sigma = ctx.proper_model(), ctx.sigma()
+    model, sigma = ctx.model(), ctx.sigma()
     return cutoff_normalization_defect(model, sigma.rho_values,
                                        ctx.cutoff(phi, "phi")), 0.0
 
 
-@register("weyl", "smooth", 1e-6, f=(FIELD, REQUIRED), phi=(FIELD, _CONSTANT_SEED))
+@register("weyl", "proper_action", 1e-6, f=(FIELD, REQUIRED), phi=(FIELD, _CONSTANT_SEED))
 def _weyl(ctx, tol, f, phi):
-    model, sigma = ctx.proper_model(), ctx.sigma()
+    model, sigma = ctx.model(), ctx.sigma()
     return weyl_check(model, sigma, ctx.field(f), cutoff=ctx.cutoff(phi, "phi"))
 
 
-@register("weyl_seed_independence", "smooth", 2e-6, f=(FIELD, REQUIRED),
+@register("weyl_seed_independence", "proper_action", 2e-6, f=(FIELD, REQUIRED),
           phi1=(FIELD, REQUIRED), phi2=(FIELD, REQUIRED))
 def _weyl_seeds(ctx, tol, f, phi1, phi2):
-    model, sigma = ctx.proper_model(), ctx.sigma()
+    model, sigma = ctx.model(), ctx.sigma()
     values = ctx.field(f)
     c1, c2 = ctx.cutoff(phi1, "phi1"), ctx.cutoff(phi2, "phi2")
     return (weyl_check(model, sigma, values, cutoff=c1)[1],
             weyl_check(model, sigma, values, cutoff=c2)[1])
 
 
-@register("weinstein_two_ways", "smooth", 1e-6, phi=(FIELD, _CONSTANT_SEED))
+@register("weinstein_two_ways", "proper_action", 1e-6, phi=(FIELD, _CONSTANT_SEED))
 def _weinstein(ctx, tol, phi):
-    return weinstein_volume(ctx.proper_model(), ctx.sigma(),
+    return weinstein_volume(ctx.model(), ctx.sigma(),
                             cutoff=ctx.cutoff(phi, "phi"))
 
 
-@register("weinstein_expected", "smooth", 1e-9, expected=(SCALAR, REQUIRED))
+@register("weinstein_expected", "proper_action", 1e-9, expected=(SCALAR, REQUIRED))
 def _weinstein_expected(ctx, tol, expected):
-    direct, _ = weinstein_volume(ctx.proper_model(), ctx.sigma(),
+    direct, _ = weinstein_volume(ctx.model(), ctx.sigma(),
                                  cutoff=ctx.cutoff(_CONSTANT_SEED, "phi"))
     return direct, expected
 
@@ -594,33 +576,33 @@ def _grid_node(model, node) -> tuple[int, ...]:
 _NODE = (listed(INT, "grid indices"), None)
 
 
-@register("orbit_density_mass", "smooth", 1e-9, node=_NODE, expected=(NUMBER, 1.0))
+@register("orbit_density_mass", "proper_action", 1e-9, node=_NODE, expected=(NUMBER, 1.0))
 def _orbit_mass(ctx, tol, node, expected):
-    model, sigma = ctx.proper_model(), ctx.sigma()
+    model, sigma = ctx.model(), ctx.sigma()
     measure = orbit_density(model, sigma.rho_values, _grid_node(model, node))
     return measure.total(), expected
 
 
-@register("orbit_density_basepoint", "smooth", 1e-9, node=_NODE)
+@register("orbit_density_basepoint", "proper_action", 1e-9, node=_NODE)
 def _orbit_basepoint(ctx, tol, node):
-    model, sigma = ctx.proper_model(), ctx.sigma()
+    model, sigma = ctx.model(), ctx.sigma()
     first = orbit_density(model, sigma.rho_values, _grid_node(model, node))
     other = np.unravel_index(max(first.masses), model.grid.shape)
     second = orbit_density(model, sigma.rho_values, tuple(int(i) for i in other))
     return first.distance(second), 0.0
 
 
-@register("cocycle_additivity", "smooth", 1e-9, samples=(DRAWS, 100))
+@register("cocycle_additivity", "group_action", 1e-9, samples=(DRAWS, 100))
 def _cocycle_add(ctx, tol, samples):
     return cocycle_additivity_defect(ctx.model(), ctx.sigma(), ctx.rng(7), samples), 0.0
 
 
-@register("cocycle_vanishes", "smooth", 1e-12, samples=(DRAWS, 50))
+@register("cocycle_vanishes", "group_action", 1e-12, samples=(DRAWS, 50))
 def _cocycle_zero(ctx, tol, samples):
     return cocycle_vanishing_defect(ctx.model(), ctx.sigma(), ctx.rng(8), samples), 0.0
 
 
-@register("cocycle_expected", "smooth", 1e-9, element=(INT, REQUIRED),
+@register("cocycle_expected", "group_action", 1e-9, element=(INT, REQUIRED),
           point=(listed(NUMBER, "coordinates"), (1.0,)), expected=(SCALAR, REQUIRED))
 def _cocycle_expected(ctx, tol, element, point, expected):
     model = ctx.model()
@@ -630,7 +612,7 @@ def _cocycle_expected(ctx, tol, element, point, expected):
     return modular_cocycle(model, ctx.sigma(), element, point), expected
 
 
-@register("cutoff_saturation_error", "smooth", 0.0, exact=True, phi=(FIELD, REQUIRED))
+@register("cutoff_saturation_error", "proper_action", 0.0, exact=True, phi=(FIELD, REQUIRED))
 def _cutoff_saturation(ctx, tol, phi):
     try:
         ctx.cutoff(phi, "phi")
@@ -649,44 +631,48 @@ def _transverse_profile(fol, expr: str):
 
 
 def _foliation_data(ctx, omega: str, transverse: str):
-    fol = ctx.foliation()
+    fol = ctx.model()
     omega_values = compile_field(omega, 2)(*fol.grid.meshgrid())
     return fol, _transverse_profile(fol, transverse), omega_values
 
 
-@register("stokes_closed", "smooth", 1e-4, omega=_LEAF_FORM, transverse=_TRANSVERSE)
+@register("stokes_closed", "foliation", 1e-4, omega=_LEAF_FORM, transverse=_TRANSVERSE)
 def _stokes(ctx, tol, omega, transverse):
     return stokes_defect(*_foliation_data(ctx, omega, transverse)), 0.0
 
 
-@register("stokes_order", "smooth", 0.0, omega=_LEAF_FORM, transverse=_TRANSVERSE,
+@register("stokes_order", "foliation", 0.0, omega=_LEAF_FORM, transverse=_TRANSVERSE,
           min_order=(NUMBER, 1.8))
 def _stokes_order(ctx, tol, omega, transverse, min_order):
-    # the half-resolution level keeps 3 leaf nodes
-    n = ctx.foliation(min_leaf=5).grid.shape[0] - 1
+    n = ctx.model().grid.shape[0] - 1
+    if n < 4:  # the half-resolution level keeps 3 leaf nodes
+        raise ScenarioError(f"needs n_leaf >= 5, got {n + 1}")
     defects = []
     for resolution in (n // 2, n):
+        values = dict(ctx.descriptor.values, n_leaf=resolution + 1)
         sub = ScenarioContext(ctx.name, ctx.engine,
-                              dict(ctx.model_doc, n_leaf=resolution + 1), ctx.seed)
+                              replace(ctx.descriptor, values=values), ctx.seed)
         defects.append(stokes_defect(*_foliation_data(sub, omega, transverse)))
     # a zero fine defect means the scheme is exact for this omega
     order = float(np.log2(defects[0] / defects[1])) if defects[1] else np.inf
     return _shortfall(min_order, order), 0.0
 
 
-@register("ruelle_sullivan_closed", "smooth", 1e-4, beta=_LEAF_FORM,
+@register("ruelle_sullivan_closed", "foliation", 1e-4, beta=_LEAF_FORM,
           transverse=_TRANSVERSE)
 def _rs_closed(ctx, tol, beta, transverse):
-    fol = ctx.foliation(min_transverse=3)
+    fol = ctx.model()
+    if fol.grid.shape[1] < 3:  # a transverse derivative stencil needs 3 nodes
+        raise ScenarioError(f"needs n_transverse >= 3, got {fol.grid.shape[1]}")
     beta_values = compile_field(beta, 2)(*fol.grid.meshgrid())
     value = ruelle_sullivan_evaluate(fol, _transverse_profile(fol, transverse),
                                      exterior_derivative(fol, beta_values))
     return abs(value), 0.0
 
 
-@register("ruelle_sullivan_pairing", "smooth", 1e-6, transverse=_TRANSVERSE)
+@register("ruelle_sullivan_pairing", "foliation", 1e-6, transverse=_TRANSVERSE)
 def _rs_pairing(ctx, tol, transverse):
-    fol = ctx.foliation()
+    fol = ctx.model()
     weights = _transverse_profile(fol, transverse)
     shape = fol.grid.shape
     value = ruelle_sullivan_evaluate(fol, weights,
@@ -695,17 +681,9 @@ def _rs_pairing(ctx, tol, transverse):
     return value, leaf_len * (weights * fol.grid.axes[1].weights()).sum()
 
 
-def _submersion(ctx) -> SubmersionGroupoidModel:
-    doc = ctx.model_of_kind("submersion_probe")
-    nodes = integer(2)  # the fewest an interval rule takes
-    grid = Grid([Axis(nodes.read(doc, "n_base", 9), -2.0, 2.0),
-                 Axis(nodes.read(doc, "n_fiber", 8193), -4.0, 4.0)])
-    return SubmersionGroupoidModel(grid, fiber_axes=[1])
-
-
-@register("exactness_reconstruction", "smooth", 1e-6)
+@register("exactness_reconstruction", "submersion_probe", 1e-6)
 def _exactness(ctx, tol):
-    model = _submersion(ctx)
+    model = ctx.model()
     X, Y = model.total.meshgrid()
     bump = np.exp(-(X ** 2 + Y ** 2))
     report = exactness_probe(model, -2.0 * Y * bump)
@@ -716,9 +694,9 @@ def _exactness(ctx, tol):
             "exactness_tail": (report.tail_magnitude, 0.0)}
 
 
-@register("exactness_obstruction", "smooth", 0.0, exact=True)
+@register("exactness_obstruction", "submersion_probe", 0.0, exact=True)
 def _obstruction(ctx, tol):
-    model = _submersion(ctx)
+    model = ctx.model()
     X, Y = model.total.meshgrid()
     try:
         exactness_probe(model, np.exp(-(X ** 2 + Y ** 2)))
@@ -730,45 +708,45 @@ def _obstruction(ctx, tol):
 # ---------------------------------------------------------------------------
 # symplectic checks
 
-@register("liouville_total", "symplectic", 1e-6, expected=(SCALAR, REQUIRED))
+@register("liouville_total", "surface", 1e-6, expected=(SCALAR, REQUIRED))
 def _liouville(ctx, tol, expected):
-    surface = ctx.surface()
+    surface = ctx.model()
     return integrate(surface.grid, liouville_density(surface)), expected
 
 
-@register("dh_two_ways", "symplectic", 1e-5)
+@register("dh_two_ways", "surface", 1e-5)
 def _dh_two(ctx, tol):
-    return dh_total_mass_two_ways(ctx.surface())
+    return dh_total_mass_two_ways(ctx.model())
 
 
-@register("dh_expected", "symplectic", 1e-5, expected=(SCALAR, REQUIRED))
+@register("dh_expected", "surface", 1e-5, expected=(SCALAR, REQUIRED))
 def _dh_expected(ctx, tol, expected):
-    return dh_total_mass_two_ways(ctx.surface())[0], expected
+    return dh_total_mass_two_ways(ctx.model())[0], expected
 
 
-@register("affine_total", "symplectic", 1e-6, expected=(SCALAR, REQUIRED))
+@register("affine_total", "leaf_family", 1e-6, expected=(SCALAR, REQUIRED))
 def _affine_total(ctx, tol, expected):
-    family = ctx.leaf_family()
+    family = ctx.model()
     return integrate(family.base, affine_measure(family)), expected
 
 
-@register("dh_weyl", "symplectic", 1e-6, f=(FIELD, "1.0 + 0*t"))
+@register("dh_weyl", "leaf_family", 1e-6, f=(FIELD, "1.0 + 0*t"))
 def _dh_weyl(ctx, tol, f):
-    family = ctx.leaf_family()
+    family = ctx.model()
     profile = compile_field(f, 1)(family.base.nodes(0))
     return dh_weyl_check(family, lambda i: np.full(family.leaf.grid.shape, profile[i]))
 
 
-@register("affine_volume_two_ways", "symplectic", 1e-6)
+@register("affine_volume_two_ways", "leaf_family", 1e-6)
 def _affine_vol(ctx, tol):
-    return affine_volume(ctx.leaf_family())
+    return affine_volume(ctx.model())
 
 
-@register("iota_scaling", "symplectic", 1e-9)
+@register("iota_scaling", "leaf_family", 1e-9)
 def _iota_scaling(ctx, tol):
-    family = ctx.leaf_family()
+    family = ctx.model()
     base = affine_volume(family)[0]
-    doubled = affine_volume(ctx.leaf_family(iota=2 * family.iota))[0]
+    doubled = affine_volume(family.with_iota(2 * family.iota))[0]
     return np.divide(doubled, base), 0.5
 
 

@@ -4,13 +4,16 @@ Exit codes: 0 all checks pass, 1 at least one check fails, 2 input error.
 A violated identity is a failing row.  An input error is a ``ScenarioError``,
 raised where a value is first found wrong: malformed JSON, a document of the
 wrong shape, unknown checks (in a document or a ``--tol`` key), bad check
-parameters, missing or unwritable files, or data that breaks a precondition
-of a check (an orbit volume below threshold, a degenerate lattice), a field
-sample that is not finite, a check whose arithmetic overflows, is invalid or
-divides by zero, or a float row whose error |lhs - rhs| overflows, so no row
-holds a NaN or an inf.  Anything else, a ``ModelError`` included (misuse of
+parameters, a model kind its engine lacks or a model key its kind does not
+declare, a check whose family the model does not serve, missing or
+unwritable files, or data that breaks a precondition of a check (an orbit
+volume below threshold, a degenerate lattice), a field sample that is not
+finite, a check whose arithmetic overflows, is invalid or divides by zero,
+or a float row whose error |lhs - rhs| overflows, so no row holds a NaN or
+an inf.  Anything else, a ``ModelError`` included (misuse of
 the library or a constructor check that no document reaches), is a bug in
-the program and ends in a traceback.
+the program and ends in a traceback.  Every document, its model descriptor
+and every check entry are read before the first check runs.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from importlib import resources
 
 import numpy as np
 
-from .checks import REGISTRY, ScenarioContext, catalog
+from .checks import FAMILIES, MODEL_KINDS, REGISTRY, ScenarioContext, catalog, read_model
 from .expressions import REQUIRED, ScenarioError, integer, number
 from .reports import CheckRow, Report
 
@@ -43,6 +46,8 @@ def load_scenario(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: malformed JSON at line {exc.lineno}, "
                             f"column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ScenarioError(f"{path}: JSON nested too deep to parse") from exc
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: a scenario must be a JSON object, got {doc!r}")
     for key in ("name", "engine", "model", "checks"):
@@ -79,14 +84,16 @@ def _shaped(doc: dict, key: str, shape: type, default=None):
 def read_scenario(doc: dict, tol_overrides: dict[str, float] | None = None,
                   seed_override: int | None = None) -> tuple[tuple, list]:
     """The arguments of a scenario's context and its checks, each with its
-    tolerance and parameter values; every check entry is read and no check runs."""
+    tolerance and parameter values; the model descriptor and every check entry
+    are read, each check is matched to the model's families, and no check runs
+    and no model is built."""
     tol_overrides = tol_overrides or {}
     engine = doc["engine"]
-    if engine not in ("finite", "smooth", "symplectic"):
+    if not (isinstance(engine, str) and engine in MODEL_KINDS):
         raise ScenarioError(f"unknown engine {engine!r}")
-    seed = (SEED.read(doc, "seed", 0, "scenario parameter 'seed'")
+    seed = (SEED.convert(doc.get("seed", 0), "scenario parameter 'seed'")
             if seed_override is None else seed_override)
-    model = _shaped(doc, "model", dict)
+    model = read_model(engine, _shaped(doc, "model", dict))
     scenario_tols = _shaped(doc, "tolerances", dict, {})
     plan = []
     for entry in _shaped(doc, "checks", list):
@@ -103,6 +110,8 @@ def read_scenario(doc: dict, tol_overrides: dict[str, float] | None = None,
         tol = entry.get("tolerance", scenario_tols.get(name, check.default_tol))
         tol = tol_overrides.get(name, tol)
         try:
+            if check.model not in model.entry.serves:
+                raise ScenarioError(FAMILIES[check.model][1].format(kind=model.kind))
             plan.append((check, TOLERANCE.convert(tol, "tolerance"),
                          check.read_params(entry.get("params", {}))))
         except ScenarioError as exc:

@@ -95,16 +95,6 @@ class Kind:
     label: str
     convert: Callable
 
-    def read(self, doc: dict, key: str, default=REQUIRED, name: str | None = None):
-        """``doc[key]`` read by this kind, or the default when it is absent;
-        ``name`` names the value in errors (default ``parameter 'key'``)."""
-        name = name or f"parameter {key!r}"
-        if key not in doc:
-            if default is REQUIRED:
-                raise ScenarioError(f"missing required {name}")
-            return default
-        return self.convert(doc[key], name)
-
 
 def as_int(value, name: str) -> int:
     """An integer input value; anything else (a boolean, text that is not an
@@ -173,15 +163,43 @@ def listed(item: Kind, what: str) -> Kind:
     return Kind(f"list of {what}", convert)
 
 
+def read_fields(value: dict, fields: dict, name: Callable[[str], str]) -> dict:
+    """The value of every declared field of a JSON object, each declared as
+    ``key=(kind, default)`` and named ``name(key)`` in errors: read by its
+    kind, or the default when it is absent.  A key that is not declared, or a
+    required one that is absent, is an input error."""
+    for key in value:
+        if key not in fields:
+            raise ScenarioError(f"unknown {name(key)}; declared: "
+                                f"{', '.join(fields) or 'none'}")
+    for key, (kind, default) in fields.items():
+        if key not in value and default is REQUIRED:
+            raise ScenarioError(f"missing required {name(key)}")
+    return {key: kind.convert(value[key], name(key)) if key in value else default
+            for key, (kind, default) in fields.items()}
+
+
+def as_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{name} must be an object, got {value!r}")
+    return value
+
+
 def record(what: str, build: Callable, **fields) -> Kind:
     """A JSON object whose fields, each ``key=(kind, default)``, are read by
     their own kinds and passed to ``build`` by keyword."""
+    return Kind(what, lambda value, name: build(**read_fields(
+        as_object(value, name), fields, lambda key: f"{name} field {key!r}")))
+
+
+def choice(what: str, *names: str) -> Kind:
+    """One of ``names``; any other value is an unknown ``what``."""
     def convert(value, name):
-        if not isinstance(value, dict):
-            raise ScenarioError(f"{name} must be an object {what}, got {value!r}")
-        return build(**{key: kind.read(value, key, default, f"{name} field {key!r}")
-                        for key, (kind, default) in fields.items()})
-    return Kind(what, convert)
+        if value not in names:
+            raise ScenarioError(f"unknown {what} {value!r}; one of "
+                                f"{', '.join(map(repr, names))}")
+        return value
+    return Kind(" or ".join(map(repr, names)), convert)
 
 
 INT, NATURAL, COUNT = integer(), integer(0), integer(1)
@@ -190,3 +208,49 @@ BOOLEAN = Kind("boolean", _boolean)
 FIELD = Kind("field expression", _string)
 SCALAR = Kind("scalar expression", lambda value, name: NUMBER.convert(
     evaluate_scalar(_string(value, name)), f"{name} = {value!r}"))
+OBJECT = Kind("object", as_object)
+
+
+# ---------------------------------------------------------------------------
+# model descriptors
+
+@dataclass(frozen=True)
+class ModelKind:
+    """A kind of model descriptor: the families of checks its models serve,
+    its builder, which takes the value of every field by keyword, and its
+    fields, each ``key=(kind, default)``.  A finite groupoid kind also counts
+    the composable pairs of the groupoid its values describe."""
+    serves: tuple
+    build: Callable
+    fields: dict
+    pairs: Callable | None = None
+
+
+@dataclass(frozen=True)
+class Descriptor:
+    """A model descriptor read through the entry of its ``kind``: the value
+    of every declared field; nothing is built until ``build`` is called."""
+    kind: str | None
+    entry: ModelKind
+    values: dict
+
+    @staticmethod
+    def read(kinds: dict, doc) -> "Descriptor":
+        """``doc`` read through the entry of its ``kind`` in ``kinds`` (a
+        document without one has the kind None); an unknown kind or a field
+        its kind does not declare is an input error."""
+        kind = as_object(doc, "a model descriptor").get("kind")
+        if not (kind is None or isinstance(kind, str)) or kind not in kinds:
+            raise ScenarioError(f"unknown model kind {kind!r}; declared: "
+                                f"{', '.join(map(repr, kinds))}")
+        entry = kinds[kind]
+        fields = {key: value for key, value in doc.items() if key != "kind"}
+        return Descriptor(kind, entry, read_fields(fields, entry.fields,
+                                                   lambda key: f"model field {key!r}"))
+
+    def build(self):
+        return self.entry.build(**self.values)
+
+    @property
+    def pairs(self) -> int:
+        return self.entry.pairs(**self.values) if self.entry.pairs else 0

@@ -24,8 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from ..density.grids import Axis, Grid, positive_finite
-from ..expressions import (BOOLEAN, COUNT, NATURAL, NUMBER, REQUIRED, ScenarioError,
-                           listed, record)
+from ..expressions import (BOOLEAN, COUNT, FIELD, NATURAL, NUMBER, REQUIRED, Descriptor,
+                           Kind, ModelKind, ScenarioError, as_object, listed, record)
 
 
 class ModelError(ValueError):
@@ -447,35 +447,55 @@ _AXIS = record("{n, lo, hi, periodic}", Axis, n=(COUNT, REQUIRED), lo=(NUMBER, R
                hi=(NUMBER, REQUIRED), periodic=(BOOLEAN, False))
 _GRID = record('{"axes": [{n, lo, hi, periodic}]}', Grid,
                axes=(listed(_AXIS, "axes"), REQUIRED))
+# a transverse density: an absent rho with the "lebesgue" tau is the model's
+# Lebesgue density (TransverseDensityData.lebesgue)
+_DENSITY = record("{rho, tau}", dict, rho=(FIELD, None), tau=(FIELD, "lebesgue"))
+_SIGMA = (_DENSITY, _DENSITY.convert({}, "sigma"))
+_PROPER = ("group_action", "proper_action")
 
 
-def build_model(descriptor: dict) -> ActionGroupoidModel:
-    """Instantiate a model from its JSON descriptor (External Interfaces)."""
-    kind = descriptor.get("kind")
-    params = descriptor.get("params", {})
-    if not isinstance(params, dict):
-        raise ScenarioError(f"model params must be an object, got {params!r}")
+def _action(make, serves=_PROPER, grid: bool = False, **params) -> ModelKind:
+    """A group action kind: ``make`` takes the fields of its ``params`` object
+    (and its ``grid``) by keyword; ``sigma`` is the scenario's density."""
+    fields = record("{" + ", ".join(params) + "}", dict, **params)
+    declared = {"params": (fields, fields.convert({}, "params")), "sigma": _SIGMA}
+    if grid:
+        declared["grid"] = (_GRID, REQUIRED)
+    return ModelKind(serves, lambda params, sigma, **grid: make(**params, **grid), declared)
 
-    if kind == "rotation2d":
-        return RotationPlaneModel(
-            n_r=COUNT.read(params, "n_r", 64), n_phi=COUNT.read(params, "n_phi", 64),
-            r_lo=NUMBER.read(params, "r_lo", 1.0), r_hi=NUMBER.read(params, "r_hi", 2.0))
-    if kind == "finite_action":
-        kind = params.get("preset")
-        if kind not in ("antipodal_circle", "mirror_interval"):
-            raise ScenarioError(f"unknown finite action preset {kind!r}")
-    if kind == "antipodal_circle":
-        return antipodal_circle_model(COUNT.read(params, "n", 256))
-    if kind == "mirror_interval":
-        return mirror_interval_model(COUNT.read(params, "n", 257),
-                                     NUMBER.read(params, "half_width", 1.0))
-    if kind == "circle_self":
-        return circle_self_model(COUNT.read(params, "n", 256))
-    if kind == "trivial":
-        return TrivialActionModel(_GRID.read(descriptor, "grid"))
-    if kind == "scaling_line":
-        return ScalingLineModel(max_power=NATURAL.read(params, "max_power", 2))
-    raise ScenarioError(f"unknown model kind {kind!r}")
+
+_PRESETS = ("antipodal_circle", "mirror_interval")
+
+
+def _preset(value, name) -> Descriptor:
+    """The params of a ``finite_action``: a ``preset`` kind and its params."""
+    params = dict(as_object(value, name))
+    return Descriptor.read({kind: ACTION_KINDS[kind] for kind in _PRESETS},
+                           {"kind": params.pop("preset", None), "params": params})
+
+
+# the group action kinds of smooth scenarios, read by build_model
+ACTION_KINDS = {
+    "rotation2d": _action(RotationPlaneModel, n_r=(COUNT, 64), n_phi=(COUNT, 64),
+                          r_lo=(NUMBER, 1.0), r_hi=(NUMBER, 2.0)),
+    "finite_action": ModelKind(_PROPER, lambda params, sigma: params.build(),
+                               {"params": (Kind("{preset, ...}", _preset), REQUIRED),
+                                "sigma": _SIGMA}),
+    "antipodal_circle": _action(antipodal_circle_model, n=(COUNT, 256)),
+    "mirror_interval": _action(mirror_interval_model, n=(COUNT, 257),
+                               half_width=(NUMBER, 1.0)),
+    "circle_self": _action(circle_self_model, n=(COUNT, 256)),
+    "trivial": _action(TrivialActionModel, grid=True),
+    "scaling_line": _action(ScalingLineModel, ("group_action",), max_power=(NATURAL, 2)),
+}
+
+
+def build_model(descriptor) -> ActionGroupoidModel:
+    """Instantiate a model from its JSON descriptor (External Interfaces),
+    read through ``ACTION_KINDS``, or from a ``Descriptor`` read already."""
+    if not isinstance(descriptor, Descriptor):
+        descriptor = Descriptor.read(ACTION_KINDS, descriptor)
+    return descriptor.build()
 
 
 class TransverseDensityData:

@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from ..density.grids import Axis, Grid, integrate, positive_finite
-from ..expressions import (COUNT, INT, NUMBER, REQUIRED, ScenarioError, compile_field,
-                           integer, listed, record)
+from ..expressions import (COUNT, INT, NUMBER, REQUIRED, Descriptor, Kind, ModelKind,
+                           ScenarioError, choice, compile_field, integer, listed, record)
 
 
 class SymplecticPairModel:
@@ -115,34 +115,43 @@ def _component_count(iota: int) -> int:
 _INTERVAL = record("{lo, hi, n}", Axis, lo=(NUMBER, REQUIRED), hi=(NUMBER, REQUIRED),
                    n=(COUNT, REQUIRED))
 _SAMPLES = listed(NUMBER, "numbers")
+_AREA = Kind("expression or list of numbers", lambda value, name:
+             value if isinstance(value, str) else _SAMPLES.convert(value, name))
 
 
-def _area_function(doc: dict, key: str, default: str, n: int):
+def _area_function(value, key: str, n: int):
     """An expression in t, or a list of samples on the n base nodes."""
-    value = doc.get(key, default)
     if isinstance(value, str):
         return compile_field(value, 1)
-    samples = np.array(_SAMPLES.convert(value, f"parameter {key!r}"))
+    samples = np.array(value)
     if samples.shape != (n,):
         raise ScenarioError(f"{key} needs one sample per base node ({n}), "
                             f"got shape {samples.shape}")
     return lambda t: samples
 
 
+def _leaf_family(B: Axis, area, area_derivative, iota: int, leaf: str,
+                 leaf_nodes: int) -> LeafFamilyModel:
+    return LeafFamilyModel(Grid([B]), _area_function(area, "area", B.n),
+                           _area_function(area_derivative, "area_derivative", B.n),
+                           iota=iota, leaf=leaf, leaf_nodes=leaf_nodes)
+
+
+# a leaf family: its document has no kind
+LEAF_FAMILY = ModelKind(("leaf_family",), _leaf_family, {
+    "B": (_INTERVAL, Axis(65, 1.0, 2.0)), "area": (_AREA, "4*pi*t"),
+    "area_derivative": (_AREA, "4*pi + 0*t"), "iota": (INT, 1),
+    "leaf": (choice("leaf template", "sphere", "torus"), "sphere"),
+    "leaf_nodes": (integer(2), 64)})
+
+
 def leaf_family_from_doc(doc: dict) -> LeafFamilyModel:
     """Build a leaf family from {B:{lo,hi,n}, area, area_derivative, iota, leaf,
-    leaf_nodes}; any malformed field is a ScenarioError.
+    leaf_nodes}, read through ``LEAF_FAMILY``; any malformed or undeclared
+    field is a ScenarioError.
 
     ``area`` and ``area_derivative`` are expressions in t or sample lists on
     the base nodes.  Defaults: B = [1, 2] with 65 nodes, area 4*pi*t with
     derivative 4*pi, iota 1, a sphere leaf on 64 azimuth nodes.
     """
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"a leaf family is a JSON object, got {doc!r}")
-    base = Grid([_INTERVAL.read(doc, "B", Axis(65, 1.0, 2.0))])
-    n = base.shape[0]
-    return LeafFamilyModel(base, _area_function(doc, "area", "4*pi*t", n),
-                           _area_function(doc, "area_derivative", "4*pi + 0*t", n),
-                           iota=INT.read(doc, "iota", 1), leaf=doc.get("leaf", "sphere"),
-                           leaf_nodes=integer(2).read(doc, "leaf_nodes", 64))
-
+    return Descriptor.read({None: LEAF_FAMILY}, doc).build()

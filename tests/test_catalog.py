@@ -12,9 +12,10 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupoid_measures.checks import REGISTRY, REQUIRED
+from groupoid_measures.checks import MODEL_KINDS, REGISTRY, REQUIRED
 from groupoid_measures.cli import bundled_scenarios, main
 from groupoid_measures.expressions import FIELD
+from groupoid_measures.finite import pair_groupoid
 
 # a small model for the checks of each engine ...
 ENGINE_MODELS = {
@@ -170,3 +171,71 @@ def test_any_model_value_gives_a_documented_exit(name, data):
     path = data.draw(st.sampled_from(list(value_paths(doc["model"], ("model",)))))
     code, out, err = run(replaced(doc, path, data.draw(JSON_VALUES)))
     assert_documented_exit(code, out, err)
+
+
+SIGMA = {"rho": "1 + 0*x", "tau": "1 + 0*x"}
+# a small valid descriptor of every model kind in the table
+KIND_MODELS = {
+    "finite": {
+        "unit": {"kind": "unit", "n": 2},
+        "pair": {"kind": "pair", "n": 2},
+        "cyclic": {"kind": "cyclic", "n": 3},
+        "z2_action": {"kind": "z2_action", "points": 3, "swaps": [[0, 1]]},
+        "disjoint_union": {"kind": "disjoint_union",
+                           "parts": [{"kind": "unit", "n": 1}, {"kind": "pair", "n": 2}]},
+        "json": {"kind": "json", "doc": json.loads(pair_groupoid(2).to_json())},
+    },
+    "smooth": {
+        "rotation2d": {"kind": "rotation2d", "sigma": SIGMA,
+                       "params": {"n_r": 4, "n_phi": 8, "r_lo": 1.0, "r_hi": 2.0}},
+        "finite_action": {"kind": "finite_action", "sigma": SIGMA,
+                          "params": {"preset": "mirror_interval", "n": 9, "half_width": 1.0}},
+        "antipodal_circle": {"kind": "antipodal_circle", "params": {"n": 8}, "sigma": SIGMA},
+        "mirror_interval": {"kind": "mirror_interval", "sigma": SIGMA,
+                            "params": {"n": 9, "half_width": 1.0}},
+        "circle_self": {"kind": "circle_self", "params": {"n": 8}, "sigma": SIGMA},
+        "trivial": {"kind": "trivial", "params": {}, "sigma": SIGMA,
+                    "grid": {"axes": [{"n": 5, "lo": 0, "hi": 1, "periodic": False}]}},
+        "scaling_line": {"kind": "scaling_line", "params": {"max_power": 2}, "sigma": SIGMA},
+        "foliation": FOLIATION,
+        "submersion_probe": SUBMERSION,
+    },
+    "symplectic": {
+        "sphere": {"kind": "sphere", "area": 2.0},
+        "torus_cell": {"kind": "torus_cell"},
+        None: dict(ENGINE_MODELS["symplectic"], area="4*pi*t", area_derivative="4*pi + 0*t",
+                   iota=1, leaf="sphere"),
+    },
+}
+KINDS = [(engine, kind) for engine, kinds in MODEL_KINDS.items() for kind in kinds]
+
+
+def kind_scenario(engine: str, kind, model: dict) -> dict:
+    """A scenario running the first check, by name, that a model of the kind serves."""
+    serves = MODEL_KINDS[engine][kind].serves
+    name = next(name for name, check in sorted(REGISTRY.items())
+                if check.engine == engine and check.model in serves)
+    return dict(small_scenario(name), model=model)
+
+
+def test_every_model_kind_has_a_small_descriptor_that_runs():
+    assert KINDS == [(engine, kind) for engine, kinds in KIND_MODELS.items() for kind in kinds]
+    for engine, kind in KINDS:
+        code, out, err = run(kind_scenario(engine, kind, KIND_MODELS[engine][kind]))
+        assert code in (0, 1), err
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(KINDS), st.data())
+def test_any_model_field_value_gives_a_documented_exit(engine_kind, data):
+    # one declared field of a descriptor replaced, or a key it does not declare added
+    engine, kind = engine_kind
+    fields = sorted(MODEL_KINDS[engine][kind].fields)
+    key = "undeclared"
+    if fields and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(fields))
+    model = dict(KIND_MODELS[engine][kind], **{key: data.draw(JSON_VALUES)})
+    code, out, err = run(kind_scenario(engine, kind, model))
+    assert_documented_exit(code, out, err)
+    if key == "undeclared":
+        assert code == 2 and "unknown model field 'undeclared'" in err

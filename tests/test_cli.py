@@ -17,9 +17,13 @@ from hypothesis import strategies as st
 from groupoid_measures import checks, finite
 from groupoid_measures.cli import bundled_scenarios, main
 from groupoid_measures.checks import (MAX_COMPOSABLE_PAIRS, MAX_NERVE_STRINGS, REGISTRY,
-                                      build_finite_groupoid, composable_pairs)
+                                      read_model)
 from groupoid_measures.density.grids import MAX_GRID_NODES
 from groupoid_measures.expressions import ScenarioError
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "gmbench"))
+import workloads  # noqa: E402
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +64,25 @@ def test_malformed_json_reports_line_and_column(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", str(bad))
     assert code == 2
     assert "line 2" in err and "column" in err
+
+
+@pytest.mark.parametrize("depth, message", [
+    (100, None), (250, "the model descriptor is nested too deep to read"),
+    (2000, "JSON nested too deep to parse")])
+def test_nested_disjoint_unions_are_read_or_refused(capsys, tmp_path, depth, message):
+    # each part of a part is read by its own call; the JSON parser recurses too
+    model = '{"kind": "unit", "n": 1}'
+    for _ in range(depth):
+        model = '{"kind": "disjoint_union", "parts": [' + model + ']}'
+    path = tmp_path / "deep.json"
+    path.write_text('{"name": "x", "engine": "finite", "model": ' + model
+                    + ', "checks": [{"name": "betti_zero"}]}')
+    code, _, err = run_cli(capsys, "run", str(path))
+    if message is None:
+        assert code == 0
+    else:
+        assert_input_error(code, err)
+        assert message in err
 
 
 def test_unknown_check_lists_valid_names(capsys, tmp_path):
@@ -459,14 +482,7 @@ LEAF_CHECKS = [{"name": "affine_total", "params": {"expected": "4*pi"}},
 
 @pytest.mark.parametrize("change, message", [
     ({"iota": 0}, "component count"),
-    ({"leaf": "cube"}, "unknown leaf template 'cube'"),
     ({"area": "-t"}, "leaf areas must be positive"),
-    ({"B": {"n": 1, "lo": 1, "hi": 2}}, "too few nodes"),
-    ({"B": {"lo": 2, "hi": 1, "n": 9}}, "hi > lo"),
-    ({"B": {"hi": 2, "n": 9}}, "missing required parameter 'B' field 'lo'"),
-    ({"B": {"lo": "a", "hi": 2, "n": 9}}, "'a'"),
-    ({"leaf_nodes": 1}, "leaf_nodes"),
-    ({"B": {"n": True, "lo": 1, "hi": 2}}, "parameter 'B' field 'n' must be an integer, got True"),
     ({"B": {"n": 10**30, "lo": 1, "hi": 2}}, "has more than"),
     ({"leaf_nodes": 10**7}, "has more than"),
     ({"iota": 1e308}, "component count"),
@@ -477,6 +493,27 @@ def test_malformed_leaf_family_is_input_error(capsys, tmp_path, change, message)
     code, _, err = run_doc(capsys, tmp_path, doc)
     assert_input_error(code, err)
     assert "'affine_volume_two_ways'" in err and message in err
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"leaf": "cube"}, "unknown leaf template 'cube'"),
+    ({"B": {"n": 1, "lo": 1, "hi": 2}}, "too few nodes"),
+    ({"B": {"lo": 2, "hi": 1, "n": 9}}, "hi > lo"),
+    ({"B": {"hi": 2, "n": 9}}, "missing required model field 'B' field 'lo'"),
+    ({"B": {"lo": "a", "hi": 2, "n": 9}}, "'a'"),
+    ({"leaf_nodes": 1}, "leaf_nodes"),
+    ({"B": {"n": True, "lo": 1, "hi": 2}},
+     "model field 'B' field 'n' must be an integer, got True"),
+    ({"B": {"n": 9, "lo": 1, "hi": 2, "m": 3}}, "unknown model field 'B' field 'm'"),
+    ({"iotta": 2}, "unknown model field 'iotta'; declared: B, area, area_derivative, iota"),
+])
+def test_malformed_leaf_family_field_is_read_before_any_check(capsys, tmp_path, change,
+                                                              message):
+    doc = {"name": "x", "engine": "symplectic", "model": dict(LEAF_FAMILY, **change),
+           "checks": [{"name": "affine_volume_two_ways"}]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert message in err and "check '" not in err
 
 
 def test_sampled_leaf_family_runs(capsys, tmp_path):
@@ -509,7 +546,9 @@ def test_bad_sphere_area_is_input_error(capsys, tmp_path, area, message):
            "checks": [{"name": "liouville_total", "params": {"expected": "1"}}]}
     code, _, err = run_doc(capsys, tmp_path, doc)
     assert_input_error(code, err)
-    assert "'liouville_total'" in err and message in err
+    # a value of the wrong kind is refused when it is read; a negative area
+    # when the sphere is built
+    assert message in err and ("'liouville_total'" in err) == (area == -1)
 
 
 @pytest.mark.parametrize("params, message", [
@@ -656,7 +695,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
     ("iota_degenerate_lattice.json",
      "check 'iota_scaling': affine structure is degenerate"),
     ("dh_weyl_log.json", "check 'dh_weyl': 'log(t - 1)' is not finite at every point"),
-    ("subnormal_axis.json", "check 'weinstein_two_ways': axis spacing 1.39067116157e-312 "
+    ("subnormal_axis.json", "error: axis spacing 1.39067116157e-312 "
                             "is below the smallest normal float"),
     # finite samples whose products overflow (an overflowed orbit volume once
     # gave weinstein_two_ways 0 = 0), or whose affine volume underflows to 0
@@ -685,6 +724,16 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
     # its work is the composable triples, which the nerve cap counts
     ("associative_cyclic_64.json", "check 'convolution_associative': the nerve has "
                                    "266305 strings in degrees 0..3, more than 131072"),
+    # validate's work is the composable triples too, which Z256 took 4.8 s over
+    ("axioms_cyclic_64.json", "check 'axioms_valid': the nerve has "
+                              "266305 strings in degrees 0..3, more than 131072"),
+    # a misspelled model key was once ignored, and the run went on with the default
+    ("rotation_params_nr.json", "error: unknown model field 'params' field 'nr'; "
+                                "declared: n_r, n_phi, r_lo, r_hi\n"),
+    ("sigma_rh0.json", "error: unknown model field 'sigma' field 'rh0'; "
+                       "declared: rho, tau\n"),
+    ("leaf_family_iotta.json", "error: unknown model field 'iotta'; "
+                               "declared: B, area, area_derivative, iota, leaf, leaf_nodes\n"),
     # a list name was once a nested list in JSON reports and "[1, 2]" in CSV
     ("scenario_name_not_string.json", "scenario field 'name' must be a string, got [1, 2]"),
 ])
@@ -821,7 +870,7 @@ def trivial_model(axis_change: dict) -> dict:
     ("smooth", {"kind": "scaling_line", "params": {"max_power": 10**30}},
      {"name": "model_axioms"}, "max_power must be at most 1022"),
     ("smooth", {"kind": "trivial"}, {"name": "model_axioms"},
-     "missing required parameter 'grid'"),
+     "missing required model field 'grid'"),
     ("smooth", dict(ROTATION8, sigma={"rho": "-1 + 0*r"}), {"name": "invariance_defect"},
      "strictly positive"),
     ("smooth", ROTATION8, {"name": "orbit_density_mass", "params": {"node": [99, 0]}},
@@ -870,25 +919,27 @@ def test_composable_pairs_count_the_built_table(monkeypatch):
     parts = [{"kind": "unit", "n": 3}, {"kind": "pair", "n": 3}, {"kind": "cyclic", "n": 4},
              {"kind": "z2_action", "points": 3, "swaps": [[0, 2]]}]
     for doc in parts + [{"kind": "disjoint_union", "parts": parts}]:
-        assert composable_pairs(doc) == len(build_finite_groupoid(doc).compose_table)
-    # a descriptor at the cap is built and one pair more is refused; a stub
-    # stands in for the builder, so neither allocates a table
+        descriptor = read_model("finite", doc)
+        assert descriptor.pairs == len(descriptor.build().compose_table)
+    # a descriptor at the cap is read and built and one pair more is refused
+    # when it is read; a stub stands in for the builder, so neither allocates
+    # a table
     monkeypatch.setattr(finite, "unit_groupoid", lambda n: n)
     cap = {"kind": "unit", "n": MAX_COMPOSABLE_PAIRS}
-    assert build_finite_groupoid(cap) == MAX_COMPOSABLE_PAIRS
+    assert read_model("finite", cap).build() == MAX_COMPOSABLE_PAIRS
     with pytest.raises(ScenarioError, match="composable pairs"):
-        build_finite_groupoid(dict(cap, n=MAX_COMPOSABLE_PAIRS + 1))
+        read_model("finite", dict(cap, n=MAX_COMPOSABLE_PAIRS + 1))
 
 
 def test_a_json_groupoid_counts_its_listed_entries_against_the_cap(monkeypatch):
     # pair(2) lists 8 entries: at a cap of 8 it is built, at 7 it is refused
     doc = {"kind": "json", "doc": json.loads(finite.pair_groupoid(2).to_json())}
-    assert composable_pairs(doc) == 8
+    assert read_model("finite", doc).pairs == 8
     monkeypatch.setattr(checks, "MAX_COMPOSABLE_PAIRS", 8)
-    assert build_finite_groupoid(doc) == finite.pair_groupoid(2)
+    assert read_model("finite", doc).build() == finite.pair_groupoid(2)
     monkeypatch.setattr(checks, "MAX_COMPOSABLE_PAIRS", 7)
     with pytest.raises(ScenarioError, match="a 'json' groupoid has more than 7 composable"):
-        build_finite_groupoid(doc)
+        read_model("finite", doc)
 
 
 @pytest.mark.parametrize("check", [
@@ -919,6 +970,60 @@ def test_a_nerve_at_the_cap_is_enumerated_and_one_string_more_is_refused(capsys,
     code, _, err = run_doc(capsys, tmp_path, doc)
     assert_input_error(code, err)
     assert "the nerve has 120 strings" in err
+
+
+def test_axioms_valid_at_the_nerve_cap_validates_and_one_string_more_is_refused(
+        capsys, tmp_path, monkeypatch):
+    # stubs stand in for the count and for validate, so neither does the work
+    validated = []
+    monkeypatch.setattr(finite, "validate", lambda g: validated.append(g) or [])
+    doc = dict(SCENARIO, checks=[{"name": "axioms_valid"}])
+    monkeypatch.setattr(finite, "nerve_sizes", lambda g, kmax: [0] * kmax + [MAX_NERVE_STRINGS])
+    assert run_doc(capsys, tmp_path, doc)[0] == 0 and len(validated) == 1
+    monkeypatch.setattr(finite, "nerve_sizes",
+                        lambda g, kmax: [0] * kmax + [MAX_NERVE_STRINGS + 1])
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert f"the nerve has {MAX_NERVE_STRINGS + 1} strings in degrees 0..3" in err
+    assert len(validated) == 1
+
+
+def test_average_orbit_constant_at_its_cap_runs_and_one_sample_arrow_more_is_refused(
+        capsys, tmp_path, monkeypatch):
+    # pair(2) has 4 arrows, so 5 samples are 20 sample arrows
+    doc = dict(SCENARIO, checks=[{"name": "average_orbit_constant", "params": {"samples": 5}}])
+    monkeypatch.setattr(checks, "MAX_SAMPLE_ARROWS", 20)
+    assert run_doc(capsys, tmp_path, doc)[0] == 0
+    monkeypatch.setattr(checks, "MAX_SAMPLE_ARROWS", 19)
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert "5 samples over 4 arrows are more than 19 sample arrows" in err
+
+
+def test_average_orbit_constant_over_its_cap_draws_nothing(capsys, tmp_path, monkeypatch):
+    # unit(4096) at 33 samples: 135 168 sample arrows, one sample more than
+    # the measured 2**17
+    monkeypatch.setattr(finite, "average_function", _refuse_to_build)
+    doc = {"name": "x", "engine": "finite", "model": {"kind": "unit", "n": 4096},
+           "checks": [{"name": "average_orbit_constant", "params": {"samples": 33}}]}
+    code, _, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert f"33 samples over 4096 arrows are more than {checks.MAX_SAMPLE_ARROWS}" in err
+
+
+def test_every_bundled_and_many_small_average_is_under_its_cap():
+    docs = []
+    for path in bundled_scenarios():
+        with open(path, encoding="utf-8") as fh:
+            docs.append(json.load(fh))
+    averages = [(entry, doc["model"]) for doc in docs + [s.doc for s in workloads.many_small(1)]
+                for entry in doc["checks"] if entry["name"] == "average_orbit_constant"]
+    assert len(averages) == 42
+    check = REGISTRY["average_orbit_constant"]
+    for entry, model in averages:
+        samples = check.read_params(entry.get("params", {}))["samples"]
+        arrows = read_model("finite", model).build().n_arrows
+        assert samples * arrows <= checks.MAX_SAMPLE_ARROWS
 
 
 # every count, samples and kmax parameter of the catalog, with its cap
@@ -974,21 +1079,55 @@ def test_every_entry_is_read_before_the_first_check_runs(capsys, tmp_path, monke
     assert calls == []
 
 
-def test_every_document_is_read_before_the_first_check_runs(capsys, tmp_path,
-                                                            monkeypatch):
+def spy_on_every_runner(monkeypatch) -> list:
+    """The names of the checks whose runners run, each in place of its runner."""
     calls = []
     for name, check in list(REGISTRY.items()):
         def spy(ctx, tol, _name=name, **values):
             calls.append(_name)
             return 0, 0
         monkeypatch.setitem(REGISTRY, name, dataclasses.replace(check, runner=spy))
-    good, bad, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "r.csv"
+    return calls
+
+
+@pytest.mark.parametrize("bad", [
+    dict(SCENARIO, checks=[{"name": "homology_betti", "params": {"kmax": "x"}}]),
+    dict(SCENARIO, model={"kind": "pair", "n": 2, "m": 3}),
+    {"name": "x", "engine": "smooth", "model": {"kind": "rotation2d", "params": {"nr": 512}},
+     "checks": [{"name": "model_axioms"}]},
+], ids=["check_params", "model_field", "model_params"])
+def test_every_document_is_read_before_the_first_check_runs(capsys, tmp_path,
+                                                            monkeypatch, bad):
+    calls = spy_on_every_runner(monkeypatch)
+    good, bad_path, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "r.csv"
     good.write_text(json.dumps(dict(SCENARIO, checks=[{"name": "axioms_valid"}])))
-    bad.write_text(json.dumps(dict(SCENARIO, checks=[
-        {"name": "homology_betti", "params": {"kmax": "x"}}])))
-    code, _, err = run_cli(capsys, "run", str(good), str(bad), "--out", str(out))
+    bad_path.write_text(json.dumps(bad))
+    code, _, err = run_cli(capsys, "run", str(good), str(bad_path), "--out", str(out))
     assert_input_error(code, err)
     assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("engine, model, entries, message", [
+    ("finite", {"kind": "pear"}, [], "unknown model kind 'pear'; declared: 'unit', 'pair'"),
+    ("smooth", {"kind": "pair", "n": 2}, [{"name": "model_axioms"}],
+     "unknown model kind 'pair'"),
+    ("symplectic", {"kind": "foliation"}, [{"name": "dh_two_ways"}],
+     "unknown model kind 'foliation'"),
+    ("smooth", {"kind": "rotation2d"},
+     [{"name": "weinstein_two_ways"}, {"name": "stokes_closed"}],
+     "check 'stokes_closed': needs a 'foliation' model, got kind 'rotation2d'"),
+    ("smooth", {"kind": "foliation"}, [{"name": "model_axioms"}],
+     "check 'model_axioms': needs a group action model, got kind 'foliation'"),
+    ("finite", {"kind": "unit", "n": 2, "parts": []}, [],
+     "unknown model field 'parts'; declared: n"),
+])
+def test_a_model_that_no_check_can_run_on_stops_the_run_before_any_check(
+        capsys, tmp_path, monkeypatch, engine, model, entries, message):
+    calls = spy_on_every_runner(monkeypatch)
+    doc = {"name": "x", "engine": engine, "model": model, "checks": entries}
+    code, out, err = run_doc(capsys, tmp_path, doc)
+    assert_input_error(code, err)
+    assert message in err and calls == [] and out == ""
 
 
 def test_each_scenario_context_is_released_before_the_next_runs(capsys, tmp_path,
@@ -1020,7 +1159,7 @@ def test_exact_rows_compare_exactly(capsys, tmp_path, monkeypatch):
     monkeypatch.setitem(REGISTRY, "exact_sides", CheckDef(
         "exact_sides", "finite", lambda ctx, tol: {
             "tiny": (tiny, 0), "third": (Fraction(1, 3), Fraction(1, 3)), "count": (3, 3)},
-        0.0, True, {}))
+        0.0, True, {}, "finite_groupoid"))
     path, out = tmp_path / "s.json", tmp_path / "r.json"
     path.write_text(json.dumps(dict(SCENARIO, checks=[{"name": "exact_sides"}])))
     code, _, _ = run_cli(capsys, "run", str(path), "--format", "json", "--out", str(out))
@@ -1069,8 +1208,8 @@ def test_model_axioms_below_its_defect_is_a_failing_row(capsys, tmp_path):
     (LEAF_FAMILY, {"name": "liouville_total", "params": {"expected": "4*pi"}},
      "needs a 'sphere' or 'torus_cell' model, got kind None"),
     (LEAF_FAMILY, {"name": "dh_two_ways"}, "got kind None"),
-    ({"area": 2.0}, {"name": "dh_expected", "params": {"expected": "4"}}, "got kind None"),
-    ({"kind": "foliation"}, {"name": "dh_two_ways"}, "got kind 'foliation'"),
+    ({"area": "2 + 0*t"}, {"name": "dh_expected", "params": {"expected": "4"}},
+     "got kind None"),
 ])
 def test_symplectic_checks_need_their_model_kind(capsys, tmp_path, model, check, message):
     doc = {"name": "x", "engine": "symplectic", "model": model, "checks": [check]}

@@ -529,7 +529,7 @@ def test_the_orbit_valued_weight_catches_a_broken_trace_condition(monkeypatch):
     # unit(2) with spurious entries that make delta_0 * delta_1 the unit at 0
     # and delta_1 * delta_0 the unit at 1: the one condition is w(0) = w(1),
     # which the all-ones weight and a constant sample keep
-    from groupoid_measures import checks
+    from groupoid_measures import checks, finite
     g = unit_groupoid(2)
     broken = replace(g, compose_table={**g.compose_table, (0, 1): 0, (1, 0): 1})
     assert is_trace(broken, [1, 1])[0] and not is_trace(broken, [2, 4])[0]
@@ -538,9 +538,10 @@ def test_the_orbit_valued_weight_catches_a_broken_trace_condition(monkeypatch):
         def randrange(self, start, stop):
             return stop - 1
 
-    monkeypatch.setattr(checks, "build_finite_groupoid", lambda doc: broken)
+    monkeypatch.setattr(finite, "unit_groupoid", lambda n: broken)
     monkeypatch.setattr(checks.ScenarioContext, "rng", lambda self, salt=0: ConstantRandom())
-    ctx = checks.ScenarioContext("x", "finite", {"kind": "unit", "n": 2}, 0)
+    unit2 = checks.read_model("finite", {"kind": "unit", "n": 2})
+    ctx = checks.ScenarioContext("x", "finite", unit2, 0)
     runner = checks.REGISTRY["trace_matches_orbit_constancy"].runner
     assert runner(ctx, 0.0, samples=1) == (1, 0)
 
@@ -553,7 +554,8 @@ def test_a_convolve_broken_on_one_product_fails_convolution_associative(monkeypa
         # pair(2): arrow 1 is 1 -> 0 and arrow 2 is 0 -> 1, so 1 * 2 is the unit 0
         return {0: 2} if (u, v) == ({1: 1}, {2: 1}) else convolve_ok(g, u, v)
 
-    ctx = checks.ScenarioContext("x", "finite", {"kind": "pair", "n": 2}, 0)
+    pair2 = checks.read_model("finite", {"kind": "pair", "n": 2})
+    ctx = checks.ScenarioContext("x", "finite", pair2, 0)
     runner = checks.REGISTRY["convolution_associative"].runner
     assert runner(ctx, 0.0) == (0, 0)
     monkeypatch.setattr(finite, "convolve", broken)
@@ -617,8 +619,8 @@ def test_convolve_reads_dicts_and_sequences_alike(g, data):
 @pytest.mark.parametrize("model", [{"kind": "pair", "n": 3},
                                    {"kind": "z2_action", "points": 3, "swaps": [[0, 1]]}])
 def test_finite_checks_return_exact_values(model):
-    from groupoid_measures.checks import REGISTRY, ScenarioContext
-    ctx = ScenarioContext("exact", "finite", model, 7)
+    from groupoid_measures.checks import REGISTRY, ScenarioContext, read_model
+    ctx = ScenarioContext("exact", "finite", read_model("finite", model), 7)
     for check in REGISTRY.values():
         if check.engine != "finite":
             continue

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoid_measures.checks import REGISTRY, ScenarioContext
+from groupoid_measures.checks import REGISTRY, ScenarioContext, read_model
 from groupoid_measures.cli import bundled_scenarios
 from groupoid_measures.density import Axis, Grid
 from groupoid_measures.expressions import FIELD, ScenarioError, compile_field
@@ -53,13 +53,10 @@ def test_meshgrid_is_the_open_grid_of_the_dense_one(axes):
 
 def scenario_grid(doc):
     """The grid a smooth scenario samples its fields on, or None."""
-    ctx = ScenarioContext(doc["name"], doc["engine"], doc["model"], 0)
-    kind = doc["model"].get("kind")
-    if kind == "foliation":
-        return ctx.foliation().grid
-    if kind == "submersion_probe":
+    if doc["model"].get("kind") == "submersion_probe":
         return None
-    return ctx.model().grid
+    return ScenarioContext(doc["name"], doc["engine"],
+                           read_model(doc["engine"], doc["model"]), 0).model().grid
 
 
 def scenario_fields():
@@ -146,7 +143,7 @@ def counting_compiles(monkeypatch):
     return compiled
 
 
-ROTATION = {"kind": "rotation2d", "params": {"n_r": 8, "n_phi": 16}}
+ROTATION = read_model("smooth", {"kind": "rotation2d", "params": {"n_r": 8, "n_phi": 16}})
 
 
 def test_the_field_sampler_samples_each_expression_once(monkeypatch):

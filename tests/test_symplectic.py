@@ -222,7 +222,10 @@ def test_leaf_family_parser_takes_samples_leaf_nodes_and_defaults():
     ({"area": 7}, "must be a list of numbers"),
     ({"B": {"lo": 1, "hi": 2, "n": 1}}, "too few nodes"),
     ({"B": {"lo": 2, "hi": 1, "n": 9}}, "hi > lo"),
-    ({"B": {"hi": 2, "n": 9}}, "missing required parameter 'B' field 'lo'"),
+    ({"B": {"hi": 2, "n": 9}}, "missing required model field 'B' field 'lo'"),
+    ({"B": {"lo": 1, "hi": 2, "n": 9, "m": 1}}, "unknown model field 'B' field 'm'"),
+    ({"iotta": 2}, "unknown model field 'iotta'"),
+    ({"kind": "sphere"}, "unknown model kind 'sphere'"),
     ({"B": {"lo": "a", "hi": 2, "n": 9}}, "'B' field 'lo' must be a finite number"),
     ({"B": {"lo": 1, "hi": 2, "n": "x"}}, "must be an integer"),
     ({"B": [1, 2, 9]}, "must be an object"),
