@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
@@ -42,12 +43,14 @@ from .smooth import (
     cocycle_vanishing_defect,
     cutoff_construct,
     cutoff_normalization_defect,
+    cutoff_pairing,
     default_test_set,
     exactness_probe,
     exterior_derivative,
     invariance_defects,
     modular_cocycle,
     orbit_density,
+    orbit_integrals,
     ruelle_sullivan_evaluate,
     shriek_average,
     stokes_defect,
@@ -93,9 +96,11 @@ MAX_DRAWS = 1000
 # largest bundled degree is 3.
 MAX_DEGREE = 16
 DRAWS, DEGREE = integer(1, MAX_DRAWS), integer(0, MAX_DEGREE)
-# The most samples times arrows average_orbit_constant may take: each sample is
-# averaged over every arrow.  On unit(4096), at 32 samples, the 2**17 took 1.4 s
-# (2 cores, Python 3.11).  The largest bundled product is 45.
+# The most samples times arrows average_orbit_constant may take, and samples
+# times objects trace_matches_orbit_constancy may take: each sample is averaged
+# over every arrow, or drawn and tested on every object.  On unit(4096), at 32
+# samples, the 2**17 took 1.4 s (2 cores, Python 3.11).  The largest bundled
+# product is 45.
 MAX_SAMPLE_ARROWS = 2 ** 17
 
 # the families of checks: the engine of each, and the error that refuses a
@@ -202,14 +207,28 @@ def check_nerve_size(g: finite.FiniteGroupoid, kmax: int) -> None:
 
 class ScenarioContext:
     """Builds a scenario's model from its descriptor as read, once, when a
-    check first asks, and caches what the checks derive from it."""
+    check first asks, and caches what the checks derive from it.
 
-    def __init__(self, name: str, engine: str, descriptor: Descriptor, seed: int):
+    ``reads`` is the plan of a scenario read by ``cli.read_scenario``: how
+    often its checks read each grid-sized memo, a field sample
+    ``("field", expr)`` or a cut-off ``("cutoff", expr)`` (``CheckDef.memos``).
+    Building a cut-off reads the sample of its seed once more.  A memo is
+    dropped at its last planned read, and a read the plan does not count
+    keeps nothing.  A context without a plan keeps every memo it makes,
+    except the sample of a seed, which its cut-off answers for.
+    """
+
+    def __init__(self, name: str, engine: str, descriptor: Descriptor, seed: int,
+                 reads: Counter | None = None):
         self.name = name
         self.engine = engine
         self.descriptor = descriptor
         self.seed = seed
         self._cache: dict = {}
+        self._reads = None
+        if reads is not None:
+            self._reads = Counter(reads)
+            self._reads.update(("field", expr) for kind, expr in reads if kind == "cutoff")
 
     def rng(self, salt: int = 0) -> random.Random:
         return random.Random(self.seed + salt)
@@ -268,33 +287,46 @@ class ScenarioContext:
             self._cache[key] = invariance_defects(model, sigma, tests)
         return self._cache[key]
 
+    def _read(self, key: tuple, make: Callable):
+        """The memo ``key``, made by ``make`` if it is not held, and held
+        after this read while the plan counts later reads of it."""
+        value = self._cache[key] if key in self._cache else make()
+        if self._reads is None:
+            self._cache[key] = value
+        elif self._reads[key] > 1:
+            self._reads[key] -= 1
+            self._cache[key] = value
+        else:
+            self._reads.pop(key, None)
+            self._cache.pop(key, None)
+        return value
+
     def field(self, expr: str) -> np.ndarray:
         """A field sampled on the model grid, read-only, once per expression."""
-        memo = ("field", expr)
-        if memo not in self._cache:
+        def sample():
             grid = self.model().grid
-            self._cache[memo] = compile_field(expr, grid.ndim)(*grid.meshgrid())
-            self._cache[memo].setflags(write=False)
-        return self._cache[memo]
+            values = compile_field(expr, grid.ndim)(*grid.meshgrid())
+            values.setflags(write=False)
+            return values
+        return self._read(("field", expr), sample)
 
     def cutoff(self, expr: str, key: str) -> np.ndarray:
         """Cut-off of the scenario's density from the seed parameter ``key``,
         built once per expression; a seed that misses an orbit raises
         SaturationError.
         """
-        model = self.model()
-        memo = ("cutoff", expr)
-        if memo not in self._cache:
+        def build():
             phi = self.field(expr)
-            del self._cache[("field", expr)]  # the cut-off memo answers every later ask
+            if self._reads is None:
+                del self._cache[("field", expr)]  # the cut-off memo answers every later ask
             if not positive_finite(phi, strict=False):
                 raise ScenarioError(f"cut-off seed {key!r} must be nonnegative and "
                                     f"finite, got {expr!r}")
             try:
-                self._cache[memo] = cutoff_construct(model, self.sigma().rho_values, phi)
+                return cutoff_construct(self.model(), self.sigma().rho_values, phi)
             except SaturationError as exc:
                 raise SaturationError(f"cut-off seed {key!r}: {exc}") from exc
-        return self._cache[memo]
+        return self._read(("cutoff", expr), build)
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +343,18 @@ class CheckDef:
     exact: bool
     params: dict
     model: str
+    reads: tuple = ()
 
     def read_params(self, params) -> dict:
         """The values of every declared parameter, read from a scenario entry."""
         return read_fields(as_object(params, "params"), self.params,
                            lambda key: f"parameter {key!r}")
+
+    def memos(self, values: dict) -> list[tuple]:
+        """The scenario memos one run of the check reads, as keys of
+        ``ScenarioContext``: one per parameter of a memo kind, then ``reads``."""
+        return [(kind.memo, values[key]) for key, (kind, _) in self.params.items()
+                if kind.memo] + list(self.reads)
 
     def rows(self, scenario: str, result, tol: float) -> list[CheckRow]:
         """Report rows; exact checks keep ``int`` and ``Fraction`` sides.  A
@@ -339,14 +378,15 @@ REGISTRY: dict[str, CheckDef] = {}
 
 
 def register(name: str, model: str, default_tol: float, exact: bool | None = None,
-             **params):
-    """Declares a check that runs on the ``model`` family, whose engine it takes."""
+             reads: tuple = (), **params):
+    """Declares a check that runs on the ``model`` family, whose engine it takes;
+    ``reads`` are the scenario memos it reads whatever its parameters."""
     engine = FAMILIES[model][0]
 
     def wrap(fn):
         REGISTRY[name] = CheckDef(name, engine, fn, default_tol,
                                   engine == "finite" if exact is None else exact, params,
-                                  model)
+                                  model, tuple(reads))
         return fn
     return wrap
 
@@ -360,16 +400,19 @@ def _axioms_valid(ctx, tol):
     return len(finite.validate(ctx.model())), 0
 
 
+# the two dimensions without the orbits x objects basis of coinvariants and
+# transverse_measure_cone: the invariant functionals are the dual of the
+# coinvariants, of the same dimension
 @register("coinvariants_dimension", "finite_groupoid", 0.0)
 def _coinv_dim(ctx, tol):
     g = ctx.model()
-    return finite.coinvariants(g)[0], len(finite.orbits(g))
+    return finite.coinvariants_dimension(g), len(finite.orbits(g))
 
 
 @register("cone_dimension", "finite_groupoid", 0.0)
 def _cone_dim(ctx, tol):
     g = ctx.model()
-    return finite.transverse_measure_cone(g)[0], len(finite.orbits(g))
+    return finite.coinvariants_dimension(g), len(finite.orbits(g))
 
 
 @register("betti_zero", "finite_groupoid", 0.0)
@@ -408,6 +451,9 @@ def _boundary_squares(ctx, tol, kmax):
 @register("trace_matches_orbit_constancy", "finite_groupoid", 0.0, samples=(DRAWS, 6))
 def _trace_equiv(ctx, tol, samples):
     g = ctx.model()
+    if samples * g.n_objects > MAX_SAMPLE_ARROWS:
+        raise ScenarioError(f"{samples} samples over {g.n_objects} objects are more than "
+                            f"{MAX_SAMPLE_ARROWS} sample objects")
     rng = ctx.rng(1)
     # every trace condition reads w(x) = w(y) or w(x) = 0, so a distinct nonzero
     # value on each orbit fails one whenever an orbit indicator does
@@ -487,6 +533,9 @@ def _invsn_defect(ctx, tol, count):
 
 
 _CONSTANT_SEED = "1.0 + 0*c0"
+# the field kinds whose values name a memo of the scenario context: a field
+# sampled on the grid, and the seed of a cut-off
+SAMPLED, CUTOFF_SEED = replace(FIELD, memo="field"), replace(FIELD, memo="cutoff")
 _WITNESS = {"tau": (FIELD, REQUIRED), "rho": (FIELD, _CONSTANT_SEED),
             "min_defect": (NUMBER, 1e-3)}
 
@@ -527,36 +576,39 @@ def _avg_orbit_const(ctx, tol):
     return averaging(model, sigma.rho_values, section).constancy_defect, 0.0
 
 
-@register("cutoff_normalization", "proper_action", 1e-9, phi=(FIELD, _CONSTANT_SEED))
+@register("cutoff_normalization", "proper_action", 1e-9, phi=(CUTOFF_SEED, _CONSTANT_SEED))
 def _cutoff_norm(ctx, tol, phi):
     model, sigma = ctx.model(), ctx.sigma()
     return cutoff_normalization_defect(model, sigma.rho_values,
                                        ctx.cutoff(phi, "phi")), 0.0
 
 
-@register("weyl", "proper_action", 1e-6, f=(FIELD, REQUIRED), phi=(FIELD, _CONSTANT_SEED))
+@register("weyl", "proper_action", 1e-6, f=(SAMPLED, REQUIRED),
+          phi=(CUTOFF_SEED, _CONSTANT_SEED))
 def _weyl(ctx, tol, f, phi):
     model, sigma = ctx.model(), ctx.sigma()
     return weyl_check(model, sigma, ctx.field(f), cutoff=ctx.cutoff(phi, "phi"))
 
 
-@register("weyl_seed_independence", "proper_action", 2e-6, f=(FIELD, REQUIRED),
-          phi1=(FIELD, REQUIRED), phi2=(FIELD, REQUIRED))
+@register("weyl_seed_independence", "proper_action", 2e-6, f=(SAMPLED, REQUIRED),
+          phi1=(CUTOFF_SEED, REQUIRED), phi2=(CUTOFF_SEED, REQUIRED))
 def _weyl_seeds(ctx, tol, f, phi1, phi2):
     model, sigma = ctx.model(), ctx.sigma()
-    values = ctx.field(f)
-    c1, c2 = ctx.cutoff(phi1, "phi1"), ctx.cutoff(phi2, "phi2")
-    return (weyl_check(model, sigma, values, cutoff=c1)[1],
-            weyl_check(model, sigma, values, cutoff=c2)[1])
+    # the orbit integrals of f, once; the sample of f goes before any cut-off
+    # is built when this is its last planned read
+    integrals = orbit_integrals(model, sigma.rho_values, ctx.field(f))
+    return (cutoff_pairing(model, sigma, ctx.cutoff(phi1, "phi1"), integrals),
+            cutoff_pairing(model, sigma, ctx.cutoff(phi2, "phi2"), integrals))
 
 
-@register("weinstein_two_ways", "proper_action", 1e-6, phi=(FIELD, _CONSTANT_SEED))
+@register("weinstein_two_ways", "proper_action", 1e-6, phi=(CUTOFF_SEED, _CONSTANT_SEED))
 def _weinstein(ctx, tol, phi):
     return weinstein_volume(ctx.model(), ctx.sigma(),
                             cutoff=ctx.cutoff(phi, "phi"))
 
 
-@register("weinstein_expected", "proper_action", 1e-9, expected=(SCALAR, REQUIRED))
+@register("weinstein_expected", "proper_action", 1e-9, reads=[("cutoff", _CONSTANT_SEED)],
+          expected=(SCALAR, REQUIRED))
 def _weinstein_expected(ctx, tol, expected):
     direct, _ = weinstein_volume(ctx.model(), ctx.sigma(),
                                  cutoff=ctx.cutoff(_CONSTANT_SEED, "phi"))
@@ -612,7 +664,8 @@ def _cocycle_expected(ctx, tol, element, point, expected):
     return modular_cocycle(model, ctx.sigma(), element, point), expected
 
 
-@register("cutoff_saturation_error", "proper_action", 0.0, exact=True, phi=(FIELD, REQUIRED))
+@register("cutoff_saturation_error", "proper_action", 0.0, exact=True,
+          phi=(CUTOFF_SEED, REQUIRED))
 def _cutoff_saturation(ctx, tol, phi):
     try:
         ctx.cutoff(phi, "phi")

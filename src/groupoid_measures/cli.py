@@ -5,14 +5,15 @@ A violated identity is a failing row.  An input error is a ``ScenarioError``,
 raised where a value is first found wrong: malformed JSON, a document of the
 wrong shape, unknown checks (in a document or a ``--tol`` key), bad check
 parameters, a model kind its engine lacks or a model key its kind does not
-declare, a check whose family the model does not serve, missing or
-unwritable files, or data that breaks a precondition of a check (an orbit
-volume below threshold, a degenerate lattice), a field sample that is not
-finite, a check whose arithmetic overflows, is invalid or divides by zero,
-or a float row whose error |lhs - rhs| overflows, so no row holds a NaN or
-an inf.  Anything else, a ``ModelError`` included (misuse of
-the library or a constructor check that no document reaches), is a bug in
-the program and ends in a traceback.  Every document, its model descriptor
+declare, a key a document or a check entry does not declare, a check whose
+family the model does not serve, missing or unwritable files, or data that
+breaks a precondition of a check (an orbit volume below threshold, a
+degenerate lattice), a field sample that is not finite, a check whose
+arithmetic overflows, is invalid or divides by zero, or a float row whose
+error |lhs - rhs| overflows, so no row holds a NaN or an inf.  Anything
+else, a ``ModelError`` included (misuse of the library or a constructor
+check that no document reaches), is a bug in the program and ends in a
+traceback.  Every document, its model descriptor
 and every check entry are read before the first check runs.
 """
 
@@ -22,12 +23,13 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from importlib import resources
 
 import numpy as np
 
 from .checks import FAMILIES, MODEL_KINDS, REGISTRY, ScenarioContext, catalog, read_model
-from .expressions import REQUIRED, ScenarioError, integer, number
+from .expressions import REQUIRED, Kind, ScenarioError, integer, number, read_fields
 from .reports import CheckRow, Report
 
 
@@ -50,12 +52,6 @@ def load_scenario(path: str) -> dict:
         raise ScenarioError(f"{path}: JSON nested too deep to parse") from exc
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: a scenario must be a JSON object, got {doc!r}")
-    for key in ("name", "engine", "model", "checks"):
-        if key not in doc:
-            raise ScenarioError(f"{path}: scenario is missing the {key!r} field")
-    if not isinstance(doc["name"], str):
-        raise ScenarioError(f"{path}: scenario field 'name' must be a string, "
-                            f"got {doc['name']!r}")
     return doc
 
 
@@ -72,31 +68,57 @@ def _parse_tol_overrides(pairs: list[str]) -> dict[str, float]:
     return overrides
 
 
-def _shaped(doc: dict, key: str, shape: type, default=None):
-    """A scenario field that must be a JSON object (dict) or list."""
-    value = doc.get(key, default)
-    if not isinstance(value, shape):
-        raise ScenarioError(f"scenario field {key!r} must be a JSON "
-                            f"{'object' if shape is dict else 'list'}, got {value!r}")
+def _json(shape: type) -> Kind:
+    """A JSON object (dict) or list, as it is."""
+    what = "object" if shape is dict else "list"
+
+    def convert(value, name):
+        if not isinstance(value, shape):
+            raise ScenarioError(f"{name} must be a JSON {what}, got {value!r}")
+        return value
+    return Kind(f"JSON {what}", convert)
+
+
+def _string(value, name) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{name} must be a string, got {value!r}")
     return value
+
+
+def _engine(value, name) -> str:
+    if not (isinstance(value, str) and value in MODEL_KINDS):
+        raise ScenarioError(f"unknown engine {value!r}")
+    return value
+
+
+_ANY, _ABSENT = Kind("JSON value", lambda value, name: value), object()
+# the fields of a scenario document, read in this order, and of each check
+# entry; a check's tolerance is read once it is chosen from its entry, the
+# document's tolerances, the check's default and --tol
+SCENARIO_FIELDS = {"name": (Kind("string", _string), REQUIRED),
+                   "engine": (Kind("engine", _engine), REQUIRED),
+                   "seed": (SEED, 0),
+                   "model": (_json(dict), REQUIRED),
+                   "tolerances": (_json(dict), {}),
+                   "checks": (_json(list), REQUIRED)}
+CHECK_FIELDS = {"name": (_ANY, None), "params": (_ANY, {}), "tolerance": (_ANY, _ABSENT)}
 
 
 def read_scenario(doc: dict, tol_overrides: dict[str, float] | None = None,
                   seed_override: int | None = None) -> tuple[tuple, list]:
     """The arguments of a scenario's context and its checks, each with its
-    tolerance and parameter values; the model descriptor and every check entry
-    are read, each check is matched to the model's families, and no check runs
-    and no model is built."""
+    tolerance and parameter values; every field of the document, its model
+    descriptor and every check entry are read, a field none of them declares
+    is an input error, each check is matched to the model's families, and no
+    check runs and no model is built.  The context's plan counts the reads
+    of each memo (``CheckDef.memos``)."""
     tol_overrides = tol_overrides or {}
-    engine = doc["engine"]
-    if not (isinstance(engine, str) and engine in MODEL_KINDS):
-        raise ScenarioError(f"unknown engine {engine!r}")
-    seed = (SEED.convert(doc.get("seed", 0), "scenario parameter 'seed'")
-            if seed_override is None else seed_override)
-    model = read_model(engine, _shaped(doc, "model", dict))
-    scenario_tols = _shaped(doc, "tolerances", dict, {})
+    fields = read_fields(doc, SCENARIO_FIELDS, lambda key: f"scenario field {key!r}")
+    engine = fields["engine"]
+    seed = fields["seed"] if seed_override is None else seed_override
+    model = read_model(engine, fields["model"])
     plan = []
-    for entry in _shaped(doc, "checks", list):
+    for entry in fields["checks"]:
         if not isinstance(entry, dict):
             raise ScenarioError(f"a check entry must be a JSON object, got {entry!r}")
         name = entry.get("name")
@@ -107,22 +129,26 @@ def read_scenario(doc: dict, tol_overrides: dict[str, float] | None = None,
         if check.engine != engine:
             raise ScenarioError(f"check {name!r} belongs to engine {check.engine!r}, "
                                 f"scenario uses {engine!r}")
-        tol = entry.get("tolerance", scenario_tols.get(name, check.default_tol))
-        tol = tol_overrides.get(name, tol)
         try:
+            entry = read_fields(entry, CHECK_FIELDS, lambda key: f"check entry field {key!r}")
+            tol = entry["tolerance"]
+            if tol is _ABSENT:
+                tol = fields["tolerances"].get(name, check.default_tol)
+            tol = tol_overrides.get(name, tol)
             if check.model not in model.entry.serves:
                 raise ScenarioError(FAMILIES[check.model][1].format(kind=model.kind))
             plan.append((check, TOLERANCE.convert(tol, "tolerance"),
-                         check.read_params(entry.get("params", {}))))
+                         check.read_params(entry["params"])))
         except ScenarioError as exc:
             raise ScenarioError(f"check {name!r}: {exc}") from exc
-
-    return (doc["name"], engine, model, seed), plan
+    reads = Counter(key for check, _, values in plan for key in check.memos(values))
+    return (fields["name"], engine, model, seed, reads), plan
 
 
 def run_scenario(scenario: tuple[tuple, list]) -> list[CheckRow]:
     """Runs the checks of a scenario from ``read_scenario``, in order, in a
-    context whose caches go when the scenario is done; numpy raises on
+    context that drops each field sample and cut-off at its last planned
+    read and its other caches when the scenario is done; numpy raises on
     overflow, invalid operations and division by zero, not on underflow."""
     context, plan = scenario
     ctx = ScenarioContext(*context)

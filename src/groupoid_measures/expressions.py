@@ -91,9 +91,12 @@ REQUIRED = object()  # the default of a value a scenario must give
 
 @dataclass(frozen=True)
 class Kind:
-    """How a value is read (``convert`` raises ScenarioError); ``label`` names it."""
+    """How a value is read (``convert`` raises ScenarioError); ``label`` names it.
+    A kind with a ``memo`` reads a value that names a scenario memo of that
+    kind (a field sample, a cut-off seed)."""
     label: str
     convert: Callable
+    memo: str | None = None
 
 
 def as_int(value, name: str) -> int:

@@ -19,6 +19,7 @@ from .calculus import (
     HaarWeight,
     average_function,
     coinvariants,
+    coinvariants_dimension,
     convolve,
     counting_haar,
     is_orbit_constant,
@@ -43,7 +44,8 @@ __all__ = [
     "cyclic_group_table", "disjoint_union", "from_json", "group_groupoid",
     "orbit_index", "orbits", "pair_groupoid", "restrict_full_subgroupoid",
     "unit_groupoid", "validate",
-    "HaarWeight", "average_function", "coinvariants", "convolve",
+    "HaarWeight", "average_function", "coinvariants", "coinvariants_dimension",
+    "convolve",
     "counting_haar", "is_orbit_constant", "is_trace",
     "s_shriek", "t_shriek", "transverse_measure_cone", "unit_trace",
     "HomologyReport", "boundary_columns", "boundary_matrix", "face", "homology", "nerve",

@@ -72,17 +72,23 @@ def t_shriek(g: FiniteGroupoid, u) -> Weights:
     return out
 
 
+def coinvariants_dimension(g: FiniteGroupoid) -> int:
+    """Dimension of coker(s_down - t_down): n_objects minus the exact rank of
+    s_down - t_down, whose image is spanned by the columns
+    {src(a): 1, tgt(a): -1} of the arrows that are not loops (a loop's column
+    is zero).  No basis is built."""
+    columns = [{g.src[a]: 1, g.tgt[a]: -1} for a in g.arrows() if g.src[a] != g.tgt[a]]
+    return g.n_objects - linalg_q._reduce(columns)
+
+
 def coinvariants(g: FiniteGroupoid) -> tuple[int, list[Weights]]:
     """Dimension and representatives of coker(s_down - t_down).
 
-    The dimension is n_objects minus the exact rank of s_down - t_down, whose
-    image is spanned by the columns {src(a): 1, tgt(a): -1} of the arrows that
-    are not loops (a loop's column is zero).  The representatives are the
+    The dimension is ``coinvariants_dimension``.  The representatives are the
     orbit indicator weights, which descend to a basis of the cokernel when the
-    dimension equals the orbit count.
+    dimension equals the orbit count: orbits x objects entries.
     """
-    columns = [{g.src[a]: 1, g.tgt[a]: -1} for a in g.arrows() if g.src[a] != g.tgt[a]]
-    dim = g.n_objects - linalg_q._reduce(columns)
+    dim = coinvariants_dimension(g)
     basis = []
     for orb in orbits(g):
         vec = [Fraction(0)] * g.n_objects

@@ -68,7 +68,8 @@ class ActionGroupoidModel:
 
     # action
     def pull(self, j: int, values: np.ndarray) -> np.ndarray:
-        """Values of x -> f(a(g_j, x)) for grid samples f."""
+        """Values of x -> f(a(g_j, x)) for grid samples f, in a new array
+        (``ArrowFunction.slice`` scales it in place)."""
         raise NotImplementedError
 
     def pull_sum(self, weights: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -716,6 +716,9 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
                                  "parameter 'samples' must be <= 1000, got 1e+308"),
     ("homology_kmax_1e308.json",
      "check 'homology_betti': parameter 'kmax' must be <= 16, got 1e+308"),
+    # samples x objects under no cap once ran past 30 s
+    ("trace_samples_unit_65536.json", "check 'trace_matches_orbit_constancy': 1000 samples "
+                                      "over 65536 objects are more than 131072 sample objects"),
     ("homology_kmax_1e8.json",
      "check 'homology_betti': parameter 'kmax' must be <= 16, got 100000000"),
     # a table entry that names an arrow out of range once passed both checks
@@ -736,6 +739,13 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
                                "declared: B, area, area_derivative, iota, leaf, leaf_nodes\n"),
     # a list name was once a nested list in JSON reports and "[1, 2]" in CSV
     ("scenario_name_not_string.json", "scenario field 'name' must be a string, got [1, 2]"),
+    # a misspelled key of a check entry or of the document once ran the defaults
+    ("check_entry_parms.json", "error: check 'homology_betti': unknown check entry field "
+                               "'parms'; declared: name, params, tolerance\n"),
+    ("check_entry_tolerence.json", "error: check 'homology_betti': unknown check entry "
+                                   "field 'tolerence'; declared: name, params, tolerance\n"),
+    ("scenario_sede.json", "error: unknown scenario field 'sede'; declared: name, engine, "
+                           "seed, model, tolerances, checks\n"),
 ])
 def test_data_that_breaks_a_precondition_is_input_error(capsys, doc, message):
     code, _, err = run_cli(capsys, "run", os.path.join(DATA, doc))

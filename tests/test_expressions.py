@@ -76,7 +76,8 @@ def scenario_fields():
         for check in doc["checks"]:
             spec = REGISTRY[check["name"]]
             params = spec.read_params(check.get("params", {}))
-            exprs |= {params[k] for k, (kind, _) in spec.params.items() if kind is FIELD}
+            exprs |= {params[k] for k, (kind, _) in spec.params.items()
+                      if kind.convert is FIELD.convert}  # memo kinds included
         out += [(doc["name"], grid, expr) for expr in sorted(exprs)]
     return out
 
