@@ -209,26 +209,21 @@ class ScenarioContext:
     """Builds a scenario's model from its descriptor as read, once, when a
     check first asks, and caches what the checks derive from it.
 
-    ``reads`` is the plan of a scenario read by ``cli.read_scenario``: how
-    often its checks read each grid-sized memo, a field sample
-    ``("field", expr)`` or a cut-off ``("cutoff", expr)`` (``CheckDef.memos``).
-    Building a cut-off reads the sample of its seed once more.  A memo is
-    dropped at its last planned read, and a read the plan does not count
-    keeps nothing.  A context without a plan keeps every memo it makes,
-    except the sample of a seed, which its cut-off answers for.
+    ``plan`` is a scenario's ``(check, tol, values)`` list as
+    ``scenario.read_scenario`` reads it.  The context counts how often its
+    checks read each grid-sized memo, a field sample ``("field", expr)`` or a
+    cut-off ``("cutoff", expr)`` (``CheckDef.memos``); building a cut-off
+    reads the sample of its seed once more.  A memo is dropped at its last
+    planned read, and a read the plan does not count keeps nothing.
     """
 
-    def __init__(self, name: str, engine: str, descriptor: Descriptor, seed: int,
-                 reads: Counter | None = None):
+    def __init__(self, name: str, descriptor: Descriptor, seed: int, plan=()):
         self.name = name
-        self.engine = engine
         self.descriptor = descriptor
         self.seed = seed
         self._cache: dict = {}
-        self._reads = None
-        if reads is not None:
-            self._reads = Counter(reads)
-            self._reads.update(("field", expr) for kind, expr in reads if kind == "cutoff")
+        reads = Counter(key for check, _, values in plan for key in check.memos(values))
+        self._reads = reads + Counter(("field", expr) for kind, expr in reads if kind == "cutoff")
 
     def rng(self, salt: int = 0) -> random.Random:
         return random.Random(self.seed + salt)
@@ -291,9 +286,7 @@ class ScenarioContext:
         """The memo ``key``, made by ``make`` if it is not held, and held
         after this read while the plan counts later reads of it."""
         value = self._cache[key] if key in self._cache else make()
-        if self._reads is None:
-            self._cache[key] = value
-        elif self._reads[key] > 1:
+        if self._reads[key] > 1:
             self._reads[key] -= 1
             self._cache[key] = value
         else:
@@ -317,8 +310,6 @@ class ScenarioContext:
         """
         def build():
             phi = self.field(expr)
-            if self._reads is None:
-                del self._cache[("field", expr)]  # the cut-off memo answers every later ask
             if not positive_finite(phi, strict=False):
                 raise ScenarioError(f"cut-off seed {key!r} must be nonnegative and "
                                     f"finite, got {expr!r}")
@@ -400,17 +391,12 @@ def _axioms_valid(ctx, tol):
     return len(finite.validate(ctx.model())), 0
 
 
-# the two dimensions without the orbits x objects basis of coinvariants and
-# transverse_measure_cone: the invariant functionals are the dual of the
-# coinvariants, of the same dimension
-@register("coinvariants_dimension", "finite_groupoid", 0.0)
-def _coinv_dim(ctx, tol):
-    g = ctx.model()
-    return finite.coinvariants_dimension(g), len(finite.orbits(g))
-
-
+# the two dimensions, by one runner, without the orbits x objects basis of
+# coinvariants and transverse_measure_cone: the invariant functionals are the
+# dual of the coinvariants, of the same dimension
 @register("cone_dimension", "finite_groupoid", 0.0)
-def _cone_dim(ctx, tol):
+@register("coinvariants_dimension", "finite_groupoid", 0.0)
+def _orbit_dimensions(ctx, tol):
     g = ctx.model()
     return finite.coinvariants_dimension(g), len(finite.orbits(g))
 
@@ -683,15 +669,14 @@ def _transverse_profile(fol, expr: str):
     return compile_field(expr, 2)(np.zeros_like(nodes), nodes)
 
 
-def _foliation_data(ctx, omega: str, transverse: str):
-    fol = ctx.model()
+def _foliation_data(fol, omega: str, transverse: str):
     omega_values = compile_field(omega, 2)(*fol.grid.meshgrid())
     return fol, _transverse_profile(fol, transverse), omega_values
 
 
 @register("stokes_closed", "foliation", 1e-4, omega=_LEAF_FORM, transverse=_TRANSVERSE)
 def _stokes(ctx, tol, omega, transverse):
-    return stokes_defect(*_foliation_data(ctx, omega, transverse)), 0.0
+    return stokes_defect(*_foliation_data(ctx.model(), omega, transverse)), 0.0
 
 
 @register("stokes_order", "foliation", 0.0, omega=_LEAF_FORM, transverse=_TRANSVERSE,
@@ -702,10 +687,9 @@ def _stokes_order(ctx, tol, omega, transverse, min_order):
         raise ScenarioError(f"needs n_leaf >= 5, got {n + 1}")
     defects = []
     for resolution in (n // 2, n):
-        values = dict(ctx.descriptor.values, n_leaf=resolution + 1)
-        sub = ScenarioContext(ctx.name, ctx.engine,
-                              replace(ctx.descriptor, values=values), ctx.seed)
-        defects.append(stokes_defect(*_foliation_data(sub, omega, transverse)))
+        fol = replace(ctx.descriptor, values=dict(ctx.descriptor.values,
+                                                  n_leaf=resolution + 1)).build()
+        defects.append(stokes_defect(*_foliation_data(fol, omega, transverse)))
     # a zero fine defect means the scheme is exact for this omega
     order = float(np.log2(defects[0] / defects[1])) if defects[1] else np.inf
     return _shortfall(min_order, order), 0.0

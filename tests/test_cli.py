@@ -158,7 +158,8 @@ def test_scenarios_run_concurrently_give_the_serial_rows():
     # run the bundled scenarios side by side give the serial rows
     from concurrent.futures import ThreadPoolExecutor
 
-    from groupoid_measures.cli import load_scenario, read_scenario, run_scenario
+    from groupoid_measures import read_scenario, run_scenario
+    from groupoid_measures.cli import load_scenario
 
     def run(path):
         return run_scenario(read_scenario(load_scenario(path), seed_override=1))
@@ -687,9 +688,8 @@ def test_an_off_by_one_rank_fails_the_orbit_count_rows(capsys, tmp_path, monkeyp
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
-
-
-@pytest.mark.parametrize("doc, message", [
+# every document under tests/data, each with the error line gm prints on it
+REPRODUCERS = [
     ("weinstein_small_orbits.json",
      "check 'weinstein_two_ways': an orbit volume is below threshold"),
     ("iota_degenerate_lattice.json",
@@ -746,11 +746,22 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
                                    "field 'tolerence'; declared: name, params, tolerance\n"),
     ("scenario_sede.json", "error: unknown scenario field 'sede'; declared: name, engine, "
                            "seed, model, tolerances, checks\n"),
-])
+    ("stokes_order_nan.json",
+     "check 'stokes_order': 'sqrt(x - 0.5) + 0*y' is not finite at every point"),
+]
+
+
+@pytest.mark.parametrize("doc, message", REPRODUCERS)
 def test_data_that_breaks_a_precondition_is_input_error(capsys, doc, message):
     code, _, err = run_cli(capsys, "run", os.path.join(DATA, doc))
     assert_input_error(code, err)
     assert message in err
+
+
+def test_every_reproducer_is_named_with_its_error():
+    # CI runs every file under tests/data and expects exit 2; a new one
+    # needs its error line in REPRODUCERS
+    assert sorted(os.listdir(DATA)) == sorted(doc for doc, _ in REPRODUCERS)
 
 
 def test_degenerate_lattice_fails_every_affine_check_alike(capsys, tmp_path):
@@ -1159,6 +1170,23 @@ def test_each_scenario_context_is_released_before_the_next_runs(capsys, tmp_path
         paths[-1].write_text(json.dumps(dict(SCENARIO, checks=[{"name": "axioms_valid"}])))
     code, _, _ = run_cli(capsys, "run", *map(str, paths))
     assert code == 0 and alive == [0, 0, 0]
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError(), "out of memory"),
+    (MemoryError("Unable to allocate 64.0 GiB for an array with shape (2, 2**32)"),
+     "out of memory: Unable to allocate 64.0 GiB for an array with shape (2, 2**32)"),
+], ids=["bare", "numpy"])
+def test_a_check_that_runs_out_of_memory_is_input_error(capsys, tmp_path, monkeypatch,
+                                                        exc, message):
+    # a stub raises MemoryError in place of the runner; nothing is allocated
+    def out_of_memory(ctx, tol):
+        raise exc
+    monkeypatch.setitem(REGISTRY, "axioms_valid",
+                        dataclasses.replace(REGISTRY["axioms_valid"], runner=out_of_memory))
+    code, out, err = run_doc(capsys, tmp_path, SCENARIO)
+    assert_input_error(code, err)
+    assert out == "" and err == f"error: check 'axioms_valid': {message}\n"
 
 
 def test_exact_rows_compare_exactly(capsys, tmp_path, monkeypatch):

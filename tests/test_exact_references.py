@@ -541,7 +541,7 @@ def test_the_orbit_valued_weight_catches_a_broken_trace_condition(monkeypatch):
     monkeypatch.setattr(finite, "unit_groupoid", lambda n: broken)
     monkeypatch.setattr(checks.ScenarioContext, "rng", lambda self, salt=0: ConstantRandom())
     unit2 = checks.read_model("finite", {"kind": "unit", "n": 2})
-    ctx = checks.ScenarioContext("x", "finite", unit2, 0)
+    ctx = checks.ScenarioContext("x", unit2, 0)
     runner = checks.REGISTRY["trace_matches_orbit_constancy"].runner
     assert runner(ctx, 0.0, samples=1) == (1, 0)
 
@@ -555,7 +555,7 @@ def test_a_convolve_broken_on_one_product_fails_convolution_associative(monkeypa
         return {0: 2} if (u, v) == ({1: 1}, {2: 1}) else convolve_ok(g, u, v)
 
     pair2 = checks.read_model("finite", {"kind": "pair", "n": 2})
-    ctx = checks.ScenarioContext("x", "finite", pair2, 0)
+    ctx = checks.ScenarioContext("x", pair2, 0)
     runner = checks.REGISTRY["convolution_associative"].runner
     assert runner(ctx, 0.0) == (0, 0)
     monkeypatch.setattr(finite, "convolve", broken)
@@ -620,7 +620,7 @@ def test_convolve_reads_dicts_and_sequences_alike(g, data):
                                    {"kind": "z2_action", "points": 3, "swaps": [[0, 1]]}])
 def test_finite_checks_return_exact_values(model):
     from groupoid_measures.checks import REGISTRY, ScenarioContext, read_model
-    ctx = ScenarioContext("exact", "finite", read_model("finite", model), 7)
+    ctx = ScenarioContext("exact", read_model("finite", model), 7)
     for check in REGISTRY.values():
         if check.engine != "finite":
             continue

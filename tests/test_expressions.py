@@ -55,8 +55,7 @@ def scenario_grid(doc):
     """The grid a smooth scenario samples its fields on, or None."""
     if doc["model"].get("kind") == "submersion_probe":
         return None
-    return ScenarioContext(doc["name"], doc["engine"],
-                           read_model(doc["engine"], doc["model"]), 0).model().grid
+    return ScenarioContext(doc["name"], read_model(doc["engine"], doc["model"]), 0).model().grid
 
 
 def scenario_fields():
@@ -149,7 +148,8 @@ ROTATION = read_model("smooth", {"kind": "rotation2d", "params": {"n_r": 8, "n_p
 
 def test_the_field_sampler_samples_each_expression_once(monkeypatch):
     compiled = counting_compiles(monkeypatch)
-    ctx = ScenarioContext("t", "smooth", ROTATION, 0)
+    ctx = ScenarioContext("t", ROTATION, 0,
+                          [(REGISTRY["weyl"], 1e-6, {"f": "r*cos(phi)", "phi": "1 + 0*r"})] * 2)
     f = ctx.field("r*cos(phi)")
     assert not f.flags.writeable and f.shape == (8, 16)
     assert np.array_equal(f, compile_field("r*cos(phi)", 2)(*dense_meshgrid(ctx.model().grid)))
@@ -160,8 +160,12 @@ def test_the_field_sampler_samples_each_expression_once(monkeypatch):
 
 def test_the_weyl_checks_sample_f_once_and_hold_no_seed(monkeypatch):
     compiled = counting_compiles(monkeypatch)
-    ctx = ScenarioContext("t", "smooth", ROTATION, 0)
     f, seed1, seed2 = "exp(-(r-1.5)**2)*(1+0.3*cos(phi))", "1 + 0*r", "1.2 + sin(phi)"
+    # the two checks, then a third that reads f again
+    ctx = ScenarioContext("t", ROTATION, 0, [
+        (REGISTRY["weyl"], 1e-6, {"f": f, "phi": seed1}),
+        (REGISTRY["weyl_seed_independence"], 2e-6, {"f": f, "phi1": seed1, "phi2": seed2}),
+        (REGISTRY["weyl"], 1e-6, {"f": f, "phi": seed2})])
     REGISTRY["weyl"].runner(ctx, 1e-6, f=f, phi=seed1)
     REGISTRY["weyl_seed_independence"].runner(ctx, 2e-6, f=f, phi1=seed1, phi2=seed2)
     assert compiled == [f, seed1, seed2]

@@ -5,13 +5,14 @@ and the rotation checks peak within a bound per grid node."""
 import dataclasses
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from groupoid_measures import checks
+from groupoid_measures import checks, read_scenario, run_scenario
 from groupoid_measures.checks import REGISTRY, ScenarioContext, read_model
-from groupoid_measures.cli import bundled_scenarios, load_scenario, read_scenario, run_scenario
+from groupoid_measures.cli import bundled_scenarios, load_scenario
 from groupoid_measures.finite import coinvariants, unit_groupoid
 from groupoid_measures.smooth import (
     ArrowFunction,
@@ -46,7 +47,7 @@ def run_checks(doc, after=None):
     """The rows of a document run check by check in one planned context, as
     run_scenario does; ``after(name, ctx)`` is called after each check."""
     context, plan = read_scenario(doc)
-    ctx = ScenarioContext(*context)
+    ctx = ScenarioContext(*context, plan)
     rows = []
     for check, tol, values in plan:
         rows += check.rows(ctx.name, check.runner(ctx, tol, **values), tol)
@@ -126,17 +127,22 @@ def test_each_cutoff_and_field_sample_is_computed_once_per_scenario(monkeypatch)
     assert held["weinstein_two_ways"] == held["cutoff_saturation_error"] == set()
 
 
-def test_planned_rows_equal_the_rows_of_a_context_without_a_plan():
-    doc = rotation_weyl(16)
-    context, plan = read_scenario(doc)
-    planless = ScenarioContext(*context[:4])
+def planless_rows(scenario) -> tuple[list, ScenarioContext]:
+    """The rows of a scenario from ``read_scenario`` run in a context built
+    without its plan, and that context."""
+    context, plan = scenario
+    planless = ScenarioContext(*context)
     rows = [row for check, tol, values in plan
-            for row in check.rows("rotation_weyl", check.runner(planless, tol, **values), tol)]
+            for row in check.rows(planless.name, check.runner(planless, tol, **values), tol)]
+    return rows, planless
+
+
+def test_a_context_without_a_plan_gives_the_planned_rows_and_holds_no_memo():
+    doc = rotation_weyl(16)
+    rows, planless = planless_rows(read_scenario(doc))
     assert run_checks(doc) == rows
-    # without a plan every cut-off and every f is kept, and no seed's sample
-    assert memo_keys(planless) == {("cutoff", doc["checks"][5]["params"]["phi"]),
-                                   ("cutoff", doc["checks"][7]["params"]["phi2"]),
-                                   ("field", doc["checks"][7]["params"]["f"])}
+    # no read is counted, so no cut-off and no field sample is kept
+    assert memo_keys(planless) == set()
 
 
 @pytest.mark.parametrize("order", ["f_first", "seed_first"])
@@ -166,29 +172,32 @@ def test_one_expression_as_f_and_as_a_seed_is_sampled_once(monkeypatch, order):
 def test_a_read_the_plan_does_not_count_keeps_nothing(monkeypatch):
     compiled, _ = counting(monkeypatch)
     model = read_model("smooth", {"kind": "rotation2d", "params": {"n_r": 4, "n_phi": 8}})
-    ctx = ScenarioContext("x", "smooth", model, 0, reads={})
+    ctx = ScenarioContext("x", model, 0)
     first = ctx.field("1 + r")
     assert np.array_equal(ctx.field("1 + r"), first) and not first.flags.writeable
     assert compiled == ["1 + r", "1 + r"] and memo_keys(ctx) == set()
 
 
-def test_stokes_order_sub_contexts_have_no_plan(monkeypatch):
-    plans = []
+def test_stokes_order_builds_its_resolutions_without_a_context(monkeypatch):
+    contexts = []
     init = ScenarioContext.__init__
 
     def recording(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        plans.append(self._reads)
+        contexts.append(self)
 
     monkeypatch.setattr(ScenarioContext, "__init__", recording)
     doc = {"name": "x", "engine": "smooth",
            "model": {"kind": "foliation", "n_leaf": 9, "n_transverse": 5},
            "checks": [{"name": "stokes_order"}, {"name": "stokes_closed"}]}
-    rows = run_scenario(read_scenario(doc))
+    scenario = read_scenario(doc)
+    rows = run_scenario(scenario)
     assert [r.check for r in rows] == ["stokes_order", "stokes_closed"]
-    # the scenario's own context has a plan, with no memo in it; the two
-    # resolutions of stokes_order are built without one, and keep every memo
-    assert plans == [{}, None, None]
+    # the scenario's own context is the only one, with no memo in its plan;
+    # a context without a plan gives the same rows and holds no memo either
+    assert len(contexts) == 1 and contexts[0]._reads == {}
+    planless, ctx = planless_rows(scenario)
+    assert planless == rows and memo_keys(ctx) == set()
 
 
 def test_every_check_declares_the_memos_it_reads(monkeypatch):
@@ -212,10 +221,8 @@ def test_every_check_declares_the_memos_it_reads(monkeypatch):
                                        "checks": [{"name": name, "params": params}]})
         reads.clear()
         run_scenario((context, plan))
-        # a cut-off's build reads its seed's sample once more
-        assert sorted(reads) == sorted(
-            list(context[4].elements())
-            + [("field", e) for k, e in context[4] if k == "cutoff"]), name
+        # the context counts a cut-off's build as one more read of its seed's sample
+        assert sorted(reads) == sorted(ScenarioContext(*context, plan)._reads.elements()), name
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +281,7 @@ def test_fiber_volumes_of_a_broadcast_one_equal_those_of_a_grid_of_ones(make):
 
 def test_weyl_seed_independence_gives_the_orbit_sides_of_two_weyl_checks():
     doc = rotation_weyl(16)
-    ctx = ScenarioContext(*read_scenario(doc)[0][:4])
+    ctx = ScenarioContext(*read_scenario(doc)[0])
     params = doc["checks"][7]["params"]
     got = REGISTRY["weyl_seed_independence"].runner(ctx, 2e-6, **params)
     model, sigma = ctx.model(), ctx.sigma()
@@ -292,7 +299,7 @@ def test_dimension_rows_on_unit_65536_build_no_basis(monkeypatch):
     # here before it allocates one
     for name in ("coinvariants", "transverse_measure_cone"):
         monkeypatch.setattr(checks.finite, name, lambda g, _name=name: pytest.fail(_name))
-    ctx = ScenarioContext("u", "finite", read_model("finite", {"kind": "unit", "n": 65536}), 0)
+    ctx = ScenarioContext("u", read_model("finite", {"kind": "unit", "n": 65536}), 0)
     checks.finite.orbits(ctx.model())  # the groupoid's own orbit cache, built once
     tracemalloc.start()
     try:
@@ -309,7 +316,8 @@ def test_dimension_rows_on_unit_65536_build_no_basis(monkeypatch):
 
 def test_the_plan_counts_every_memo_read_of_the_rotation_document():
     doc = rotation_weyl()
-    (*_, reads), _ = read_scenario(doc)
+    _, plan = read_scenario(doc)
+    reads = Counter(key for check, _, values in plan for key in check.memos(values))
     params = [check.get("params", {}) for check in doc["checks"]]
     assert reads == {("cutoff", params[5]["phi"]): 4, ("field", params[6]["f"]): 2,
                      ("cutoff", params[7]["phi2"]): 1, ("cutoff", params[13]["phi"]): 1}

@@ -1,5 +1,6 @@
-"""The package surface: every exported name exists, and the symplectic
-specializations stand on the density layer alone."""
+"""The package surface: every exported name exists, the symplectic
+specializations stand on the density layer alone, and the command line holds
+no scenario logic."""
 
 import ast
 import importlib
@@ -23,3 +24,18 @@ def test_symplectic_imports_nothing_from_smooth():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom):
                 assert "smooth" not in (node.module or "").split("."), path.name
+
+
+def test_cli_imports_neither_numpy_nor_the_scenario_context():
+    # reading and running a scenario, and numpy's error state, are the
+    # scenario module's
+    cli = pathlib.Path(importlib.import_module("groupoid_measures.cli").__file__)
+    imported = set()
+    for node in ast.walk(ast.parse(cli.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+    assert imported and not {"numpy", "ScenarioContext"} & imported
+    assert not any(name.startswith("numpy.") for name in imported)

@@ -846,7 +846,7 @@ def test_lebesgue_rotation_checks_make_no_full_grid_fft(rfft_calls, values_reads
     # the random fields stay factored and the Lebesgue rho is constant along
     # the angle, so every correlation is a 1-D FFT of the angle axis and no
     # factored field is multiplied out to the grid
-    from groupoid_measures.cli import read_scenario, run_scenario
+    from groupoid_measures import read_scenario, run_scenario
     doc = {"name": "x", "engine": "smooth",
            "model": {"kind": "rotation2d", "params": {"n_r": 8, "n_phi": 16}},
            "checks": [{"name": "invariance_defect"}, {"name": "inversion_defect"},
