@@ -35,7 +35,6 @@ from .smooth import (
     FoliatedGrid,
     OneForm,
     SaturationError,
-    SubmersionGroupoidModel,
     TransverseDensityData,
     averaging,
     build_model,
@@ -169,8 +168,8 @@ MODEL_KINDS = {
                 Grid([Axis(n_leaf, 0.0, 1.0), Axis(n_transverse, 0.0, 1.0)]), leaf_axis=0),
             {"n_leaf": (integer(3), 257), "n_transverse": (integer(2), 33)}),
         "submersion_probe": ModelKind(
-            ("submersion_probe",), lambda n_base, n_fiber: SubmersionGroupoidModel(
-                Grid([Axis(n_base, -2.0, 2.0), Axis(n_fiber, -4.0, 4.0)]), fiber_axes=[1]),
+            ("submersion_probe",), lambda n_base, n_fiber: FoliatedGrid(
+                Grid([Axis(n_base, -2.0, 2.0), Axis(n_fiber, -4.0, 4.0)]), leaf_axis=1),
             {"n_base": (integer(2), 9), "n_fiber": (integer(2), 8193)}),
     },
     "symplectic": {
@@ -721,7 +720,7 @@ def _rs_pairing(ctx, tol, transverse):
 @register("exactness_reconstruction", "submersion_probe", 1e-6)
 def _exactness(ctx, tol):
     model = ctx.model()
-    X, Y = model.total.meshgrid()
+    X, Y = model.grid.meshgrid()
     bump = np.exp(-(X ** 2 + Y ** 2))
     report = exactness_probe(model, -2.0 * Y * bump)
     # |antiderivative - bump|, in place of bump
@@ -734,7 +733,7 @@ def _exactness(ctx, tol):
 @register("exactness_obstruction", "submersion_probe", 0.0, exact=True)
 def _obstruction(ctx, tol):
     model = ctx.model()
-    X, Y = model.total.meshgrid()
+    X, Y = model.grid.meshgrid()
     try:
         exactness_probe(model, np.exp(-(X ** 2 + Y ** 2)))
     except FiberObstructionError:

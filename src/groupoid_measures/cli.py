@@ -15,7 +15,7 @@ from importlib import resources
 from .checks import REGISTRY, catalog
 from .expressions import REQUIRED, ScenarioError
 from .reports import Report
-from .scenario import SEED, TOLERANCE, read_scenario, run_scenario
+from .scenario import ENGINE, SEED, TOLERANCE, read_scenario, run_scenario
 
 
 def load_scenario(path: str) -> dict:
@@ -103,6 +103,8 @@ def _param_table(check) -> str:
 
 
 def cmd_list_checks(args) -> int:
+    if args.engine is not None:
+        ENGINE.convert(args.engine, "--engine")
     for check in catalog():
         if args.engine and check.engine != args.engine:
             continue

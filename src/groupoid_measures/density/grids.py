@@ -151,9 +151,6 @@ class Grid:
         """Axis weights broadcast against ``ndim``-dimensional node arrays."""
         return self.along(axis, self.axes[axis].weights(), ndim)
 
-    def subgrid(self, keep: list[int]) -> "Grid":
-        return Grid([self.axes[i] for i in keep])
-
 
 def positive_finite(values, strict: bool = True) -> bool:
     """Every value finite and > 0 (>= 0 with ``strict`` False); NaN is neither."""

@@ -53,12 +53,15 @@ def _engine(value, name) -> str:
     return value
 
 
+ENGINE = Kind("engine", _engine)
+
+
 _ANY, _ABSENT = Kind("JSON value", lambda value, name: value), object()
 # the fields of a scenario document, read in this order, and of each check
 # entry; a check's tolerance is read once it is chosen from its entry, the
 # document's tolerances, the check's default and --tol
 SCENARIO_FIELDS = {"name": (Kind("string", _string), REQUIRED),
-                   "engine": (Kind("engine", _engine), REQUIRED),
+                   "engine": (ENGINE, REQUIRED),
                    "seed": (SEED, 0),
                    "model": (_json(dict), REQUIRED),
                    "tolerances": (_json(dict), {}),

@@ -4,7 +4,13 @@ The foliated grid is a 2D product whose leaves run along one axis.  The
 leafwise derivative is the second-order stencil (central in the interior,
 one-sided at leaf ends, rolls on periodic leaves), so pairing a transverse
 measure with a derivative vanishes to second order in the leaf spacing,
-and exactly in the interior-supported case.
+and exactly in the interior-supported case.  A transverse measure is given
+by nodewise weights or by a transverse profile, one weight per leaf, and
+``FoliatedGrid.evaluate`` pairs either with an integrand.
+
+The groupoid of a submersion has its fibers as orbits, and they are the
+leaves of a foliated grid: the exactness probe inverts the leafwise
+derivative on interval leaves.
 """
 
 from __future__ import annotations
@@ -40,17 +46,16 @@ class FoliatedGrid:
             out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
         return np.moveaxis(out, 0, self.leaf_axis)
 
-    def measure_weights(self, transverse_values: np.ndarray) -> np.ndarray:
-        """Nodewise weights of the measure with the given transverse profile."""
-        shape = [1, 1]
-        shape[self.transverse_axis] = -1
-        return np.broadcast_to(
-            np.asarray(transverse_values, dtype=float).reshape(shape),
-            self.grid.shape).copy()
+    def evaluate(self, weights: np.ndarray, integrand: np.ndarray) -> float:
+        """Pair a transverse measure with an integrand: the weighted sum.
 
-    def evaluate(self, weight_values: np.ndarray, integrand: np.ndarray) -> float:
-        """The weighted sum."""
-        return float((weight_values * integrand * self.grid.weights).sum())
+        ``weights`` is a transverse profile (1D, constant along each leaf)
+        or nodewise weights on the grid.
+        """
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim == 1:
+            weights = self.grid.along(self.transverse_axis, weights)
+        return float((weights * integrand * self.grid.weights).sum())
 
 
 def stokes_defect(foliation: FoliatedGrid, weight_values: np.ndarray,
@@ -61,8 +66,7 @@ def stokes_defect(foliation: FoliatedGrid, weight_values: np.ndarray,
     transverse measure) and omega vanishes at the leaf boundary; leafwise
     varying weights produce an order-one defect.
     """
-    return abs(foliation.evaluate(foliation.measure_weights(weight_values)
-                                  if weight_values.ndim == 1 else weight_values,
+    return abs(foliation.evaluate(weight_values,
                                   foliation.leafwise_derivative(omega_values)))
 
 
@@ -92,38 +96,30 @@ def ruelle_sullivan_evaluate(foliation: FoliatedGrid, weight_values: np.ndarray,
     contribute, and evaluation on discrete differentials vanishes to
     O(h^2) for invariant measures (the current is closed).
     """
-    weights = (foliation.measure_weights(weight_values)
-               if weight_values.ndim == 1 else weight_values)
-    return foliation.evaluate(weights, alpha.leaf_component)
+    return foliation.evaluate(weight_values, alpha.leaf_component)
 
 
 @dataclass
 class ExactnessReport:
     antiderivative: np.ndarray
-    max_fiber_integral: float
     tail_magnitude: float
 
 
 class FiberObstructionError(ValueError):
     """A fiber integral is nonzero: the input is not a leafwise derivative."""
 
-    def __init__(self, worst: float, tol: float):
-        super().__init__(f"nonzero fiber integral {worst:.3e} exceeds {tol:.1e}")
-        self.worst = worst
 
-
-def exactness_probe(model, u_values: np.ndarray, tol: float = 1e-9,
+def exactness_probe(foliation: FoliatedGrid, u_values: np.ndarray, tol: float = 1e-9,
                     support_tol: float = 1e-12) -> ExactnessReport:
-    """Invert the fiberwise derivative on a submersion with interval fibers.
+    """Invert the fiberwise derivative on a submersion whose fibers are the
+    interval leaves of ``foliation``.
 
     Checks the integral obstruction on every fiber, then builds the
     cumulative-trapezoid antiderivative and verifies it is supported in
     the fiber bounding box of the input support.
     """
-    if len(model.fiber_axes) != 1:
-        raise ValueError("the probe needs one-dimensional fibers")
-    axis = model.fiber_axes[0]
-    ax = model.total.axes[axis]
+    axis = foliation.leaf_axis
+    ax = foliation.grid.axes[axis]
     if ax.periodic:
         raise ValueError("fibers must be intervals")
     u = np.moveaxis(np.asarray(u_values, dtype=float), axis, 0)
@@ -135,7 +131,8 @@ def exactness_probe(model, u_values: np.ndarray, tol: float = 1e-9,
     u_max = float(np.max(np.abs(u)))
     scale = u_max * ax.length or 1.0
     if worst > tol * scale:
-        raise FiberObstructionError(worst, tol * scale)
+        raise FiberObstructionError(f"nonzero fiber integral {worst:.3e} "
+                                    f"exceeds {tol * scale:.1e}")
 
     # the cumulative trapezoid, written into v with no grid-sized temporary
     v = np.zeros_like(u)
@@ -151,4 +148,4 @@ def exactness_probe(model, u_values: np.ndarray, tol: float = 1e-9,
         tail = float(np.max(np.abs(outside))) if outside.size else 0.0
     else:
         tail = float(np.max(np.abs(v)))
-    return ExactnessReport(np.moveaxis(v, 0, axis), worst, tail)
+    return ExactnessReport(np.moveaxis(v, 0, axis), tail)

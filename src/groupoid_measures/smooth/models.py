@@ -10,9 +10,10 @@ lets invariance defects act as sharp diagnostics.
 Conventions for the density action (fixing the splitting of arrow-space
 densities into an algebroid factor and a base factor): an arrow from x to
 y = a(g, x) pushes a base density coefficient tau(x) to tau(x) / |J(g, x)|
-at y, and scales the algebroid factor by the adjoint determinant (1 for
-all abelian and finite models here).  The modular cocycle below is the
-log-ratio of sigma against this transport.
+at y, and scales the algebroid factor by the adjoint determinant, which is
+1 for every model here (each group is abelian or finite), so no model
+declares it.  The modular cocycle is the log-ratio of sigma against this
+transport.
 """
 
 from __future__ import annotations
@@ -93,9 +94,6 @@ class ActionGroupoidModel:
         """|det| of the base-direction differential of a(g_j, .) in the chart;
         ``j`` as in ``act_points``."""
         raise NotImplementedError
-
-    def adjoint_factor(self, j: int) -> float:
-        return 1.0
 
     def node_images(self, flat: int) -> np.ndarray:
         """Flat indices of a(g_j, x), j = 0 .. G-1, for the node x with flat
@@ -365,29 +363,6 @@ class ScalingLineModel(ActionGroupoidModel):
 
     def jacobian_points(self, j, pts):
         return self.scale(j)
-
-
-class SubmersionGroupoidModel:
-    """Groupoid of a grid submersion: pairs of points in the same fiber.
-
-    The projection forgets the listed fiber axes; only the fiber geometry
-    matters for the operations implemented here.
-    """
-
-    name = "submersion"
-
-    def __init__(self, total: Grid, fiber_axes: list[int]):
-        self.total = total
-        self.fiber_axes = sorted(set(fiber_axes))
-        if not self.fiber_axes:
-            raise ModelError("a submersion model needs at least one fiber axis")
-        for ax in self.fiber_axes:
-            if not 0 <= ax < total.ndim:
-                raise ModelError(f"no axis {ax} to project out")
-        if len(self.fiber_axes) == total.ndim:
-            raise ModelError("base must keep at least one axis")
-        self.base = total.subgrid([i for i in range(total.ndim)
-                                   if i not in self.fiber_axes])
 
 
 # ---------------------------------------------------------------------------

@@ -444,7 +444,6 @@ def weinstein_volume(model, sigma: TransverseDensityData,
 class DiscreteMeasure:
     """Masses attached to flat grid node indices."""
 
-    grid_shape: tuple
     masses: dict[int, float]
 
     def total(self) -> float:
@@ -470,7 +469,7 @@ def orbit_density(model, rho_values: np.ndarray, node: tuple) -> DiscreteMeasure
     masses: dict[int, float] = {}
     for target, mass in zip(targets.tolist(), contributions.tolist()):
         masses[target] = masses.get(target, 0.0) + mass
-    return DiscreteMeasure(model.grid.shape, masses)
+    return DiscreteMeasure(masses)
 
 
 def modular_cocycle(model, sigma: TransverseDensityData, j, point):
@@ -478,9 +477,10 @@ def modular_cocycle(model, sigma: TransverseDensityData, j, point):
 
     Computed from the transport conventions in the models module: the base
     density contributes log(tau(y) |J| / tau(x)), the algebroid weight the
-    negative of log(rho(y) adj / rho(x)).  ``j`` is one group index with a
-    point, or an integer array of them with one coordinate array per axis;
-    the result is a float or an array of one value per arrow.
+    negative of log(rho(y) / rho(x)) (the adjoint determinant is 1).  ``j``
+    is one group index with a point, or an integer array of them with one
+    coordinate array per axis; the result is a float or an array of one
+    value per arrow.
     """
     x = tuple(np.asarray(c, dtype=float) for c in point)
     y = model.act_points(j, x)
@@ -489,9 +489,7 @@ def modular_cocycle(model, sigma: TransverseDensityData, j, point):
     if not all(positive_finite(v) for v in (tau_x, tau_y, rho_x, rho_y)):
         raise ScenarioError("sigma must be strictly positive and finite at both endpoints")
     jac = np.abs(model.jacobian_points(j, x))
-    adj = np.abs(model.adjoint_factor(j))
-    out = (np.log(tau_y) + np.log(jac) - np.log(tau_x)) \
-        - (np.log(rho_y) + np.log(adj) - np.log(rho_x))
+    out = (np.log(tau_y) + np.log(jac) - np.log(tau_x)) - (np.log(rho_y) - np.log(rho_x))
     return float(out) if np.ndim(j) == 0 else out
 
 

@@ -21,7 +21,6 @@ from groupoid_measures.smooth import (
     FoliatedGrid,
     RotationPlaneModel,
     ScalingLineModel,
-    SubmersionGroupoidModel,
     TransverseDensityData,
     TrivialActionModel,
     antipodal_circle_model,
@@ -263,7 +262,7 @@ def test_criterion_10_stokes_and_current_closedness():
 
 def test_criterion_11_exactness_probe():
     grid = Grid([Axis(9, -2.0, 2.0), Axis(8193, -4.0, 4.0)])
-    model = SubmersionGroupoidModel(grid, fiber_axes=[1])
+    model = FoliatedGrid(grid, leaf_axis=1)
     x, y = grid.meshgrid()
     bump = np.exp(-(x ** 2 + y ** 2))
     report = exactness_probe(model, -2.0 * y * bump)

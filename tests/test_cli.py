@@ -120,9 +120,9 @@ def test_list_checks_engine_filter(capsys):
     code, out, _ = run_cli(capsys, "list-checks", "--engine", "finite")
     assert code == 0
     assert all(" finite " in line for line in out.splitlines() if line.strip())
-    code, out, _ = run_cli(capsys, "list-checks", "--engine", "imaginary")
-    assert code == 0
-    assert out.strip() == ""
+    code, out, err = run_cli(capsys, "list-checks", "--engine", "imaginary")
+    assert code == 2
+    assert out == "" and err == "error: unknown engine 'imaginary'\n"
 
 
 def test_json_report_format(capsys, tmp_path):
@@ -800,19 +800,24 @@ def test_model_axioms_on_the_scaling_model_redraws_undefined_pairs(capsys, tmp_p
     assert [r["check"] for r in csv.DictReader(io.StringIO(out))] == ["model_axioms"]
 
 
-@pytest.mark.parametrize("check, kind", [
-    ("stokes_closed", "foliation"), ("stokes_order", "foliation"),
-    ("ruelle_sullivan_closed", "foliation"), ("ruelle_sullivan_pairing", "foliation"),
-    ("exactness_reconstruction", "submersion_probe"),
-    ("exactness_obstruction", "submersion_probe"),
+# both kinds build a FoliatedGrid, so only the family table tells them apart
+@pytest.mark.parametrize("check, kind, model", [
+    (check, kind, model)
+    for checks, kind, other in (
+        (("stokes_closed", "stokes_order", "ruelle_sullivan_closed",
+          "ruelle_sullivan_pairing"), "foliation", "submersion_probe"),
+        (("exactness_reconstruction", "exactness_obstruction"),
+         "submersion_probe", "foliation"))
+    for check in checks for model in ("scaling_line", other)
 ])
 def test_foliation_and_submersion_checks_need_their_model_kind(capsys, tmp_path,
-                                                               check, kind):
-    doc = {"name": "x", "engine": "smooth", "model": {"kind": "scaling_line"},
+                                                               check, kind, model):
+    doc = {"name": "x", "engine": "smooth", "model": {"kind": model},
            "checks": [{"name": check}]}
     code, _, err = run_doc(capsys, tmp_path, doc)
     assert_input_error(code, err)
     assert f"'{check}'" in err and f"needs a '{kind}' model" in err
+    assert f"got kind '{model}'" in err
 
 
 SCENARIO = {"name": "x", "engine": "finite", "model": {"kind": "pair", "n": 2},

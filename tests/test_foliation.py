@@ -8,7 +8,6 @@ from groupoid_measures.smooth import (
     FiberObstructionError,
     FoliatedGrid,
     OneForm,
-    SubmersionGroupoidModel,
     exactness_probe,
     exterior_derivative,
     ruelle_sullivan_evaluate,
@@ -91,6 +90,22 @@ def test_ruelle_sullivan_closed_on_differentials():
         assert abs(value) <= bound
 
 
+@pytest.mark.parametrize("leaf_axis", [0, 1])
+@pytest.mark.parametrize("shape", [(3, 2), (17, 5), (65, 33)])
+def test_evaluate_with_a_transverse_profile_equals_the_broadcast_copy_pairing(shape, leaf_axis):
+    fol = FoliatedGrid(Grid([Axis(shape[0], 0.0, 1.0), Axis(shape[1], -1.0, 2.0)]),
+                       leaf_axis=leaf_axis)
+    rng = np.random.default_rng(sum(shape) + leaf_axis)
+    profile = 1.0 + rng.random(shape[fol.transverse_axis])
+    integrand = rng.standard_normal(shape)
+    # reference: the nodewise pairing with a full-grid copy of the broadcast profile
+    layout = [1, 1]
+    layout[fol.transverse_axis] = -1
+    weights = np.broadcast_to(profile.reshape(layout), shape).copy()
+    reference = float((weights * integrand * fol.grid.weights).sum())
+    assert fol.evaluate(profile, integrand) == reference
+
+
 def test_ruelle_sullivan_ignores_transverse_components():
     fol = horizontal_foliation(64)
     rng = np.random.default_rng(0)
@@ -101,45 +116,47 @@ def test_ruelle_sullivan_ignores_transverse_components():
 @pytest.fixture(scope="module")
 def probe_model():
     grid = Grid([Axis(9, -2.0, 2.0), Axis(8193, -4.0, 4.0)])
-    return SubmersionGroupoidModel(grid, fiber_axes=[1])
+    return FoliatedGrid(grid, leaf_axis=1)
 
 
 def test_exactness_probe_recovers_bump(probe_model):
-    x, y = probe_model.total.meshgrid()
+    x, y = probe_model.grid.meshgrid()
     bump = np.exp(-(x ** 2 + y ** 2))
     report = exactness_probe(probe_model, -2.0 * y * bump)
     assert np.max(np.abs(report.antiderivative - bump)) <= 1e-6
     assert report.tail_magnitude <= 1e-6
 
 
-def test_in_place_antiderivative_equals_the_cumulative_trapezoid_bit_for_bit():
+@pytest.mark.parametrize("leaf_axis", [0, 1])
+def test_in_place_antiderivative_equals_the_cumulative_trapezoid_bit_for_bit(leaf_axis):
     # a spacing that is not a power of two, so that a reordered product would show
-    model = SubmersionGroupoidModel(Grid([Axis(9, -2.0, 2.0), Axis(4097, -3.0, 4.0)]),
-                                    fiber_axes=[1])
-    x, y = model.total.meshgrid()
+    axes = [Axis(9, -2.0, 2.0), Axis(4097, -3.0, 4.0)]
+    model = FoliatedGrid(Grid(axes if leaf_axis else axes[::-1]), leaf_axis=leaf_axis)
+    mesh = model.grid.meshgrid()
+    x, y = mesh[model.transverse_axis], mesh[leaf_axis]
     u = -2.0 * y * np.exp(-(x ** 2 + y ** 2)) + 1e-3 * np.sin(7 * y) * np.cos(3 * x)
-    h = model.total.axes[1].spacing
-    w = np.moveaxis(u, 1, 0)
+    h = model.grid.axes[leaf_axis].spacing
+    w = np.moveaxis(u, leaf_axis, 0)
     reference = np.zeros_like(w)
     reference[1:] = np.cumsum((w[1:] + w[:-1]) * (h / 2), axis=0)
     report = exactness_probe(model, u, tol=np.inf)
-    assert np.array_equal(report.antiderivative, np.moveaxis(reference, 0, 1))
+    assert np.array_equal(report.antiderivative, np.moveaxis(reference, 0, leaf_axis))
 
 
 def test_exactness_probe_rejects_nonzero_fiber_integral(probe_model):
-    x, y = probe_model.total.meshgrid()
+    x, y = probe_model.grid.meshgrid()
     with pytest.raises(FiberObstructionError):
         exactness_probe(probe_model, np.exp(-(x ** 2 + y ** 2)))
 
 
 def test_exactness_probe_zero_input(probe_model):
     report = exactness_probe(probe_model,
-                             np.zeros(probe_model.total.shape))
+                             np.zeros(probe_model.grid.shape))
     assert np.max(np.abs(report.antiderivative)) == 0.0
 
 
 def test_exactness_probe_requires_interval_fibers():
     grid = Grid([Axis(9, 0.0, 1.0), Axis(16, 0.0, 2 * np.pi, periodic=True)])
-    model = SubmersionGroupoidModel(grid, fiber_axes=[1])
+    model = FoliatedGrid(grid, leaf_axis=1)
     with pytest.raises(ValueError, match="interval"):
         exactness_probe(model, np.zeros(grid.shape))
