@@ -98,8 +98,8 @@ DRAWS, DEGREE = integer(1, MAX_DRAWS), integer(0, MAX_DEGREE)
 # The most samples times arrows average_orbit_constant may take, and samples
 # times objects trace_matches_orbit_constancy may take: each sample is averaged
 # over every arrow, or drawn and tested on every object.  On unit(4096), at 32
-# samples, the 2**17 took 1.4 s (2 cores, Python 3.11).  The largest bundled
-# product is 45.
+# samples, the 2**17 took 0.8-1.0 s in a fresh gm run (6 runs; 2 cores,
+# Python 3.11).  The largest bundled product is 45.
 MAX_SAMPLE_ARROWS = 2 ** 17
 
 # the families of checks: the engine of each, and the error that refuses a

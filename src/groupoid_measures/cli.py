@@ -2,6 +2,8 @@
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 input error (a
 ``ScenarioError``, listed in ``scenario``), printed as one ``error:`` line.
+A reader that closes stdout early ends the output, not the command: the exit
+code is still the one the command earned.
 """
 
 from __future__ import annotations
@@ -67,6 +69,18 @@ def _resolve_path(path: str) -> str:
     return path
 
 
+def _write(text: str) -> None:
+    """Write to stdout.  If its reader has gone, stop writing, and point stdout
+    at the null device so that the flush at exit does not fail again."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def cmd_run(args) -> int:
     overrides = _parse_tol_overrides(args.tol)
     paths = [_resolve_path(p) for p in args.scenarios]
@@ -86,7 +100,7 @@ def cmd_run(args) -> int:
         except OSError as exc:
             raise ScenarioError(f"cannot write report {args.out!r}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        _write(text)
     summary = report.summary()
     print(f"# {summary['passed']}/{summary['total']} checks passed",
           file=sys.stderr)
@@ -105,11 +119,9 @@ def _param_table(check) -> str:
 def cmd_list_checks(args) -> int:
     if args.engine is not None:
         ENGINE.convert(args.engine, "--engine")
-    for check in catalog():
-        if args.engine and check.engine != args.engine:
-            continue
-        print(f"{check.name:32s} {check.engine:10s} tol={check.default_tol:<8g} "
-              f"params: {_param_table(check)}")
+    _write("".join(f"{check.name:32s} {check.engine:10s} tol={check.default_tol:<8g} "
+                   f"params: {_param_table(check)}\n"
+                   for check in catalog() if not args.engine or check.engine == args.engine))
     return 0
 
 
@@ -133,7 +145,7 @@ def main(argv=None) -> int:
     p_list.set_defaults(fn=cmd_list_checks)
 
     p_scen = sub.add_parser("list-scenarios", help="print bundled scenario files")
-    p_scen.set_defaults(fn=lambda a: (print("\n".join(bundled_scenarios())), 0)[1])
+    p_scen.set_defaults(fn=lambda a: _write("\n".join(bundled_scenarios()) + "\n") or 0)
 
     args = parser.parse_args(argv)
     try:

@@ -59,16 +59,18 @@ def _arrow_weights(g: FiniteGroupoid, u) -> ArrowWeights:
 
 
 def s_shriek(g: FiniteGroupoid, u) -> Weights:
-    out = [Fraction(0)] * g.n_objects
-    for a, w in _arrow_weights(g, u).items():
-        out[g.src[a]] += w
-    return out
+    return _fiber_sum(g, u, g.src)
 
 
 def t_shriek(g: FiniteGroupoid, u) -> Weights:
+    return _fiber_sum(g, u, g.tgt)
+
+
+def _fiber_sum(g: FiniteGroupoid, u, ends: list[int]) -> Weights:
+    """Sum of u over the arrows a with ends[a] = x, for each object x."""
     out = [Fraction(0)] * g.n_objects
     for a, w in _arrow_weights(g, u).items():
-        out[g.tgt[a]] += w
+        out[ends[a]] += w
     return out
 
 
@@ -190,18 +192,11 @@ class HaarWeight:
         return sum((self.rho[g.tgt[a]] for a in g.arrows_from(x)), Fraction(0))
 
     def normalized(self) -> "HaarWeight":
-        """Rescale per orbit so every s-fiber has mass one.
-
-        Fiber masses are constant along orbits for this encoding, so a
-        single factor per orbit suffices.
-        """
-        g = self.groupoid
-        scale = {}
-        for orb in orbits(g):
-            scale[orb[0]] = 1 / self.fiber_mass(orb[0])
-        idx = orbit_index(g)
-        reps = [orb[0] for orb in orbits(g)]
-        return HaarWeight(g, [self.rho[x] * scale[reps[idx[x]]] for x in g.objects()])
+        """Rescale so every s-fiber has mass one: rho over the fiber mass at
+        each object (fiber masses are constant along orbits for this
+        encoding, so this is one factor per orbit)."""
+        return HaarWeight(self.groupoid,
+                          [r / self.fiber_mass(x) for x, r in enumerate(self.rho)])
 
 
 def counting_haar(g: FiniteGroupoid) -> HaarWeight:
@@ -209,18 +204,12 @@ def counting_haar(g: FiniteGroupoid) -> HaarWeight:
 
 
 def average_function(g: FiniteGroupoid, haar: HaarWeight, f) -> Weights:
-    """Average of an object function over s-fibers: sum of f(tgt) rho(tgt).
+    """Average of an object function over s-fibers: the ``s_shriek`` of the
+    arrow weight a -> f(tgt a) rho(tgt a).
 
     The result is constant on orbits; when the Haar weight is normalized
     the average fixes orbit-constant functions.
     """
     f = _as_fractions(f, g.n_objects, "object weights")
-    out = []
-    for x in g.objects():
-        mass = haar.fiber_mass(x)
-        if mass == 0:
-            raise ValueError(f"s-fiber over object {x} has zero Haar mass")
-        out.append(sum((f[g.tgt[a]] * haar.rho[g.tgt[a]] for a in g.arrows_from(x)),
-                       Fraction(0)))
-    return out
-
+    weighted = [v * r for v, r in zip(f, haar.rho)]
+    return s_shriek(g, [weighted[y] for y in g.tgt])

@@ -257,16 +257,16 @@ class FiniteActionModel(ActionGroupoidModel):
         self.table = [list(row) for row in table]
         self.identity = self.table.index(list(range(self.group_size)))
         self.inverse = [row.index(self.identity) for row in self.table]
-        self.node_maps = [np.asarray(m, dtype=np.intp) for m in node_maps]
+        node_maps = [np.asarray(m, dtype=np.intp) for m in node_maps]
         self.point_maps = point_maps
         self.jacobians = jacobians
         self.name = name
         n_nodes = int(np.prod(grid.shape))
-        for m in self.node_maps:
+        for m in node_maps:
             if sorted(m.ravel().tolist()) != list(range(n_nodes)):
                 raise ModelError("node maps must be permutations of the grid")
         # row j: the flat index of a(g_j, x) for every node x
-        self.node_table = np.stack([m.ravel() for m in self.node_maps])
+        self.node_table = np.stack([m.ravel() for m in node_maps])
 
     def haar_masses(self):
         return np.full(self.group_size, 1.0 / self.group_size)
@@ -281,7 +281,7 @@ class FiniteActionModel(ActionGroupoidModel):
         return self.identity
 
     def pull(self, j, values):
-        return values.ravel()[self.node_maps[j]].reshape(self.grid.shape)
+        return values.ravel()[self.node_table[j]].reshape(self.grid.shape)
 
     def node_images(self, flat):
         return self.node_table[:, flat]

@@ -6,12 +6,14 @@ mass at the arrow (g, x) is haar(g) * rho(a(g, x)), and a transverse
 density (rho, tau) pairs the result with tau on the base.  Target-fiber
 integration is source-fiber integration after composing with inversion.
 
-Arrow functions are sums of terms a(g) b(g^e x), e in {0, 1}, so a fiber
-integral is one model ``pull_sum`` per term, the terms added by
-broadcasting: one gather per group element on finite models; on cyclic
-models an FFT along the axis, or for equal weights one sum along it, kept
-at length 1 there.  So fiber volumes, cut-off normalizations, orbit
-integrals and averages on a cyclic model stay on the orbit space.
+Pulled back along the target, a base function f integrates over source
+fibers to its orbit integrals (``orbit_integrals``): one ``pull_sum`` of
+f * rho against the Haar masses, read by fiber volumes, cut-offs and the
+Weyl check.  A test function is a sum of terms a(g) b(g^e x), e in {0, 1},
+and ``s_fiber_integrate`` adds one ``pull_sum`` per term.  ``pull_sum`` is
+one gather per group element on finite models; on cyclic models an FFT
+along the axis, or for equal weights (every orbit integral) one sum along
+it, kept at length 1 there, on the orbit space.
 
 Random test functions keep their fields factored (``SeparableField``,
 per-axis profiles on the axis nodes).  Two checks use that, when rho is
@@ -21,8 +23,8 @@ tau in row space, and ``shriek_average`` averages s_!(u) - t_!(u) there.
 Each factored term integrates to a row along the axis (the field's profile
 there times the total weight, or correlated for a target term) times a
 column, the field's profile of the other axes (``_factored_parts``), so
-no grid-sized array is built.  Every other test function, and every fiber
-integral, goes through ``s_fiber_integrate``.
+no grid-sized array is built.  Every other test function goes through
+``s_fiber_integrate``.
 
 Hot loops keep at most one grid-sized temporary alive per step (a base
 pairing is the one expression ``(f * tau * weights).sum()``; differences
@@ -131,24 +133,6 @@ class ArrowFunction:
                              terms=[(a[inv], b, 1 - e) for a, b, e in self.terms])
 
     @staticmethod
-    def separable(model, coefficients: np.ndarray, fields) -> "ArrowFunction":
-        """Sum of products a_k(g) b_k(x) given per-slice coefficients."""
-        coefficients = np.asarray(coefficients, dtype=float)
-        return ArrowFunction(model, terms=[
-            (a, np.asarray(b, dtype=float), 0) for a, b in zip(coefficients, fields)])
-
-    @staticmethod
-    def from_base_function(model, values: np.ndarray) -> "ArrowFunction":
-        """Pullback along the source: (g, x) -> f(x)."""
-        return ArrowFunction.separable(model, np.ones((1, model.group_size)), [values])
-
-    @staticmethod
-    def from_target_function(model, values: np.ndarray) -> "ArrowFunction":
-        """Pullback along the target: (g, x) -> f(a(g, x))."""
-        return ArrowFunction(model, terms=[
-            (np.ones(model.group_size), np.asarray(values, dtype=float), 1)])
-
-    @staticmethod
     def random(model, rng: random.Random, rank: int = 3) -> "ArrowFunction":
         """Seeded random smooth-ish test function (trigonometric profiles).
 
@@ -239,20 +223,26 @@ def shriek_average(model, rho_values: np.ndarray, u: ArrowFunction) -> np.ndarra
     """The fiber average of s_!(u) - t_!(u).  A factored u is averaged in row
     space, at orbit-space shape: haar[0] * rho_base**2 * (cols.T @ rows.sum(1))
     from the ``_factored_parts`` of ``_difference_terms(u)`` (one rho in s - t,
-    one in the fiber weight).  Any other u averages its ``shriek_difference``."""
+    one in the fiber weight).  Any other u: the ``orbit_integrals`` of its
+    ``shriek_difference``."""
     if not _is_factored(model, rho_values, u):
-        return averaging(model, rho_values, shriek_difference(model, rho_values, u)).values
+        return orbit_integrals(model, rho_values, shriek_difference(model, rho_values, u))
     haar = model.haar_masses()
     cols, rows = _factored_parts(model, haar, _difference_terms(u))
     rho_base = rho_values[(slice(None),) * model.axis + (slice(0, 1),)]
     return haar[0] * rho_base ** 2 * (cols.T @ rows.sum(1)).reshape(rho_base.shape)
 
 
+def orbit_integrals(model, rho_values: np.ndarray, f_values: np.ndarray) -> np.ndarray:
+    """The integral of f over the orbit through each node, against the induced
+    orbit density: the source-fiber integral of f's pullback along the
+    target.  On a cyclic model it stays on the orbit space."""
+    return model.pull_sum(model.haar_masses(), f_values * rho_values)
+
+
 def fiber_volumes(model, rho_values: np.ndarray) -> np.ndarray:
-    """Mass of each source fiber, the target integral of 1 (the orbit volume);
-    the 1 is one node that broadcasts against the grid."""
-    return s_fiber_integrate(model, rho_values, ArrowFunction.from_target_function(
-        model, np.ones((1,) * model.grid.ndim)))
+    """Mass of each source fiber: the orbit integral of a 1 that broadcasts."""
+    return orbit_integrals(model, rho_values, np.ones((1,) * model.grid.ndim))
 
 
 def pair_with_base_density(model, tau_values: np.ndarray, f: np.ndarray) -> float:
@@ -355,7 +345,7 @@ def averaging(model, rho_values: np.ndarray, section_values: np.ndarray) -> Aver
     and how far it is from constant on orbits; the caller judges the defect."""
     if not model.proper:
         raise ModelError("averaging needs a proper model")
-    # the s-fiber integral of the target function of the section, as one pull
+    # the orbit integrals of the section; the product is kept for the scale
     weighted = section_values * rho_values
     av = model.pull_sum(model.haar_masses(), weighted)
     # constancy is measured against the size of the integrand, not of the
@@ -376,8 +366,7 @@ def cutoff_construct(model, rho_values: np.ndarray, phi_values: np.ndarray,
     """
     if np.any(phi_values < 0):
         raise ValueError("cut-off seed must be nonnegative")
-    fiber_avg = s_fiber_integrate(
-        model, rho_values, ArrowFunction.from_target_function(model, phi_values))
+    fiber_avg = orbit_integrals(model, rho_values, phi_values)
     if float(np.min(fiber_avg)) <= threshold:
         raise SaturationError(
             "saturation failure: the seed support misses an orbit "
@@ -388,9 +377,7 @@ def cutoff_construct(model, rho_values: np.ndarray, phi_values: np.ndarray,
 def cutoff_normalization_defect(model, rho_values: np.ndarray,
                                 cutoff: np.ndarray) -> float:
     """Nodewise deviation of the cut-off normalization from one."""
-    norm = s_fiber_integrate(model, rho_values,
-                             ArrowFunction.from_target_function(model, cutoff))
-    return float(np.max(np.abs(norm - 1.0)))
+    return float(np.max(np.abs(orbit_integrals(model, rho_values, cutoff) - 1.0)))
 
 
 def weyl_check(model, sigma: TransverseDensityData, f_values: np.ndarray,
@@ -406,14 +393,6 @@ def weyl_check(model, sigma: TransverseDensityData, f_values: np.ndarray,
     lhs = pair_with_base_density(model, sigma.tau_values, f_values)
     return lhs, cutoff_pairing(model, sigma, cutoff,
                                orbit_integrals(model, sigma.rho_values, f_values))
-
-
-def orbit_integrals(model, rho_values: np.ndarray, f_values: np.ndarray) -> np.ndarray:
-    """The integral of f over the orbit through each node, against the induced
-    orbit density: the source-fiber integral of f's pullback along the
-    target.  On a cyclic model it stays on the orbit space."""
-    return s_fiber_integrate(model, rho_values,
-                             ArrowFunction.from_target_function(model, f_values))
 
 
 def cutoff_pairing(model, sigma: TransverseDensityData, cutoff: np.ndarray,

@@ -1340,6 +1340,38 @@ def test_nan_density_prints_only_the_error_line(tmp_path, model, check, message)
     assert f"check '{check['name']}': {message}" in proc.stderr
 
 
+# a witness whose tau is invariant: its one row fails
+FAILING_WITNESS = {"name": "x", "engine": "smooth",
+                   "model": {"kind": "circle_self", "params": {"n": 16}},
+                   "checks": [{"name": "invariance_witness", "params": {"tau": "1 + 0*t"}}]}
+
+
+@pytest.mark.parametrize("args, code, err", [
+    (["run", "z2_group"], 0, "# 9/9 checks passed\n"),
+    (["run", "failing.json"], 1, "# 0/1 checks passed\n"),
+    (["list-checks"], 0, ""),
+    (["list-scenarios"], 0, ""),
+], ids=["run", "run-failing", "list-checks", "list-scenarios"])
+def test_a_closed_stdout_ends_the_output_not_the_command(tmp_path, args, code, err):
+    # the read end of stdout's pipe is closed before gm starts, so its first
+    # write meets a broken pipe; gm still exits with the code it earned
+    (tmp_path / "failing.json").write_text(json.dumps(FAILING_WITNESS))
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.Popen([sys.executable, "-m", "groupoid_measures.cli", *args],
+                                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write_end)
+    try:
+        _, stderr = proc.communicate(timeout=120)
+    finally:
+        proc.kill()  # no-op once gm has exited
+    assert (proc.returncode, stderr) == (code, err)
+
+
 FAMILY_1E200 = dict(LEAF_FAMILY, area="1e200*t", area_derivative="1e200 + 0*t")
 FOLIATION33 = {"kind": "foliation", "n_leaf": 33, "n_transverse": 5}
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoid_measures.finite import (
     HaarWeight,
@@ -25,7 +26,7 @@ from groupoid_measures.finite import (
     unit_trace,
 )
 from groupoid_measures.finite import linalg_q
-from test_exact_references import dense_rank, groupoids
+from test_exact_references import dense_rank, groupoids, groupoids_and_groups
 from test_finite_groupoid import SUITE, z2_swap_plus_fixed
 
 
@@ -222,6 +223,30 @@ def test_average_is_orbit_constant():
         av = average_function(g, haar, f)
         for a in g.arrows():
             assert av[g.src[a]] == av[g.tgt[a]]
+
+
+def loop_average(g, haar, f):
+    """Reference: the per-object loop average_function replaced, each s-fiber
+    walked through arrows_from, after its Haar mass is checked nonzero."""
+    out = []
+    for x in g.objects():
+        assert haar.fiber_mass(x) != 0
+        out.append(sum((f[g.tgt[a]] * haar.rho[g.tgt[a]] for a in g.arrows_from(x)),
+                       Fraction(0)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(groupoids_and_groups, st.data())
+def test_average_function_equals_the_per_object_loop(g, data):
+    fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    positive = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
+    f = data.draw(st.lists(fractions, min_size=g.n_objects, max_size=g.n_objects))
+    rho = data.draw(st.lists(positive, min_size=g.n_objects, max_size=g.n_objects))
+    for haar in (counting_haar(g), HaarWeight(g, rho)):
+        av = average_function(g, haar, f)
+        assert av == loop_average(g, haar, f)
+        assert all(type(v) is Fraction for v in av)
 
 
 def test_haar_weight_vanishing_on_an_orbit_is_rejected():

@@ -254,8 +254,8 @@ def test_slice_gives_the_bits_of_a_sum_from_zero_and_writes_no_input(make):
     u = ArrowFunction.random(model, random.Random(7))
     functions = [
         u, u.inverted(),
-        ArrowFunction.from_target_function(model, plain),
-        ArrowFunction.separable(model, rng.uniform(-1, 1, size=(2, n)), [plain, plain]),
+        ArrowFunction(model, [(np.ones(n), plain, 1)]),
+        ArrowFunction(model, [(a, plain, 0) for a in rng.uniform(-1, 1, size=(2, n))]),
         # terms that sum to zeros of both signs
         ArrowFunction(model, [(negative, zeros, 0), (negative, zeros, 1)]),
         ArrowFunction(model, [(negative, zeros, 1)] + u.terms),
@@ -274,7 +274,7 @@ def test_slice_gives_the_bits_of_a_sum_from_zero_and_writes_no_input(make):
 def test_fiber_volumes_of_a_broadcast_one_equal_those_of_a_grid_of_ones(make):
     model = make()
     rho = 0.5 + np.random.default_rng(3).uniform(size=model.grid.shape)
-    grid_ones = ArrowFunction.from_target_function(model, np.ones(model.grid.shape))
+    grid_ones = ArrowFunction(model, [(np.ones(model.group_size), np.ones(model.grid.shape), 1)])
     assert fiber_volumes(model, rho).tobytes() == \
         s_fiber_integrate(model, rho, grid_ones).tobytes()
 

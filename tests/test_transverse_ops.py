@@ -40,6 +40,7 @@ from groupoid_measures.smooth import (
     mirror_interval_model,
     modular_cocycle,
     orbit_density,
+    orbit_integrals,
     s_fiber_integrate,
     shriek_average,
     shriek_difference,
@@ -68,6 +69,12 @@ def slice_arrow_function(model, slices):
     a unit coefficient vector."""
     return ArrowFunction(model, terms=[(a, np.asarray(s, dtype=float), 0)
                                        for a, s in zip(np.eye(model.group_size), slices)])
+
+
+def pullback(model, values, e):
+    """The pullback of a base function along the source (e = 0) or the target
+    (e = 1): one term with unit coefficients."""
+    return ArrowFunction(model, terms=[(np.ones(model.group_size), values, e)])
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +108,7 @@ def test_antipodal_haar_masses_are_exact_halves():
 
 def test_s_fiber_integral_of_one_with_normalized_weight(rotation):
     rho = np.ones(rotation.grid.shape)
-    u = ArrowFunction.from_base_function(rotation, np.ones(rotation.grid.shape))
+    u = pullback(rotation, np.ones(rotation.grid.shape), 0)
     out = s_fiber_integrate(rotation, rho, u)
     assert np.max(np.abs(out - 1.0)) <= 1e-12
 
@@ -110,8 +117,7 @@ def test_s_fiber_integral_factorizes_group_independent_input(rotation):
     rng = np.random.default_rng(3)
     rho = 1.0 + 0.2 * rng.uniform(size=rotation.grid.shape)
     u1 = rng.standard_normal(rotation.grid.shape)
-    out = s_fiber_integrate(rotation, rho,
-                            ArrowFunction.from_base_function(rotation, u1))
+    out = s_fiber_integrate(rotation, rho, pullback(rotation, u1, 0))
     expected = u1 * fiber_volumes(rotation, rho)
     assert np.max(np.abs(out - expected)) <= 1e-12
 
@@ -430,9 +436,8 @@ def test_both_antipodal_spellings_build_the_same_node_maps():
     direct = build_model({"kind": "antipodal_circle", "params": {"n": 16}})
     preset = build_model({"kind": "finite_action",
                           "params": {"preset": "antipodal_circle", "n": 16}})
-    assert len(direct.node_maps) == len(preset.node_maps) == 2
-    for a, b in zip(direct.node_maps, preset.node_maps):
-        assert np.array_equal(a, b)
+    assert direct.node_table.shape == preset.node_table.shape == (2, 16)
+    assert np.array_equal(direct.node_table, preset.node_table)
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +491,9 @@ def arrow_forms(model, rng):
     coeffs = rng.standard_normal((3, model.group_size))
     fields = rng.standard_normal((3,) + shape)
     forms = {
-        "separable": ArrowFunction.separable(model, coeffs, fields),
-        "base": ArrowFunction.from_base_function(model, field),
-        "target": ArrowFunction.from_target_function(model, field),
+        "separable": ArrowFunction(model, terms=[(a, b, 0) for a, b in zip(coeffs, fields)]),
+        "base": pullback(model, field, 0),
+        "target": pullback(model, field, 1),
         "opaque": slice_arrow_function(model, opaque),
     }
     refs = {"separable": lambda j: sum(c[j] * f for c, f in zip(coeffs, fields))}
@@ -1012,7 +1017,7 @@ def _cocycle_cases():
     # the reflection with explicit Jacobian maps; the second is not the true
     # one, so that the batch must pick each element's own map
     reflection = FiniteActionModel(
-        mirror.grid, table=[[0, 1], [1, 0]], node_maps=mirror.node_maps,
+        mirror.grid, table=[[0, 1], [1, 0]], node_maps=mirror.node_table,
         point_maps=mirror.point_maps,
         jacobians=[lambda x: np.ones_like(x), lambda x: -(2.0 + x)])
     scaling = ScalingLineModel(max_power=2)
@@ -1191,14 +1196,35 @@ def test_orbit_density_equals_the_per_element_loop(make, node):
 
 
 @pytest.mark.parametrize("make", PROPER_MODELS, ids=PROPER_IDS)
-def test_averaging_equals_the_target_fiber_integral(make):
+@pytest.mark.parametrize("kind", ["constant", "off_axis", "along_axis"])
+def test_orbit_integrals_equal_the_target_fiber_integral(make, kind):
+    """Orbit integrals, fiber volumes, cut-offs, their normalization and the
+    fiber mass of averaging are the s-integral of a target pullback."""
     model = make()
     rng = np.random.default_rng(52)
-    rho = 0.5 + rng.uniform(size=model.grid.shape)
-    section = model.pull_sum(model.haar_masses(), rng.uniform(size=model.grid.shape))
-    res = averaging(model, rho, np.array(section))
-    ref = s_fiber_integrate(model, rho, ArrowFunction.from_target_function(model, section))
-    assert np.array_equal(res.values, ref)
+    shape = model.grid.shape
+    rho = (cyclic_rho(model, kind, rng) if isinstance(model, CyclicAxisModel)
+           else np.full(shape, 1.5) if kind == "constant" else 0.5 + rng.uniform(size=shape))
+
+    def target_integral(f):
+        return s_fiber_integrate(model, rho, pullback(model, np.asarray(f, dtype=float), 1))
+
+    def assert_equal(out, ref):
+        assert np.array_equal(out, ref) and out.shape == ref.shape
+
+    f = rng.standard_normal(shape)
+    phi = 0.5 + rng.uniform(size=shape)
+    for values in (f, phi, np.zeros(shape)):
+        assert_equal(orbit_integrals(model, rho, values), target_integral(values))
+    ones = np.ones((1,) * len(shape))
+    assert_equal(fiber_volumes(model, rho), target_integral(ones))
+    cutoff = cutoff_construct(model, rho, phi)
+    assert_equal(cutoff, phi / target_integral(phi))
+    assert cutoff_normalization_defect(model, rho, cutoff) \
+        == float(np.max(np.abs(target_integral(cutoff) - 1.0)))
+    section = model.pull_sum(model.haar_masses(), rng.uniform(size=shape))
+    assert np.array_equal(averaging(model, rho, np.array(section)).values,
+                          target_integral(section))
 
 
 @pytest.mark.parametrize("make", PROPER_MODELS, ids=PROPER_IDS)
@@ -1437,7 +1463,7 @@ def assert_orbit_space_results_equal_the_grid(model, rho, rng):
     sigma = TransverseDensityData(model, lambda *c: rho, lambda *c: 0.5 + c[0] ** 2)
     sigma_ref = TransverseDensityData(ref, lambda *c: rho, lambda *c: 0.5 + c[0] ** 2)
     for values in (f, phi):
-        u = ArrowFunction.from_target_function(model, values)
+        u = pullback(model, values, 1)
         out = s_fiber_integrate(model, rho, u)
         assert out.shape == orbit_shape(model)
         assert np.array_equal(np.broadcast_to(out, shape), s_fiber_integrate(ref, rho, u))
@@ -1445,7 +1471,7 @@ def assert_orbit_space_results_equal_the_grid(model, rho, rng):
     assert volumes.shape == orbit_shape(model)
     # the target integral of 1 is bit for bit the source integral of 1 it replaced
     assert np.array_equal(np.broadcast_to(volumes, shape), s_fiber_integrate(
-        ref, rho, ArrowFunction.from_base_function(ref, np.ones(shape))))
+        ref, rho, pullback(ref, np.ones(shape), 0)))
     cutoff = cutoff_construct(model, rho, phi)
     assert np.array_equal(cutoff, cutoff_construct(ref, rho, phi))
     assert cutoff_normalization_defect(model, rho, cutoff) \
