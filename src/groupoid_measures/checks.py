@@ -297,9 +297,7 @@ class ScenarioContext:
         """A field sampled on the model grid, read-only, once per expression."""
         def sample():
             grid = self.model().grid
-            values = compile_field(expr, grid.ndim)(*grid.meshgrid())
-            values.setflags(write=False)
-            return values
+            return compile_field(expr, grid.ndim)(*grid.meshgrid())
         return self._read(("field", expr), sample)
 
     def cutoff(self, expr: str, key: str) -> np.ndarray:

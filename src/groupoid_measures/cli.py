@@ -69,11 +69,21 @@ def _resolve_path(path: str) -> str:
     return path
 
 
+# a text stream encodes each write whole, so a report goes out in slices of
+# this many characters, and no encoded copy of all of it is made
+WRITE_SLICE = 1 << 16
+
+
+def _write_text(stream, text: str) -> None:
+    for start in range(0, len(text), WRITE_SLICE):
+        stream.write(text[start:start + WRITE_SLICE])
+
+
 def _write(text: str) -> None:
     """Write to stdout.  If its reader has gone, stop writing, and point stdout
     at the null device so that the flush at exit does not fail again."""
     try:
-        sys.stdout.write(text)
+        _write_text(sys.stdout, text)
         sys.stdout.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -96,7 +106,7 @@ def cmd_run(args) -> int:
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                _write_text(fh, text)
         except OSError as exc:
             raise ScenarioError(f"cannot write report {args.out!r}: {exc}") from exc
     else:

@@ -27,10 +27,12 @@ import numpy as np
 
 from ..expressions import ScenarioError
 
-# The most nodes a grid may have.  The checks hold several float64 arrays of
-# a grid's size at once, so at 2**26 nodes (512 MiB per array) a grid is an
-# input error before any array is allocated.  The largest bundled grid, the
-# submersion probe's 9 x 8193, is about 900 times smaller.
+# The most nodes a grid may have.  A check holds up to about three float64
+# arrays of a grid's size at once (28 bytes per node at the peak of the
+# rotation and exactness checks; the density and the weights are stored
+# only along the axes they vary on), so at 2**26 nodes (512 MiB per array)
+# a grid is an input error before any array is allocated.  The largest
+# bundled grid, the submersion probe's 9 x 8193, is about 900 times smaller.
 MAX_GRID_NODES = 2 ** 26
 
 
@@ -111,12 +113,17 @@ class Grid:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """Product-rule weight of every node; one read-only array per grid,
-        built on first use."""
-        w = self.axis_weight(0).copy()
-        for axis in range(1, self.ndim):
-            w = w * self.axis_weight(axis)
-        return _read_only(w)
+        """Product-rule weight of every node: one read-only view per grid,
+        built on first use and stored only along the axes whose weights vary.
+        An axis of equal weights enters the product at length 1, in axis
+        order, so each node's weight is the float of the full product."""
+        w = None
+        for axis in range(self.ndim):
+            aw = self.axis_weight(axis)
+            if np.all(aw == aw.flat[0]):
+                aw = aw[(slice(None),) * axis + (slice(0, 1),)]
+            w = aw if w is None else w * aw
+        return np.broadcast_to(w, self.shape)
 
     def _weight_total(self) -> float:
         t = np.array(1.0)
@@ -150,6 +157,13 @@ class Grid:
     def axis_weight(self, axis: int, ndim: int | None = None) -> np.ndarray:
         """Axis weights broadcast against ``ndim``-dimensional node arrays."""
         return self.along(axis, self.axes[axis].weights(), ndim)
+
+
+def stored_part(values: np.ndarray) -> np.ndarray:
+    """The values a broadcast view is made of: each axis it repeats along
+    (stride 0) cut to length 1.  It broadcasts back to the view."""
+    return values[tuple(slice(0, 1) if stride == 0 else slice(None)
+                        for stride in values.strides)]
 
 
 def positive_finite(values, strict: bool = True) -> bool:

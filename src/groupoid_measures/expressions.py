@@ -37,7 +37,12 @@ class ExpressionError(ScenarioError):
 
 def compile_field(expr: str, ndim: int):
     """Compile a subscript-free expression to a function of ndim coordinate
-    arrays; a sample that is not finite at every point is an ExpressionError."""
+    arrays; a sample that is not finite at every point is an ExpressionError.
+
+    The sample is a read-only view at the coordinates' broadcast shape,
+    stored only along the axes the expression varies on (a profile in r
+    alone is one column), with the values of a sum with a zero grid: -0.0
+    reads 0.0 and an integer result is float."""
     if not isinstance(expr, str):
         raise ExpressionError(f"an expression must be a string, got {expr!r}")
     try:
@@ -65,15 +70,20 @@ def compile_field(expr: str, ndim: int):
             # only the sample is judged, so where(x > 0, 1/x, 0) evaluates
             with np.errstate(all="ignore"):
                 result = eval(code, {"__builtins__": {}}, scope)
-                out = result + np.zeros(shape)
+                # the sum with a zero grid, at the result's own shape
+                out = result + np.zeros((1,) * len(shape))
+                try:
+                    sample = np.broadcast_to(out, shape)
+                except ValueError:  # no view: judged as the full sum
+                    out = sample = result + np.zeros(shape)
         except (ArithmeticError, AttributeError, IndexError, TypeError,
                 ValueError) as exc:
             raise ExpressionError(f"cannot evaluate {expr!r}: {exc}") from exc
-        if out.dtype.kind != "f" or out.shape != shape:
+        if out.dtype.kind != "f" or sample.shape != shape:
             raise ExpressionError(f"{expr!r} is not a real value at each point")
         if not np.isfinite(out).all():
             raise ExpressionError(f"{expr!r} is not finite at every point")
-        return out
+        return sample
 
     return fn
 

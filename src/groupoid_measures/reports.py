@@ -92,16 +92,18 @@ class Report:
 
     def to_json(self) -> str:
         """The bytes of ``json.dumps({"rows": [...], "summary": ...}, indent=2)``;
-        scenario names and check labels must be strings."""
-        rows, passed = [], 0
+        scenario names and check labels must be strings.  The pieces are
+        joined once, so the text is held in one copy beside its rows."""
+        pieces, passed = ['{\n  "rows": ['], 0
         for r in self.rows:
             ok = r.passed
             passed += ok
-            rows.append(_JSON_ROW % (
+            pieces += (",\n" if len(pieces) > 1 else "\n", _JSON_ROW % (
                 encode_basestring_ascii(r.scenario), encode_basestring_ascii(r.check),
                 *map(_json_float, r.rendered().values()), _json_float(r.tolerance),
                 "true" if ok else "false"))
-        body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-        return (f'{{\n  "rows": {body},\n  "summary": {{\n'
-                f'    "total": {len(rows)},\n    "passed": {passed},\n'
-                f'    "failed": {len(rows) - passed}\n  }}\n}}')
+        total = len(self.rows)
+        pieces.append(("\n  ]" if total else "]") + (
+            f',\n  "summary": {{\n    "total": {total},\n    "passed": {passed},\n'
+            f'    "failed": {total - passed}\n  }}\n}}'))
+        return "".join(pieces)

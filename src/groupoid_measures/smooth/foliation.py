@@ -34,8 +34,9 @@ class FoliatedGrid:
         self.h = grid.axes[leaf_axis].spacing
 
     def leafwise_derivative(self, values: np.ndarray) -> np.ndarray:
-        """Second-order derivative along the leaves."""
-        v = np.moveaxis(np.asarray(values, dtype=float), self.leaf_axis, 0)
+        """Second-order derivative along the leaves, in C order: a broadcast
+        view is copied first, since the stencil's arrays keep its order."""
+        v = np.moveaxis(np.ascontiguousarray(values, dtype=float), self.leaf_axis, 0)
         h = self.h
         if self.grid.axes[self.leaf_axis].periodic:
             out = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2 * h)
@@ -128,19 +129,23 @@ def exactness_probe(foliation: FoliatedGrid, u_values: np.ndarray, tol: float = 
 
     fiber_integrals = np.tensordot(w, u, axes=(0, 0))
     worst = float(np.max(np.abs(fiber_integrals))) if fiber_integrals.size else 0.0
-    u_max = float(np.max(np.abs(u)))
+    u_max = float(max(u.max(), -u.min()))  # max |u|, with no grid-sized |u|
     scale = u_max * ax.length or 1.0
     if worst > tol * scale:
         raise FiberObstructionError(f"nonzero fiber integral {worst:.3e} "
                                     f"exceeds {tol * scale:.1e}")
 
-    # the cumulative trapezoid, written into v with no grid-sized temporary
-    v = np.zeros_like(u)
+    # the cumulative trapezoid, written into v with no grid-sized temporary;
+    # v is C-ordered on the grid, whatever the order of the input
+    v = np.moveaxis(np.zeros(foliation.grid.shape), axis, 0)
     np.add(u[1:], u[:-1], out=v[1:])
     v[1:] *= h / 2
     np.cumsum(v[1:], axis=0, out=v[1:])
 
-    support = np.abs(u) > support_tol * (u_max or 1.0)
+    # |u| > bound, from two comparisons
+    bound = support_tol * (u_max or 1.0)
+    support = u > bound
+    support |= u < -bound
     rows = np.where(support.any(axis=tuple(range(1, u.ndim))))[0]
     if rows.size:
         lo, hi = int(rows[0]), int(rows[-1])

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..density.grids import Axis, Grid, positive_finite
+from ..density.grids import Axis, Grid, positive_finite, stored_part
 from ..expressions import (BOOLEAN, COUNT, FIELD, NATURAL, NUMBER, REQUIRED, Descriptor,
                            Kind, ModelKind, ScenarioError, as_object, listed, record)
 
@@ -184,7 +184,9 @@ class CyclicAxisModel(ActionGroupoidModel):
         return 0
 
     def pull(self, j, values):
-        return np.roll(values, -j, axis=self.axis)
+        # C-ordered: a roll keeps the order of its input, and a broadcast view
+        # that varies along the last axis alone is in Fortran order
+        return np.ascontiguousarray(np.roll(values, -j, axis=self.axis))
 
     def pull_sum(self, weights, values):
         """Circular correlation along the axis, on one of two exact paths.
@@ -198,7 +200,8 @@ class CyclicAxisModel(ActionGroupoidModel):
         if np.all(weights == weights[0]):
             return weights[0] * values.sum(self.axis, keepdims=True)
         out = self.correlate(weights, np.moveaxis(values, self.axis, -1))
-        return np.moveaxis(out, -1, self.axis)
+        # C-ordered, as for a full sample: the FFT keeps its input's order
+        return np.ascontiguousarray(np.moveaxis(out, -1, self.axis))
 
     def correlate(self, weights, values):
         """Circular correlation along the last axis by one FFT pair:
@@ -480,9 +483,11 @@ class TransverseDensityData:
     ``rho_fn`` is the strictly positive object-side weight whose right
     translation gives the source-fiber densities; ``tau_fn`` the chart
     coefficient of the base density.  Both are kept as callables (for
-    pointwise cocycle evaluation) and sampled on the model grid; the rho
-    samples are read-only, so a model can decide once per density whether
-    rho is constant along its orbits.
+    pointwise cocycle evaluation) and sampled on the model grid, each as a
+    read-only view at the grid's shape that stores only the axes its sample
+    varies on (the polar Lebesgue rho and tau = r one column each).
+    Read-only, so a model can decide once per density whether rho is
+    constant along its orbits.
     """
 
     def __init__(self, model, rho_fn, tau_fn):
@@ -490,13 +495,15 @@ class TransverseDensityData:
         self.rho_fn = rho_fn
         self.tau_fn = tau_fn
         mesh = model.grid.meshgrid()
-        self.rho_values = np.asarray(rho_fn(*mesh), dtype=float) + np.zeros(model.grid.shape)
-        self.tau_values = np.asarray(tau_fn(*mesh), dtype=float) + np.zeros(model.grid.shape)
-        self.rho_values.setflags(write=False)
-        if not positive_finite(self.rho_values):
+        # + 0.0 gives the values of a sum with a zero grid: -0.0 reads 0.0
+        rho, tau = (stored_part(np.asarray(fn(*mesh), dtype=float)) + 0.0
+                    for fn in (rho_fn, tau_fn))
+        if not positive_finite(rho):
             raise ScenarioError("algebroid weight must be strictly positive and finite (full)")
-        if not positive_finite(self.tau_values, strict=False):
+        if not positive_finite(tau, strict=False):
             raise ScenarioError("base density must be nonnegative and finite")
+        self.rho_values = np.broadcast_to(rho, model.grid.shape)
+        self.tau_values = np.broadcast_to(tau, model.grid.shape)
 
     @staticmethod
     def lebesgue(model) -> "TransverseDensityData":

@@ -31,10 +31,12 @@ pairing is the one expression ``(f * tau * weights).sum()``; differences
 are formed in place; a slice scales each term in the array it made):
 whenever two or more 512 KB arrays of the 256 x 256 rotation model are
 freed together, the allocator returns the heap top to the kernel and the
-next step faults the same pages in again.  A ``gm run`` of the 14 bundled
-scenarios in a fresh process takes about 2 400 minor page faults from its
-first check to its report, and 3 330 while the scenario context kept every
-memo until the scenario ended (5 runs each, 2 cores, Python 3.11, numpy 2.4).
+next step faults the same pages in again.  The 14 bundled scenarios, run in
+one process, take about 920 minor page faults from the first check to the
+report; 2 400 while rho, tau and the grid weights were full grid arrays
+(they are now broadcast views of their profiles), and 3 330 while the
+scenario context also kept every memo until the scenario ended (3 to 5
+runs each, 2 cores, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -444,7 +446,9 @@ def orbit_density(model, rho_values: np.ndarray, node: tuple) -> DiscreteMeasure
     if not model.proper:
         raise ModelError("orbit densities need a proper model")
     targets = model.node_images(np.ravel_multi_index(node, model.grid.shape))
-    contributions = model.haar_masses() * rho_values.ravel()[targets]
+    # gathered through an index tuple: a ravel would copy a broadcast rho
+    contributions = model.haar_masses() * rho_values[np.unravel_index(targets,
+                                                                      model.grid.shape)]
     masses: dict[int, float] = {}
     for target, mass in zip(targets.tolist(), contributions.tolist()):
         masses[target] = masses.get(target, 0.0) + mass

@@ -1,6 +1,6 @@
 """What the smooth engine keeps alive: the scenario context drops each
 grid-sized memo at its last planned read, every memo is still computed once,
-and the rotation checks peak within a bound per grid node."""
+and the rotation and exactness checks peak within a bound per grid node."""
 
 import dataclasses
 import random
@@ -78,11 +78,10 @@ def counting(monkeypatch):
 # ---------------------------------------------------------------------------
 # the rotation checks per grid node
 
-def test_rotation_weyl_checks_peak_within_55_bytes_per_node():
-    # traced peak of each check over the start of the scenario, at 256 x 256:
-    # 67.6 bytes per node at most while every memo lived until the scenario ended
-    context, plan = read_scenario(rotation_weyl())
-    nodes = 256 * 256
+def traced_checks(doc) -> tuple[dict, dict]:
+    """Run a document as run_scenario does, and give each check's traced peak
+    and what is held after it, both over the start of the check."""
+    context, plan = read_scenario(doc)
     peaks, held = {}, {}
 
     def traced(check):
@@ -90,7 +89,7 @@ def test_rotation_weyl_checks_peak_within_55_bytes_per_node():
             tracemalloc.reset_peak()
             out = check.runner(ctx, tol, **values)
             current, peak = tracemalloc.get_traced_memory()
-            peaks[check.name], held[check.name] = peak / nodes, current / nodes
+            peaks[check.name], held[check.name] = peak, current
             return out
         return dataclasses.replace(check, runner=runner)
 
@@ -100,10 +99,29 @@ def test_rotation_weyl_checks_peak_within_55_bytes_per_node():
     finally:
         tracemalloc.stop()
     assert all(row.passed for row in rows)
-    assert len(peaks) == 14
-    assert max(peaks.values()) <= 55, peaks
-    # the model, its density and the grid weights: 3 arrays of 8 bytes per node
-    assert held["weinstein_two_ways"] <= 30 and held["cutoff_saturation_error"] <= 30, held
+    assert len(peaks) == len(plan)
+    return peaks, held
+
+
+def test_rotation_weyl_checks_peak_within_32_bytes_per_node():
+    # bytes per node at 256 x 256: 67.6 at most while every memo lived until
+    # the scenario ended, 51.6 while the density and the grid weights were
+    # full arrays, 27.7 with them stored along the axes they vary on
+    nodes = 256 * 256
+    peaks, held = traced_checks(rotation_weyl())
+    assert max(peaks.values()) <= 32 * nodes, peaks
+    # what the context holds between checks: the density and the grid weights
+    # are one column each (24 bytes per node as full arrays), 2.6 all told
+    assert held["weinstein_two_ways"] <= 4 * nodes and \
+        held["cutoff_saturation_error"] <= 4 * nodes, held
+
+
+def test_submersion_exactness_checks_peak_within_32_bytes_per_node():
+    # bytes per node on the 9 x 8193 grid: 35.7 while the exactness probe made
+    # a grid-sized |u| for its maximum and its support, 28.8 without it
+    path = next(p for p in bundled_scenarios() if p.endswith("submersion_exactness.json"))
+    peaks, _ = traced_checks(load_scenario(path))
+    assert max(peaks.values()) <= 32 * 9 * 8193, peaks
 
 
 # ---------------------------------------------------------------------------
